@@ -133,15 +133,4 @@ mod tests {
         let hit_rate = run_netcache(&mut rt, &trace);
         assert!(hit_rate > 0.1, "Zipf trace should produce hits, got {hit_rate}");
     }
-
-    /// The benchmark's NetCache program must stay eligible for SoA batch
-    /// execution — `simbench`'s `batched_pkts_per_sec` row (and its CI
-    /// smoke gate) silently measures the scalar fallback otherwise.
-    #[test]
-    fn netcache_bench_program_is_batch_safe() {
-        let opts = bench_netcache_options();
-        let target = presets::paper_eval(1 << 15);
-        let (sw, _) = build_netcache_switch(&opts, &target).unwrap();
-        assert!(sw.batch_safe(), "NetCache bench program must admit batched replay");
-    }
 }

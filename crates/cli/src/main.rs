@@ -32,9 +32,9 @@
 //!                        default 1 = sequential; capped at the
 //!                        machine's available parallelism)
 //!   --sim-batch N        SoA batch width for replay (0 = scalar, the
-//!                        default; batch-unsafe programs fall back to
-//!                        the scalar loop; replay reports the width
-//!                        that actually ran)
+//!                        default; replay reports the width that
+//!                        actually ran — the interpreter has no batch
+//!                        mode)
 //!   --timings            print the per-pass compile trace (wall time,
 //!                        artifact sizes, cache hits)
 //!   --json-diagnostics   also emit diagnostics as one stable-schema JSON
@@ -490,7 +490,7 @@ fn run(args: Args) -> Result<(), Failure> {
         let batch = if stats.batch_width >= 2 {
             format!(", batch width {}", stats.batch_width)
         } else if args.sim_batch >= 2 {
-            ", scalar fallback (program is not batch-safe)".to_string()
+            ", scalar loop (the interpreter has no batch mode)".to_string()
         } else {
             String::new()
         };

@@ -120,8 +120,8 @@ fn sim_batch_reports_batched_replay() {
         .expect("p4allc runs");
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    // The CMS example is batch-safe, so the requested width runs (the
-    // human line and the JSON replay object both expose it).
+    // The requested width runs (the human line and the JSON replay
+    // object both expose it).
     assert!(stdout.contains("batch width 32"), "{stdout}");
     assert!(stdout.contains("\"batch_width\":32"), "{stdout}");
     assert!(stdout.contains("\"overlap_occupancy\":"), "{stdout}");

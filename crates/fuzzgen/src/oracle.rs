@@ -723,8 +723,7 @@ fn sim_phase_inner(
     };
     run_replay("sim-replay1", &mut interp, 1)?;
     run_replay("sim-sharded", &mut fast, 4)?;
-    // Batched replay falls back to scalar when the program is not
-    // batch-safe; both paths must still reproduce the lockstep result.
+    // Batched replay must reproduce the lockstep result on every program.
     fast.set_batch_width(64);
     let batched = run_replay("sim-batched", &mut fast, 1);
     fast.set_batch_width(0);

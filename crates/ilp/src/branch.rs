@@ -72,18 +72,6 @@ pub struct SolveOptions {
     /// nodes in the same order and returns the same answer; set `false`
     /// to reproduce the historical cold-solve arithmetic exactly.
     pub warm_lp: bool,
-    /// Run a local-branching improvement pass between the root phase and
-    /// the exact tree search: restrict the model to a Hamming ball of
-    /// radius [`SolveOptions::local_branch_radius`] around the incumbent's
-    /// binary assignment and solve that (much smaller) neighborhood with a
-    /// bounded sub-search. Off by default; intended for large joint
-    /// (multi-tenant) models where the exact search alone dives slowly.
-    pub local_branch: bool,
-    /// Hamming-ball radius for local branching: how many binary variables
-    /// may flip relative to the incumbent.
-    pub local_branch_radius: u32,
-    /// Node budget for the local-branching sub-search.
-    pub local_branch_nodes: usize,
     /// Run the cutting-plane engine (on by default): Gomory mixed-integer
     /// cuts from the simplex tableau and knapsack cover cuts from
     /// capacity rows, separated in rounds at the root (and sparingly at
@@ -112,9 +100,6 @@ impl Default for SolveOptions {
             threads: 0,
             deterministic: true,
             warm_lp: true,
-            local_branch: false,
-            local_branch_radius: 10,
-            local_branch_nodes: 1_000,
             cuts: true,
             pseudocost: true,
         }
@@ -688,9 +673,6 @@ pub fn solve_with(model: &Model, opts: &SolveOptions) -> Result<MipOutcome, LpEr
         RootPhase::Done(out) => return Ok(out),
         RootPhase::Search(p) => p,
     };
-    if opts.local_branch {
-        local_branch_improve(&ctx, &mut prepared)?;
-    }
     let mut aux = SearchAux::new(model.num_vars(), opts);
     if opts.cuts && !root_gap_closed(&ctx, &prepared) {
         run_cut_loop(&ctx, &mut prepared, &mut aux)?;
@@ -911,85 +893,6 @@ fn reliability_init(
                 }
             }
             LpResult::Unbounded => {}
-        }
-    }
-    Ok(())
-}
-
-/// Local-branching improvement between the root phase and the exact
-/// search: restrict the model to a Hamming ball around the incumbent's
-/// binary assignment and run a bounded sub-search inside it. Any
-/// improvement tightens the incumbent before the exact search starts, so
-/// large (joint multi-tenant) models prune from a much better bound. The
-/// sub-search's LP solves are accounted like dive LPs (they are heuristic
-/// work, not tree nodes); exactness is untouched because the extra
-/// constraint only ever *restricts* the neighborhood the heuristic looks
-/// at — the exact search still runs on the original model.
-fn local_branch_improve(ctx: &SearchCtx<'_>, prepared: &mut Prepared) -> Result<(), LpError> {
-    let opts = ctx.opts;
-    let Some((inc_score, inc_vals)) = prepared.incumbent.clone() else {
-        return Ok(());
-    };
-    // Nothing to improve if the root bound is already closed.
-    if prepared.root_score <= inc_score + ctx.prune_gap(inc_score) {
-        return Ok(());
-    }
-    let binaries: Vec<usize> = ctx
-        .int_vars
-        .iter()
-        .copied()
-        .filter(|&j| matches!(ctx.model.var(crate::VarId(j)).kind, VarKind::Binary))
-        .collect();
-    if binaries.is_empty() {
-        return Ok(());
-    }
-
-    // Hamming ball:  Σ_{j: inc=0} x_j + Σ_{j: inc=1} (1 - x_j) <= radius
-    // i.e.           Σ_{j: inc=0} x_j - Σ_{j: inc=1} x_j <= radius - |ones|
-    let mut ball = ctx.model.clone();
-    let mut lhs = crate::LinExpr::zero();
-    let mut ones = 0u32;
-    for &j in &binaries {
-        if inc_vals[j].round() >= 1.0 {
-            ones += 1;
-            lhs += crate::LinExpr::term(crate::VarId(j), -1.0);
-        } else {
-            lhs += crate::LinExpr::term(crate::VarId(j), 1.0);
-        }
-    }
-    ball.le(
-        "local-branch-ball",
-        lhs,
-        opts.local_branch_radius as f64 - ones as f64,
-    );
-
-    let sub_opts = SolveOptions {
-        local_branch: false,
-        threads: 1,
-        node_limit: opts.local_branch_nodes,
-        warm_start: Some(inc_vals),
-        time_limit: opts
-            .time_limit
-            .map(|l| l.saturating_sub(ctx.start.elapsed())),
-        ..opts.clone()
-    };
-    let sub = solve_with(&ball, &sub_opts)?;
-    prepared.lp_solves += sub.lp_solves;
-    prepared.lp_work.pivots += sub.telemetry.per_thread[0].pivots;
-    prepared.lp_work.refactorizations += sub.telemetry.per_thread[0].refactorizations;
-    prepared.lp_work.warm_solves += sub.telemetry.per_thread[0].warm_solves;
-    prepared.lp_work.cold_fallbacks += sub.telemetry.per_thread[0].cold_fallbacks;
-
-    if let Some(sol) = sub.solution {
-        let score = ctx.sgn * sol.objective;
-        if score > inc_score + 1e-12 && ctx.model.check_feasible(&sol.values, 1e-5).is_ok() {
-            prepared.events.push(IncumbentEvent {
-                elapsed: ctx.start.elapsed(),
-                objective: sol.objective,
-                thread: 0,
-                source: IncumbentSource::LocalBranch,
-            });
-            prepared.incumbent = Some((score, sol.values));
         }
     }
     Ok(())
@@ -1472,43 +1375,6 @@ mod tests {
         assert_eq!(a.telemetry.per_thread[0].nodes, a.nodes);
         assert_eq!(a.telemetry.per_thread[0].lp_solves, a.lp_solves);
         assert!(a.telemetry.gap_abs.is_some());
-    }
-
-    #[test]
-    fn local_branching_agrees_with_exact_search() {
-        // Same answer with and without the local-branching pass; the pass
-        // is a heuristic that only tightens the incumbent early.
-        let mut m = Model::new();
-        let xs: Vec<_> = (0..16).map(|i| m.binary(format!("x{i}"))).collect();
-        let mut cap = LinExpr::zero();
-        let mut obj = LinExpr::zero();
-        for (i, &x) in xs.iter().enumerate() {
-            cap += LinExpr::term(x, ((i * 7 + 3) % 11 + 1) as f64);
-            obj += LinExpr::term(x, ((i * 5 + 2) % 13 + 1) as f64);
-        }
-        m.le("cap", cap, 31.0);
-        m.set_objective(obj, Sense::Maximize);
-        let plain = solve_with(&m, &SolveOptions { threads: 1, ..Default::default() }).unwrap();
-        let lb = solve_with(
-            &m,
-            &SolveOptions {
-                threads: 1,
-                local_branch: true,
-                local_branch_radius: 4,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(plain.status, SolveStatus::Optimal);
-        assert_eq!(lb.status, SolveStatus::Optimal);
-        assert!(
-            (plain.solution.as_ref().unwrap().objective
-                - lb.solution.as_ref().unwrap().objective)
-                .abs()
-                < 1e-6
-        );
-        // The neighborhood search never *grows* the exact tree.
-        assert!(lb.nodes <= plain.nodes, "{} > {}", lb.nodes, plain.nodes);
     }
 
     #[test]

@@ -53,8 +53,6 @@ pub enum IncumbentSource {
     WarmStart,
     /// The root diving heuristic.
     Dive,
-    /// The local-branching neighborhood search.
-    LocalBranch,
     /// An integral optimum of a root cut-round LP.
     CutRound,
     /// An integral branch-and-bound node.
@@ -66,7 +64,6 @@ impl fmt::Display for IncumbentSource {
         match self {
             IncumbentSource::WarmStart => write!(f, "warm-start"),
             IncumbentSource::Dive => write!(f, "dive"),
-            IncumbentSource::LocalBranch => write!(f, "local-branch"),
             IncumbentSource::CutRound => write!(f, "cut-round"),
             IncumbentSource::Node => write!(f, "node"),
         }

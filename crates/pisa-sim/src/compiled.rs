@@ -46,7 +46,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use p4all_lang::ast::BinOp;
 
-use crate::interp::{CDst, CExpr, CStmt, RegUndo, SimError, Switch};
+use crate::interp::{rollback, CDst, CExpr, CStmt, RegUndo, SimError, Switch};
 use crate::state::{Phv, RegState, TableEntry};
 
 /// Index into the per-packet temporary file.
@@ -242,11 +242,6 @@ pub(crate) struct CompiledProgram {
     pub diags: Vec<String>,
     /// Size of the temporary file a packet needs.
     pub temp_count: usize,
-    /// Whether instruction-major SoA batch execution ([`run_batch`]) is
-    /// bit-identical to packet-major execution for this program — see
-    /// [`analyze_batch_safety`]. When false, batched replay falls back to
-    /// the scalar loop.
-    pub batch_safe: bool,
 }
 
 /// Per-executor scratch: the temporary file and the reusable key buffer.
@@ -740,95 +735,10 @@ pub(crate) fn lower(sw: &Switch) -> (CompiledProgram, Vec<CompiledTableState>) {
         action_ids,
         diags: lo.diags,
         temp_count: lo.max_temps,
-        batch_safe: false,
     };
     peephole(&mut prog, &sw.masks, &sw.registers);
     validate(&prog, sw.masks.len(), sw.registers.len());
-    prog.batch_safe = analyze_batch_safety(&prog, sw.registers.len());
     (prog, ctables)
-}
-
-/// Decide whether **instruction-major** batch execution is bit-identical
-/// to packet-major (scalar) execution.
-///
-/// In instruction-major order every lane runs instruction `pc` before any
-/// lane runs `pc + 1`. Per-lane state (PHV slots, temps) never flows
-/// between lanes, so the only cross-lane state is the register file. A
-/// register write at one pc observed by a read at a *different* pc sees a
-/// different interleaving than scalar order would (all lanes' writes land
-/// before any lane's later read), so the program is batch-safe iff every
-/// register that is ever written is touched (read *or* written) from at
-/// most one **atom**:
-///
-/// - a plain top-level instruction is its own atom, and single fused
-///   instructions like [`Instr::SketchStep`] keep their read-modify-
-///   write-readback sequence inside one atom by construction;
-/// - an [`Instr::Apply`] atom conservatively includes **every** action
-///   body (entries bind actions at install time, so any action may run),
-///   because the batch executor runs the whole lookup + action body
-///   scalar per lane, in lane order, inside the one Apply dispatch.
-///
-/// Read-only registers are always safe — nothing mutates them mid-batch.
-/// The batch loop also requires all top-level jumps to be forward (lanes
-/// are reactivated by `pc` *reaching* their wait target), which the
-/// if/else lowering guarantees; this is re-checked here rather than
-/// assumed.
-fn analyze_batch_safety(prog: &CompiledProgram, reg_count: usize) -> bool {
-    fn touch(i: &Instr, f: &mut dyn FnMut(u16, bool)) {
-        match i {
-            Instr::LoadReg { reg, .. } | Instr::RegToSlot { reg, .. } => f(*reg, false),
-            Instr::StoreReg { reg, .. }
-            | Instr::RegAdd { reg, .. }
-            | Instr::SketchStep { reg, .. } => f(*reg, true),
-            _ => {}
-        }
-    }
-
-    // Register accesses of the union of all action bodies: charged to
-    // every Apply atom.
-    let mut action_touch: Vec<(u16, bool)> = Vec::new();
-    for &(s, e) in &prog.action_code {
-        for i in &prog.code[s as usize..e as usize] {
-            touch(i, &mut |r, w| action_touch.push((r, w)));
-        }
-    }
-
-    let mut owner: Vec<Option<u32>> = vec![None; reg_count];
-    let mut multi = vec![false; reg_count];
-    let mut written = vec![false; reg_count];
-    let mut record = |atom: u32, r: u16, w: bool| {
-        let r = r as usize;
-        written[r] |= w;
-        match owner[r] {
-            None => owner[r] = Some(atom),
-            Some(a) if a != atom => multi[r] = true,
-            Some(_) => {}
-        }
-    };
-
-    let (bs, be) = prog.body;
-    for pc in bs as usize..be as usize {
-        let i = &prog.code[pc];
-        match i {
-            Instr::JF { target, .. }
-            | Instr::JT { target, .. }
-            | Instr::JFAnd { target, .. }
-            | Instr::JFOr { target, .. }
-            | Instr::Jmp { target }
-                if *target as usize <= pc =>
-            {
-                return false;
-            }
-            _ => {}
-        }
-        touch(i, &mut |r, w| record(pc as u32, r, w));
-        if matches!(i, Instr::Apply { .. }) {
-            for &(r, w) in &action_touch {
-                record(pc as u32, r, w);
-            }
-        }
-    }
-    (0..reg_count).all(|r| !(multi[r] && written[r]))
 }
 
 /// Try to fuse the CMS idiom at `code[pc..pc + 3]`: hash into an index
@@ -1230,8 +1140,8 @@ pub(crate) fn run_packet(
 
 /// Execute `code[start..end]`: the single dispatch loop of the fast path.
 /// Generic over [`PhvView`] so the identical loop runs one contiguous
-/// packet ([`ScalarView`]) or one lane of an SoA batch ([`LaneView`] —
-/// used by [`exec_batch`] for table-dispatched action bodies).
+/// packet ([`ScalarView`]) or one lane of an SoA batch ([`LaneView`],
+/// driven by [`run_batch`]).
 #[allow(clippy::too_many_arguments)]
 fn exec_range<V: PhvView>(
     prog: &CompiledProgram,
@@ -1503,9 +1413,9 @@ fn exec_range<V: PhvView>(
 
 // ------------------------------------------------------- batch execution
 
-/// Reusable scratch for the SoA batch executor: the column-major slot and
-/// temp matrices plus per-lane divergence state. One per replay worker,
-/// so batch execution allocates nothing per batch.
+/// Reusable scratch for SoA batches: the column-major slot and temp
+/// matrices. One per replay worker, so batch execution allocates nothing
+/// per batch.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct BatchCtx {
     /// Column-major slot matrix (`phv_len * n`): slot `s` of lane `l`
@@ -1515,13 +1425,8 @@ pub(crate) struct BatchCtx {
     pub slots: Vec<u64>,
     /// Column-major temp matrix (`temp_count * n`).
     pub temps: Vec<u64>,
-    /// Per-lane wait target: a lane executes pc iff `wait[lane] <= pc`.
-    pub wait: Vec<u32>,
     /// Reusable table-key buffer.
     pub keys: Vec<u64>,
-    /// Stage-cost scratch for the optimistic run, committed only when the
-    /// whole batch retires fault-free.
-    pub cost: Vec<u64>,
 }
 
 impl BatchCtx {
@@ -1535,37 +1440,12 @@ impl BatchCtx {
     }
 }
 
-/// Operand resolve for one lane of the batch matrices — a free function
-/// (rather than a [`LaneView`] method) so the per-instruction lane loops
-/// below can split-borrow `slots`/`temps` around it.
-///
-/// SAFETY: same argument as [`LaneView`] — slot/temp indices validated at
-/// build time, matrix sizes asserted by [`run_batch`], `lane < n`.
-#[inline(always)]
-fn lane_ov(slots: &[u64], temps: &[u64], n: usize, lane: usize, o: &Opnd) -> u64 {
-    match *o {
-        Opnd::T(t) => unsafe { *temps.get_unchecked(t as usize * n + lane) },
-        Opnd::S(s) => unsafe { *slots.get_unchecked(s as usize * n + lane) },
-        Opnd::I(v) => v,
-    }
-}
-
-/// Execute an `n`-lane SoA batch **instruction-major**: each bytecode
-/// instruction runs over every active lane (a tight stride-1 column loop)
-/// before the pc advances. Branch divergence is handled with per-lane
-/// wait targets: all top-level jumps are forward (checked by
-/// [`analyze_batch_safety`]), so a taken jump parks its lane until the pc
-/// reaches the target. Requires `prog.batch_safe` — see
-/// [`analyze_batch_safety`] for why that makes this bit-identical to
-/// running the lanes one packet at a time.
-///
-/// Fault handling is optimistic: the hot path logs register writes in
-/// `undo` as usual, and on the **first** fault in any lane the whole
-/// batch's register writes are rolled back and `Err(())` returned with
-/// nothing committed (stage costs accumulate in scratch and are
-/// discarded). The caller replays the batch's packets through the scalar
-/// path, which reproduces exact per-packet drop/rollback/cost semantics —
-/// faults are rare, so the fault-free fast path pays nothing for them.
+/// Execute an `n`-lane SoA batch **lane-major**: lane 0, lane 1, … each
+/// run to completion through [`exec_range`], so lane order is trace order
+/// and the result is the scalar loop's by construction. A faulting lane
+/// rolls back its own register writes and is counted as a drop, exactly
+/// like a scalar packet (its column holds the unspecified post-fault PHV).
+/// Returns the number of dropped lanes.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_batch(
     prog: &CompiledProgram,
@@ -1576,410 +1456,27 @@ pub(crate) fn run_batch(
     bctx: &mut BatchCtx,
     undo: &mut Vec<RegUndo>,
     stage_cost: &mut [u64],
-) -> Result<(), ()> {
-    assert!(prog.batch_safe, "caller must check CompiledProgram::batch_safe");
+) -> u64 {
     assert!(n > 0, "empty batch");
     assert_eq!(bctx.slots.len(), masks.len() * n, "matrices sized by BatchCtx::prepare");
     assert!(bctx.temps.len() >= prog.temp_count * n, "matrices sized by BatchCtx::prepare");
     assert!(stage_cost.len() >= prog.stages.len(), "one cost counter per stage");
-    bctx.wait.clear();
-    bctx.wait.resize(n, 0);
-    bctx.cost.clear();
-    bctx.cost.resize(stage_cost.len().max(1), 0);
-    undo.clear();
-
-    let mut cur = 0usize;
     let (start, end) = prog.body;
-    match exec_batch(prog, ctables, regs, masks, n, bctx, undo, &mut cur, start, end) {
-        Ok(()) => {
-            for (dst, scratch) in stage_cost.iter_mut().zip(&bctx.cost) {
-                *dst += *scratch;
-            }
-            Ok(())
-        }
-        Err(()) => {
-            while let Some((reg, cell, old)) = undo.pop() {
-                regs[reg as usize].cells[cell as usize] = old;
-            }
-            Err(())
+    let BatchCtx { slots, temps, keys } = bctx;
+    let mut dropped = 0u64;
+    for lane in 0..n {
+        undo.clear();
+        let mut cur = 0usize;
+        let mut view = LaneView { slots, masks, temps, n, lane };
+        let r = exec_range(
+            prog, ctables, regs, &mut view, keys, undo, stage_cost, &mut cur, start, end,
+        );
+        if r.is_err() {
+            rollback(regs, undo);
+            dropped += 1;
         }
     }
-}
-
-/// The instruction-major dispatch loop behind [`run_batch`].
-// Lane loops index `wait` alongside `slots`/`temps` at `base * n + lane`
-// offsets; iterator forms would bury the SoA addressing.
-#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
-fn exec_batch(
-    prog: &CompiledProgram,
-    ctables: &[CompiledTableState],
-    regs: &mut [RegState],
-    masks: &[u64],
-    n: usize,
-    bctx: &mut BatchCtx,
-    undo: &mut Vec<RegUndo>,
-    cur: &mut usize,
-    start: u32,
-    end: u32,
-) -> Result<(), ()> {
-    let BatchCtx { slots, temps, wait, keys, cost } = bctx;
-    let end = end as usize;
-    assert!(end <= prog.code.len(), "code range within program");
-    let mut pc = start as usize;
-    // Wait targets of currently parked lanes (one entry per lane with
-    // `wait[lane] > pc`), dropped as the pc reaches them. Bounded by `n`
-    // and usually empty, so `n - parked.len()` is a cheap active count
-    // for stage-cost attribution.
-    let mut parked: Vec<u32> = Vec::new();
-    while pc < end {
-        let pc32 = pc as u32;
-        if !parked.is_empty() {
-            parked.retain(|&t| t > pc32);
-        }
-        let active = (n - parked.len()) as u64;
-        // Every instruction charges one unit per active lane to the
-        // current stage, exactly as the scalar loop's `executed` counter
-        // does per packet (the `Stage` mark un-charges itself below).
-        cost[*cur] += active;
-        // SAFETY: `pc < end <= code.len()` (asserted above); every jump
-        // target is patched to a position within its enclosing range.
-        let instr = unsafe { prog.code.get_unchecked(pc) };
-        match instr {
-            Instr::LoadSlotDyn { dst, base, count, idx, .. } => {
-                for lane in 0..n {
-                    if wait[lane] <= pc32 {
-                        let i = lane_ov(slots, temps, n, lane, idx);
-                        if i >= *count as u64 {
-                            return Err(());
-                        }
-                        let v = slots[(*base as usize + i as usize) * n + lane];
-                        temps[*dst as usize * n + lane] = v;
-                    }
-                }
-            }
-            Instr::LoadReg { dst, reg, cell } => {
-                let r = &regs[*reg as usize];
-                for lane in 0..n {
-                    if wait[lane] <= pc32 {
-                        let c = lane_ov(slots, temps, n, lane, cell) as usize;
-                        match r.cells.get(c) {
-                            Some(v) => temps[*dst as usize * n + lane] = *v,
-                            None => return Err(()),
-                        }
-                    }
-                }
-            }
-            Instr::Bin { dst, op, a, b } => {
-                for lane in 0..n {
-                    if wait[lane] <= pc32 {
-                        let x = lane_ov(slots, temps, n, lane, a);
-                        let y = lane_ov(slots, temps, n, lane, b);
-                        let v = match op {
-                            BinOp::Add => x.wrapping_add(y),
-                            BinOp::Sub => x.wrapping_sub(y),
-                            BinOp::Mul => x.wrapping_mul(y),
-                            BinOp::Div => {
-                                if y == 0 {
-                                    return Err(());
-                                }
-                                x / y
-                            }
-                            BinOp::Lt => (x < y) as u64,
-                            BinOp::Le => (x <= y) as u64,
-                            BinOp::Gt => (x > y) as u64,
-                            BinOp::Ge => (x >= y) as u64,
-                            BinOp::Eq => (x == y) as u64,
-                            BinOp::Ne => (x != y) as u64,
-                            BinOp::And => (x != 0 && y != 0) as u64,
-                            BinOp::Or => (x != 0 || y != 0) as u64,
-                        };
-                        temps[*dst as usize * n + lane] = v;
-                    }
-                }
-            }
-            Instr::Not { dst, a } => {
-                for lane in 0..n {
-                    if wait[lane] <= pc32 {
-                        let v = (lane_ov(slots, temps, n, lane, a) == 0) as u64;
-                        temps[*dst as usize * n + lane] = v;
-                    }
-                }
-            }
-            Instr::Neg { dst, a } => {
-                for lane in 0..n {
-                    if wait[lane] <= pc32 {
-                        let v = lane_ov(slots, temps, n, lane, a).wrapping_neg();
-                        temps[*dst as usize * n + lane] = v;
-                    }
-                }
-            }
-            Instr::HashInit { dst, val } => {
-                for lane in 0..n {
-                    if wait[lane] <= pc32 {
-                        temps[*dst as usize * n + lane] = *val;
-                    }
-                }
-            }
-            Instr::HashMix { acc, src } => {
-                for lane in 0..n {
-                    if wait[lane] <= pc32 {
-                        let at = *acc as usize * n + lane;
-                        temps[at] = splitmix(temps[at] ^ lane_ov(slots, temps, n, lane, src));
-                    }
-                }
-            }
-            Instr::HashMod { acc, range } => {
-                for lane in 0..n {
-                    if wait[lane] <= pc32 {
-                        let at = *acc as usize * n + lane;
-                        temps[at] %= *range;
-                    }
-                }
-            }
-            Instr::HashMask { acc, mask } => {
-                for lane in 0..n {
-                    if wait[lane] <= pc32 {
-                        let at = *acc as usize * n + lane;
-                        temps[at] &= *mask;
-                    }
-                }
-            }
-            Instr::Hash1Mask { slot, salt, src, mask } => {
-                let m = masks[*slot as usize];
-                for lane in 0..n {
-                    if wait[lane] <= pc32 {
-                        let h = splitmix(*salt ^ lane_ov(slots, temps, n, lane, src)) & *mask;
-                        slots[*slot as usize * n + lane] = h & m;
-                    }
-                }
-            }
-            Instr::Hash1Mod { slot, salt, src, range } => {
-                let m = masks[*slot as usize];
-                for lane in 0..n {
-                    if wait[lane] <= pc32 {
-                        let h = splitmix(*salt ^ lane_ov(slots, temps, n, lane, src)) % *range;
-                        slots[*slot as usize * n + lane] = h & m;
-                    }
-                }
-            }
-            Instr::StoreSlot { slot, src } => {
-                let m = masks[*slot as usize];
-                for lane in 0..n {
-                    if wait[lane] <= pc32 {
-                        let v = lane_ov(slots, temps, n, lane, src);
-                        slots[*slot as usize * n + lane] = v & m;
-                    }
-                }
-            }
-            Instr::StoreSlotDyn { base, count, idx, src, .. } => {
-                for lane in 0..n {
-                    if wait[lane] <= pc32 {
-                        let i = lane_ov(slots, temps, n, lane, idx);
-                        if i >= *count as u64 {
-                            return Err(());
-                        }
-                        let v = lane_ov(slots, temps, n, lane, src);
-                        let s = *base as usize + i as usize;
-                        slots[s * n + lane] = v & masks[s];
-                    }
-                }
-            }
-            Instr::StoreReg { reg, cell, src } => {
-                let r = &mut regs[*reg as usize];
-                for lane in 0..n {
-                    if wait[lane] <= pc32 {
-                        let c = lane_ov(slots, temps, n, lane, cell) as usize;
-                        let v = lane_ov(slots, temps, n, lane, src);
-                        if c >= r.cells.len() {
-                            return Err(());
-                        }
-                        undo.push((*reg as u32, c as u64, r.cells[c]));
-                        r.cells[c] = v & r.elem_mask;
-                    }
-                }
-            }
-            Instr::RegAdd { reg, cell, add } => {
-                let r = &mut regs[*reg as usize];
-                for lane in 0..n {
-                    if wait[lane] <= pc32 {
-                        let c = lane_ov(slots, temps, n, lane, cell) as usize;
-                        let v = lane_ov(slots, temps, n, lane, add);
-                        if c >= r.cells.len() {
-                            return Err(());
-                        }
-                        let old = r.cells[c];
-                        undo.push((*reg as u32, c as u64, old));
-                        r.cells[c] = old.wrapping_add(v) & r.elem_mask;
-                    }
-                }
-            }
-            Instr::SketchStep { idx_slot, salt, src, mask, reg, add, dst_slot } => {
-                let im = masks[*idx_slot as usize];
-                let dm = masks[*dst_slot as usize];
-                let r = &mut regs[*reg as usize];
-                for lane in 0..n {
-                    if wait[lane] <= pc32 {
-                        let h = splitmix(*salt ^ lane_ov(slots, temps, n, lane, src)) & *mask;
-                        // Store, then read the cell index back through the
-                        // slot mask, exactly as the scalar step does.
-                        let h = h & im;
-                        slots[*idx_slot as usize * n + lane] = h;
-                        let v = lane_ov(slots, temps, n, lane, add);
-                        // In bounds by construction ([`peephole`]).
-                        let old = r.cells[h as usize];
-                        undo.push((*reg as u32, h, old));
-                        let new = old.wrapping_add(v) & r.elem_mask;
-                        r.cells[h as usize] = new;
-                        slots[*dst_slot as usize * n + lane] = new & dm;
-                    }
-                }
-            }
-            Instr::MinOrInit { slot, src } => {
-                let m = masks[*slot as usize];
-                for lane in 0..n {
-                    if wait[lane] <= pc32 {
-                        let x = lane_ov(slots, temps, n, lane, src);
-                        let at = *slot as usize * n + lane;
-                        let curv = slots[at];
-                        if x < curv || curv == 0 {
-                            slots[at] = x & m;
-                        }
-                    }
-                }
-            }
-            Instr::RegToSlot { slot, reg, cell } => {
-                let m = masks[*slot as usize];
-                let r = &regs[*reg as usize];
-                for lane in 0..n {
-                    if wait[lane] <= pc32 {
-                        let c = lane_ov(slots, temps, n, lane, cell) as usize;
-                        match r.cells.get(c) {
-                            Some(v) => slots[*slot as usize * n + lane] = *v & m,
-                            None => return Err(()),
-                        }
-                    }
-                }
-            }
-            Instr::JF { op, a, b, target } => {
-                for lane in 0..n {
-                    if wait[lane] <= pc32
-                        && !cmp(
-                            *op,
-                            lane_ov(slots, temps, n, lane, a),
-                            lane_ov(slots, temps, n, lane, b),
-                        )
-                    {
-                        wait[lane] = *target;
-                        parked.push(*target);
-                    }
-                }
-            }
-            Instr::JT { op, a, b, target } => {
-                for lane in 0..n {
-                    if wait[lane] <= pc32
-                        && cmp(
-                            *op,
-                            lane_ov(slots, temps, n, lane, a),
-                            lane_ov(slots, temps, n, lane, b),
-                        )
-                    {
-                        wait[lane] = *target;
-                        parked.push(*target);
-                    }
-                }
-            }
-            Instr::JFAnd { op1, a1, b1, op2, a2, b2, target } => {
-                for lane in 0..n {
-                    if wait[lane] <= pc32
-                        && !(cmp(
-                            *op1,
-                            lane_ov(slots, temps, n, lane, a1),
-                            lane_ov(slots, temps, n, lane, b1),
-                        ) && cmp(
-                            *op2,
-                            lane_ov(slots, temps, n, lane, a2),
-                            lane_ov(slots, temps, n, lane, b2),
-                        ))
-                    {
-                        wait[lane] = *target;
-                        parked.push(*target);
-                    }
-                }
-            }
-            Instr::JFOr { op1, a1, b1, op2, a2, b2, target } => {
-                for lane in 0..n {
-                    if wait[lane] <= pc32
-                        && !(cmp(
-                            *op1,
-                            lane_ov(slots, temps, n, lane, a1),
-                            lane_ov(slots, temps, n, lane, b1),
-                        ) || cmp(
-                            *op2,
-                            lane_ov(slots, temps, n, lane, a2),
-                            lane_ov(slots, temps, n, lane, b2),
-                        ))
-                    {
-                        wait[lane] = *target;
-                        parked.push(*target);
-                    }
-                }
-            }
-            Instr::Jmp { target } => {
-                for lane in 0..n {
-                    if wait[lane] <= pc32 {
-                        wait[lane] = *target;
-                        parked.push(*target);
-                    }
-                }
-            }
-            Instr::Stage { s } => {
-                // The mark itself is free, as in the scalar loop.
-                cost[*cur] -= active;
-                *cur = *s as usize;
-            }
-            Instr::Apply { site } => {
-                let site = &prog.apply_sites[*site as usize];
-                // The whole lookup + action body runs scalar per lane, in
-                // lane order — safe because `batch_safe` guarantees any
-                // register the actions touch belongs to this atom alone.
-                for lane in 0..n {
-                    if wait[lane] > pc32 {
-                        continue;
-                    }
-                    keys.clear();
-                    for op in &site.key_ops {
-                        keys.push(lane_ov(slots, temps, n, lane, op));
-                    }
-                    let action = match ctables[site.table as usize].entries.get(keys.as_slice())
-                    {
-                        Some(e) => {
-                            for &(slot, val) in &e.data {
-                                slots[slot as usize * n + lane] = val & masks[slot as usize];
-                            }
-                            Some(e.action)
-                        }
-                        None => match &prog.tables[site.table as usize].default_action {
-                            DefaultAction::None => None,
-                            DefaultAction::Run(id) => Some(*id),
-                            DefaultAction::Unknown(_) => return Err(()),
-                        },
-                    };
-                    if let Some(id) = action {
-                        let (abs, abe) = prog.action_code[id as usize];
-                        let mut view =
-                            LaneView { slots: &mut slots[..], masks, temps: &mut temps[..], n, lane };
-                        if exec_range(prog, ctables, regs, &mut view, keys, undo, cost, cur, abs, abe)
-                            .is_err()
-                        {
-                            return Err(());
-                        }
-                    }
-                }
-            }
-        }
-        pc += 1;
-    }
-    Ok(())
+    dropped
 }
 
 /// Human-readable listing of the lowered program, one stage per section —

@@ -162,6 +162,14 @@ pub struct Switch {
 /// One undone register write: `(register index, cell, previous value)`.
 pub(crate) type RegUndo = (u32, u64, u64);
 
+/// Undo every register write in `undo`, newest first — what makes a
+/// faulting packet droppable without a trace in persistent state.
+pub(crate) fn rollback(regs: &mut [RegState], undo: &mut Vec<RegUndo>) {
+    while let Some((reg, cell, old)) = undo.pop() {
+        regs[reg as usize].cells[cell as usize] = old;
+    }
+}
+
 impl Switch {
     /// Compile a concrete program into an executable switch. `program` is
     /// the original AST (needed for the bodies of table actions).
@@ -318,13 +326,12 @@ impl Switch {
     }
 
     /// Request SoA batch execution for [`Switch::run_trace`]: packets are
-    /// gathered into `width`-lane column-major batches and each bytecode
-    /// instruction runs over all lanes before the next dispatch (the
-    /// native backend instead amortizes FFI with a batched entry point).
-    /// `0` (the default) and `1` select the scalar per-packet loop.
-    /// Batched replay is bit-identical to scalar replay; programs whose
-    /// register access pattern rules out instruction-major execution fall
-    /// back to the scalar loop automatically (see
+    /// gathered into `width`-lane column-major batches whose lanes the
+    /// bytecode engine runs one after another, in trace order (the native
+    /// backend instead amortizes FFI with a batched entry point). `0`
+    /// (the default) and `1` select the scalar per-packet loop. Batched
+    /// replay is bit-identical to scalar replay for every program; the
+    /// interpreter has no batch mode (see
     /// [`SimStats::batch_width`](crate::SimStats) for what actually ran).
     pub fn set_batch_width(&mut self, width: usize) {
         self.batch_width = width;
@@ -333,16 +340,6 @@ impl Switch {
     /// Requested SoA batch width (0 = scalar).
     pub fn batch_width(&self) -> usize {
         self.batch_width
-    }
-
-    /// Whether the bytecode engine can execute this program in SoA batch
-    /// mode: every register any packet writes must be confined to a
-    /// single top-level statement (one "atom"), so running an
-    /// instruction across all lanes before the next instruction cannot
-    /// reorder one packet's read of another packet's write. Programs that
-    /// fail the analysis silently fall back to the scalar loop.
-    pub fn batch_safe(&self) -> bool {
-        self.compiled.batch_safe
     }
 
     // -------------------------------------------------------- compilation
@@ -566,16 +563,9 @@ impl Switch {
             Backend::Native => self.run_packet_native(),
         };
         if result.is_err() {
-            self.rollback();
+            rollback(&mut self.registers, &mut self.undo);
         }
         result
-    }
-
-    /// Undo every register write recorded since the packet began.
-    pub(crate) fn rollback(&mut self) {
-        while let Some((reg, cell, old)) = self.undo.pop() {
-            self.registers[reg as usize].cells[cell as usize] = old;
-        }
     }
 
     fn run_packet_compiled(&mut self) -> Result<(), SimError> {

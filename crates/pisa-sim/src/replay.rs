@@ -12,36 +12,33 @@
 //! configuration instead of below the sequential path.
 //!
 //! **SoA batches** ([`Switch::set_batch_width`]): when a batch width is
-//! requested and the program admits it (see
-//! `compiled::analyze_batch_safety`), the bytecode engine gathers
-//! packets into column-major structure-of-arrays batches and runs each
-//! instruction over all lanes before the next dispatch — one tight
-//! stride-1 loop per instruction instead of one full dispatch loop per
-//! packet. Batched replay is bit-identical to scalar replay (enforced by
-//! `tests/batch_equivalence.rs` and the fuzz oracle); a lane fault rolls
-//! the whole batch back and replays it scalar, so per-packet drop and
-//! rollback semantics are preserved exactly. The native backend instead
-//! uses its batched FFI entry point (`p4n_run_batch`), amortizing the
-//! per-packet call and fault-word traffic.
+//! requested, the bytecode engine gathers packets into column-major
+//! structure-of-arrays batches and runs the lanes one after another, each
+//! to completion, through the same dispatch loop the scalar path uses
+//! (`compiled::run_batch`). Lane order is trace order, so batched replay
+//! is scalar replay on a transposed buffer: a faulting lane rolls back its
+//! own writes and is counted as a drop like any scalar packet, and every
+//! program batches (`tests/batch_equivalence.rs` and the fuzz oracle hold
+//! the two bit-identical). The native backend instead uses its batched FFI
+//! entry point (`p4n_run_batch`), amortizing the per-packet call and
+//! fault-word traffic.
 //!
 //! The sharded front end is **pipelined**: the main thread flow-hashes
 //! and gathers chunk `k + 1` into contiguous per-worker segments while
 //! the workers execute chunk `k` (bounded channels provide the
-//! backpressure). Each packet is flow-hashed to its shard and its slot
-//! vector copied into the owning worker's segment in trace order, so
-//! per-flow packet order is preserved; every packet of a flow lands in
-//! one shard, and every shard belongs to exactly one worker, so per-flow
+//! backpressure). Each packet is flow-hashed to its shard — one shard per
+//! worker — and its slot vector copied into that worker's segment in
+//! trace order, so per-flow packet order is preserved and per-flow
 //! register state stays worker-private by construction. Workers stream
 //! contiguous segments with unit stride — no per-packet pointer chasing
 //! through the heap-scattered `Phv` list.
 //!
-//! Merging is **lock-free delta publication**: there is no join barrier.
-//! Each worker, as it finishes, publishes its register deltas
-//! (`worker − base`, wrapping), drop count, stage costs and final PHV
-//! through an atomic slot, and the main thread consumes and folds each
-//! publication as it lands — a fast worker's delta is merged while slow
-//! workers are still executing. The folded result is the delta-sum rule:
-//! for every register cell, `merged = base + Σ_w (worker_w − base)`
+//! Merging is a **join and delta-sum**: each worker, when its channel
+//! closes, returns its register deltas (`worker − base`, wrapping), drop
+//! count, stage costs and final PHV, and the main thread joins the workers
+//! in spawn order and folds each result as it arrives — worker `k`'s fold
+//! overlaps worker `k + 1`'s execution. The folded result is the delta-sum
+//! rule: for every register cell, `merged = base + Σ_w (worker_w − base)`
 //! (wrapping, element-masked), exact for the two state classes elastic
 //! data planes use:
 //!
@@ -60,7 +57,7 @@
 use std::time::{Duration, Instant};
 
 use crate::compiled::{self, BatchCtx, ExecCtx};
-use crate::interp::{splitmix, Backend, RegUndo, Switch};
+use crate::interp::{rollback, splitmix, Backend, RegUndo, Switch};
 use crate::state::{gather_lane, scatter_lane, Phv, RegState};
 
 /// Packets hashed and gathered per pipeline step of the sharded front
@@ -79,9 +76,9 @@ pub struct SimStats {
     /// and the trace length; the merged result is identical either way).
     pub threads: usize,
     /// SoA batch width the replay actually executed with: `0` means the
-    /// scalar per-packet loop ran — either no width was requested
-    /// ([`Switch::set_batch_width`]) or the program's register access
-    /// pattern forced the scalar fallback.
+    /// scalar per-packet loop ran — no width was requested
+    /// ([`Switch::set_batch_width`]), or the engine has no batch mode (the
+    /// interpreter; a native engine that failed to prepare).
     pub batch_width: usize,
     /// Fraction of the replay workers' wall-clock spent executing
     /// packets (versus waiting on the pipelined gather front end),
@@ -112,9 +109,8 @@ impl SimStats {
     }
 }
 
-/// What one sharded-replay worker publishes when it finishes — everything
-/// the merge needs, so the main thread consumes results as they land
-/// instead of waiting on a join barrier.
+/// What one sharded-replay worker returns when it finishes — everything
+/// the merge needs.
 struct ShardDelta {
     /// Per register, per cell: `worker − base` (wrapping).
     deltas: Vec<Vec<u64>>,
@@ -123,7 +119,7 @@ struct ShardDelta {
     final_phv: Vec<u64>,
     /// Time spent executing packets (vs waiting on the front end).
     busy: Duration,
-    /// Worker lifetime, spawn to publish.
+    /// Worker lifetime, spawn to return.
     wall: Duration,
 }
 
@@ -146,7 +142,7 @@ impl<'a> Worker<'a> {
     fn new(
         prog: &'a compiled::CompiledProgram,
         ctables: &'a [compiled::CompiledTableState],
-        base: &[RegState],
+        regs: Vec<RegState>,
         masks: &[u64],
         stages: usize,
         width: usize,
@@ -154,7 +150,7 @@ impl<'a> Worker<'a> {
         Worker {
             prog,
             ctables,
-            regs: base.to_vec(),
+            regs,
             cur: Phv::new(masks.to_vec()),
             ctx: ExecCtx::for_program(prog),
             bctx: BatchCtx::default(),
@@ -180,108 +176,45 @@ impl<'a> Worker<'a> {
             &mut self.stage_cost,
         );
         if r.is_err() {
-            while let Some((reg, cell, old)) = self.undo.pop() {
-                self.regs[reg as usize].cells[cell as usize] = old;
-            }
+            rollback(&mut self.regs, &mut self.undo);
             self.dropped += 1;
         }
     }
 
-    /// Run one gathered segment: `inputs` holds the packets' slot vectors
-    /// back to back, `stride` slots per packet.
-    fn run_packed(&mut self, inputs: &[u64], stride: usize) {
-        if self.width >= 2 && stride > 0 {
-            let rows = inputs.len() / stride;
-            let mut row = 0;
-            while row < rows {
-                let n = self.width.min(rows - row);
-                self.run_batch_rows(&inputs[row * stride..(row + n) * stride], stride, n);
-                row += n;
-            }
-        } else {
-            for slots in inputs.chunks_exact(stride) {
-                self.step(slots);
-            }
+    /// Run `rows` — one input slot vector per packet, in trace order —
+    /// packet by packet, or in SoA batches of up to `width` lanes.
+    fn run_rows<'r>(&mut self, mut rows: impl ExactSizeIterator<Item = &'r [u64]>) {
+        if self.width < 2 {
+            rows.for_each(|slots| self.step(slots));
+            return;
         }
-    }
-
-    /// One SoA batch of `n` packets stored back to back in `rows`.
-    fn run_batch_rows(&mut self, rows: &[u64], stride: usize, n: usize) {
-        self.bctx.prepare(self.prog, stride, n);
-        for (lane, slots) in rows.chunks_exact(stride).enumerate() {
-            scatter_lane(&mut self.bctx.slots, n, lane, slots);
-        }
-        let ok = compiled::run_batch(
-            self.prog,
-            self.ctables,
-            &mut self.regs,
-            &self.cur.masks,
-            n,
-            &mut self.bctx,
-            &mut self.undo,
-            &mut self.stage_cost,
-        );
-        match ok {
-            Ok(()) => gather_lane(&self.bctx.slots, n, n - 1, &mut self.cur.slots),
-            // Some lane faulted. The batch's register writes are already
-            // rolled back; replay the packets through the scalar path for
-            // exact per-packet drop/rollback/cost semantics.
-            Err(()) => {
-                for slots in rows.chunks_exact(stride) {
-                    self.step(slots);
-                }
+        let stride = self.cur.masks.len();
+        while rows.len() > 0 {
+            let n = self.width.min(rows.len());
+            self.bctx.prepare(self.prog, stride, n);
+            for (lane, slots) in rows.by_ref().take(n).enumerate() {
+                scatter_lane(&mut self.bctx.slots, n, lane, slots);
             }
-        }
-    }
-
-    /// Run the whole trace in order (the one-OS-thread degenerate case:
-    /// no hashing or gathering — any shard partition executed on a
-    /// single register file in trace order is exactly sequential replay).
-    fn run_seq(&mut self, trace: &[Phv]) {
-        if self.width >= 2 {
-            let stride = self.cur.masks.len();
-            let mut i = 0;
-            while i < trace.len() {
-                let n = self.width.min(trace.len() - i);
-                let chunk = &trace[i..i + n];
-                self.bctx.prepare(self.prog, stride, n);
-                for (lane, p) in chunk.iter().enumerate() {
-                    scatter_lane(&mut self.bctx.slots, n, lane, &p.slots);
-                }
-                let ok = compiled::run_batch(
-                    self.prog,
-                    self.ctables,
-                    &mut self.regs,
-                    &self.cur.masks,
-                    n,
-                    &mut self.bctx,
-                    &mut self.undo,
-                    &mut self.stage_cost,
-                );
-                match ok {
-                    Ok(()) => gather_lane(&self.bctx.slots, n, n - 1, &mut self.cur.slots),
-                    Err(()) => {
-                        for p in chunk {
-                            self.step(&p.slots);
-                        }
-                    }
-                }
-                i += n;
-            }
-        } else {
-            for p in trace {
-                self.step(&p.slots);
-            }
+            self.dropped += compiled::run_batch(
+                self.prog,
+                self.ctables,
+                &mut self.regs,
+                &self.cur.masks,
+                n,
+                &mut self.bctx,
+                &mut self.undo,
+                &mut self.stage_cost,
+            );
+            gather_lane(&self.bctx.slots, n, n - 1, &mut self.cur.slots);
         }
     }
 }
 
 impl Switch {
-    /// The batch width the bytecode engine will actually execute with:
-    /// the requested width when the program's register access pattern
-    /// admits instruction-major batching, else `0` (scalar fallback).
+    /// The SoA batch width replay executes with: widths below 2 are the
+    /// scalar loop.
     fn effective_batch_width(&self) -> usize {
-        if self.batch_width >= 2 && self.compiled.batch_safe && !self.masks.is_empty() {
+        if self.batch_width >= 2 {
             self.batch_width
         } else {
             0
@@ -309,41 +242,30 @@ impl Switch {
         };
         // Never oversubscribe the machine: more shards than cores buys
         // nothing (same merged result) and the extra gather + merge work
-        // used to cost ~2% versus the sequential path.
-        let threads = threads.min(cores).min(trace.len()).max(1);
+        // used to cost ~2% versus the sequential path. A program without
+        // PHV slots has nothing to flow-hash and runs in place.
+        let threads =
+            if self.masks.is_empty() { 1 } else { threads.min(cores).min(trace.len()).max(1) };
         self.stage_cost.iter_mut().for_each(|c| *c = 0);
         let start = Instant::now();
 
+        let width = self.effective_batch_width();
         let mut dropped = 0u64;
         let mut used_width = 0usize;
         let mut occupancy = 1.0f64;
-        if threads == 1 || self.masks.is_empty() {
-            let width = match self.backend {
-                // The native engine's batched FFI entry is scalar inside;
-                // it needs no batch-safety analysis.
-                Backend::Native if self.batch_width >= 2 => self.batch_width,
-                Backend::Compiled => self.effective_batch_width(),
-                _ => 0,
+        if threads > 1 {
+            used_width = width;
+            (dropped, occupancy) = self.run_trace_sharded(trace, threads);
+        } else {
+            let batched = match self.backend {
+                Backend::Native if width >= 2 => self.run_trace_native_batched(trace, width),
+                Backend::Compiled if width >= 2 => Some(self.run_trace_lanes(trace, width)),
+                _ => None,
             };
-            let mut scalar = true;
-            if width >= 2 {
-                match self.backend {
-                    Backend::Native => {
-                        if let Some(d) = self.run_trace_native_batched(trace, width) {
-                            dropped = d;
-                            used_width = width;
-                            scalar = false;
-                        }
-                    }
-                    Backend::Compiled => {
-                        dropped = self.run_trace_batched(trace, width);
-                        used_width = width;
-                        scalar = false;
-                    }
-                    _ => {}
-                }
-            }
-            if scalar {
+            if let Some(d) = batched {
+                used_width = width;
+                dropped = d;
+            } else {
                 for input in trace {
                     self.cur.slots.copy_from_slice(&input.slots);
                     // `run_packet` rolls the faulting packet's register
@@ -353,11 +275,6 @@ impl Switch {
                     }
                 }
             }
-        } else {
-            used_width = self.effective_batch_width();
-            let (d, occ) = self.run_trace_sharded(trace, threads, threads);
-            dropped = d;
-            occupancy = occ;
         }
 
         SimStats {
@@ -371,52 +288,24 @@ impl Switch {
         }
     }
 
-    /// Single-thread SoA batch replay against the live register file.
-    fn run_trace_batched(&mut self, trace: &[Phv], width: usize) -> u64 {
-        let stride = self.masks.len();
-        let mut bctx = BatchCtx::default();
-        let mut dropped = 0u64;
-        let mut i = 0;
-        while i < trace.len() {
-            let n = width.min(trace.len() - i);
-            let chunk = &trace[i..i + n];
-            bctx.prepare(&self.compiled, stride, n);
-            for (lane, p) in chunk.iter().enumerate() {
-                scatter_lane(&mut bctx.slots, n, lane, &p.slots);
-            }
-            let ok = compiled::run_batch(
-                &self.compiled,
-                &self.ctables,
-                &mut self.registers,
-                &self.masks,
-                n,
-                &mut bctx,
-                &mut self.undo,
-                &mut self.stage_cost,
-            );
-            match ok {
-                Ok(()) => gather_lane(&bctx.slots, n, n - 1, &mut self.cur.slots),
-                // A lane faulted: the batch is rolled back; replay its
-                // packets scalar for exact per-packet drop semantics.
-                Err(()) => {
-                    for p in chunk {
-                        self.cur.slots.copy_from_slice(&p.slots);
-                        if self.run_packet().is_err() {
-                            dropped += 1;
-                        }
-                    }
-                }
-            }
-            i += n;
-        }
-        dropped
+    /// Single-thread SoA batch replay on the bytecode engine: a [`Worker`]
+    /// around the live register file.
+    fn run_trace_lanes(&mut self, trace: &[Phv], width: usize) -> u64 {
+        let regs = std::mem::take(&mut self.registers);
+        let stages = self.stage_cost.len();
+        let mut worker =
+            Worker::new(&self.compiled, &self.ctables, regs, &self.masks, stages, width);
+        worker.run_rows(trace.iter().map(|p| p.slots.as_slice()));
+        self.registers = worker.regs;
+        self.stage_cost = worker.stage_cost;
+        self.cur.slots = worker.cur.slots;
+        worker.dropped
     }
 
     /// Sharded replay: pipelined hash + gather on the main thread,
-    /// execution on `os_threads` workers, lock-free delta publication
-    /// for the merge. Returns `(dropped, overlap occupancy)`.
-    fn run_trace_sharded(&mut self, trace: &[Phv], shards: usize, os_threads: usize) -> (u64, f64) {
-        use std::sync::atomic::{AtomicPtr, Ordering};
+    /// execution on `workers` threads, join and delta-sum for the merge.
+    /// Returns `(dropped, overlap occupancy)`.
+    fn run_trace_sharded(&mut self, trace: &[Phv], workers: usize) -> (u64, f64) {
         use std::sync::mpsc;
 
         let header_count = self.header_count;
@@ -426,35 +315,11 @@ impl Switch {
         let ctables = &self.ctables;
         let masks = &self.masks;
         let stages = self.stage_cost.len();
-        let width = if self.batch_width >= 2 && prog.batch_safe { self.batch_width } else { 0 };
+        let width = self.effective_batch_width();
         let registers = &mut self.registers;
         let stage_cost = &mut self.stage_cost;
         let final_phv = &mut self.cur;
-
-        if os_threads == 1 {
-            // One OS thread executes every shard on one register file, so
-            // the shard partition is irrelevant: run the trace in order
-            // with no hashing or gathering. The delta-sum merge below is
-            // still exact (one worker holds every flow's state).
-            let mut worker = Worker::new(prog, ctables, &base, masks, stages, width);
-            worker.run_seq(trace);
-            for (ri, reg) in registers.iter_mut().enumerate() {
-                for (ci, cell) in reg.cells.iter_mut().enumerate() {
-                    *cell = worker.regs[ri].cells[ci];
-                }
-            }
-            for (s, c) in worker.stage_cost.iter().enumerate() {
-                stage_cost[s] += c;
-            }
-            final_phv.slots.copy_from_slice(&worker.cur.slots);
-            return (worker.dropped, 1.0);
-        }
-
-        // Per-worker publication slots for the lock-free merge.
-        let publish: Vec<AtomicPtr<ShardDelta>> =
-            (0..os_threads).map(|_| AtomicPtr::new(std::ptr::null_mut())).collect();
         let base_ref = &base;
-        let publish_ref = &publish;
 
         let mut dropped = 0u64;
         let mut occ_sum = 0.0f64;
@@ -462,24 +327,25 @@ impl Switch {
             // Bounded channels give the pipeline its backpressure: the
             // main thread gathers at most a couple of chunks ahead of the
             // slowest worker.
-            let mut senders = Vec::with_capacity(os_threads);
-            let mut handles = Vec::with_capacity(os_threads);
-            for slot in publish_ref.iter() {
+            let mut senders = Vec::with_capacity(workers);
+            let mut handles = Vec::with_capacity(workers);
+            for _ in 0..workers {
                 let (tx, rx) = mpsc::sync_channel::<Vec<u64>>(2);
                 senders.push(tx);
-                handles.push(Some(scope.spawn(move || {
+                handles.push(scope.spawn(move || {
                     // Build the worker on its own thread so the register
                     // copy and scratch are allocated (and first-touched)
                     // thread-locally.
                     let spawned = Instant::now();
                     let mut busy = Duration::ZERO;
-                    let mut worker = Worker::new(prog, ctables, base_ref, masks, stages, width);
+                    let mut worker =
+                        Worker::new(prog, ctables, base_ref.to_vec(), masks, stages, width);
                     while let Ok(seg) = rx.recv() {
                         let t = Instant::now();
-                        worker.run_packed(&seg, stride);
+                        worker.run_rows(seg.chunks_exact(stride));
                         busy += t.elapsed();
                     }
-                    let delta = ShardDelta {
+                    ShardDelta {
                         deltas: worker
                             .regs
                             .iter()
@@ -497,11 +363,8 @@ impl Switch {
                         final_phv: worker.cur.slots,
                         busy,
                         wall: spawned.elapsed(),
-                    };
-                    // Publish with Release so the merge's Acquire swap
-                    // sees the fully-built delta.
-                    slot.store(Box::into_raw(Box::new(delta)), Ordering::Release);
-                })));
+                    }
+                }));
             }
 
             // Pipelined front end: flow-hash and gather chunk k + 1 into
@@ -510,16 +373,15 @@ impl Switch {
             // is preserved inside each worker.
             for chunk in trace.chunks(PIPELINE_CHUNK) {
                 let per_worker =
-                    (chunk.len() / os_threads + chunk.len() / (4 * os_threads) + 16) * stride;
+                    (chunk.len() / workers + chunk.len() / (4 * workers) + 16) * stride;
                 let mut segs: Vec<Vec<u64>> =
-                    (0..os_threads).map(|_| Vec::with_capacity(per_worker)).collect();
+                    (0..workers).map(|_| Vec::with_capacity(per_worker)).collect();
                 for p in chunk {
                     let mut h = 0xa076_1d64_78bd_642fu64;
                     for &v in &p.slots[..header_count] {
                         h = splitmix(h ^ v);
                     }
-                    let shard = (h % shards as u64) as usize;
-                    segs[shard % os_threads].extend_from_slice(&p.slots);
+                    segs[(h % workers as u64) as usize].extend_from_slice(&p.slots);
                 }
                 for (w, seg) in segs.into_iter().enumerate() {
                     if !seg.is_empty() {
@@ -527,58 +389,34 @@ impl Switch {
                     }
                 }
             }
-            drop(senders); // close the channels: workers drain and publish
+            drop(senders); // close the channels: workers drain and return
 
-            // Lock-free merge: consume each worker's delta as it lands —
-            // no join barrier, a fast worker's state folds in while slow
-            // workers are still executing.
-            let mut pending: Vec<usize> = (0..os_threads).collect();
-            while !pending.is_empty() {
-                pending.retain(|&w| {
-                    let mut p = publish_ref[w].swap(std::ptr::null_mut(), Ordering::Acquire);
-                    if p.is_null() {
-                        let finished =
-                            handles[w].as_ref().map(|h| h.is_finished()).unwrap_or(false);
-                        if !finished {
-                            return true; // still executing
-                        }
-                        // The worker exited: surface its panic, or pick
-                        // up the publication that exit ordered before us.
-                        handles[w].take().unwrap().join().expect("replay worker panicked");
-                        p = publish_ref[w].swap(std::ptr::null_mut(), Ordering::Acquire);
-                        assert!(!p.is_null(), "worker exited without publishing");
+            // Join in spawn order and fold each delta as it arrives:
+            // worker k's fold overlaps worker k + 1's execution.
+            for handle in handles {
+                let d = handle.join().expect("replay worker panicked");
+                for (ri, cells) in d.deltas.iter().enumerate() {
+                    let reg = &mut registers[ri];
+                    for (ci, delta) in cells.iter().enumerate() {
+                        reg.cells[ci] = reg.cells[ci].wrapping_add(*delta) & reg.elem_mask;
                     }
-                    // SAFETY: the pointer came from `Box::into_raw` in
-                    // exactly one worker and was swapped out exactly once.
-                    let d = unsafe { Box::from_raw(p) };
-                    for (ri, cells) in d.deltas.iter().enumerate() {
-                        let reg = &mut registers[ri];
-                        for (ci, delta) in cells.iter().enumerate() {
-                            reg.cells[ci] =
-                                reg.cells[ci].wrapping_add(*delta) & reg.elem_mask;
-                        }
-                    }
-                    dropped += d.dropped;
-                    for (s, c) in d.stage_cost.iter().enumerate() {
-                        stage_cost[s] += c;
-                    }
-                    // Expose *some* final PHV so post-trace metadata
-                    // reads don't see stale single-thread state.
-                    final_phv.slots.copy_from_slice(&d.final_phv);
-                    occ_sum += if d.wall > Duration::ZERO {
-                        (d.busy.as_secs_f64() / d.wall.as_secs_f64()).min(1.0)
-                    } else {
-                        1.0
-                    };
-                    false
-                });
-                if !pending.is_empty() {
-                    std::thread::yield_now();
                 }
+                dropped += d.dropped;
+                for (s, c) in d.stage_cost.iter().enumerate() {
+                    stage_cost[s] += c;
+                }
+                // Expose *some* final PHV so post-trace metadata
+                // reads don't see stale single-thread state.
+                final_phv.slots.copy_from_slice(&d.final_phv);
+                occ_sum += if d.wall > Duration::ZERO {
+                    (d.busy.as_secs_f64() / d.wall.as_secs_f64()).min(1.0)
+                } else {
+                    1.0
+                };
             }
         });
 
-        (dropped, occ_sum / os_threads as f64)
+        (dropped, occ_sum / workers as f64)
     }
 
     /// Accumulated per-stage execution cost since the last `run_trace`
@@ -633,9 +471,9 @@ mod tests {
 
     /// Two independent registers: `a` counts every packet, `b[hdr.i]`
     /// faults when `i` is out of bounds — the faulting packet's increment
-    /// of `a` must be rolled back. Also batch-*unsafe*: `a` is written by
-    /// one statement and read back by another, so instruction-major
-    /// execution would interleave lanes across that dependency.
+    /// of `a` must be rolled back. `a` is written by one statement and
+    /// read back by another, so a packet observes every earlier packet's
+    /// write: execution order across packets is visible in `meta.t`.
     const FAULTY_IDX: &str = r#"
         header h { bit<32> x; bit<32> i; }
         struct metadata { bit<32> t; }
@@ -714,23 +552,23 @@ mod tests {
 
     /// The gather + multi-worker merge path, pinned to several OS threads
     /// regardless of the host's core count (on a small box `run_trace`
-    /// legitimately collapses to the sequential worker, which would leave
+    /// legitimately collapses to the sequential path, which would leave
     /// this machinery untested).
     #[test]
-    fn oversharded_gather_and_merge_match_sequential() {
+    fn pinned_gather_and_merge_match_sequential() {
         let mut seq = build(CMS);
         let trace = cms_trace(&seq, 400);
         seq.run_trace(&trace, 1);
-        for (shards, os_threads) in [(4, 2), (8, 4), (8, 8)] {
+        for workers in [2, 4, 8] {
             let mut par = build(CMS);
             let trace = cms_trace(&par, 400);
-            let (dropped, occupancy) = par.run_trace_sharded(&trace, shards, os_threads);
+            let (dropped, occupancy) = par.run_trace_sharded(&trace, workers);
             assert_eq!(dropped, 0);
             assert!((0.0..=1.0).contains(&occupancy), "occupancy {occupancy} out of range");
             assert_eq!(
                 seq.registers_snapshot(),
                 par.registers_snapshot(),
-                "merged counters diverge at {shards} shards on {os_threads} threads"
+                "merged counters diverge on {workers} threads"
             );
         }
     }
@@ -746,7 +584,7 @@ mod tests {
             let mut par = build(CMS);
             par.set_batch_width(width);
             let trace = cms_trace(&par, 400);
-            let (dropped, _) = par.run_trace_sharded(&trace, 4, 2);
+            let (dropped, _) = par.run_trace_sharded(&trace, 2);
             assert_eq!(dropped, 0);
             assert_eq!(
                 seq.registers_snapshot(),
@@ -754,6 +592,25 @@ mod tests {
                 "batched sharded replay diverges at width {width}"
             );
         }
+    }
+
+    /// A program without PHV slots has nothing to flow-hash: the replay
+    /// runs in place and reports the one thread it used, not the request.
+    #[test]
+    fn program_without_phv_slots_reports_one_thread() {
+        const NO_PHV: &str = r#"
+            register<bit<32>>[4] a;
+            action tally() { a[0] = a[0] + 1; }
+            control Main() { apply { tally(); } }
+        "#;
+        let mut sw = build(NO_PHV);
+        let trace: Vec<Phv> = (0..8).map(|_| sw.make_packet(&[]).unwrap()).collect();
+        assert!(trace[0].slots.is_empty());
+        assert_eq!(sw.run_trace(&trace, 4).threads, 1);
+        sw.set_batch_width(3);
+        let stats = sw.run_trace(&trace, 4);
+        assert_eq!((stats.threads, stats.batch_width), (1, 3));
+        assert_eq!(sw.read_register("a", 0, 0).unwrap(), 16);
     }
 
     #[test]
@@ -789,8 +646,8 @@ mod tests {
         }
     }
 
-    /// A faulting lane rolls the whole batch back and the scalar replay
-    /// reproduces exact per-packet drop + rollback semantics.
+    /// A faulting lane rolls back its own writes and is counted as a drop,
+    /// leaving the rest of its batch untouched.
     #[test]
     fn batched_replay_with_faults_matches_scalar() {
         let mut scalar = build(FAULTY_DIV);
@@ -806,17 +663,18 @@ mod tests {
         let mut batched = build(FAULTY_DIV);
         batched.set_batch_width(4);
         let bstats = batched.run_trace(&trace, 1);
-        assert_eq!(bstats.batch_width, 4, "FAULTY_DIV is batch-safe");
+        assert_eq!(bstats.batch_width, 4);
         assert_eq!(bstats.dropped, 2);
         assert_eq!(scalar.registers_snapshot(), batched.registers_snapshot());
         assert_eq!(sstats.stage_cost, bstats.stage_cost);
         assert_eq!(batched.read_register("a", 0, 0).unwrap(), 18);
     }
 
-    /// A program whose register dataflow rules out instruction-major
-    /// execution falls back to the scalar loop — and says so in stats.
+    /// `FAULTY_IDX` makes packet order observable through a register
+    /// (and was once refused batching for it): lanes run in trace order,
+    /// so it batches at the requested width and equals the scalar run.
     #[test]
-    fn batch_unsafe_program_falls_back_to_scalar() {
+    fn formerly_batch_unsafe_program_batches_and_equals_scalar() {
         let mut scalar = build(FAULTY_IDX);
         let mk = |sw: &Switch| -> Vec<Phv> {
             (0..10u64)
@@ -827,15 +685,16 @@ mod tests {
                 .collect()
         };
         let trace = mk(&scalar);
-        scalar.run_trace(&trace, 1);
+        let sstats = scalar.run_trace(&trace, 1);
 
         let mut batched = build(FAULTY_IDX);
         batched.set_batch_width(8);
         let trace = mk(&batched);
         let stats = batched.run_trace(&trace, 1);
-        assert_eq!(stats.batch_width, 0, "FAULTY_IDX must fall back to scalar");
-        assert_eq!(stats.dropped, 1);
+        assert_eq!(stats.batch_width, 8);
+        assert_eq!((sstats.dropped, stats.dropped), (1, 1));
         assert_eq!(scalar.registers_snapshot(), batched.registers_snapshot());
+        assert_eq!(scalar.phv_snapshot(), batched.phv_snapshot());
         assert_eq!(batched.read_register("a", 0, 0).unwrap(), 9);
     }
 
@@ -907,7 +766,7 @@ mod tests {
         let trace: Vec<Phv> = (0..64u64)
             .map(|p| sw.make_packet(&[("x", p), ("y", p % 4)]).unwrap())
             .collect();
-        assert_eq!(sw.run_trace_sharded(&trace, 4, 4).0, 16);
+        assert_eq!(sw.run_trace_sharded(&trace, 4).0, 16);
         assert_eq!(sw.read_register("a", 0, 0).unwrap(), 48);
     }
 }

@@ -5,15 +5,15 @@
 //! drop count, same per-stage costs. This suite enforces that over random
 //! programs and traces (proptest) for batch widths 1, 7, and 64 — widths
 //! chosen so trace lengths are rarely divisible by them, exercising the
-//! ragged final batch — and over faulting traces, where a batch fault must
-//! roll the whole batch back and replay the chunk packet by packet.
+//! ragged final batch — and over faulting traces, where a faulting lane must
+//! roll back its own writes and leave the rest of its batch untouched.
 //!
 //! Programs reuse the randomized template family of `backend_equivalence.rs`
 //! (CMS + mergeable accumulator + match-action table + a header-controlled
-//! division fault). That family is batch-safe by construction: each register
-//! is written from exactly one top-level atom, which the suite pins with an
-//! explicit `batch_safe()` assertion so a future template edit can't silently
-//! turn the whole file into a scalar-vs-scalar no-op.
+//! division fault), in which each register is touched from one statement. A
+//! second, pinned family ([`READBACK`]) covers what that one cannot: a
+//! register written in one control and read back in a later one, so every
+//! packet observes the packets before it.
 
 use proptest::prelude::*;
 
@@ -179,7 +179,6 @@ proptest! {
         trace in trace_strategy(false),
     ) {
         let mut scalar = build(&s);
-        prop_assert!(scalar.batch_safe(), "template family must stay batch-safe");
         let ts = packets(&scalar, &trace);
         let s_stats = scalar.run_trace(&ts, 1);
         prop_assert_eq!(s_stats.batch_width, 0);
@@ -209,9 +208,9 @@ proptest! {
         }
     }
 
-    /// Faulting traces: a lane fault rolls back the whole batch and replays
-    /// the chunk packet by packet, so drops, rollbacks, and register state
-    /// all match the per-packet run bit for bit.
+    /// Faulting traces: a faulting lane is dropped and rolled back like a
+    /// scalar packet, so drops, rollbacks, and register state all match the
+    /// per-packet run bit for bit.
     #[test]
     fn batched_replay_agrees_on_faulting_traces(
         s in spec(),
@@ -309,5 +308,70 @@ fn pinned_ragged_lengths_match_scalar() {
             );
             assert_eq!(batched.phv_snapshot(), scalar.phv_snapshot(), "len {len} width {width}");
         }
+    }
+}
+
+/// `seen[0]` counts packets in `tally` and is read back into `meta.order` by
+/// `recall`, a later control: packet `k` must see exactly the `k` earlier
+/// surviving increments, so any reordering of packets across the write and
+/// the read-back shows up in `last` (a register) and in the final PHV.
+/// `hdr.d == 0` faults between the two, after `seen` was bumped.
+const READBACK: &str = r#"
+    header pkt { bit<32> key; bit<32> d; }
+    struct metadata { bit<32> q; bit<32> order; }
+    register<bit<32>>[1] seen;
+    register<bit<32>>[32] last;
+    action tally() { seen[0] = seen[0] + 1; }
+    action divide() { meta.q = hdr.key / hdr.d; }
+    action recall() { meta.order = seen[0]; }
+    action stamp() { last[hdr.key] = meta.order; }
+    control count() { apply { tally(); } }
+    control check() { apply { divide(); } }
+    control readback() { apply { recall(); stamp(); } }
+    control Main() { apply { count.apply(); check.apply(); readback.apply(); } }
+"#;
+
+/// The read-back family with a faulting packet mid-batch, at widths
+/// {2, 7, 64}: single-threaded replay equals scalar in registers, drops,
+/// stage costs and final PHV. Sharded replay reorders packets across
+/// workers, so there the order-dependent `last` is out of contract and
+/// `seen`, drops and stage costs must still match.
+#[test]
+fn readback_across_controls_with_mid_batch_fault_matches_scalar() {
+    let switch = || {
+        let c = Compiler::new(presets::paper_eval(1 << 15)).compile(READBACK).expect("compiles");
+        let program = p4all_lang::parse(READBACK).expect("parses");
+        Switch::build(&c.concrete, &program).expect("sim builds")
+    };
+    // Packets 3 and 40 fault: lane 3 of the first batch at widths 7 and
+    // 64, lane 1 of the second batch at width 2.
+    let packets = |sw: &Switch| -> Vec<Phv> {
+        (0..70u64)
+            .map(|i| {
+                let d = if i == 3 || i == 40 { 0 } else { 1 + i % 3 };
+                sw.make_packet(&[("key", i % 32), ("d", d)]).unwrap()
+            })
+            .collect()
+    };
+    let mut scalar = switch();
+    let s_stats = scalar.run_trace(&packets(&scalar), 1);
+    assert_eq!(s_stats.dropped, 2);
+    assert_eq!(scalar.read_register("seen", 0, 0).unwrap(), 68);
+    for width in [2usize, 7, 64] {
+        let mut batched = switch();
+        batched.set_batch_width(width);
+        let b_stats = batched.run_trace(&packets(&batched), 1);
+        assert_eq!(b_stats.batch_width, width);
+        assert_eq!(b_stats.dropped, s_stats.dropped, "width {width}");
+        assert_eq!(b_stats.stage_cost, s_stats.stage_cost, "width {width}");
+        assert_eq!(batched.registers_snapshot(), scalar.registers_snapshot(), "width {width}");
+        assert_eq!(batched.phv_snapshot(), scalar.phv_snapshot(), "width {width}");
+
+        let mut sharded = switch();
+        sharded.set_batch_width(width);
+        let p_stats = sharded.run_trace(&packets(&sharded), 4);
+        assert_eq!(p_stats.dropped, s_stats.dropped, "width {width} sharded");
+        assert_eq!(p_stats.stage_cost, s_stats.stage_cost, "width {width} sharded");
+        assert_eq!(sharded.read_register("seen", 0, 0).unwrap(), 68, "width {width} sharded");
     }
 }
