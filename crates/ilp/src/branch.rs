@@ -546,32 +546,18 @@ fn root_phase(ctx: &SearchCtx<'_>) -> Result<RootPhase, LpError> {
     let mut incumbent: Option<(f64, Vec<f64>)> = None;
 
     // Seed the incumbent from a caller-provided warm start, if feasible.
+    // A rejected point (wrong length, infeasible) is simply not used;
+    // acceptance shows in telemetry as an `IncumbentSource::WarmStart` event.
     if let Some(ws) = &opts.warm_start {
-        if ws.len() != model.num_vars() {
-            if std::env::var("ILP_DEBUG").is_ok() {
-                eprintln!("warm start: wrong length {} vs {}", ws.len(), model.num_vars());
-            }
-        } else {
-            match model.check_feasible(ws, 1e-5) {
-                Ok(()) => {
-                    let obj = model.objective_value(ws);
-                    incumbent = Some((ctx.sgn * obj, ws.clone()));
-                    events.push(IncumbentEvent {
-                        elapsed: ctx.start.elapsed(),
-                        objective: obj,
-                        thread: 0,
-                        source: IncumbentSource::WarmStart,
-                    });
-                    if std::env::var("ILP_DEBUG").is_ok() {
-                        eprintln!("warm start accepted: obj {obj}");
-                    }
-                }
-                Err(e) => {
-                    if std::env::var("ILP_DEBUG").is_ok() {
-                        eprintln!("warm start rejected: {e}");
-                    }
-                }
-            }
+        if ws.len() == model.num_vars() && model.check_feasible(ws, 1e-5).is_ok() {
+            let obj = model.objective_value(ws);
+            incumbent = Some((ctx.sgn * obj, ws.clone()));
+            events.push(IncumbentEvent {
+                elapsed: ctx.start.elapsed(),
+                objective: obj,
+                thread: 0,
+                source: IncumbentSource::WarmStart,
+            });
         }
     }
 

@@ -12,11 +12,16 @@
 //!   a slack fixed to `[0, 0]`;
 //! - phase 1 introduces artificial variables only for rows whose slack
 //!   basis is infeasible, and minimizes their sum;
-//! - the basis inverse `B^-1` is kept explicitly (dense) and updated by
-//!   elementary row operations per pivot; the update skips the zero
-//!   entries of the pivot row (compiler bases stay sparse for a long
-//!   time), and `B^-1` is refactorized from scratch when a residual check
-//!   fails;
+//! - the basis inverse `B^-1` is kept explicitly (dense, row-major) and
+//!   updated by elementary row operations per pivot. Every kernel walks
+//!   it along contiguous row slices and may skip or include operands that
+//!   are exactly `0.0`, nothing else: no operation on a nonzero operand is
+//!   added, dropped or reordered, so the pivot sequence is a function of
+//!   the model alone (DESIGN.md, "Kernel layout and the exact-zero
+//!   contract"). The pivot row is not sparse on the big models — 22 % of
+//!   425 entries on the 3-tenant joint, most of it cancellation residue —
+//!   so the update gathers its nonzeros once per pivot. `B^-1` is
+//!   refactorized from scratch when a residual check fails;
 //! - Dantzig pricing with an automatic switch to Bland's rule after a run
 //!   of degenerate pivots guarantees termination;
 //! - [`solve_lp_ext`] accepts an optimal [`Basis`] from a previous solve
@@ -221,10 +226,7 @@ pub fn solve_lp_ext(
                 stats.pivots += sx.pivots;
                 stats.refactorizations += sx.refactorizations;
                 stats.warm = true;
-                let basis = match &result {
-                    LpResult::Optimal { .. } => sx.snapshot_basis(),
-                    _ => None,
-                };
+                let basis = sx.into_basis_if_optimal(&result);
                 return Ok(LpSolve { result, basis, stats });
             }
             // Unusable basis or numerical trouble on the warm path: count
@@ -248,10 +250,7 @@ fn run_cold(
     stats: &mut LpStats,
 ) -> Result<(LpResult, Option<Basis>), LpError> {
     let (result, sx) = run_cold_sx(model, bounds, stats)?;
-    let basis = match &result {
-        LpResult::Optimal { .. } => sx.snapshot_basis(),
-        _ => None,
-    };
+    let basis = sx.into_basis_if_optimal(&result);
     Ok((result, basis))
 }
 
@@ -348,7 +347,7 @@ pub(crate) fn solve_lp_tableau(
                 stats.pivots += sx.pivots;
                 stats.refactorizations += sx.refactorizations;
                 stats.warm = true;
-                return Ok(finish_tableau(result, &sx, stats, int_mask, int_tol, max_rows));
+                return Ok(finish_tableau(result, sx, stats, int_mask, int_tol, max_rows));
             }
             Ok(None) | Err(_) => {
                 stats.pivots += sx.pivots;
@@ -358,26 +357,26 @@ pub(crate) fn solve_lp_tableau(
         }
     }
     let (result, sx) = run_cold_sx(model, bounds, &mut stats)?;
-    Ok(finish_tableau(result, &sx, stats, int_mask, int_tol, max_rows))
+    Ok(finish_tableau(result, sx, stats, int_mask, int_tol, max_rows))
 }
 
 fn finish_tableau(
     result: LpResult,
-    sx: &Simplex,
+    sx: Simplex,
     stats: LpStats,
     int_mask: &[bool],
     int_tol: f64,
     max_rows: usize,
 ) -> TableauLp {
-    let (basis, frac_rows, stat, values) = match &result {
-        LpResult::Optimal { .. } => (
-            sx.snapshot_basis(),
-            sx.extract_frac_rows(int_mask, int_tol, max_rows),
-            sx.tab_stats(),
-            sx.all_values(),
-        ),
-        _ => (None, Vec::new(), Vec::new(), Vec::new()),
+    // The tableau rows read `B^-1`, so they come out before the snapshot
+    // moves the inverse into the basis.
+    let (frac_rows, stat, values) = match &result {
+        LpResult::Optimal { .. } => {
+            (sx.extract_frac_rows(int_mask, int_tol, max_rows), sx.tab_stats(), sx.all_values())
+        }
+        _ => (Vec::new(), Vec::new(), Vec::new()),
     };
+    let basis = sx.into_basis_if_optimal(&result);
     TableauLp { result, basis, stats, frac_rows, stat, values }
 }
 
@@ -407,8 +406,15 @@ struct Simplex {
     refactorizations: usize,
     /// Use Bland's rule from the first pivot (robust restart mode).
     force_bland: bool,
-    /// Reusable list of nonzero pivot-row columns for the eta update.
-    eta_scratch: Vec<usize>,
+    /// Nonzeros of the scaled pivot row as `(column, value)` pairs, gathered
+    /// once per pivot so every row update streams through them.
+    eta: Vec<(usize, f64)>,
+    /// Reused per-iteration buffers: dual prices `c_B B^-1` (`dual_prices`),
+    /// the entering column `B^-1 A_j` (`ftran`) and the right-hand-side
+    /// residual (`fill_resid`).
+    y: Vec<f64>,
+    w: Vec<f64>,
+    resid: Vec<f64>,
 }
 
 impl Simplex {
@@ -479,17 +485,10 @@ impl Simplex {
             pivots: 0,
             refactorizations: 0,
             force_bland: false,
-            eta_scratch: Vec::new(),
-        }
-    }
-
-    /// Resting value of a nonbasic variable.
-    fn nb_value(&self, j: usize) -> f64 {
-        match self.stat[j] {
-            VStat::AtLower => self.lb[j],
-            VStat::AtUpper => self.ub[j],
-            VStat::Free => 0.0,
-            VStat::Basic(r) => self.xb[r],
+            eta: Vec::new(),
+            y: Vec::new(),
+            w: Vec::new(),
+            resid: Vec::new(),
         }
     }
 
@@ -519,7 +518,7 @@ impl Simplex {
         // Slack basis values: s_i = b_i - A_i * v_N (structural resting values).
         let mut resid = self.rhs.clone();
         for j in 0..n {
-            let v = self.nb_value(j);
+            let v = self.var_value(j);
             if v != 0.0 {
                 for &(r, a) in &self.cols[j] {
                     resid[r] -= a * v;
@@ -622,13 +621,14 @@ impl Simplex {
                 continue;
             }
             // (B^-1 A_j)[row]
+            let prow = self.binv_row(row);
             let mut w_r = 0.0;
             for &(r, a) in &self.cols[j] {
-                w_r += self.binv[row * self.m + r] * a;
+                w_r += prow[r] * a;
             }
             if w_r.abs() > 1e-6 {
-                let w = self.ftran(j);
-                self.do_pivot(j, row, &w, self.var_value(j));
+                self.ftran(j);
+                self.do_pivot(j, row, self.var_value(j));
                 // old artificial leaves at value ~0 -> rest at lower
                 self.stat[art] = VStat::AtLower;
                 return Ok(());
@@ -637,54 +637,58 @@ impl Simplex {
         Ok(())
     }
 
-    /// w = B^-1 * A_j
-    fn ftran(&self, j: usize) -> Vec<f64> {
-        let m = self.m;
-        let mut w = vec![0.0; m];
-        for &(r, a) in &self.cols[j] {
-            let col = r;
-            for i in 0..m {
-                let v = self.binv[i * m + col];
-                if v != 0.0 {
-                    w[i] += v * a;
-                }
-            }
-        }
-        w
+    /// Row `i` of the row-major `B^-1`.
+    fn binv_row(&self, i: usize) -> &[f64] {
+        &self.binv[i * self.m..(i + 1) * self.m]
     }
 
-    /// Replace basis entry in `row` with variable `j`, updating `B^-1`.
-    fn do_pivot(&mut self, j: usize, row: usize, w: &[f64], enter_value: f64) {
-        let m = self.m;
-        let piv = w[row];
-        debug_assert!(piv.abs() > PIVOT_TOL * 0.01, "pivot too small: {piv}");
-        // binv[row] /= piv ; binv[i] -= w[i] * binv[row]
-        let inv = 1.0 / piv;
-        for k in 0..m {
-            self.binv[row * m + k] *= inv;
-        }
-        // The pivot row of B^-1 is typically ~1-5% dense for compiler
-        // models; collect its nonzero columns once so every eta row update
-        // touches only those instead of all m entries.
-        let mut nz = std::mem::take(&mut self.eta_scratch);
-        nz.clear();
-        for k in 0..m {
-            if self.binv[row * m + k] != 0.0 {
-                nz.push(k);
+    /// `self.w = B^-1 * A_j`, one entry per row of `B^-1`: each `w[i]` sums
+    /// the column's nonzeros in column order, reading one row slice.
+    /// Branch-free like `dual_prices`: these inner loops are a few entries
+    /// long and a data-dependent zero test in them mispredicts.
+    fn ftran(&mut self, j: usize) {
+        let col = &self.cols[j];
+        self.w.clear();
+        self.w.extend(rows(&self.binv, self.m).map(|row| {
+            let mut acc = 0.0;
+            for &(r, a) in col {
+                acc += row[r] * a;
             }
-        }
-        for i in 0..m {
-            if i == row {
-                continue;
-            }
-            let f = w[i];
-            if f != 0.0 {
-                for &k in &nz {
-                    self.binv[i * m + k] -= f * self.binv[row * m + k];
+            acc
+        }));
+    }
+
+    /// `self.y = c_B^T B^-1` as one row-axpy per basic row with a nonzero
+    /// cost. Branch-free inside the row: a zero entry adds `cb * 0.0` to an
+    /// accumulator that started at `+0.0`, which changes no bit of it.
+    fn dual_prices(&mut self, c: &[f64]) {
+        self.y.clear();
+        self.y.resize(self.m, 0.0);
+        for (row, &b) in rows(&self.binv, self.m).zip(&self.basis) {
+            let cb = c[b];
+            if cb != 0.0 {
+                for (yk, &v) in self.y.iter_mut().zip(row) {
+                    *yk += cb * v;
                 }
             }
         }
-        self.eta_scratch = nz;
+    }
+
+    /// Replace basis entry in `row` with variable `j`, updating `B^-1` from
+    /// the entering column in `self.w`.
+    fn do_pivot(&mut self, j: usize, row: usize, enter_value: f64) {
+        let m = self.m;
+        let piv = self.w[row];
+        debug_assert!(piv.abs() > PIVOT_TOL * 0.01, "pivot too small: {piv}");
+        // binv[row] /= piv ; binv[i] -= w[i] * binv[row]. The scaled pivot
+        // row is copied out as (column, value) pairs, so each target row is
+        // updated through its own slice and never re-reads the pivot row.
+        scale_and_gather(&mut self.binv[row * m..(row + 1) * m], 1.0 / piv, &mut self.eta);
+        for (i, (target, &f)) in self.binv.chunks_exact_mut(m).zip(&self.w).enumerate() {
+            if i != row && f != 0.0 {
+                sparse_axpy(target, f, &self.eta);
+            }
+        }
         let old = self.basis[row];
         debug_assert!(matches!(self.stat[old], VStat::Basic(r) if r == row));
         self.basis[row] = j;
@@ -693,62 +697,74 @@ impl Simplex {
         self.pivots += 1;
     }
 
-    /// Recompute basic values from the current nonbasic resting point.
-    fn refresh_values(&mut self) {
-        let m = self.m;
-        let mut resid = self.rhs.clone();
-        for j in 0..self.cols.len() {
-            if matches!(self.stat[j], VStat::Basic(_)) {
+    /// `self.resid = b - Σ A_j v_j` over the nonbasic columns at their
+    /// resting values, plus the basic columns at `x_B` when `with_basic`.
+    fn fill_resid(&mut self, with_basic: bool) {
+        let mut resid = std::mem::take(&mut self.resid);
+        resid.clone_from(&self.rhs);
+        for (j, col) in self.cols.iter().enumerate() {
+            if !with_basic && matches!(self.stat[j], VStat::Basic(_)) {
                 continue;
             }
-            let v = self.nb_value(j);
+            let v = self.var_value(j);
             if v != 0.0 {
-                for &(r, a) in &self.cols[j] {
+                for &(r, a) in col {
                     resid[r] -= a * v;
                 }
             }
         }
-        for i in 0..m {
+        self.resid = resid;
+    }
+
+    /// Recompute basic values from the current nonbasic resting point.
+    fn refresh_values(&mut self) {
+        self.fill_resid(false);
+        for (x, row) in self.xb.iter_mut().zip(rows(&self.binv, self.m)) {
             let mut acc = 0.0;
-            for k in 0..m {
-                let v = self.binv[i * m + k];
+            for (&v, &r) in row.iter().zip(&self.resid) {
                 if v != 0.0 {
-                    acc += v * resid[k];
+                    acc += v * r;
                 }
             }
-            self.xb[i] = acc;
+            *x = acc;
         }
     }
 
     /// Rebuild `B^-1` from scratch by Gauss-Jordan elimination.
     fn refactorize(&mut self) -> Result<(), LpError> {
         let m = self.m;
-        if std::env::var("ILP_DEBUG").is_ok() {
-            let mut sorted = self.basis.clone();
-            sorted.sort_unstable();
-            let before = sorted.len();
-            sorted.dedup();
-            if sorted.len() != before {
-                eprintln!("DUPLICATE BASIS ENTRIES: {:?}", self.basis);
-            }
-            for (i, &b) in self.basis.iter().enumerate() {
-                if !matches!(self.stat[b], VStat::Basic(r) if r == i) {
-                    eprintln!("basis[{i}]={b} but stat={:?}", self.stat[b]);
-                }
-            }
-            let empty: Vec<usize> = self.basis.iter().filter(|&&b| self.cols[b].is_empty()).copied().collect();
-            if !empty.is_empty() {
-                eprintln!("basis vars with EMPTY columns: {empty:?}");
-            }
-        }
-        // Dense B from basis columns.
+        debug_assert!(
+            self.basis.iter().enumerate().all(|(i, &b)| self.stat[b] == VStat::Basic(i)),
+            "basis rows and statuses disagree: {:?}",
+            self.basis
+        );
+        debug_assert!(
+            {
+                let mut sorted = self.basis.clone();
+                sorted.sort_unstable();
+                sorted.windows(2).all(|p| p[0] != p[1])
+            },
+            "duplicate basis entries: {:?}",
+            self.basis
+        );
+        debug_assert!(
+            self.basis.iter().all(|&b| !self.cols[b].is_empty()),
+            "basis variable with an empty column: {:?}",
+            self.basis
+        );
+        // Dense B from basis columns. `seen` is the largest magnitude ever
+        // written to `bmat` (and at least 1): an upper bound on the
+        // whole-matrix scale the singularity test is relative to.
         let mut bmat = vec![0.0f64; m * m];
+        let mut seen = 1.0f64;
         for (col, &j) in self.basis.iter().enumerate() {
             for &(r, a) in &self.cols[j] {
                 bmat[r * m + col] = a;
+                seen = seen.max(a.abs());
             }
         }
         let mut inv = identity(m);
+        let (mut bnz, mut inz) = (Vec::new(), Vec::new());
         // Gauss-Jordan with partial pivoting.
         for c in 0..m {
             let mut best = c;
@@ -762,35 +778,34 @@ impl Simplex {
             }
             // Relative threshold: coefficients in compiler models span
             // ~1e4 (memory capacities), so judge singularity against the
-            // remaining submatrix scale.
-            let scale = bmat
-                .iter()
-                .fold(1.0f64, |acc, &v| acc.max(v.abs()));
-            if best_abs < 1e-13 * scale {
-                return Err(LpError::Numerical("singular basis during refactorization".into()));
+            // remaining submatrix scale. A pivot that clears the bound
+            // `seen` clears the exact scale too; only one that does not
+            // pays for the whole-matrix fold, which gives the verdict.
+            if best_abs < 1e-13 * seen {
+                seen = bmat.iter().fold(1.0f64, |acc, &v| acc.max(v.abs()));
+                if best_abs < 1e-13 * seen {
+                    return Err(LpError::Numerical("singular basis during refactorization".into()));
+                }
             }
             if best != c {
-                for k in 0..m {
-                    bmat.swap(c * m + k, best * m + k);
-                    inv.swap(c * m + k, best * m + k);
+                for mat in [&mut bmat, &mut inv] {
+                    let (lo, hi) = mat.split_at_mut(best * m);
+                    lo[c * m..(c + 1) * m].swap_with_slice(&mut hi[..m]);
                 }
             }
-            let piv = bmat[c * m + c];
-            let pinv = 1.0 / piv;
-            for k in 0..m {
-                bmat[c * m + k] *= pinv;
-                inv[c * m + k] *= pinv;
-            }
+            // Scale the pivot row of both matrices, then eliminate column
+            // `c` from every other row over the pivot rows' nonzeros only.
+            let pinv = 1.0 / bmat[c * m + c];
+            scale_and_gather(&mut bmat[c * m..(c + 1) * m], pinv, &mut bnz);
+            scale_and_gather(&mut inv[c * m..(c + 1) * m], pinv, &mut inz);
+            seen = bnz.iter().fold(seen, |acc, &(_, v)| acc.max(v.abs()));
             for r in 0..m {
-                if r == c {
-                    continue;
-                }
                 let f = bmat[r * m + c];
-                if f != 0.0 {
-                    for k in 0..m {
-                        bmat[r * m + k] -= f * bmat[c * m + k];
-                        inv[r * m + k] -= f * inv[c * m + k];
-                    }
+                if r != c && f != 0.0 {
+                    let brow = &mut bmat[r * m..(r + 1) * m];
+                    sparse_axpy(brow, f, &bnz);
+                    seen = bnz.iter().fold(seen, |acc, &(k, _)| acc.max(brow[k].abs()));
+                    sparse_axpy(&mut inv[r * m..(r + 1) * m], f, &inz);
                 }
             }
         }
@@ -806,19 +821,7 @@ impl Simplex {
         let max_iters = 20_000 + 200 * (self.n + m);
         let mut since_refresh = 0usize;
         for _iter in 0..max_iters {
-            // y = c_B^T B^-1
-            let mut y = vec![0.0; m];
-            for i in 0..m {
-                let cb = c[self.basis[i]];
-                if cb != 0.0 {
-                    for k in 0..m {
-                        let v = self.binv[i * m + k];
-                        if v != 0.0 {
-                            y[k] += cb * v;
-                        }
-                    }
-                }
-            }
+            self.dual_prices(c);
             // Pricing.
             let bland = self.force_bland || self.degenerate_run >= DEGENERATE_SWITCH;
             let mut enter: Option<(usize, f64, f64)> = None; // (j, |d|, dir)
@@ -828,7 +831,7 @@ impl Simplex {
                 }
                 let mut d = c[j];
                 for &(r, a) in &self.cols[j] {
-                    d -= y[r] * a;
+                    d -= self.y[r] * a;
                 }
                 let dir = match self.stat[j] {
                     VStat::AtLower if d > COST_TOL => 1.0,
@@ -850,12 +853,12 @@ impl Simplex {
                 return Ok(RunOutcome::Optimal);
             };
 
-            let w = self.ftran(j);
+            self.ftran(j);
             // Ratio test: entering moves t >= 0 in direction `dir`; basic i
             // changes by -dir * t * w[i]. The pivot threshold is relative
             // to the column's magnitude so cancellation noise in long
             // elimination chains is not mistaken for a pivot.
-            let w_scale = w.iter().fold(1.0f64, |acc, &v| acc.max(v.abs()));
+            let w_scale = self.w.iter().fold(1.0f64, |acc, &v| acc.max(v.abs()));
             let pivot_tol = PIVOT_TOL * w_scale;
             let own_span = if self.lb[j].is_finite() && self.ub[j].is_finite() {
                 self.ub[j] - self.lb[j]
@@ -865,7 +868,7 @@ impl Simplex {
             let mut t_limit = own_span;
             let mut leave: Option<(usize, bool)> = None; // (row, hits_upper)
             for i in 0..m {
-                let delta = -dir * w[i];
+                let delta = -dir * self.w[i];
                 if delta > pivot_tol {
                     let b = self.basis[i];
                     if self.ub[b].is_finite() {
@@ -896,12 +899,12 @@ impl Simplex {
                 self.degenerate_run = 0;
             }
 
-            let start = self.nb_value(j);
+            let start = self.var_value(j);
             match leave {
                 None => {
                     // Bound flip: entering runs to its opposite bound.
                     for i in 0..m {
-                        self.xb[i] -= dir * t_limit * w[i];
+                        self.xb[i] -= dir * t_limit * self.w[i];
                     }
                     self.stat[j] = match self.stat[j] {
                         VStat::AtLower => VStat::AtUpper,
@@ -911,11 +914,11 @@ impl Simplex {
                 }
                 Some((row, hits_upper)) => {
                     for i in 0..m {
-                        self.xb[i] -= dir * t_limit * w[i];
+                        self.xb[i] -= dir * t_limit * self.w[i];
                     }
                     let leaving = self.basis[row];
                     let enter_value = start + dir * t_limit;
-                    self.do_pivot(j, row, &w, enter_value);
+                    self.do_pivot(j, row, enter_value);
                     self.stat[leaving] = if hits_upper { VStat::AtUpper } else { VStat::AtLower };
                     since_refresh += 1;
                     if since_refresh >= REFRESH_PERIOD {
@@ -932,17 +935,19 @@ impl Simplex {
         Err(LpError::IterationLimit)
     }
 
-    /// Snapshot the current basis (statuses plus, for small-enough
-    /// models, the row assignment and `B^-1`) for reuse by a warm start.
-    /// Returns `None` when the basis is not representable — a redundant
-    /// row left an artificial variable basic.
-    fn snapshot_basis(&self) -> Option<Basis> {
+    /// Snapshot the finished solve's basis for reuse by a warm start:
+    /// statuses plus, for small-enough models, the row assignment and
+    /// `B^-1`, which are moved out of the solver, not copied. `None` unless
+    /// `result` is optimal, and when the basis is not representable — a
+    /// redundant row left an artificial variable basic.
+    fn into_basis_if_optimal(self, result: &LpResult) -> Option<Basis> {
         let nv = self.n + self.m;
-        if self.basis.iter().any(|&b| b >= nv) {
+        if !matches!(result, LpResult::Optimal { .. }) || self.basis.iter().any(|&b| b >= nv) {
             return None;
         }
-        let stat = (0..nv)
-            .map(|j| match self.stat[j] {
+        let stat = self.stat[..nv]
+            .iter()
+            .map(|s| match s {
                 VStat::Basic(_) => BStat::Basic,
                 VStat::AtLower => BStat::AtLower,
                 VStat::AtUpper => BStat::AtUpper,
@@ -950,7 +955,7 @@ impl Simplex {
             })
             .collect();
         let (rows, binv) = if self.m <= BINV_SNAPSHOT_MAX_ROWS {
-            (self.basis.clone(), self.binv.clone())
+            (self.basis, self.binv)
         } else {
             (Vec::new(), Vec::new())
         };
@@ -1001,6 +1006,7 @@ impl Simplex {
         cands
             .into_iter()
             .map(|(_, i)| {
+                let prow = self.binv_row(i);
                 let mut coeffs = Vec::new();
                 for j in 0..nv {
                     if matches!(self.stat[j], VStat::Basic(_)) || self.banned[j] {
@@ -1008,7 +1014,7 @@ impl Simplex {
                     }
                     let mut a = 0.0;
                     for &(r, c) in &self.cols[j] {
-                        let p = self.binv[i * m + r];
+                        let p = prow[r];
                         if p != 0.0 {
                             a += p * c;
                         }
@@ -1088,19 +1094,13 @@ impl Simplex {
         if reuse_inv {
             self.binv = warm.binv.clone();
             self.refresh_values();
-            if self.basis_residual() > 1e-6 {
-                // The inverse does not match this model's matrix (foreign
-                // or numerically stale snapshot): rebuild from scratch.
-                self.binv = identity(m);
-                if self.refactorize().is_err() {
-                    return Ok(None);
-                }
-            }
-        } else {
-            self.binv = identity(m);
-            if self.refactorize().is_err() {
+            // A residual means the inverse does not match this model's
+            // matrix (foreign or numerically stale snapshot): rebuild.
+            if self.basis_residual() > 1e-6 && self.refactorize().is_err() {
                 return Ok(None);
             }
+        } else if self.refactorize().is_err() {
+            return Ok(None);
         }
 
         // Verify dual feasibility under the phase-2 objective. The parent
@@ -1108,25 +1108,14 @@ impl Simplex {
         // may not, and the Infeasible certificate below is only sound when
         // it does.
         let obj = self.obj.clone();
-        let mut y = vec![0.0; m];
-        for i in 0..m {
-            let cb = obj[self.basis[i]];
-            if cb != 0.0 {
-                for k in 0..m {
-                    let v = self.binv[i * m + k];
-                    if v != 0.0 {
-                        y[k] += cb * v;
-                    }
-                }
-            }
-        }
+        self.dual_prices(&obj);
         for j in 0..nv {
             if matches!(self.stat[j], VStat::Basic(_)) {
                 continue;
             }
             let mut d = obj[j];
             for &(r, a) in &self.cols[j] {
-                d -= y[r] * a;
+                d -= self.y[r] * a;
             }
             let bad = match self.stat[j] {
                 VStat::AtLower => d > DUAL_FEAS_TOL,
@@ -1179,24 +1168,14 @@ impl Simplex {
                 };
             };
 
-            // Fresh dual prices for this basis (skipping zero B^-1
-            // entries), then price only direction-feasible candidates.
-            let mut y = vec![0.0; m];
-            for i in 0..m {
-                let cb = obj[self.basis[i]];
-                if cb != 0.0 {
-                    for k in 0..m {
-                        let v = self.binv[i * m + k];
-                        if v != 0.0 {
-                            y[k] += cb * v;
-                        }
-                    }
-                }
-            }
+            // Fresh dual prices for this basis, then price only
+            // direction-feasible candidates.
+            self.dual_prices(&obj);
             // Entering: dual ratio test. alpha_j = (B^-1 A_j)[row]; the
             // candidate must move the leaving variable toward its violated
             // bound without leaving its own resting side, and the minimal
             // |d_j / alpha_j| keeps every other reduced cost dual-feasible.
+            let prow = self.binv_row(row);
             let mut enter: Option<(usize, f64)> = None; // (j, |theta|)
             for j in 0..nv {
                 if matches!(self.stat[j], VStat::Basic(_)) || self.banned[j] {
@@ -1204,10 +1183,7 @@ impl Simplex {
                 }
                 let mut alpha = 0.0;
                 for &(r, a) in &self.cols[j] {
-                    let p = self.binv[row * m + r];
-                    if p != 0.0 {
-                        alpha += p * a;
-                    }
+                    alpha += prow[r] * a;
                 }
                 if alpha.abs() <= PIVOT_TOL {
                     continue;
@@ -1223,7 +1199,7 @@ impl Simplex {
                 }
                 let mut d = obj[j];
                 for &(r, a) in &self.cols[j] {
-                    d -= y[r] * a;
+                    d -= self.y[r] * a;
                 }
                 let theta = (d / alpha).abs();
                 match enter {
@@ -1245,22 +1221,22 @@ impl Simplex {
                 degenerate = 0;
             }
 
-            let w = self.ftran(q);
-            let alpha_q = w[row];
+            self.ftran(q);
+            let alpha_q = self.w[row];
             if alpha_q.abs() <= PIVOT_TOL {
                 return Ok(None);
             }
             // The leaving variable moves exactly to its violated bound:
             // d(xb[row]) = -alpha_q * dx = -viol.
             let dx = viol / alpha_q;
-            let enter_value = self.nb_value(q) + dx;
+            let enter_value = self.var_value(q) + dx;
             for i in 0..m {
                 if i != row {
-                    self.xb[i] -= dx * w[i];
+                    self.xb[i] -= dx * self.w[i];
                 }
             }
             let leaving = self.basis[row];
-            self.do_pivot(q, row, &w, enter_value);
+            self.do_pivot(q, row, enter_value);
             self.stat[leaving] = if viol > 0.0 { VStat::AtUpper } else { VStat::AtLower };
             since_refresh += 1;
             if since_refresh >= REFRESH_PERIOD {
@@ -1279,17 +1255,34 @@ impl Simplex {
     }
 
     /// Residual ||B x_B + A_N v_N - b||_inf as a numerical health check.
-    fn basis_residual(&self) -> f64 {
-        let mut resid = self.rhs.clone();
-        for j in 0..self.cols.len() {
-            let v = self.var_value(j);
-            if v != 0.0 {
-                for &(r, a) in &self.cols[j] {
-                    resid[r] -= a * v;
-                }
-            }
+    fn basis_residual(&mut self) -> f64 {
+        self.fill_resid(true);
+        self.resid.iter().fold(0.0f64, |acc, r| acc.max(r.abs()))
+    }
+}
+
+/// The rows of a row-major matrix with `m` columns (none when `m == 0`,
+/// where `chunks_exact(0)` would panic).
+fn rows(mat: &[f64], m: usize) -> std::slice::ChunksExact<'_, f64> {
+    mat.chunks_exact(m.max(1))
+}
+
+/// `row *= s`, gathering the nonzero results into `nz` as `(column, value)`.
+fn scale_and_gather(row: &mut [f64], s: f64, nz: &mut Vec<(usize, f64)>) {
+    nz.clear();
+    for (k, v) in row.iter_mut().enumerate() {
+        *v *= s;
+        if *v != 0.0 {
+            nz.push((k, *v));
         }
-        resid.iter().fold(0.0f64, |acc, r| acc.max(r.abs()))
+    }
+}
+
+/// `row[k] -= f * v` over the gathered nonzeros `(k, v)` of a pivot row;
+/// its exact zeros would only subtract `f * 0.0`.
+fn sparse_axpy(row: &mut [f64], f: f64, nz: &[(usize, f64)]) {
+    for &(k, v) in nz {
+        row[k] -= f * v;
     }
 }
 
@@ -1648,6 +1641,350 @@ mod warm_tests {
                 assert!((ow - oc).abs() < 1e-6)
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    /// Three knapsack rows over six binaries: a basis with a 3x3 inverse.
+    fn three_rows() -> (Model, Vec<(f64, f64)>) {
+        let mut m = Model::new();
+        let xs: Vec<_> = (0..6).map(|i| m.binary(format!("x{i}"))).collect();
+        let rows = [[4.0, 3.0, 5.0, 6.0, 2.0, 1.0], [1.0, 5.0, 2.0, 3.0, 6.0, 4.0], [3.0, 1.0, 4.0, 1.0, 5.0, 9.0]];
+        for (r, w) in rows.iter().enumerate() {
+            m.le(format!("cap{r}"), LinExpr::sum(xs.iter().zip(w).map(|(&x, &c)| LinExpr::term(x, c))), 9.5);
+        }
+        let values = [7.0, 4.0, 9.0, 10.0, 3.0, 5.0];
+        m.set_objective(LinExpr::sum(xs.iter().zip(values).map(|(&x, c)| LinExpr::term(x, c))), Sense::Maximize);
+        let bounds = m.vars().iter().map(|v| (v.lb, v.ub)).collect();
+        (m, bounds)
+    }
+
+    /// The snapshot owns the finished solver's inverse (moved, not copied);
+    /// shared behind an `Arc` as on the parallel frontier, it must install
+    /// into two different children, leave itself untouched, and take both
+    /// to the cold optimum.
+    #[test]
+    fn moved_out_snapshot_warm_starts_two_children() {
+        let (m, root_bounds) = three_rows();
+        let root = solve_lp_ext(&m, &root_bounds, None).unwrap();
+        let basis = std::sync::Arc::new(root.basis.expect("root basis"));
+        assert_eq!(basis.rows.len(), 3);
+        assert_eq!(basis.binv.len(), 9, "the snapshot carries the inverse");
+        let before = Basis::clone(&basis);
+        for (j, v) in [(0, 0.0), (3, 1.0)] {
+            let mut b = root_bounds.clone();
+            b[j] = (v, v);
+            let warm = solve_lp_ext(&m, &b, Some(&basis)).unwrap();
+            assert!(warm.stats.warm && !warm.stats.fell_back, "x{j}={v}");
+            assert_eq!(warm.stats.refactorizations, 0, "install is a copy of the shared inverse");
+            match (&warm.result, solve_lp(&m, &b).unwrap()) {
+                (LpResult::Optimal { obj: ow, .. }, LpResult::Optimal { obj: oc, .. }) => {
+                    assert!((ow - oc).abs() < 1e-6, "x{j}={v}: warm {ow} vs cold {oc}")
+                }
+                other => panic!("x{j}={v}: {other:?}"),
+            }
+        }
+        assert_eq!(*basis, before, "children must not disturb the shared snapshot");
+    }
+
+    /// The tableau rows read `B^-1`; they are extracted before the snapshot
+    /// moves it out, so a `TableauLp` carries rows, statuses, values and a
+    /// basis whose inverse still warm-starts without a refactorization.
+    #[test]
+    fn tableau_survives_moving_the_inverse_out() {
+        let (m, bounds) = three_rows();
+        let tab = solve_lp_tableau(&m, &bounds, None, &[true; 6], 1e-6, 8).unwrap();
+        assert!(matches!(tab.result, LpResult::Optimal { .. }));
+        assert_eq!(tab.stat.len(), 9);
+        assert_eq!(tab.values.len(), 9);
+        assert!(!tab.frac_rows.is_empty(), "the relaxation is fractional");
+        for row in &tab.frac_rows {
+            assert!(!row.coeffs.is_empty());
+            let is_basic_value = (0..6).any(|j| tab.stat[j] == TabStat::Basic && tab.values[j] == row.beta);
+            assert!(is_basic_value, "beta {} is no basic variable's value", row.beta);
+        }
+        let basis = tab.basis.expect("optimal tableau has a basis");
+        assert_eq!(basis.binv.len(), 9);
+        let mut b = bounds.clone();
+        b[0] = (0.0, 0.0);
+        let warm = solve_lp_ext(&m, &b, Some(&basis)).unwrap();
+        assert!(warm.stats.warm);
+        assert_eq!(warm.stats.refactorizations, 0);
+    }
+}
+
+/// The new kernels against the loops they replaced. The reference kernels
+/// below are the parent commit's, unchanged: whole-matrix indexing,
+/// column-strided `ftran`, the eager singularity scale. Equality is `==` on
+/// every element, so `+0.0` and `-0.0` agree and nothing else does.
+#[cfg(test)]
+mod kernel_tests {
+    use super::*;
+    use crate::model::{LinExpr, Model, Sense};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    fn ref_ftran(sx: &Simplex, binv: &[f64], j: usize) -> Vec<f64> {
+        let m = sx.m;
+        let mut w = vec![0.0; m];
+        for &(col, a) in &sx.cols[j] {
+            for i in 0..m {
+                let v = binv[i * m + col];
+                if v != 0.0 {
+                    w[i] += v * a;
+                }
+            }
+        }
+        w
+    }
+
+    fn ref_do_pivot(binv: &mut [f64], m: usize, row: usize, w: &[f64]) {
+        let inv = 1.0 / w[row];
+        for k in 0..m {
+            binv[row * m + k] *= inv;
+        }
+        for i in 0..m {
+            if i != row && w[i] != 0.0 {
+                for k in 0..m {
+                    if binv[row * m + k] != 0.0 {
+                        binv[i * m + k] -= w[i] * binv[row * m + k];
+                    }
+                }
+            }
+        }
+    }
+
+    fn ref_dual_prices(sx: &Simplex, binv: &[f64], c: &[f64]) -> Vec<f64> {
+        let m = sx.m;
+        let mut y = vec![0.0; m];
+        for i in 0..m {
+            let cb = c[sx.basis[i]];
+            if cb != 0.0 {
+                for k in 0..m {
+                    let v = binv[i * m + k];
+                    if v != 0.0 {
+                        y[k] += cb * v;
+                    }
+                }
+            }
+        }
+        y
+    }
+
+    fn ref_refresh_values(sx: &Simplex, binv: &[f64]) -> Vec<f64> {
+        let m = sx.m;
+        let mut resid = sx.rhs.clone();
+        for j in 0..sx.cols.len() {
+            if matches!(sx.stat[j], VStat::Basic(_)) {
+                continue;
+            }
+            let v = sx.var_value(j);
+            if v != 0.0 {
+                for &(r, a) in &sx.cols[j] {
+                    resid[r] -= a * v;
+                }
+            }
+        }
+        (0..m)
+            .map(|i| {
+                let mut acc = 0.0;
+                for k in 0..m {
+                    let v = binv[i * m + k];
+                    if v != 0.0 {
+                        acc += v * resid[k];
+                    }
+                }
+                acc
+            })
+            .collect()
+    }
+
+    /// Gauss-Jordan with the whole-matrix scale folded afresh for every
+    /// column; `None` is the singular verdict.
+    fn ref_refactorize(sx: &Simplex) -> Option<Vec<f64>> {
+        let m = sx.m;
+        let mut bmat = vec![0.0f64; m * m];
+        for (col, &j) in sx.basis.iter().enumerate() {
+            for &(r, a) in &sx.cols[j] {
+                bmat[r * m + col] = a;
+            }
+        }
+        let mut inv = identity(m);
+        for c in 0..m {
+            let mut best = c;
+            let mut best_abs = bmat[c * m + c].abs();
+            for r in (c + 1)..m {
+                let a = bmat[r * m + c].abs();
+                if a > best_abs {
+                    best = r;
+                    best_abs = a;
+                }
+            }
+            let scale = bmat.iter().fold(1.0f64, |acc, &v| acc.max(v.abs()));
+            if best_abs < 1e-13 * scale {
+                return None;
+            }
+            if best != c {
+                for k in 0..m {
+                    bmat.swap(c * m + k, best * m + k);
+                    inv.swap(c * m + k, best * m + k);
+                }
+            }
+            let pinv = 1.0 / bmat[c * m + c];
+            for k in 0..m {
+                bmat[c * m + k] *= pinv;
+                inv[c * m + k] *= pinv;
+            }
+            for r in 0..m {
+                let f = bmat[r * m + c];
+                if r != c && f != 0.0 {
+                    for k in 0..m {
+                        bmat[r * m + k] -= f * bmat[c * m + k];
+                        inv[r * m + k] -= f * inv[c * m + k];
+                    }
+                }
+            }
+        }
+        Some(inv)
+    }
+
+    /// Seat `basis` (one variable per row) with an identity inverse and
+    /// everything else at its lower bound — the state `solve` starts from.
+    fn seat(sx: &mut Simplex, basis: Vec<usize>) {
+        let m = sx.m;
+        sx.stat = vec![VStat::AtLower; sx.n + m];
+        for (i, &b) in basis.iter().enumerate() {
+            sx.stat[b] = VStat::Basic(i);
+        }
+        sx.banned = vec![false; sx.n + m];
+        sx.binv = identity(m);
+        sx.basis = basis;
+        sx.xb = vec![0.0; m];
+    }
+
+    /// A solver sitting on the slack basis of a seeded random `m`-row,
+    /// `m`-column model of the given coefficient density.
+    fn random_simplex(rng: &mut StdRng, m: usize, density: f64) -> Simplex {
+        let mut model = Model::new();
+        let xs: Vec<_> = (0..m).map(|j| model.continuous(format!("x{j}"), 0.0, 10.0)).collect();
+        for i in 0..m {
+            let mut row = LinExpr::term(xs[i], rng.gen_range(1.0..5.0));
+            for &x in &xs {
+                if rng.gen_bool(density) {
+                    row += LinExpr::term(x, rng.gen_range(-5.0..5.0));
+                }
+            }
+            model.le(format!("r{i}"), row, rng.gen_range(1.0..50.0));
+        }
+        model.set_objective(
+            LinExpr::sum(xs.iter().map(|&x| LinExpr::term(x, rng.gen_range(-3.0..3.0)))),
+            Sense::Maximize,
+        );
+        let bounds: Vec<_> = model.vars().iter().map(|v| (v.lb, v.ub)).collect();
+        let mut sx = Simplex::build(&model, &bounds);
+        seat(&mut sx, (m..2 * m).collect());
+        // Some structurals rest at their upper bound, so the residual and
+        // the refreshed values are not all zeros.
+        for j in 0..m {
+            if rng.gen_bool(0.3) {
+                sx.stat[j] = VStat::AtUpper;
+            }
+        }
+        sx.refresh_values();
+        sx
+    }
+
+    #[test]
+    fn kernels_match_the_reference_loops_pivot_by_pivot() {
+        let mut rng = StdRng::seed_from_u64(0x51_4d_50_4c);
+        for &m in &[5usize, 40, 200] {
+            for &density in &[0.02, 0.1, 0.3] {
+                let mut sx = random_simplex(&mut rng, m, density);
+                let cost = sx.obj.clone();
+                let mut binv = sx.binv.clone();
+                let mut pivots = 0;
+                let mut attempts = 0;
+                while pivots < 200 {
+                    attempts += 1;
+                    assert!(attempts < 5000, "m={m} density={density}: no pivotable column");
+                    let j = rng.gen_range(0..2 * m);
+                    if matches!(sx.stat[j], VStat::Basic(_)) {
+                        continue;
+                    }
+                    sx.ftran(j);
+                    let w = ref_ftran(&sx, &binv, j);
+                    assert_eq!(sx.w, w, "ftran, m={m} density={density} pivot {pivots}");
+                    // A row among the larger entries keeps the basis away
+                    // from singular over hundreds of random pivots.
+                    let big = w.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
+                    let rows: Vec<usize> = (0..m).filter(|&i| w[i].abs() >= 0.5 * big && big > 1e-6).collect();
+                    if rows.is_empty() {
+                        continue;
+                    }
+                    let row = rows[rng.gen_range(0..rows.len())];
+                    let leaving = sx.basis[row];
+                    sx.do_pivot(j, row, sx.var_value(j));
+                    sx.stat[leaving] = VStat::AtLower;
+                    ref_do_pivot(&mut binv, m, row, &w);
+                    pivots += 1;
+                    assert_eq!(sx.binv, binv, "do_pivot, m={m} density={density} pivot {pivots}");
+                    sx.dual_prices(&cost);
+                    assert_eq!(sx.y, ref_dual_prices(&sx, &binv, &cost), "dual prices, pivot {pivots}");
+                    sx.refresh_values();
+                    assert_eq!(sx.xb, ref_refresh_values(&sx, &binv), "refresh_values, pivot {pivots}");
+                    if pivots % 50 == 0 {
+                        binv = ref_refactorize(&sx).expect("pivots among the larger entries keep the basis regular");
+                        sx.refactorize().expect("the verdict of the eager scale");
+                        assert_eq!(sx.binv, binv, "refactorize, m={m} density={density}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A solver whose basis matrix is exactly `columns` (sparse, one list
+    /// of `(row, value)` per basic column), bypassing row equilibration.
+    fn with_basis_matrix(columns: &[Vec<(usize, f64)>]) -> Simplex {
+        let m = columns.len();
+        let mut model = Model::new();
+        for i in 0..m {
+            let x = model.continuous(format!("x{i}"), 0.0, 1.0);
+            model.le(format!("r{i}"), LinExpr::from(x), 1.0);
+        }
+        let bounds: Vec<_> = model.vars().iter().map(|v| (v.lb, v.ub)).collect();
+        let mut sx = Simplex::build(&model, &bounds);
+        sx.cols[..m].clone_from_slice(columns);
+        seat(&mut sx, (0..m).collect());
+        sx
+    }
+
+    /// The lazy scale check must give the eager fold's verdict (and, when
+    /// it passes, its inverse) on every side of the threshold.
+    #[test]
+    fn lazy_singularity_scale_gives_the_eager_verdict() {
+        let diag = |d: [f64; 3]| vec![vec![(0, d[0])], vec![(1, d[1])], vec![(2, d[2])]];
+        type Columns = Vec<Vec<(usize, f64)>>;
+        let cases: Vec<(&str, Columns, bool)> = vec![
+            ("two equal columns", vec![vec![(0, 1.0), (1, 2.0)], vec![(0, 1.0), (1, 2.0)], vec![(2, 1.0)]], false),
+            ("pivot just above 1e-13 * 1", diag([1.0, 1.0, 1.01e-13]), true),
+            ("pivot just below 1e-13 * 1", diag([1.0, 1.0, 0.99e-13]), false),
+            // The 4e3 sits in the last column until that column is
+            // eliminated, so it is the scale its pivot is judged against.
+            ("pivot just above 1e-13 * 4e3", vec![vec![(0, 1.0)], vec![(1, 1.0)], vec![(0, 4e3), (2, 4.04e-10)]], true),
+            ("pivot just below 1e-13 * 4e3", vec![vec![(0, 1.0)], vec![(1, 1.0)], vec![(0, 4e3), (2, 3.96e-10)]], false),
+            // Entries shrink: scaling row 0 turns the 4e3 into 1, so the
+            // running maximum (4e3) overstates the scale (1) by the time
+            // the last pivot is judged. Only the exact fold may say no.
+            ("running max above true max, passes", diag([4e3, 1.0, 2e-13]), true),
+            ("running max above true max, fails", diag([4e3, 1.0, 0.5e-13]), false),
+        ];
+        for (name, columns, ok) in cases {
+            let mut sx = with_basis_matrix(&columns);
+            let eager = ref_refactorize(&sx);
+            assert_eq!(eager.is_some(), ok, "{name}: the case does not sit where it claims");
+            assert_eq!(sx.refactorize().is_ok(), ok, "{name}");
+            if let Some(inv) = eager {
+                assert_eq!(sx.binv, inv, "{name}");
+            }
         }
     }
 }
