@@ -29,8 +29,9 @@
 //!   the generated `State` keeps its own register undo log and rolls
 //!   back before returning, so a dropped packet leaves no trace.
 //! * Table and action ids reuse the bytecode backend's sorted-by-name
-//!   dense numbering, so the host forwards the same pre-resolved
-//!   `CEntry` installs (see `crate::compiled`) to both engines.
+//!   dense numbering, and the table store is the bytecode engine's own
+//!   `flat_table.rs`, pasted in verbatim: the host forwards one
+//!   pre-resolved install to both engines.
 //!
 //! Generation is deterministic: two lowerings of the same `Switch`
 //! produce byte-identical source (asserted by `tests/native_backend.rs`).
@@ -53,6 +54,9 @@ pub(crate) struct Generated {
     /// diag id baked into `f_dyn` calls.
     pub diags: Vec<String>,
 }
+
+/// The table store both fast engines share, embedded as source text.
+const FLAT_TABLE: &str = include_str!("flat_table.rs");
 
 /// Lower `sw` into a self-contained Rust crate exposing the `p4n_*` ABI.
 pub(crate) fn generate(sw: &Switch) -> Generated {
@@ -112,7 +116,7 @@ impl<'a> Gen<'a> {
 
     /// Dense table/action ids shared with the bytecode backend.
     fn table_id(&self, name: &str) -> usize {
-        self.sw.compiled.table_ids[name] as usize
+        self.sw.table_ids[name] as usize
     }
 
     /// Action names in dense-id order (the bytecode backend's numbering).
@@ -177,166 +181,12 @@ impl<'a> Gen<'a> {
         self.line("}");
         self.blank();
 
-        self.line("struct Entry { action: u32, data: Vec<(u32, u64)> }");
-        self.blank();
-        // Open-addressed exact-match table: power-of-two capacity, one
-        // control byte per slot (0 empty / 1 full / 2 tombstone), keys
-        // flattened into one contiguous word array. Lookup is a hash, a
-        // mask, and a linear probe over adjacent memory — no hasher
-        // state machine, no per-key Vec allocation, no bucket pointers.
-        self.line("const CTRL_EMPTY: u8 = 0;");
-        self.line("const CTRL_FULL: u8 = 1;");
-        self.line("const CTRL_TOMB: u8 = 2;");
-        self.blank();
-        self.line("/// Same multiply-xor mix as the bytecode backend's FxHasher,");
-        self.line("/// unrolled over the key words.");
-        self.line("#[inline(always)]");
-        self.line("fn table_hash(key: &[u64]) -> u64 {");
-        self.line("    let mut h = 0u64;");
-        self.line("    for &w in key {");
-        self.line("        h = (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);");
-        self.line("    }");
-        self.line("    h");
+        // The table store is not printed but pasted: one implementation,
+        // unit-tested where it lives.
+        self.line("mod flat_table {");
+        self.src.push_str(FLAT_TABLE);
         self.line("}");
-        self.blank();
-        self.line("#[derive(Default)]");
-        self.line("struct Table {");
-        self.line("    /// Words per key; fixed per table, set on first insert.");
-        self.line("    key_words: usize,");
-        self.line("    /// Power-of-two slot count (0 until the first insert).");
-        self.line("    cap: usize,");
-        self.line("    /// Full + tombstone slots: bounds the probe length.");
-        self.line("    used: usize,");
-        self.line("    ctrl: Vec<u8>,");
-        self.line("    keys: Vec<u64>,");
-        self.line("    entries: Vec<Entry>,");
-        self.line("}");
-        self.blank();
-        self.line("impl Table {");
-        self.line("    #[inline(always)]");
-        self.line("    fn lookup(&self, key: &[u64]) -> Option<&Entry> {");
-        self.line("        if self.cap == 0 {");
-        self.line("            return None;");
-        self.line("        }");
-        self.line("        let mask = self.cap - 1;");
-        self.line("        let kw = self.key_words;");
-        self.line("        let mut i = (table_hash(key) as usize) & mask;");
-        self.line("        loop {");
-        self.line("            match self.ctrl[i] {");
-        self.line("                CTRL_EMPTY => return None,");
-        self.line("                CTRL_FULL => {");
-        self.line("                    if self.keys[i * kw..i * kw + kw] == *key {");
-        self.line("                        return Some(&self.entries[i]);");
-        self.line("                    }");
-        self.line("                }");
-        self.line("                _ => {}");
-        self.line("            }");
-        self.line("            i = (i + 1) & mask;");
-        self.line("        }");
-        self.line("    }");
-        self.blank();
-        self.line("    fn insert(&mut self, key: &[u64], entry: Entry) {");
-        self.line("        if self.cap != 0 && key.len() != self.key_words {");
-        self.line("            return; // malformed install: key arity is fixed per table");
-        self.line("        }");
-        self.line("        // Resize at 7/8 load (tombstones included, so probes stay");
-        self.line("        // short and always terminate at an empty slot).");
-        self.line("        if (self.used + 1) * 8 > self.cap * 7 {");
-        self.line("            self.grow(key.len());");
-        self.line("        }");
-        self.line("        let mask = self.cap - 1;");
-        self.line("        let kw = self.key_words;");
-        self.line("        let mut i = (table_hash(key) as usize) & mask;");
-        self.line("        let mut slot = usize::MAX; // first tombstone on the probe path");
-        self.line("        loop {");
-        self.line("            match self.ctrl[i] {");
-        self.line("                CTRL_EMPTY => break,");
-        self.line("                CTRL_FULL => {");
-        self.line("                    if self.keys[i * kw..i * kw + kw] == *key {");
-        self.line("                        self.entries[i] = entry;");
-        self.line("                        return;");
-        self.line("                    }");
-        self.line("                }");
-        self.line("                _ => {");
-        self.line("                    if slot == usize::MAX {");
-        self.line("                        slot = i;");
-        self.line("                    }");
-        self.line("                }");
-        self.line("            }");
-        self.line("            i = (i + 1) & mask;");
-        self.line("        }");
-        self.line("        let i = if slot != usize::MAX { slot } else { i };");
-        self.line("        if self.ctrl[i] == CTRL_EMPTY {");
-        self.line("            self.used += 1;");
-        self.line("        }");
-        self.line("        self.ctrl[i] = CTRL_FULL;");
-        self.line("        self.keys[i * kw..i * kw + kw].copy_from_slice(key);");
-        self.line("        self.entries[i] = entry;");
-        self.line("    }");
-        self.blank();
-        self.line("    fn remove(&mut self, key: &[u64]) {");
-        self.line("        if self.cap == 0 || key.len() != self.key_words {");
-        self.line("            return;");
-        self.line("        }");
-        self.line("        let mask = self.cap - 1;");
-        self.line("        let kw = self.key_words;");
-        self.line("        let mut i = (table_hash(key) as usize) & mask;");
-        self.line("        loop {");
-        self.line("            match self.ctrl[i] {");
-        self.line("                CTRL_EMPTY => return,");
-        self.line("                CTRL_FULL => {");
-        self.line("                    if self.keys[i * kw..i * kw + kw] == *key {");
-        self.line("                        self.ctrl[i] = CTRL_TOMB;");
-        self.line("                        self.entries[i] = Entry { action: 0, data: Vec::new() };");
-        self.line("                        return;");
-        self.line("                    }");
-        self.line("                }");
-        self.line("                _ => {}");
-        self.line("            }");
-        self.line("            i = (i + 1) & mask;");
-        self.line("        }");
-        self.line("    }");
-        self.blank();
-        self.line("    fn clear(&mut self) {");
-        self.line("        self.ctrl.fill(CTRL_EMPTY);");
-        self.line("        for e in &mut self.entries {");
-        self.line("            *e = Entry { action: 0, data: Vec::new() };");
-        self.line("        }");
-        self.line("        self.used = 0;");
-        self.line("    }");
-        self.blank();
-        self.line("    fn grow(&mut self, key_words: usize) {");
-        self.line("        let new_cap = if self.cap == 0 { 8 } else { self.cap * 2 };");
-        self.line("        if self.cap == 0 {");
-        self.line("            self.key_words = key_words;");
-        self.line("        }");
-        self.line("        let kw = self.key_words;");
-        self.line("        let old_ctrl = std::mem::replace(&mut self.ctrl, vec![CTRL_EMPTY; new_cap]);");
-        self.line("        let old_keys = std::mem::replace(&mut self.keys, vec![0; new_cap * kw]);");
-        self.line("        let old_entries = std::mem::take(&mut self.entries);");
-        self.line("        self.cap = new_cap;");
-        self.line("        self.used = 0;");
-        self.line("        self.entries.reserve(new_cap);");
-        self.line("        for _ in 0..new_cap {");
-        self.line("            self.entries.push(Entry { action: 0, data: Vec::new() });");
-        self.line("        }");
-        self.line("        let mask = new_cap - 1;");
-        self.line("        for (i, entry) in old_entries.into_iter().enumerate() {");
-        self.line("            if old_ctrl[i] != CTRL_FULL {");
-        self.line("                continue;");
-        self.line("            }");
-        self.line("            let key = &old_keys[i * kw..i * kw + kw];");
-        self.line("            let mut j = (table_hash(key) as usize) & mask;");
-        self.line("            while self.ctrl[j] == CTRL_FULL {");
-        self.line("                j = (j + 1) & mask;");
-        self.line("            }");
-        self.line("            self.ctrl[j] = CTRL_FULL;");
-        self.line("            self.keys[j * kw..j * kw + kw].copy_from_slice(key);");
-        self.line("            self.entries[j] = entry;");
-        self.line("            self.used += 1;");
-        self.line("        }");
-        self.line("    }");
-        self.line("}");
+        self.line("use flat_table::{Entry, Table};");
         self.blank();
         self.line(&format!("const TABLE_COUNT: usize = {t};"));
         self.blank();
@@ -630,7 +480,9 @@ impl<'a> Gen<'a> {
         self.line("#[no_mangle]");
         self.line("pub extern \"C\" fn p4n_new() -> *mut State {");
         self.line("    Box::into_raw(Box::new(State {");
-        self.line("        tables: std::array::from_fn(|_| Table::default()),");
+        let tables: Vec<String> =
+            self.sw.ctables.iter().map(|t| format!("Table::new({})", t.key_words())).collect();
+        self.line(&format!("        tables: [{}],", tables.join(", ")));
         self.line("        undo: Vec::new(),");
         self.line("    }))");
         self.line("}");
@@ -835,14 +687,19 @@ mod tests {
         }
     }
 
-    /// Generated table lookups are open-addressed — no std `HashMap`
-    /// (and no `Hasher` state machine) anywhere in the emitted crate.
+    /// The generated crate's table store is `flat_table.rs` itself, byte
+    /// for byte — the open-addressed table the bytecode engine runs and
+    /// `flat_table_tests.rs` tests — and no second copy is printed from
+    /// string literals.
     #[test]
     fn generated_tables_use_open_addressing() {
         let sw = build();
         let g = generate(&sw);
-        assert!(!g.source.contains("HashMap"), "generated source must not use HashMap");
-        assert!(g.source.contains("fn lookup"), "open-addressed lookup missing");
-        assert!(g.source.contains("fn table_hash"), "flat key hash missing");
+        assert!(g.source.contains(include_str!("flat_table.rs")), "flat_table.rs not embedded");
+        assert_eq!(g.source.matches("fn table_hash").count(), 1, "one hash");
+        assert_eq!(g.source.matches("impl Table").count(), 1, "one table");
+        let printer = include_str!("codegen.rs");
+        let quoted = ["self.line(\"impl", " Table"].concat();
+        assert!(!printer.contains(&quoted), "codegen.rs prints a table of its own again");
     }
 }

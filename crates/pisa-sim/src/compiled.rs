@@ -20,8 +20,9 @@
 //! - the sketch idiom `reg[c] = reg[c] + v` becomes one undo-logged
 //!   `Instr::RegAdd`;
 //! - a table apply is a single `Instr::Apply` whose key operands are
-//!   read inline; installed entries resolve action names and action-data
-//!   field names to dense indices *at install time*.
+//!   read inline and probed in the flat table (`flat_table.rs`); the
+//!   control plane resolves action names and action-data field names to
+//!   dense indices *at install time*.
 //!
 //! A stage is one contiguous code range, so packet execution is a single
 //! dispatch loop per stage: **zero** string hashing, no `Box` pointer
@@ -42,12 +43,12 @@
 //! operands fold inline), same error surface, same hash function.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 use p4all_lang::ast::BinOp;
 
+use crate::flat_table::Table;
 use crate::interp::{rollback, CDst, CExpr, CStmt, RegUndo, SimError, Switch};
-use crate::state::{Phv, RegState, TableEntry};
+use crate::state::{Phv, RegState};
 
 /// Index into the per-packet temporary file.
 pub(crate) type Temp = u16;
@@ -164,62 +165,11 @@ pub(crate) enum DefaultAction {
     Unknown(String),
 }
 
-/// Static per-table data (dynamic entries live in [`CompiledTableState`]).
+/// Static per-table data, by dense table id (the entries live in the
+/// switch's [`Table`]s, same order).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TableMeta {
     pub default_action: DefaultAction,
-}
-
-/// An installed entry with everything pre-resolved: dense action id and
-/// `(slot, value)` action-data writes.
-#[derive(Debug, Clone)]
-pub(crate) struct CEntry {
-    pub action: u32,
-    pub data: Vec<(u32, u64)>,
-}
-
-/// Multiply-xor hash (FxHash-style) for the per-packet table lookup: the
-/// default SipHash is DoS-resistant but costs more than the lookup
-/// itself, and table keys here are switch-internal values, not attacker-
-/// chosen map keys.
-#[derive(Default)]
-pub(crate) struct FxHasher {
-    hash: u64,
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(buf));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-}
-
-type FxBuild = BuildHasherDefault<FxHasher>;
-
-/// The dynamic half of a table, mirrored from the interpreter's
-/// [`crate::state::TableState`] on every control-plane mutation.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct CompiledTableState {
-    pub entries: HashMap<Vec<u64>, CEntry, FxBuild>,
 }
 
 /// A lowered program: one flat code vector plus dense dispatch metadata.
@@ -234,7 +184,6 @@ pub(crate) struct CompiledProgram {
     pub body: (u32, u32),
     pub tables: Vec<TableMeta>,
     pub apply_sites: Vec<ApplySite>,
-    pub table_ids: HashMap<String, u16>,
     /// Dense id -> code range, for table-dispatched action bodies.
     pub action_code: Vec<(u32, u32)>,
     pub action_ids: HashMap<String, u32>,
@@ -642,10 +591,9 @@ fn static_opnd(e: &CExpr) -> Option<Opnd> {
     }
 }
 
-/// Lower the switch's interpreter structures into bytecode, and mirror
-/// any already-installed table entries. Infallible: everything it
-/// consumes was validated by [`Switch::build`].
-pub(crate) fn lower(sw: &Switch) -> (CompiledProgram, Vec<CompiledTableState>) {
+/// Lower the switch's interpreter structures into bytecode. Infallible:
+/// everything it consumes was validated by [`Switch::build`].
+pub(crate) fn lower(sw: &Switch) -> CompiledProgram {
     let mut lo = Lowerer::new();
 
     // Dense action ids for table-dispatched bodies (sorted for a
@@ -659,15 +607,8 @@ pub(crate) fn lower(sw: &Switch) -> (CompiledProgram, Vec<CompiledTableState>) {
         action_code.push(lo.lower_block(&sw.table_actions[*name]));
     }
 
-    // Dense table ids (sorted for determinism).
-    let mut table_names: Vec<&String> = sw.tables().keys().collect();
-    table_names.sort();
-    let mut table_ids = HashMap::new();
-    let mut tables = Vec::with_capacity(table_names.len());
-    let mut ctables = Vec::with_capacity(table_names.len());
-    for (id, name) in table_names.iter().enumerate() {
-        table_ids.insert((*name).clone(), id as u16);
-        let ts = &sw.tables()[*name];
+    let mut tables = Vec::with_capacity(sw.tables.len());
+    for ts in &sw.tables {
         let default_action = match &ts.default_action {
             None => DefaultAction::None,
             Some(a) => match action_ids.get(a) {
@@ -676,11 +617,6 @@ pub(crate) fn lower(sw: &Switch) -> (CompiledProgram, Vec<CompiledTableState>) {
             },
         };
         tables.push(TableMeta { default_action });
-        let mut cts = CompiledTableState::default();
-        for (key, entry) in &ts.entries {
-            cts.entries.insert(key.clone(), compile_entry(sw, &action_ids, entry));
-        }
-        ctables.push(cts);
     }
 
     // Stage programs: each stage is one contiguous range. A guard lowers
@@ -705,7 +641,7 @@ pub(crate) fn lower(sw: &Switch) -> (CompiledProgram, Vec<CompiledTableState>) {
                 lo.reset_temps();
                 let key_ops: Vec<Opnd> = keys.iter().map(|k| lo.operand(k)).collect();
                 let site = apply_sites.len() as u16;
-                apply_sites.push(ApplySite { table: table_ids[tname], key_ops });
+                apply_sites.push(ApplySite { table: sw.table_ids[tname], key_ops });
                 lo.code.push(Instr::Apply { site });
             }
             lo.lower_block(&a.body);
@@ -730,7 +666,6 @@ pub(crate) fn lower(sw: &Switch) -> (CompiledProgram, Vec<CompiledTableState>) {
         body,
         tables,
         apply_sites,
-        table_ids,
         action_code,
         action_ids,
         diags: lo.diags,
@@ -738,7 +673,7 @@ pub(crate) fn lower(sw: &Switch) -> (CompiledProgram, Vec<CompiledTableState>) {
     };
     peephole(&mut prog, &sw.masks, &sw.registers);
     validate(&prog, sw.masks.len(), sw.registers.len());
-    (prog, ctables)
+    prog
 }
 
 /// Try to fuse the CMS idiom at `code[pc..pc + 3]`: hash into an index
@@ -979,23 +914,6 @@ fn validate(prog: &CompiledProgram, phv_len: usize, reg_count: usize) {
     }
 }
 
-/// Resolve an interpreter-form entry (validated at install) into its
-/// dense executable form.
-pub(crate) fn compile_entry(
-    sw: &Switch,
-    action_ids: &HashMap<String, u32>,
-    entry: &TableEntry,
-) -> CEntry {
-    CEntry {
-        action: action_ids[&entry.action],
-        data: entry
-            .data
-            .iter()
-            .map(|(f, v)| (sw.meta_scalar_slot(f).expect("validated at install") as u32, *v))
-            .collect(),
-    }
-}
-
 // ------------------------------------------------------------ execution
 
 /// Uniform access to one packet's PHV slots and temporary file, so the
@@ -1119,7 +1037,7 @@ fn cmp(op: BinOp, x: u64, y: u64) -> bool {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_packet(
     prog: &CompiledProgram,
-    ctables: &[CompiledTableState],
+    ctables: &[Table],
     regs: &mut [RegState],
     phv: &mut Phv,
     ctx: &mut ExecCtx,
@@ -1145,7 +1063,7 @@ pub(crate) fn run_packet(
 #[allow(clippy::too_many_arguments)]
 fn exec_range<V: PhvView>(
     prog: &CompiledProgram,
-    ctables: &[CompiledTableState],
+    ctables: &[Table],
     regs: &mut [RegState],
     view: &mut V,
     keys: &mut Vec<u64>,
@@ -1380,7 +1298,7 @@ fn exec_range<V: PhvView>(
                 for op in &site.key_ops {
                     keys.push(ov(view, op));
                 }
-                let action = match ctables[site.table as usize].entries.get(keys.as_slice()) {
+                let action = match ctables[site.table as usize].lookup(keys) {
                     Some(e) => {
                         for &(slot, val) in &e.data {
                             view.set(slot as usize, val);
@@ -1449,7 +1367,7 @@ impl BatchCtx {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_batch(
     prog: &CompiledProgram,
-    ctables: &[CompiledTableState],
+    ctables: &[Table],
     regs: &mut [RegState],
     masks: &[u64],
     n: usize,

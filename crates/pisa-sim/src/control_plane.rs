@@ -5,7 +5,11 @@
 //! state. Application runtimes (e.g. [`crate::netcache_rt`]) are built on
 //! these calls.
 
+use std::collections::hash_map::Entry as MapEntry;
+
+use crate::flat_table::Entry;
 use crate::interp::{SimError, Switch};
+use crate::state::TableEntry;
 
 impl Switch {
     /// Install an exact-match entry: `key` (one value per key field) →
@@ -18,71 +22,72 @@ impl Switch {
         action: &str,
         data: &[(&str, u64)],
     ) -> Result<(), SimError> {
-        let entry = self.make_entry(table, action, data)?;
-        // Resolve the bytecode form now, while the names are at hand:
-        // install time is the last moment a string may be hashed.
-        let centry = crate::compiled::compile_entry(self, &self.compiled.action_ids, &entry);
-        let tidx = self.compiled.table_ids[table] as usize;
-        let t = self
-            .tables_mut()
-            .get_mut(table)
-            .ok_or_else(|| SimError::UnknownTable(table.to_string()))?;
-        if !t.entries.contains_key(&key) && t.is_full() {
+        // Install time is the last moment a string may be hashed, and each
+        // name is hashed once: the lookup that validates it also yields the
+        // dense id the fast engines run on.
+        let tid = self.table_id(table)?;
+        let action_id = *self
+            .compiled
+            .action_ids
+            .get(action)
+            .ok_or_else(|| SimError::UnknownAction(action.to_string()))?;
+        let mut named = Vec::with_capacity(data.len());
+        let mut dense = Vec::with_capacity(data.len());
+        for &(field, value) in data {
+            let slot = self
+                .meta_scalar_slot(field)
+                .ok_or_else(|| SimError::UnknownField(format!("meta.{field}")))?;
+            named.push((field.to_string(), value));
+            dense.push((slot as u32, value));
+        }
+        let t = &mut self.tables[tid];
+        let full = t.is_full();
+        let mirror = t.entries.entry(key);
+        if full && matches!(mirror, MapEntry::Vacant(_)) {
             return Err(SimError::TableFull(table.to_string()));
         }
-        t.entries.insert(key.clone(), entry);
-        // The native engine (if prepared) keeps its own table mirror;
-        // forward the pre-resolved form there too.
-        if let Some(engine) = &self.native {
-            engine.install(tidx as u64, &key, &centry);
+        // Three consumers: the native engine's table (if loaded), the
+        // bytecode engine's, and the interpreter's by-name mirror, which
+        // takes the key itself.
+        if let Some(engine) = &mut self.native {
+            engine.install(tid as u64, mirror.key(), action_id, &dense);
         }
-        self.ctables[tidx].entries.insert(key, centry);
+        self.ctables[tid].insert(mirror.key(), Entry { action: action_id, data: dense });
+        mirror.insert_entry(TableEntry { action: action.to_string(), data: named });
         Ok(())
     }
 
     /// Remove one entry; returns whether it existed.
     pub fn remove_entry(&mut self, table: &str, key: &[u64]) -> Result<bool, SimError> {
-        let t = self
-            .tables_mut()
-            .get_mut(table)
-            .ok_or_else(|| SimError::UnknownTable(table.to_string()))?;
-        let existed = t.entries.remove(key).is_some();
-        let tidx = self.compiled.table_ids[table] as usize;
-        self.ctables[tidx].entries.remove(key);
+        let tid = self.table_id(table)?;
+        let existed = self.tables[tid].entries.remove(key).is_some();
+        self.ctables[tid].remove(key);
         if let Some(engine) = &self.native {
-            engine.remove(tidx as u64, key);
+            engine.remove(tid as u64, key);
         }
         Ok(existed)
     }
 
     /// Drop every entry of a table.
     pub fn clear_table(&mut self, table: &str) -> Result<(), SimError> {
-        let t = self
-            .tables_mut()
-            .get_mut(table)
-            .ok_or_else(|| SimError::UnknownTable(table.to_string()))?;
-        t.entries.clear();
-        let tidx = self.compiled.table_ids[table] as usize;
-        self.ctables[tidx].entries.clear();
+        let tid = self.table_id(table)?;
+        self.tables[tid].entries.clear();
+        self.ctables[tid].clear();
         if let Some(engine) = &self.native {
-            engine.clear_table(tidx as u64);
+            engine.clear_table(tid as u64);
         }
         Ok(())
     }
 
     /// Current entry count of a table.
     pub fn table_len(&self, table: &str) -> Result<usize, SimError> {
-        self.tables()
-            .get(table)
-            .map(|t| t.entries.len())
-            .ok_or_else(|| SimError::UnknownTable(table.to_string()))
+        Ok(self.tables[self.table_id(table)?].entries.len())
     }
 
     /// Read one register cell.
     pub fn read_register(&self, reg: &str, instance: usize, cell: usize) -> Result<u64, SimError> {
-        let idx = self.reg_idx(reg, instance)?;
-        let r = &self.registers()[idx];
-        r.cells.get(cell).copied().ok_or(SimError::IndexOutOfBounds {
+        let r = &self.registers[self.reg_idx(reg, instance)?];
+        r.cells.get(cell).copied().ok_or_else(|| SimError::IndexOutOfBounds {
             what: format!("{reg}[{instance}]"),
             index: cell as u64,
             len: r.cells.len(),
@@ -98,9 +103,9 @@ impl Switch {
         value: u64,
     ) -> Result<(), SimError> {
         let idx = self.reg_idx(reg, instance)?;
-        let r = &mut self.registers_mut()[idx];
+        let r = &mut self.registers[idx];
         let len = r.cells.len();
-        let slot = r.cells.get_mut(cell).ok_or(SimError::IndexOutOfBounds {
+        let slot = r.cells.get_mut(cell).ok_or_else(|| SimError::IndexOutOfBounds {
             what: format!("{reg}[{instance}]"),
             index: cell as u64,
             len,
@@ -111,7 +116,7 @@ impl Switch {
 
     /// Zero every cell of every instance of `reg` (epoch reset).
     pub fn clear_register(&mut self, reg: &str) {
-        for r in self.registers_mut() {
+        for r in &mut self.registers {
             if r.reg == reg {
                 r.clear();
             }
@@ -120,13 +125,12 @@ impl Switch {
 
     /// Cell count of a register instance.
     pub fn register_cells(&self, reg: &str, instance: usize) -> Result<usize, SimError> {
-        let idx = self.reg_idx(reg, instance)?;
-        Ok(self.registers()[idx].cells.len())
+        Ok(self.registers[self.reg_idx(reg, instance)?].cells.len())
     }
 
     /// Number of placed instances of `reg`.
     pub fn register_instances(&self, reg: &str) -> usize {
-        self.registers().iter().filter(|r| r.reg == reg).count()
+        self.registers.iter().filter(|r| r.reg == reg).count()
     }
 }
 
@@ -214,6 +218,54 @@ mod tests {
             sw.install_entry("cache", vec![1], "on_hit", &[("ghost", 0)]),
             Err(SimError::UnknownField(_))
         ));
+    }
+
+    /// A call that is wrong in several ways reports the first of unknown
+    /// table, unknown action, unknown field, full table — with these texts.
+    #[test]
+    fn install_errors_keep_precedence_and_text() {
+        let mut sw = build();
+        sw.install_entry("cache", vec![1], "on_hit", &[]).unwrap();
+        sw.install_entry("cache", vec![2], "on_hit", &[]).unwrap();
+        let mut err = |table: &str, action: &str, field: &str| {
+            sw.install_entry(table, vec![3], action, &[(field, 0)]).unwrap_err().to_string()
+        };
+        assert_eq!(err("nope", "fetch", "ghost"), "unknown table `nope`");
+        assert_eq!(err("cache", "fetch", "ghost"), "unknown action `fetch`");
+        assert_eq!(err("cache", "on_hit", "ghost"), "unknown field `meta.ghost`");
+        assert_eq!(err("cache", "on_hit", "slot"), "table `cache` is full");
+        // None of the refused calls left anything behind.
+        assert_eq!(sw.table_len("cache").unwrap(), 2);
+        sw.begin_packet();
+        sw.set_header("key", 3).unwrap();
+        sw.run_packet().unwrap();
+        assert_eq!(sw.meta("hit").unwrap(), 0);
+    }
+
+    /// The native engine's tables are filled from the bytecode engine's at
+    /// preparation: what was installed before hits, what was installed and
+    /// removed again (a tombstone by then) does not.
+    #[test]
+    fn entries_installed_before_prepare_native_hit() {
+        if !crate::rustc_available() {
+            eprintln!("skipping: rustc not on PATH");
+            return;
+        }
+        let mut sw = build();
+        sw.write_register("values", 0, 5, 777).unwrap();
+        sw.install_entry("cache", vec![42], "on_hit", &[("slot", 5)]).unwrap();
+        sw.install_entry("cache", vec![7], "on_hit", &[]).unwrap();
+        assert!(sw.remove_entry("cache", &[7]).unwrap());
+        sw.set_backend(crate::Backend::Native);
+        sw.prepare_native().unwrap();
+        let mut hit_val = |key: u64| {
+            sw.begin_packet();
+            sw.set_header("key", key).unwrap();
+            sw.run_packet().unwrap();
+            (sw.meta("hit").unwrap(), sw.meta("val").unwrap())
+        };
+        assert_eq!(hit_val(42), (1, 777));
+        assert_eq!(hit_val(7), (0, 0));
     }
 
     #[test]

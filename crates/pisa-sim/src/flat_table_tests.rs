@@ -1,0 +1,149 @@
+//! Tests of [`super::Table`]: a model-based property test against
+//! `std::collections::HashMap`, and the growth rule under churn.
+
+use std::collections::HashMap;
+
+use proptest::prelude::*;
+
+use super::*;
+
+fn entry(action: u32, data: &[(u32, u64)]) -> Entry {
+    Entry { action, data: data.to_vec() }
+}
+
+/// An entry in the model's terms: `(action, data)`.
+type Stored = (u32, Vec<(u32, u64)>);
+
+/// What the table holds for `key`.
+fn seen(t: &Table, key: &[u64]) -> Option<Stored> {
+    t.lookup(key).map(|e| (e.action, e.data.clone()))
+}
+
+/// The structural invariants every public call must leave behind.
+fn check_shape(t: &Table) -> Result<(), String> {
+    prop_assert!(t.cap == 0 || t.cap.is_power_of_two());
+    prop_assert!(t.used * 8 <= t.cap * 7, "used {} of {}", t.used, t.cap);
+    prop_assert!(t.live <= t.used);
+    prop_assert_eq!(t.ctrl.iter().filter(|&&c| c == FULL).count(), t.live);
+    prop_assert_eq!(t.ctrl.iter().filter(|&&c| c != EMPTY).count(), t.used);
+    prop_assert_eq!(t.ctrl.len(), t.cap);
+    prop_assert_eq!(t.keys.len(), t.cap * t.key_words);
+    prop_assert_eq!(t.entries.len(), t.cap);
+    Ok(())
+}
+
+/// Spread `n` over `kw` words, so that a small range of `n` revisits the
+/// same keys at every arity.
+fn key_of(n: u64, kw: usize) -> Vec<u64> {
+    let base = [1u64, 240, 16, 7, 4][kw];
+    (0..kw as u32).map(|j| (n / base.pow(j)) % base).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Random insert / overwrite / remove / clear / lookup sequences agree
+    /// with a `HashMap` after every step. 240 distinct keys take the table
+    /// through five doublings; one op in sixteen carries a key of the
+    /// wrong arity, which the table must neither store nor match.
+    #[test]
+    fn agrees_with_hashmap(
+        kw in 1usize..=3,
+        ops in proptest::collection::vec((0u8..20, 0u64..240, 0u8..16), 1..900),
+    ) {
+        let mut t = Table::new(kw);
+        let mut model: HashMap<Vec<u64>, Stored> = HashMap::new();
+        for (step, &(kind, n, quirk)) in ops.iter().enumerate() {
+            let arity = match quirk {
+                15 if n % 2 == 0 => kw + 1,
+                15 => kw - 1,
+                _ => kw,
+            };
+            let key = key_of(n, arity);
+            let fits = arity == kw;
+            match kind {
+                0..=9 => {
+                    let action = step as u32;
+                    let data: Vec<(u32, u64)> =
+                        (0..quirk as u32 % 3).map(|s| (s, n + s as u64)).collect();
+                    t.insert(&key, entry(action, &data));
+                    if fits {
+                        model.insert(key.clone(), (action, data));
+                    }
+                }
+                10..=15 => {
+                    let was = model.remove(&key).is_some();
+                    prop_assert_eq!(t.remove(&key), was, "remove {:?} at step {}", key, step);
+                }
+                16..=18 => {}
+                _ => {
+                    // A clear on one step in 320: long runs must survive.
+                    if quirk == 0 {
+                        t.clear();
+                        model.clear();
+                    }
+                }
+            }
+            prop_assert_eq!(seen(&t, &key), model.get(&key).cloned(), "{:?} at step {}", key, step);
+            prop_assert_eq!(t.live, model.len());
+            check_shape(&t)?;
+        }
+        for (key, want) in &model {
+            prop_assert_eq!(seen(&t, key), Some(want.clone()));
+        }
+        let mut stored: Vec<Vec<u64>> = t.iter().map(|(k, _)| k.to_vec()).collect();
+        let mut expected: Vec<Vec<u64>> = model.keys().cloned().collect();
+        stored.sort();
+        expected.sort();
+        prop_assert_eq!(stored, expected);
+    }
+}
+
+#[test]
+fn tombstone_is_reused() {
+    let mut t = Table::new(1);
+    for k in 0..5 {
+        t.insert(&[k], entry(k as u32, &[]));
+    }
+    let used = t.used;
+    assert!(t.remove(&[3]));
+    assert!(!t.remove(&[3]));
+    assert_eq!((t.used, t.live), (used, 4));
+    t.insert(&[3], entry(9, &[]));
+    assert_eq!((t.used, t.live), (used, 5), "the tombstone's slot is taken again");
+    assert_eq!(t.lookup(&[3]).map(|e| e.action), Some(9));
+}
+
+#[test]
+fn overwrite_never_rehashes() {
+    let mut t = Table::new(2);
+    for k in 0..7 {
+        t.insert(&[k, k], entry(0, &[]));
+    }
+    assert_eq!((t.cap, t.used), (8, 7), "at the load limit");
+    t.insert(&[6, 6], entry(1, &[(4, 2)]));
+    assert_eq!((t.cap, t.live), (8, 7));
+    assert_eq!(t.lookup(&[6, 6]).map(|e| (e.action, e.data.clone())), Some((1, vec![(4, 2)])));
+}
+
+/// The FIFO controller's pattern: evict the oldest key, install a new
+/// one, a million times over a thousand live keys. Tombstones must be
+/// reclaimed at the same capacity, not by doubling.
+#[test]
+fn churn_at_constant_size_keeps_capacity() {
+    const LIVE: u64 = 1000;
+    let mut t = Table::new(1);
+    for k in 0..LIVE {
+        t.insert(&[k], entry(k as u32, &[]));
+    }
+    for i in 0..1_000_000u64 {
+        assert!(t.remove(&[i]));
+        t.insert(&[i + LIVE], entry((i + LIVE) as u32, &[]));
+    }
+    assert!(t.cap <= 4096, "capacity {} after churn", t.cap);
+    assert_eq!(t.live, LIVE as usize);
+    for k in 1_000_000..1_000_000 + LIVE {
+        assert_eq!(t.lookup(&[k]).map(|e| e.action), Some(k as u32), "key {k}");
+    }
+    assert!(t.lookup(&[999_999]).is_none());
+}

@@ -24,7 +24,7 @@ use std::fmt;
 use p4all_core::{ConcreteProgram, ConcreteRegister};
 use p4all_lang::ast::{BinOp, Expr, LValue, Program, Size, Stmt, UnOp};
 
-use crate::state::{mask, Phv, RegState, TableEntry, TableState};
+use crate::state::{mask, Phv, RegState, TableState};
 
 /// Interpreter failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,8 +127,16 @@ pub struct Switch {
     meta_scalars: HashMap<String, usize>,
     meta_arrays: HashMap<String, (usize, usize)>,
     pub(crate) registers: Vec<RegState>,
-    reg_index: HashMap<(String, usize), usize>,
-    tables: HashMap<String, TableState>,
+    /// Register name -> index into `registers`, by instance.
+    reg_index: HashMap<String, Vec<Option<usize>>>,
+    /// Table name -> dense id (position in name order), the numbering
+    /// all three engines and the control plane share.
+    pub(crate) table_ids: HashMap<String, u16>,
+    /// The interpreter's tables by dense id: entries keep their action and
+    /// field *names*, resolved again on every packet — deliberately naive,
+    /// so a wrong install-time resolution in `ctables` shows as a
+    /// divergence from this oracle.
+    pub(crate) tables: Vec<TableState>,
     /// Compiled bodies of actions invocable from tables.
     pub(crate) table_actions: HashMap<String, Vec<CStmt>>,
     pub(crate) stages: Vec<Vec<CAction>>,
@@ -137,7 +145,7 @@ pub struct Switch {
     // ---- bytecode backend state ----
     pub(crate) backend: Backend,
     pub(crate) compiled: crate::compiled::CompiledProgram,
-    pub(crate) ctables: Vec<crate::compiled::CompiledTableState>,
+    pub(crate) ctables: Vec<crate::flat_table::Table>,
     pub(crate) ctx: crate::compiled::ExecCtx,
     /// Register-write undo log for the current packet: on a per-packet
     /// fault every stage write is rolled back so a dropped packet leaves
@@ -200,10 +208,14 @@ impl Switch {
 
         // ---- Registers ----
         let mut registers = Vec::new();
-        let mut reg_index = HashMap::new();
+        let mut reg_index: HashMap<String, Vec<Option<usize>>> = HashMap::new();
         for r in &concrete.registers {
             let ConcreteRegister { reg, instance, cells, elem_bits, stage } = r;
-            reg_index.insert((reg.clone(), *instance), registers.len());
+            let by_instance = reg_index.entry(reg.clone()).or_default();
+            if by_instance.len() <= *instance {
+                by_instance.resize(*instance + 1, None);
+            }
+            by_instance[*instance] = Some(registers.len());
             registers.push(RegState::new(reg.clone(), *instance, *stage, *elem_bits, *cells));
         }
 
@@ -217,7 +229,8 @@ impl Switch {
             meta_arrays,
             registers,
             reg_index,
-            tables: HashMap::new(),
+            table_ids: HashMap::new(),
+            tables: Vec::new(),
             table_actions: HashMap::new(),
             stages: Vec::new(),
             backend: Backend::default(),
@@ -232,15 +245,18 @@ impl Switch {
         };
 
         // ---- Tables & their actions ----
+        let mut by_name: Vec<&p4all_lang::ast::TableDecl> = concrete.tables.iter().collect();
+        by_name.sort_by(|a, b| a.name.cmp(&b.name));
+        for t in &by_name {
+            sw.table_ids.insert(t.name.clone(), sw.tables.len() as u16);
+            sw.tables.push(TableState {
+                entries: HashMap::new(),
+                default_action: t.default_action.clone(),
+                size: t.size,
+            });
+            sw.ctables.push(crate::flat_table::Table::new(t.keys.len()));
+        }
         for t in &concrete.tables {
-            sw.tables.insert(
-                t.name.clone(),
-                TableState {
-                    entries: HashMap::new(),
-                    default_action: t.default_action.clone(),
-                    size: t.size,
-                },
-            );
             for aname in &t.actions {
                 if sw.table_actions.contains_key(aname) {
                     continue;
@@ -307,10 +323,9 @@ impl Switch {
         }
         sw.stages = stages;
         sw.stage_cost = vec![0; sw.stages.len()];
-        let (compiled, ctables) = crate::compiled::lower(&sw);
+        let compiled = crate::compiled::lower(&sw);
         sw.ctx = crate::compiled::ExecCtx::for_program(&compiled);
         sw.compiled = compiled;
-        sw.ctables = ctables;
         Ok(sw)
     }
 
@@ -415,10 +430,7 @@ impl Switch {
                         )))
                     }
                 };
-                let idx = *self
-                    .reg_index
-                    .get(&(reg.clone(), inst))
-                    .ok_or_else(|| SimError::UnknownRegister(reg.clone(), inst))?;
+                let idx = self.reg_idx(reg, inst)?;
                 CExpr::RegRead { reg: idx, cell: Box::new(self.compile_expr(cell)?) }
             }
             Expr::Unary { op: UnOp::Not, operand } => {
@@ -459,10 +471,7 @@ impl Switch {
                         )))
                     }
                 };
-                let idx = *self
-                    .reg_index
-                    .get(&(reg.clone(), inst))
-                    .ok_or_else(|| SimError::UnknownRegister(reg.clone(), inst))?;
+                let idx = self.reg_idx(reg, inst)?;
                 CDst::Reg { reg: idx, cell: self.compile_expr(cell)? }
             }
         })
@@ -623,8 +632,7 @@ impl Switch {
         for k in keys {
             kv.push(self.eval(k)?);
         }
-        let table =
-            self.tables.get(tname).ok_or_else(|| SimError::UnknownTable(tname.to_string()))?;
+        let table = &self.tables[self.table_id(tname)?];
         let (action, data) = match table.entries.get(&kv) {
             Some(e) => (e.action.clone(), e.data.clone()),
             None => match &table.default_action {
@@ -868,59 +876,23 @@ impl Switch {
         Ok(phv)
     }
 
-    pub(crate) fn registers(&self) -> &[RegState] {
-        &self.registers
-    }
-
-    pub(crate) fn registers_mut(&mut self) -> &mut Vec<RegState> {
-        &mut self.registers
-    }
-
     pub(crate) fn reg_idx(&self, reg: &str, instance: usize) -> Result<usize, SimError> {
         self.reg_index
-            .get(&(reg.to_string(), instance))
-            .copied()
+            .get(reg)
+            .and_then(|by_instance| by_instance.get(instance).copied().flatten())
             .ok_or_else(|| SimError::UnknownRegister(reg.to_string(), instance))
     }
 
-    pub(crate) fn tables_mut(&mut self) -> &mut HashMap<String, TableState> {
-        &mut self.tables
-    }
-
-    pub(crate) fn tables(&self) -> &HashMap<String, TableState> {
-        &self.tables
+    /// Dense id of `table`: its index in `tables` and `ctables`.
+    pub(crate) fn table_id(&self, table: &str) -> Result<usize, SimError> {
+        self.table_ids
+            .get(table)
+            .map(|&id| id as usize)
+            .ok_or_else(|| SimError::UnknownTable(table.to_string()))
     }
 
     pub(crate) fn meta_scalar_slot(&self, field: &str) -> Option<usize> {
         self.meta_scalars.get(field).copied()
-    }
-
-    pub(crate) fn has_table_action(&self, action: &str) -> bool {
-        self.table_actions.contains_key(action)
-    }
-
-    /// Validate an entry payload at install time.
-    pub(crate) fn make_entry(
-        &self,
-        table: &str,
-        action: &str,
-        data: &[(&str, u64)],
-    ) -> Result<TableEntry, SimError> {
-        if !self.tables.contains_key(table) {
-            return Err(SimError::UnknownTable(table.to_string()));
-        }
-        if !self.has_table_action(action) {
-            return Err(SimError::UnknownAction(action.to_string()));
-        }
-        for (f, _) in data {
-            if self.meta_scalar_slot(f).is_none() {
-                return Err(SimError::UnknownField(format!("meta.{f}")));
-            }
-        }
-        Ok(TableEntry {
-            action: action.to_string(),
-            data: data.iter().map(|(f, v)| (f.to_string(), *v)).collect(),
-        })
     }
 }
 

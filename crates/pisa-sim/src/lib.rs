@@ -33,6 +33,7 @@
 pub mod codegen;
 pub mod compiled;
 pub mod control_plane;
+pub(crate) mod flat_table;
 pub mod interp;
 pub mod native;
 pub mod netcache_rt;

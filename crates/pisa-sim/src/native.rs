@@ -15,8 +15,8 @@
 //! and the generated code mutates those cells directly. Control-plane
 //! reads/writes and snapshots therefore work unchanged under
 //! [`Backend::Native`]. Table entries are forwarded at install time in
-//! the bytecode backend's pre-resolved `CEntry` form, using the same
-//! sorted-by-name dense ids.
+//! the pre-resolved form the bytecode engine stores (`flat_table::Entry`),
+//! under the same dense ids.
 //!
 //! Failure is typed, never a panic: a missing `rustc` is
 //! [`NativeError::RustcMissing`], a codegen bug that fails to compile is
@@ -39,7 +39,7 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use crate::codegen;
-use crate::compiled::{CEntry, DefaultAction};
+use crate::compiled::DefaultAction;
 use crate::interp::{SimError, Switch};
 
 // ------------------------------------------------------------- errors
@@ -223,21 +223,23 @@ pub(crate) struct NativeEngine {
     unknown_defaults: Vec<Option<String>>,
     /// Scratch crate directory, removed on drop.
     dir: PathBuf,
+    /// Reused buffer for the `(slot, value)` word pairs of one install.
+    pairs: Vec<u64>,
 }
 
 impl NativeEngine {
-    pub(crate) fn install(&self, table: u64, key: &[u64], entry: &CEntry) {
-        let data: Vec<u64> =
-            entry.data.iter().flat_map(|&(slot, val)| [slot as u64, val]).collect();
+    pub(crate) fn install(&mut self, table: u64, key: &[u64], action: u32, data: &[(u32, u64)]) {
+        self.pairs.clear();
+        self.pairs.extend(data.iter().flat_map(|&(slot, val)| [slot as u64, val]));
         unsafe {
             (self.install_fn)(
                 self.state,
                 table,
                 key.as_ptr(),
                 key.len() as u64,
-                entry.action as u64,
-                data.as_ptr(),
-                entry.data.len() as u64,
+                action as u64,
+                self.pairs.as_ptr(),
+                data.len() as u64,
             )
         }
     }
@@ -306,7 +308,7 @@ impl Switch {
             return Err(err);
         }
 
-        let engine = match unsafe { Self::link_engine(handle) } {
+        let mut engine = match unsafe { Self::link_engine(handle) } {
             Ok((run, run_batch, install_fn, remove_fn, clear_fn, free_fn, new_fn)) => {
                 let state = unsafe { new_fn() };
                 if state.is_null() {
@@ -335,6 +337,7 @@ impl Switch {
                         })
                         .collect(),
                     dir,
+                    pairs: Vec::new(),
                 }
             }
             Err(e) => {
@@ -344,17 +347,15 @@ impl Switch {
             }
         };
 
-        // Mirror entries installed before preparation. The per-table
-        // iteration order is irrelevant: installs commute.
-        for (name, ts) in self.tables() {
-            let tid = self.compiled.table_ids[name] as u64;
-            for (key, entry) in &ts.entries {
-                let centry = crate::compiled::compile_entry(self, &self.compiled.action_ids, entry);
-                engine.install(tid, key, &centry);
+        // Mirror entries installed before preparation, straight from the
+        // bytecode engine's tables: same ids, same resolved form. Slot
+        // order is irrelevant: installs commute.
+        for (tid, t) in self.ctables.iter().enumerate() {
+            for (key, entry) in t.iter() {
+                engine.install(tid as u64, key, entry.action, &entry.data);
             }
         }
 
-        let mut engine = engine;
         // Cell pointers are stable: `cells` never resizes after build,
         // and Vec heap buffers survive moves of the owning `Switch`.
         engine.reg_ptrs = self.registers.iter_mut().map(|r| r.cells.as_mut_ptr()).collect();

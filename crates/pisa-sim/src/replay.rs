@@ -126,7 +126,7 @@ struct ShardDelta {
 /// One replay worker: a private register file plus all per-packet scratch.
 struct Worker<'a> {
     prog: &'a compiled::CompiledProgram,
-    ctables: &'a [compiled::CompiledTableState],
+    ctables: &'a [crate::flat_table::Table],
     regs: Vec<RegState>,
     cur: Phv,
     ctx: ExecCtx,
@@ -141,7 +141,7 @@ struct Worker<'a> {
 impl<'a> Worker<'a> {
     fn new(
         prog: &'a compiled::CompiledProgram,
-        ctables: &'a [compiled::CompiledTableState],
+        ctables: &'a [crate::flat_table::Table],
         regs: Vec<RegState>,
         masks: &[u64],
         stages: usize,
