@@ -36,7 +36,8 @@
 //!                        actually ran — the interpreter has no batch
 //!                        mode)
 //!   --timings            print the per-pass compile trace (wall time,
-//!                        artifact sizes, cache hits)
+//!                        artifact sizes, cache hits), the cut-engine
+//!                        counters and what the root dive did
 //!   --json-diagnostics   also emit diagnostics as one stable-schema JSON
 //!                        object on stdout: {"diagnostics": [...]}
 //! ```
@@ -447,6 +448,9 @@ fn run(args: Args) -> Result<(), Failure> {
                 cc.separated, cc.applied, cc.aged_out, cc.pseudocost_updates, cc.strong_branch_lps
             );
         }
+        if let Some(dive) = &c.solve_stats.telemetry.dive {
+            println!("root dive: {dive}");
+        }
         if let Some(reports) = &reports {
             println!("tenant utility split:");
             for r in reports {
@@ -529,13 +533,15 @@ fn run(args: Args) -> Result<(), Failure> {
             None => json_report(&[]),
         };
         // Splice a `solver` object into every success payload: node and
-        // LP counts plus the cut-engine and pseudocost counters.
+        // LP counts, the cut-engine and pseudocost counters, and what the
+        // root dive did (`null` when it did not run).
         let mut out = base;
         out.pop();
         let cc = &c.solve_stats.telemetry.cuts;
+        let dive = c.solve_stats.telemetry.dive.map_or("null".to_string(), |d| d.to_json());
         let _ = write!(
             out,
-            ",\"solver\":{{\"nodes\":{},\"lp_solves\":{},\"cuts_separated\":{},\"cuts_applied\":{},\"cuts_aged_out\":{},\"pseudocost_updates\":{},\"strong_branch_lps\":{}}}",
+            ",\"solver\":{{\"nodes\":{},\"lp_solves\":{},\"cuts_separated\":{},\"cuts_applied\":{},\"cuts_aged_out\":{},\"pseudocost_updates\":{},\"strong_branch_lps\":{},\"dive\":{dive}}}",
             c.solve_stats.nodes,
             c.solve_stats.lp_solves,
             cc.separated,

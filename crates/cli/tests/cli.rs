@@ -25,6 +25,21 @@ fn compiles_cms_example() {
 }
 
 #[test]
+fn dive_outcome_is_printed_by_stats_timings_and_json() {
+    let out = bin()
+        .arg(example("cms.p4all"))
+        .args(["--target", "paper-example", "--threads", "1"])
+        .args(["--emit", "stats", "--timings", "--json-diagnostics"])
+        .output()
+        .expect("p4allc runs");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    // Once under --timings, once inside the solve summary of --emit stats.
+    assert_eq!(stdout.matches("root dive: warm ").count(), 2, "{stdout}");
+    assert!(stdout.contains("\"dive\":{\"warm\":{\"end\":\""), "{stdout}");
+}
+
+#[test]
 fn emits_p4_to_file() {
     let dir = std::env::temp_dir().join("p4allc_test");
     std::fs::create_dir_all(&dir).unwrap();

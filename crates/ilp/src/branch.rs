@@ -17,8 +17,13 @@ use std::time::{Duration, Instant};
 use crate::cuts::{self, CutCounters, CutPool};
 use crate::model::{Model, Sense, Solution, VarKind};
 use crate::presolve::{presolve, Presolved};
-use crate::simplex::{solve_lp_ext, solve_lp_tableau, Basis, LpError, LpResult, LpStats};
-use crate::telemetry::{IncumbentEvent, IncumbentSource, SolveTelemetry, ThreadTelemetry};
+use crate::simplex::{
+    solve_lp_ext, solve_lp_tableau, solve_lp_take, Basis, LpError, LpResult, LpSolve, LpStats,
+};
+use crate::telemetry::{
+    DiveTelemetry, DiveWork, IncumbentEvent, IncumbentSource, SolveTelemetry, ThreadTelemetry,
+    WarmDiveEnd,
+};
 
 /// Fractional root candidates initialized by reliability (strong)
 /// branching — two LPs each, warm-started from the root basis.
@@ -66,11 +71,14 @@ pub struct SolveOptions {
     /// barrier per round; disable for maximum throughput when
     /// reproducibility does not matter.
     pub deterministic: bool,
-    /// Warm-start each node's LP from its parent's optimal basis and
-    /// re-optimize with the dual simplex (on by default — typically an
-    /// order of magnitude fewer pivots per node). The search still visits
-    /// nodes in the same order and returns the same answer; set `false`
-    /// to reproduce the historical cold-solve arithmetic exactly.
+    /// Warm-start each LP after the root from a previous optimal basis
+    /// and re-optimize with the dual simplex (on by default — typically an
+    /// order of magnitude fewer pivots per LP): tree nodes from their
+    /// parent's basis, cut rounds from the last round's, and the root dive
+    /// as a chain from the root basis, with the cold dive kept as its
+    /// second opinion whenever the chain does not close the root gap (see
+    /// `root_dive`). The answer is the same; set `false` to reproduce the
+    /// historical cold-solve arithmetic exactly.
     pub warm_lp: bool,
     /// Run the cutting-plane engine (on by default): Gomory mixed-integer
     /// cuts from the simplex tableau and knapsack cover cuts from
@@ -438,35 +446,80 @@ pub(crate) struct Prepared {
 }
 
 /// Root phase shared by the sequential and parallel searches: presolve,
-/// warm start, root LP, integrality shortcut, diving heuristic. Identical
-/// to the historical sequential behavior (same LP counts, same `nodes`
-/// values in the early returns).
+/// warm start, root LP, integrality shortcut, diving heuristic. Under
+/// `warm_lp: false` identical to the historical sequential behavior (same
+/// LP counts, same `nodes` values in the early returns); under `warm_lp`
+/// the dive differs as [`root_dive`] describes.
 enum RootPhase {
     Done(MipOutcome),
-    Search(Prepared),
+    /// The tree search's input, and what the root dive did (`None` when
+    /// it did not run).
+    Search(Prepared, Option<DiveTelemetry>),
+}
+
+/// Whether an incumbent of `score` closes the gap to `root_score`: then
+/// the tree search would prune the root node at once. Increasing in
+/// `score` (for `rel_gap < 1`), which is what lets a dive's LP bound
+/// stand in for every incumbent below it.
+fn closes_root_gap(ctx: &SearchCtx<'_>, root_score: f64, score: f64) -> bool {
+    root_score <= score + ctx.prune_gap(score)
+}
+
+/// An incumbent the root dive settled on: the pass it came from, its
+/// score, its values.
+type DiveIncumbent = (IncumbentSource, f64, Vec<f64>);
+
+/// How one pass of [`run_dive`] ended.
+enum DiveEnd {
+    /// An integral LP point whose snapped vector is feasible, with its score.
+    Incumbent(f64, Vec<f64>),
+    /// Chained pass only: this LP's score no longer closes the root gap.
+    GaveUp(f64),
+    /// Both sides infeasible, an unsafe snap, or the depth limit.
+    Nothing,
 }
 
 /// One root dive: repeatedly fix the branch variable to its nearest
 /// integer (backtracking once to the other side on infeasibility) until
 /// the LP point is integral, then return the snapped point's score if it
-/// is feasible. Always solves cold so the trajectory — and therefore the
-/// incumbent it finds — is a pure function of the model, independent of
-/// `warm_lp` (warm dual-simplex solves are equally exact but can land on
-/// different co-optimal vertices and steer the dive somewhere worse).
+/// is feasible.
+///
+/// With `link = None` every LP is solved cold from the slack basis, so the
+/// trajectory — and the incumbent it finds — is a pure function of the
+/// model. With `link = Some(basis)` each LP starts from the previous LP's
+/// optimal basis (first link: the root's), a handful of dual pivots where
+/// the cold solve pays for the root LP again; warm solves are equally
+/// exact but can land on other co-optimal vertices and steer the dive
+/// somewhere else, so a chained pass stops as soon as one of its LPs
+/// scores `z` with `!closes_root_gap(z)`: dive bounds only tighten, every
+/// later LP and the incumbent at the end score at most `z`, and
+/// [`closes_root_gap`] is increasing — the pass can no longer win.
 fn run_dive(
     ctx: &SearchCtx<'_>,
     root_bounds: &[(f64, f64)],
     root_x: &[f64],
+    root_score: f64,
+    mut link: Option<Basis>,
     lp_solves: &mut usize,
     lp_work: &mut LpWork,
-) -> Result<Option<(f64, Vec<f64>)>, LpError> {
+) -> Result<DiveEnd, LpError> {
     let model = ctx.model;
     let opts = ctx.opts;
     let mut dive_bounds = root_bounds.to_vec();
     let mut cur = root_x.to_vec();
-    let dive_solve = |bounds: &[(f64, f64)], lp_work: &mut LpWork| -> Result<LpResult, LpError> {
-        let sol = solve_lp_ext(model, bounds, None)?;
+    let chained = link.is_some();
+    // A link is used once, so its inverse moves into the solver; when the
+    // LP leaves no basis behind (infeasible side), what stays in the link
+    // still warm-starts the other side at one refactorization.
+    let mut dive_solve = |bounds: &[(f64, f64)], lp_work: &mut LpWork| -> Result<LpResult, LpError> {
+        let sol = match link.as_mut() {
+            Some(basis) => solve_lp_take(model, bounds, basis)?,
+            None => solve_lp_ext(model, bounds, None)?,
+        };
         lp_work.add(&sol.stats);
+        if let (Some(slot), Some(next)) = (link.as_mut(), sol.basis) {
+            *slot = next;
+        }
         Ok(sol.result)
     };
     for _ in 0..opts.dive_limit {
@@ -475,9 +528,9 @@ fn run_dive(
                 let vals = ctx.snap(&cur);
                 if model.check_feasible(&vals, 1e-5).is_ok() {
                     let obj = model.objective_value(&vals);
-                    return Ok(Some((ctx.sgn * obj, vals)));
+                    return Ok(DiveEnd::Incumbent(ctx.sgn * obj, vals));
                 }
-                return Ok(None);
+                return Ok(DiveEnd::Nothing);
             }
             Some((j, v)) => {
                 // Round to the nearest integer and fix; on infeasibility
@@ -486,26 +539,100 @@ fn run_dive(
                 let r = v.round().clamp(lo, hi);
                 dive_bounds[j] = (r, r);
                 *lp_solves += 1;
-                match dive_solve(&dive_bounds, lp_work)? {
-                    LpResult::Optimal { x, .. } => cur = x,
+                let (x, obj) = match dive_solve(&dive_bounds, lp_work)? {
+                    LpResult::Optimal { x, obj } => (x, obj),
                     _ => {
                         let alt = if r > v { v.floor() } else { v.ceil() };
                         let alt = alt.clamp(lo, hi);
                         if alt == r {
-                            return Ok(None);
+                            return Ok(DiveEnd::Nothing);
                         }
                         dive_bounds[j] = (alt, alt);
                         *lp_solves += 1;
                         match dive_solve(&dive_bounds, lp_work)? {
-                            LpResult::Optimal { x, .. } => cur = x,
-                            _ => return Ok(None), // both sides infeasible
+                            LpResult::Optimal { x, obj } => (x, obj),
+                            _ => return Ok(DiveEnd::Nothing), // both sides infeasible
                         }
                     }
+                };
+                let z = ctx.sgn * obj;
+                if chained && !closes_root_gap(ctx, root_score, z) {
+                    return Ok(DiveEnd::GaveUp(z));
                 }
+                cur = x;
             }
         }
     }
-    Ok(None)
+    Ok(DiveEnd::Nothing)
+}
+
+/// The root diving heuristic: warm first, cold as the second opinion.
+///
+/// Under `warm_lp` a basis-chained [`run_dive`] goes first. If its
+/// incumbent closes the root gap the solve is over — no cold LP was
+/// started. Otherwise (it gave up, found nothing, or fell short) the cold
+/// dive runs exactly as under `warm_lp: false`, and its incumbent is kept
+/// unless the warm one is strictly better: cold wins ties, so a model
+/// that enters the tree enters it with the incumbent the all-cold solver
+/// gives it, and `warm_lp` cannot reshuffle a tree through a co-optimal
+/// vertex. Returns the chosen incumbent with its source, and the record
+/// of what ran.
+fn root_dive(
+    ctx: &SearchCtx<'_>,
+    root_bounds: &[(f64, f64)],
+    root_x: &[f64],
+    root_score: f64,
+    root_basis: Option<&Basis>,
+    lp_solves: &mut usize,
+    lp_work: &mut LpWork,
+) -> Result<(Option<DiveIncumbent>, DiveTelemetry), LpError> {
+    let mut pass = |link: Option<Basis>| -> Result<(DiveEnd, DiveWork), LpError> {
+        let (lps, pivots) = (*lp_solves, lp_work.pivots);
+        let end = run_dive(ctx, root_bounds, root_x, root_score, link, lp_solves, lp_work)?;
+        Ok((end, DiveWork { lps: *lp_solves - lps, pivots: lp_work.pivots - pivots }))
+    };
+    let mut warm = None;
+    let mut warm_found = None;
+    if let (true, Some(basis)) = (ctx.opts.warm_lp, root_basis) {
+        let (end, work) = pass(Some(basis.clone()))?;
+        let how = match end {
+            DiveEnd::Incumbent(score, vals) if closes_root_gap(ctx, root_score, score) => {
+                let telemetry =
+                    DiveTelemetry { warm: Some((WarmDiveEnd::ClosedGap, work)), cold: None };
+                return Ok((Some((IncumbentSource::WarmDive, score, vals)), telemetry));
+            }
+            DiveEnd::Incumbent(score, vals) => {
+                warm_found = Some((score, vals));
+                WarmDiveEnd::LeftGapOpen
+            }
+            DiveEnd::GaveUp(z) => WarmDiveEnd::GaveUp {
+                bound: ctx.score_to_objective(z),
+                root: ctx.score_to_objective(root_score),
+            },
+            DiveEnd::Nothing => WarmDiveEnd::LeftGapOpen,
+        };
+        warm = Some((how, work));
+    }
+    let (end, work) = pass(None)?;
+    let cold_found = match end {
+        DiveEnd::Incumbent(score, vals) => Some((score, vals)),
+        _ => None,
+    };
+    Ok((pick_dive_incumbent(warm_found, cold_found), DiveTelemetry { warm, cold: Some(work) }))
+}
+
+/// Of the two dives' incumbents `(score, values)`, the cold one unless the
+/// warm one scores strictly higher.
+fn pick_dive_incumbent(
+    warm: Option<(f64, Vec<f64>)>,
+    cold: Option<(f64, Vec<f64>)>,
+) -> Option<DiveIncumbent> {
+    match (warm, cold) {
+        (Some((w, vals)), Some((c, _))) if w > c => Some((IncumbentSource::WarmDive, w, vals)),
+        (_, Some((c, vals))) => Some((IncumbentSource::ColdDive, c, vals)),
+        (Some((w, vals)), None) => Some((IncumbentSource::WarmDive, w, vals)),
+        (None, None) => None,
+    }
 }
 
 fn root_phase(ctx: &SearchCtx<'_>) -> Result<RootPhase, LpError> {
@@ -610,54 +737,44 @@ fn root_phase(ctx: &SearchCtx<'_>) -> Result<RootPhase, LpError> {
     // --- Root diving heuristic for an early incumbent ---
     // Skipped entirely when the seeded incumbent already closes the root
     // gap (a cross-solve warm start re-solving a sweep point needs only
-    // the root LP). Otherwise the dive always runs with *cold* LP
-    // arithmetic, even under `warm_lp`: warm and cold solves are both
-    // exact but can land on different co-optimal vertices, so a
-    // basis-chained warm dive follows a different trajectory and
-    // sometimes ends at a strictly worse incumbent (the Precision
-    // regression — warm left the root gap open and branched for ~27
-    // nodes where cold closed at the root). A cold dive makes the root
-    // phase a pure function of the model, identical in both
-    // configurations; `warm_lp` keeps its payoff where it cannot change
-    // the outcome, re-optimizing tree-node LPs from parent bases.
-    if opts.dive_limit > 0 {
-        let gap_closed = incumbent
-            .as_ref()
-            .is_some_and(|(s, _)| root_score <= *s + ctx.prune_gap(*s));
-        if !gap_closed {
-            if let Some((score, vals)) =
-                run_dive(ctx, &root_bounds, &root_x, &mut lp_solves, &mut lp_work)?
-            {
-                if incumbent.as_ref().is_none_or(|(b, _)| score > *b) {
-                    events.push(IncumbentEvent {
-                        elapsed: ctx.start.elapsed(),
-                        objective: ctx.score_to_objective(score),
-                        thread: 0,
-                        source: IncumbentSource::Dive,
-                    });
-                    incumbent = Some((score, vals));
-                }
+    // the root LP).
+    let mut dive = None;
+    let seeded = incumbent.as_ref().is_some_and(|(s, _)| closes_root_gap(ctx, root_score, *s));
+    if opts.dive_limit > 0 && !seeded {
+        let (found, telemetry) = root_dive(
+            ctx,
+            &root_bounds,
+            &root_x,
+            root_score,
+            root_basis.as_deref(),
+            &mut lp_solves,
+            &mut lp_work,
+        )?;
+        dive = Some(telemetry);
+        if let Some((source, score, vals)) = found {
+            if incumbent.as_ref().is_none_or(|(b, _)| score > *b) {
+                events.push(IncumbentEvent {
+                    elapsed: ctx.start.elapsed(),
+                    objective: ctx.score_to_objective(score),
+                    thread: 0,
+                    source,
+                });
+                incumbent = Some((score, vals));
             }
         }
     }
 
-    Ok(RootPhase::Search(Prepared {
-        root_bounds,
-        root_score,
-        incumbent,
-        lp_solves,
-        events,
-        root_basis,
-        lp_work,
-    }))
+    let prepared =
+        Prepared { root_bounds, root_score, incumbent, lp_solves, events, root_basis, lp_work };
+    Ok(RootPhase::Search(prepared, dive))
 }
 
 /// Solve `model` to proven optimality (subject to limits).
 pub fn solve_with(model: &Model, opts: &SolveOptions) -> Result<MipOutcome, LpError> {
     let ctx = SearchCtx::new(model, opts);
-    let mut prepared = match root_phase(&ctx)? {
+    let (mut prepared, dive) = match root_phase(&ctx)? {
         RootPhase::Done(out) => return Ok(out),
-        RootPhase::Search(p) => p,
+        RootPhase::Search(p, dive) => (p, dive),
     };
     let mut aux = SearchAux::new(model.num_vars(), opts);
     if opts.cuts && !root_gap_closed(&ctx, &prepared) {
@@ -666,11 +783,13 @@ pub fn solve_with(model: &Model, opts: &SolveOptions) -> Result<MipOutcome, LpEr
     if opts.pseudocost && !root_gap_closed(&ctx, &prepared) {
         reliability_init(&ctx, &mut prepared, &mut aux)?;
     }
-    if opts.effective_threads() <= 1 {
-        solve_sequential(&ctx, prepared, aux)
+    let mut out = if opts.effective_threads() <= 1 {
+        solve_sequential(&ctx, prepared, aux)?
     } else {
-        crate::parallel::solve_parallel(&ctx, prepared, aux)
-    }
+        crate::parallel::solve_parallel(&ctx, prepared, aux)?
+    };
+    out.telemetry.dive = dive;
+    Ok(out)
 }
 
 /// Whether the incumbent already closes the root gap — then the tree
@@ -680,7 +799,25 @@ fn root_gap_closed(ctx: &SearchCtx<'_>, prepared: &Prepared) -> bool {
     prepared
         .incumbent
         .as_ref()
-        .is_some_and(|(s, _)| prepared.root_score <= *s + ctx.prune_gap(*s))
+        .is_some_and(|(s, _)| closes_root_gap(ctx, prepared.root_score, *s))
+}
+
+/// A tree node's LP, warm from its parent's basis: the parent's inverse
+/// is moved into the solver when this node is the last holder of the
+/// snapshot (the second child, once its sibling's subtree is done), and
+/// copied while the sibling still waits for it.
+fn solve_node_lp(
+    model: &Model,
+    bounds: &[(f64, f64)],
+    warm: Option<&mut Arc<Basis>>,
+) -> Result<LpSolve, LpError> {
+    match warm {
+        None => solve_lp_ext(model, bounds, None),
+        Some(shared) => match Arc::get_mut(shared) {
+            Some(basis) => solve_lp_take(model, bounds, basis),
+            None => solve_lp_ext(model, bounds, Some(shared)),
+        },
+    }
 }
 
 /// Root cut loop: separate Gomory and cover cuts at the (cut-extended)
@@ -924,7 +1061,7 @@ fn solve_sequential(
     let mut proven = true;
     let mut remaining_bound: Option<f64> = None;
 
-    while let Some(node) = stack.pop() {
+    while let Some(mut node) = stack.pop() {
         if nodes >= opts.node_limit {
             proven = false;
             stack.push(node);
@@ -945,8 +1082,8 @@ fn solve_sequential(
         }
         nodes += 1;
         lp_solves += 1;
-        let warm = if opts.warm_lp { node.basis.as_deref() } else { None };
-        let sol = solve_lp_ext(cut_model.as_ref().unwrap_or(model), &node.bounds, warm)?;
+        let warm = if opts.warm_lp { node.basis.as_mut() } else { None };
+        let sol = solve_node_lp(cut_model.as_ref().unwrap_or(model), &node.bounds, warm)?;
         lp_work.add(&sol.stats);
         // Children warm-start from this node's optimal basis; if it was
         // not representable, the grandparent's is still dual-feasible.
@@ -1364,9 +1501,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_dive_sanity_check_keeps_warm_and_cold_aligned() {
-        // Warm and cold solves must agree on the objective, and the cold
-        // re-dive bounds warm lp_solves to at most ~2x cold's root phase.
+    fn warm_and_cold_lp_agree_on_the_knapsack_objective() {
         let mut m = Model::new();
         let xs: Vec<_> = (0..12).map(|i| m.binary(format!("x{i}"))).collect();
         let mut cap = LinExpr::zero();
@@ -1389,6 +1524,98 @@ mod tests {
                 .abs()
                 < 1e-6
         );
+    }
+
+    /// Equal-weight knapsack against an odd capacity (the `branchy` model
+    /// of `tests/historical_search.rs`): root bound 59.5, first dive LP 59,
+    /// dive incumbent 50, optimum 54.
+    fn odd_capacity_knapsack() -> Model {
+        let mut m = Model::new();
+        let mut obj = LinExpr::zero();
+        let mut cap = LinExpr::zero();
+        for i in 0..15 {
+            let x = m.binary(format!("x{i}"));
+            obj += LinExpr::term(x, (i + 1) as f64);
+            cap += LinExpr::term(x, 2.0);
+        }
+        m.le("cap", cap, 9.0);
+        m.set_objective(obj, Sense::Maximize);
+        m
+    }
+
+    fn dive_of(out: &MipOutcome) -> DiveTelemetry {
+        out.telemetry.dive.expect("the root dive ran")
+    }
+
+    #[test]
+    fn warm_dive_that_closes_the_root_gap_starts_no_cold_lp() {
+        // Within 20 % of the root bound counts as closed, so the dive's 50
+        // against 59.5 ends the solve: one cold root LP, the rest chained.
+        let opts = SolveOptions { threads: 1, rel_gap: 0.2, ..Default::default() };
+        let out = solve_with(&odd_capacity_knapsack(), &opts).unwrap();
+        assert_eq!(out.status, SolveStatus::Optimal);
+        assert_eq!(out.nodes, 0);
+        let dive = dive_of(&out);
+        let (end, warm) = dive.warm.expect("warm pass ran");
+        assert_eq!(end, WarmDiveEnd::ClosedGap);
+        assert_eq!(dive.cold, None, "no cold dive LP");
+        assert_eq!(warm.lps, out.lp_solves - 1);
+        assert_eq!(out.telemetry.total_warm_solves(), out.lp_solves - 1);
+        assert_eq!(out.telemetry.incumbents.last().unwrap().source, IncumbentSource::WarmDive);
+    }
+
+    #[test]
+    fn warm_dive_gives_up_where_its_bound_falls_through_the_gap() {
+        // Exact gap: the first dive LP already bounds the dive at 59 < 59.5,
+        // so the warm pass stops there and the cold dive decides — same
+        // incumbent, same tree as the all-cold solver.
+        let m = odd_capacity_knapsack();
+        let plain = |warm_lp| SolveOptions {
+            threads: 1,
+            warm_lp,
+            cuts: false,
+            pseudocost: false,
+            ..Default::default()
+        };
+        let warm = solve_with(&m, &plain(true)).unwrap();
+        let cold = solve_with(&m, &plain(false)).unwrap();
+        let dive = dive_of(&warm);
+        let (end, work) = dive.warm.expect("warm pass ran");
+        assert_eq!(end, WarmDiveEnd::GaveUp { bound: 59.0, root: 59.5 });
+        assert_eq!(work.lps, 1, "stopped at the LP whose bound fell through");
+        assert_eq!(dive.cold, dive_of(&cold).cold, "the cold dive ran as under warm_lp: false");
+        assert_eq!(warm.lp_solves, cold.lp_solves + work.lps);
+        assert_eq!(warm.nodes, cold.nodes);
+        let first = |out: &MipOutcome| {
+            let e = out.telemetry.incumbents[0];
+            (e.source, e.objective)
+        };
+        assert_eq!(first(&warm), (IncumbentSource::ColdDive, 50.0));
+        assert_eq!(first(&warm), first(&cold));
+        assert_eq!(warm.solution.unwrap().values, cold.solution.unwrap().values);
+    }
+
+    #[test]
+    fn cold_dive_wins_ties() {
+        let (w, c) = (vec![1.0, 0.0], vec![0.0, 1.0]);
+        let pick = |ws: f64, cs: f64| pick_dive_incumbent(Some((ws, w.clone())), Some((cs, c.clone())));
+        assert_eq!(pick(7.0, 7.0), Some((IncumbentSource::ColdDive, 7.0, c.clone())));
+        assert_eq!(pick(6.0, 7.0), Some((IncumbentSource::ColdDive, 7.0, c.clone())));
+        assert_eq!(pick(8.0, 7.0), Some((IncumbentSource::WarmDive, 8.0, w.clone())));
+        assert_eq!(
+            pick_dive_incumbent(Some((3.0, w.clone())), None),
+            Some((IncumbentSource::WarmDive, 3.0, w.clone()))
+        );
+        assert_eq!(pick_dive_incumbent(None, None), None);
+    }
+
+    #[test]
+    fn all_cold_solver_never_chains_a_basis() {
+        let opts = SolveOptions { threads: 1, warm_lp: false, ..Default::default() };
+        let out = solve_with(&odd_capacity_knapsack(), &opts).unwrap();
+        assert_eq!(out.status, SolveStatus::Optimal);
+        assert_eq!(out.telemetry.total_warm_solves(), 0);
+        assert_eq!(dive_of(&out).warm, None);
     }
 
     #[test]

@@ -47,7 +47,10 @@ pub mod telemetry;
 pub use branch::{solve, solve_with, MipOutcome, SolveOptions, SolveStatus};
 pub use cuts::CutCounters;
 pub use iis::{find_iis, IisOptions, IisReport};
-pub use telemetry::{IncumbentEvent, IncumbentSource, SolveTelemetry, ThreadTelemetry};
+pub use telemetry::{
+    DiveTelemetry, DiveWork, IncumbentEvent, IncumbentSource, SolveTelemetry, ThreadTelemetry,
+    WarmDiveEnd,
+};
 pub use model::{
     brute_force, Cmp, Constraint, LinExpr, Model, ModelStats, Sense, Solution, VarId, VarKind,
     Variable,

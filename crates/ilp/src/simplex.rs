@@ -217,11 +217,36 @@ pub fn solve_lp_ext(
     bounds: &[(f64, f64)],
     warm: Option<&Basis>,
 ) -> Result<LpSolve, LpError> {
+    solve_lp_from(model, bounds, warm, None)
+}
+
+/// [`solve_lp_ext`] for a snapshot this solve is the last to need whole:
+/// the captured inverse is moved out of `warm` into the solver instead of
+/// copied, so no second `B^-1` is alive beside the solver's. Same
+/// arithmetic, same result. What is left in `warm` (statuses and row
+/// order) still warm-starts a later solve, at one refactorization.
+pub(crate) fn solve_lp_take(
+    model: &Model,
+    bounds: &[(f64, f64)],
+    warm: &mut Basis,
+) -> Result<LpSolve, LpError> {
+    let binv = std::mem::take(&mut warm.binv);
+    solve_lp_from(model, bounds, Some(warm), Some(binv))
+}
+
+/// `moved_inv` is `warm`'s inverse when the caller moved it out
+/// ([`solve_lp_take`]); `None` means "copy the snapshot's own".
+fn solve_lp_from(
+    model: &Model,
+    bounds: &[(f64, f64)],
+    warm: Option<&Basis>,
+    moved_inv: Option<Vec<f64>>,
+) -> Result<LpSolve, LpError> {
     assert_eq!(bounds.len(), model.num_vars());
     let mut stats = LpStats::default();
     if let Some(basis) = warm {
         let mut sx = Simplex::build(model, bounds);
-        match sx.solve_warm(basis) {
+        match sx.solve_warm(basis, moved_inv) {
             Ok(Some(result)) => {
                 stats.pivots += sx.pivots;
                 stats.refactorizations += sx.refactorizations;
@@ -342,7 +367,7 @@ pub(crate) fn solve_lp_tableau(
     let mut stats = LpStats::default();
     if let Some(basis) = warm {
         let mut sx = Simplex::build(model, bounds);
-        match sx.solve_warm(basis) {
+        match sx.solve_warm(basis, None) {
             Ok(Some(result)) => {
                 stats.pivots += sx.pivots;
                 stats.refactorizations += sx.refactorizations;
@@ -1038,7 +1063,14 @@ impl Simplex {
     /// iteration cap. `Ok(Some(Infeasible))` is only returned after the
     /// initial dual-feasibility check passed, which makes the
     /// no-entering-candidate certificate sound.
-    fn solve_warm(&mut self, warm: &Basis) -> Result<Option<LpResult>, LpError> {
+    ///
+    /// `moved_inv` is the snapshot's inverse when the caller took it out of
+    /// `warm` to spare the copy; `None` copies `warm.binv`.
+    fn solve_warm(
+        &mut self,
+        warm: &Basis,
+        moved_inv: Option<Vec<f64>>,
+    ) -> Result<Option<LpResult>, LpError> {
         let n = self.n;
         let m = self.m;
         let nv = n + m;
@@ -1047,14 +1079,15 @@ impl Simplex {
         }
         // Install statuses. When the snapshot carries its row assignment
         // and inverse (same model, bound-independent matrix), reuse them —
-        // the install is then one O(m²) copy plus a residual check.
-        // Otherwise basic variables take rows in ascending index order and
-        // one refactorization rebuilds B^-1.
+        // the install is then one O(m²) copy (or a move) plus a residual
+        // check. Otherwise basic variables take rows in ascending index
+        // order and one refactorization rebuilds B^-1.
         self.stat = vec![VStat::Free; nv];
         self.banned = vec![false; nv];
         self.basis = Vec::with_capacity(m);
+        let inv_len = moved_inv.as_ref().map_or(warm.binv.len(), Vec::len);
         let reuse_inv = warm.rows.len() == m
-            && warm.binv.len() == m * m
+            && inv_len == m * m
             && warm.rows.iter().all(|&j| j < nv && warm.stat[j] == BStat::Basic);
         if reuse_inv {
             for (i, &j) in warm.rows.iter().enumerate() {
@@ -1092,7 +1125,7 @@ impl Simplex {
         }
         self.xb = vec![0.0; m];
         if reuse_inv {
-            self.binv = warm.binv.clone();
+            self.binv = moved_inv.unwrap_or_else(|| warm.binv.clone());
             self.refresh_values();
             // A residual means the inverse does not match this model's
             // matrix (foreign or numerically stale snapshot): rebuild.
@@ -1684,6 +1717,41 @@ mod warm_tests {
             }
         }
         assert_eq!(*basis, before, "children must not disturb the shared snapshot");
+    }
+
+    /// A taken install moves the snapshot's inverse into the solver: same
+    /// solve as the copying install, bit for bit, and what is left behind
+    /// (statuses, row order, no inverse) still warm-starts, at the price
+    /// of one refactorization.
+    #[test]
+    fn taken_install_equals_the_copy_and_leaves_a_usable_snapshot() {
+        let (m, root_bounds) = three_rows();
+        let mut basis = solve_lp_ext(&m, &root_bounds, None).unwrap().basis.expect("root basis");
+        let mut b = root_bounds.clone();
+        b[3] = (1.0, 1.0);
+        let copied = solve_lp_ext(&m, &b, Some(&basis)).unwrap();
+        let taken = solve_lp_take(&m, &b, &mut basis).unwrap();
+        assert!(taken.stats.warm && !taken.stats.fell_back);
+        assert_eq!(taken.stats, copied.stats);
+        match (&taken.result, &copied.result) {
+            (LpResult::Optimal { x: xt, obj: ot }, LpResult::Optimal { x: xc, obj: oc }) => {
+                assert_eq!((xt, ot), (xc, oc));
+            }
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(taken.basis, copied.basis);
+        assert!(basis.binv.is_empty(), "the inverse moved out");
+        assert_eq!(basis.rows.len(), 3);
+
+        let again = solve_lp_take(&m, &b, &mut basis).unwrap();
+        assert!(again.stats.warm && !again.stats.fell_back);
+        assert_eq!(again.stats.refactorizations, 1, "no inverse left: one rebuild");
+        match (&again.result, &copied.result) {
+            (LpResult::Optimal { obj: a, .. }, LpResult::Optimal { obj: c, .. }) => {
+                assert!((a - c).abs() < 1e-9, "{a} vs {c}")
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     /// The tableau rows read `B^-1`; they are extracted before the snapshot

@@ -51,8 +51,10 @@ pub struct IncumbentEvent {
 pub enum IncumbentSource {
     /// Caller-provided warm start accepted as feasible.
     WarmStart,
-    /// The root diving heuristic.
-    Dive,
+    /// The root dive chained from the root basis (`warm_lp`).
+    WarmDive,
+    /// The root dive solved from the slack basis.
+    ColdDive,
     /// An integral optimum of a root cut-round LP.
     CutRound,
     /// An integral branch-and-bound node.
@@ -63,9 +65,94 @@ impl fmt::Display for IncumbentSource {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             IncumbentSource::WarmStart => write!(f, "warm-start"),
-            IncumbentSource::Dive => write!(f, "dive"),
+            IncumbentSource::WarmDive => write!(f, "warm dive"),
+            IncumbentSource::ColdDive => write!(f, "cold dive"),
             IncumbentSource::CutRound => write!(f, "cut-round"),
             IncumbentSource::Node => write!(f, "node"),
+        }
+    }
+}
+
+/// LP work of one pass of the root dive.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DiveWork {
+    /// Dive LPs solved (a backtracked step counts both sides).
+    pub lps: usize,
+    /// Simplex pivots across them.
+    pub pivots: usize,
+}
+
+/// How the basis-chained (warm) pass of the root dive ended.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum WarmDiveEnd {
+    /// Its incumbent closed the root gap: no cold dive, no tree.
+    ClosedGap,
+    /// Its last LP's bound fell through the root gap, so no incumbent
+    /// below it could close it (both in objective units).
+    GaveUp { bound: f64, root: f64 },
+    /// It ran to its end with an incumbent short of the root bound, or
+    /// with none.
+    LeftGapOpen,
+}
+
+/// What the root diving heuristic did: under `warm_lp` a warm pass first,
+/// then the cold pass unless the warm one closed the root gap; under
+/// `warm_lp: false` the cold pass alone.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DiveTelemetry {
+    /// The warm pass; `None` when it did not run.
+    pub warm: Option<(WarmDiveEnd, DiveWork)>,
+    /// The cold pass; `None` when the warm pass closed the root gap.
+    pub cold: Option<DiveWork>,
+}
+
+impl DiveTelemetry {
+    /// The record as a JSON object, for `p4allc --json-diagnostics`:
+    /// `{"warm":{"end":"closed_gap"|"gave_up"|"left_gap_open","lps":k,
+    /// "pivots":p[,"bound":z,"root":r]}|null,"cold":{"lps":k,"pivots":p}|null}`.
+    pub fn to_json(&self) -> String {
+        let warm = match &self.warm {
+            None => "null".to_string(),
+            Some((end, w)) => {
+                let (end, bounds) = match end {
+                    WarmDiveEnd::ClosedGap => ("closed_gap", String::new()),
+                    WarmDiveEnd::GaveUp { bound, root } => {
+                        ("gave_up", format!(",\"bound\":{bound},\"root\":{root}"))
+                    }
+                    WarmDiveEnd::LeftGapOpen => ("left_gap_open", String::new()),
+                };
+                format!("{{\"end\":\"{end}\",\"lps\":{},\"pivots\":{}{bounds}}}", w.lps, w.pivots)
+            }
+        };
+        let cold = match &self.cold {
+            None => "null".to_string(),
+            Some(c) => format!("{{\"lps\":{},\"pivots\":{}}}", c.lps, c.pivots),
+        };
+        format!("{{\"warm\":{warm},\"cold\":{cold}}}")
+    }
+}
+
+impl fmt::Display for DiveTelemetry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if let Some((end, w)) = &self.warm {
+            let (lps, pivots) = (w.lps, w.pivots);
+            match end {
+                WarmDiveEnd::ClosedGap => {
+                    write!(f, "warm closed the root gap ({lps} LPs, {pivots} pivots)")?;
+                }
+                WarmDiveEnd::GaveUp { bound, root } => write!(
+                    f,
+                    "warm gave up at LP {lps} (bound {bound:.6} < root {root:.6}; {pivots} pivots)"
+                )?,
+                WarmDiveEnd::LeftGapOpen => {
+                    write!(f, "warm left the root gap open ({lps} LPs, {pivots} pivots)")?;
+                }
+            }
+        }
+        match (&self.warm, &self.cold) {
+            (Some(_), Some(c)) => write!(f, ", cold dive ran ({} LPs, {} pivots)", c.lps, c.pivots),
+            (None, Some(c)) => write!(f, "cold ({} LPs, {} pivots)", c.lps, c.pivots),
+            (_, None) => Ok(()),
         }
     }
 }
@@ -92,6 +179,10 @@ pub struct SolveTelemetry {
     /// Cut-engine and pseudocost-branching counters (all zero when
     /// `SolveOptions { cuts: false, pseudocost: false }`).
     pub cuts: CutCounters,
+    /// What the root dive did; `None` when it did not run (disabled, the
+    /// seeded incumbent already closed the root gap, or the solve ended
+    /// at the root LP).
+    pub dive: Option<DiveTelemetry>,
 }
 
 impl SolveTelemetry {
@@ -109,6 +200,7 @@ impl SolveTelemetry {
             gap_abs: None,
             gap_rel: None,
             cuts: CutCounters::default(),
+            dive: None,
         }
     }
 
@@ -155,6 +247,9 @@ impl SolveTelemetry {
                 self.cuts.pseudocost_updates,
                 self.cuts.strong_branch_lps
             );
+        }
+        if let Some(dive) = &self.dive {
+            let _ = writeln!(s, "root dive: {dive}");
         }
         if self.incumbents.is_empty() {
             let _ = writeln!(s, "incumbents: none found");

@@ -4,9 +4,15 @@
 //!
 //! Where the differential suite (`backend_equivalence.rs`) pins the two
 //! backends to *each other*, these snapshots pin the pipeline to *its own
-//! history*: any change to hashing, stage placement, table dispatch,
-//! promotion logic, or merge semantics shows up as a register diff here,
-//! even if it is self-consistent across backends.
+//! history*: any change to hashing, table dispatch, promotion logic, or
+//! merge semantics shows up as a register diff here, even if it is
+//! self-consistent across backends.
+//!
+//! Which stage a register lands in is *not* in the dumps: the solver may
+//! pick any co-optimal placement, and a tie-break is not semantics. The
+//! placement is checked instead ([`check_placement`]): `verify_layout`
+//! clean, every dependency-graph precedence strictly ordered, no excluded
+//! pair sharing a stage, every register where the layout allocated it.
 //!
 //! Regenerate after an intentional semantic change with:
 //!
@@ -16,10 +22,15 @@
 //!
 //! and review the diff of `tests/golden/` like any other code change.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::sync::Arc;
 
-use p4all_core::Compiler;
+use p4all_core::depgraph::build_full;
+use p4all_core::elaborate::elaborate;
+use p4all_core::ir::instantiate;
+use p4all_core::{verify_layout, Compilation, Compiler};
 use p4all_elastic::apps::netcache::{self, NetCacheOptions};
 use p4all_elastic::apps::precision::{self, PrecisionOptions};
 use p4all_pisa::presets;
@@ -35,17 +46,61 @@ fn update_mode() -> bool {
 }
 
 /// Render every register instance as one line:
-/// `name[instance] stage=N: c0 c1 c2 ...`
+/// `name[instance]: c0 c1 c2 ...`
 fn dump_registers(sw: &Switch) -> String {
     let mut out = String::new();
-    for (name, instance, stage, cells) in sw.registers_snapshot() {
-        write!(out, "{name}[{instance}] stage={stage}:").unwrap();
+    for (name, instance, _stage, cells) in sw.registers_snapshot() {
+        write!(out, "{name}[{instance}]:").unwrap();
         for c in cells {
             write!(out, " {c}").unwrap();
         }
         out.push('\n');
     }
     out
+}
+
+/// The placement half of what the dumps used to pin by stage label: the
+/// layout verifies, respects the dependency graph rebuilt from the source
+/// at the compile's unroll bounds, and the switch holds every register in
+/// the stage the layout gave it.
+fn check_placement(src: &str, c: &Compilation, compiler: &Compiler, sw: &Switch) {
+    let program = Arc::new(p4all_lang::parse(src).expect("parses"));
+    verify_layout(&program, &c.layout, &compiler.target).expect("layout verifies");
+
+    let info = elaborate(&program).expect("elaborates");
+    let unrolled = instantiate(&info, &c.upper_bounds).expect("unrolls");
+    let graph = build_full(&unrolled);
+    let mut stage_of: BTreeMap<usize, usize> = BTreeMap::new();
+    for p in &c.layout.placements {
+        assert_eq!(graph.nodes[p.group].label, p.label, "placement groups are graph nodes");
+        stage_of.insert(p.group, p.stage);
+    }
+    let placed = |a: usize, b: usize| Some((*stage_of.get(&a)?, *stage_of.get(&b)?));
+    let mut ordered = 0;
+    for &(a, b) in &graph.precedence {
+        if let Some((sa, sb)) = placed(a, b) {
+            let (la, lb) = (&graph.nodes[a].label, &graph.nodes[b].label);
+            assert!(sa < sb, "`{la}` (stage {sa}) must precede `{lb}` (stage {sb})");
+            ordered += 1;
+        }
+    }
+    assert!(ordered > 0, "both golden programs have dependent actions to order");
+    for &(a, b) in &graph.exclusion {
+        if let Some((sa, sb)) = placed(a, b) {
+            let (la, lb) = (&graph.nodes[a].label, &graph.nodes[b].label);
+            assert_ne!(sa, sb, "`{la}` and `{lb}` exclude each other but share a stage");
+        }
+    }
+
+    let allocated: BTreeMap<(&str, usize), usize> =
+        c.layout.registers.iter().map(|r| ((r.reg.as_str(), r.instance), r.stage)).collect();
+    for (name, instance, stage, _) in sw.registers_snapshot() {
+        assert_eq!(
+            allocated.get(&(name.as_str(), instance)),
+            Some(&stage),
+            "`{name}[{instance}]` sits in stage {stage}, not where the layout allocated it"
+        );
+    }
 }
 
 /// Compare (or, with `UPDATE_GOLDEN=1`, rewrite) one named snapshot.
@@ -124,10 +179,12 @@ fn netcache_golden(backend: Backend) {
     opts.cms.max_rows = 3;
     opts.kvs.max_slices = Some(4);
     let src = netcache::source(&opts);
-    let c = Compiler::new(presets::paper_eval(1 << 15)).compile(&src).expect("compiles");
+    let compiler = Compiler::new(presets::paper_eval(1 << 15));
+    let c = compiler.compile(&src).expect("compiles");
     let program = p4all_lang::parse(&src).expect("parses");
     let names = netcache::runtime_config(&opts);
     let mut switch = Switch::build(&c.concrete, &program).expect("sim builds");
+    check_placement(&src, &c, &compiler, &switch);
     switch.set_backend(backend);
     let cfg = NetCacheConfig {
         cache_table: names.cache_table,
@@ -184,9 +241,11 @@ fn netcache_native_matches_same_golden() {
 fn heavy_hitter_golden(backend: Backend) {
     let opts = PrecisionOptions { max_stages: 3, min_slots: 64 };
     let src = precision::source(&opts);
-    let c = Compiler::new(presets::paper_eval(1 << 15)).compile(&src).expect("compiles");
+    let compiler = Compiler::new(presets::paper_eval(1 << 15));
+    let c = compiler.compile(&src).expect("compiles");
     let program = p4all_lang::parse(&src).expect("parses");
     let mut sw = Switch::build(&c.concrete, &program).expect("sim builds");
+    check_placement(&src, &c, &compiler, &sw);
     sw.set_backend(backend);
 
     let trace = canned_trace("heavy_hitter", || {
@@ -203,9 +262,9 @@ fn heavy_hitter_golden(backend: Backend) {
 }
 
 /// PRECISION-style heavy-hitter tracker replayed through `run_trace`:
-/// the dump pins per-stage key/count register contents (which flows were
-/// admitted into which stage) — the part of the pipeline most sensitive
-/// to hash or placement drift.
+/// the dump pins the key/count register contents of every tracker stage
+/// (which flows were admitted into which instance) — the part of the
+/// pipeline most sensitive to hash drift.
 #[test]
 fn heavy_hitter_register_state_matches_golden() {
     heavy_hitter_golden(Backend::default());
