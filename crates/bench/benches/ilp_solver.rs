@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use p4all_ilp::{solve, solve_with, LinExpr, Model, Sense, SolveOptions, SolveStatus};
+use p4all_ilp::{solve, LinExpr, Model, Sense, SolveStatus};
 
 fn knapsack(n: usize) -> Model {
     let mut m = Model::new();
@@ -83,32 +83,5 @@ fn bench_placements(c: &mut Criterion) {
     group.finish();
 }
 
-/// Thread scaling on the hardest placement chain: sequential (1 thread)
-/// vs all cores, in both parallel modes. On a single-core container the
-/// interesting number is the synchronization overhead, not a speedup; on
-/// multi-core hardware this is the 1t-vs-Nt column for EXPERIMENTS.md.
-fn bench_thread_scaling(c: &mut Criterion) {
-    let m = placement_chain(10, 12);
-    let auto = SolveOptions::default().effective_threads();
-    let mut group = c.benchmark_group("ilp_threads");
-    group.sample_size(10);
-    let configs = [
-        ("1t_sequential", 1usize, true),
-        ("nt_deterministic", auto, true),
-        ("nt_free", auto, false),
-    ];
-    for (label, threads, deterministic) in configs {
-        let opts = SolveOptions { threads, deterministic, ..SolveOptions::default() };
-        group.bench_with_input(BenchmarkId::new(label, threads), &m, |b, m| {
-            b.iter(|| {
-                let out = solve_with(m, &opts).expect("solve");
-                assert_eq!(out.status, SolveStatus::Optimal);
-                std::hint::black_box(out.nodes)
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_knapsacks, bench_placements, bench_thread_scaling);
+criterion_group!(benches, bench_knapsacks, bench_placements);
 criterion_main!(benches);

@@ -14,7 +14,7 @@ use p4all_elastic::apps::precision;
 use p4all_pisa::presets;
 
 fn options(warm_lp: bool) -> CompileOptions {
-    let mut o = CompileOptions::default().with_threads(1);
+    let mut o = CompileOptions::default();
     o.solver.warm_lp = warm_lp;
     o
 }

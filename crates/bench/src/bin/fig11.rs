@@ -2,14 +2,8 @@
 //! P4All), compile time, and ILP size (variables, constraints) for
 //! NetCache, SketchLearn, PRECISION, and ConQuest.
 //!
-//! Each app is compiled twice — with the sequential solver
-//! (`threads = 1`) and with all available cores (`threads = 0`) — so the
-//! table records both solve times for the scaling note in EXPERIMENTS.md.
-//! Both compiles share one [`CompileCtx`] per app: the thread count only
-//! affects the solve pass, so the second compile reuses the cached front
-//! half (parse → elaborate → bounds → unroll → depgraph) and re-runs just
-//! encode + solve. The per-pass split of the sequential compile is
-//! printed for each app.
+//! Each app is compiled once, cold, on a context of its own; the per-pass
+//! split of the compile is printed for each app.
 
 use p4all_bench::{bench_netcache_options, emit_tsv};
 use p4all_core::{loc, CompileCtx, CompileOptions};
@@ -44,31 +38,15 @@ fn main() {
 
     let mut rows = Vec::new();
     for (name, elastic_src, baseline_src) in apps {
-        let mut ctx = CompileCtx::new(CompileOptions::default().with_threads(0));
-        let par_result = ctx.compile(&elastic_src, &target);
-        // Same source, same target: the sequential compile below reuses the
-        // cached front half and only re-runs encode + solve with 1 thread.
-        ctx.options = CompileOptions::default().with_threads(1);
+        let mut ctx = CompileCtx::new(CompileOptions::default());
         match ctx.compile(&elastic_src, &target) {
             Ok(c) => {
-                let threads = c
-                    .solve_stats
-                    .telemetry
-                    .threads
-                    .max(1);
-                let (par_solve_s, par_threads) = match &par_result {
-                    Ok(p) => (
-                        format!("{:.3}", p.timings.solve.as_secs_f64()),
-                        p.solve_stats.telemetry.threads,
-                    ),
-                    Err(_) => ("-".to_string(), threads),
-                };
                 let pivots = c.solve_stats.telemetry.total_pivots();
                 let warm_lps = c.solve_stats.telemetry.total_warm_solves();
                 let cuts = c.solve_stats.telemetry.cuts.applied;
                 let pc_updates = c.solve_stats.telemetry.cuts.pseudocost_updates;
                 rows.push(format!(
-                    "{name}\t{}\t{}\t{}\t{:.3}\t{:.3}\t{par_solve_s}\t{par_threads}\t{}\t{}\t{pivots}\t{warm_lps}\t{cuts}\t{pc_updates}\t{:?}",
+                    "{name}\t{}\t{}\t{}\t{:.3}\t{:.3}\t{}\t{}\t{pivots}\t{warm_lps}\t{cuts}\t{pc_updates}\t{:?}",
                     loc(&baseline_src),
                     loc(&elastic_src),
                     loc(&c.p4_text),
@@ -80,21 +58,19 @@ fn main() {
                 ));
                 eprintln!(
                     "{name}: P4 {} LoC, P4All {} LoC, compile {:.3}s \
-                     (solve {:.3}s @1t, {par_solve_s}s @{par_threads}t), ILP ({}, {}), \
-                     {pivots} pivots ({warm_lps} warm LPs), {} front pass(es) cached",
+                     (solve {:.3}s), ILP ({}, {}), {pivots} pivots ({warm_lps} warm LPs)",
                     loc(&baseline_src),
                     loc(&elastic_src),
                     c.timings.total.as_secs_f64(),
                     c.timings.solve.as_secs_f64(),
                     c.ilp_stats.num_vars,
                     c.ilp_stats.num_constraints,
-                    c.trace.cache_hits(),
                 );
                 eprintln!("{}", c.trace.render());
             }
             Err(e) => {
                 rows.push(format!(
-                    "{name}\t{}\t{}\t-\t-\t-\t-\t-\t-\t-\t-\t-\t-\t-\t{e}",
+                    "{name}\t{}\t{}\t-\t-\t-\t-\t-\t-\t-\t-\t-\t{e}",
                     loc(&baseline_src),
                     loc(&elastic_src)
                 ));
@@ -104,7 +80,7 @@ fn main() {
     }
     emit_tsv(
         "fig11_applications",
-        "app\tp4_loc\tp4all_loc\tgenerated_loc\tcompile_s\tsolve_1t_s\tsolve_nt_s\tnt_threads\tilp_vars\tilp_constraints\tlp_pivots\twarm_lps\tcuts_applied\tpseudocost_updates\tstatus",
+        "app\tp4_loc\tp4all_loc\tgenerated_loc\tcompile_s\tsolve_s\tilp_vars\tilp_constraints\tlp_pivots\twarm_lps\tcuts_applied\tpseudocost_updates\tstatus",
         &rows,
     );
 }

@@ -7,7 +7,7 @@
 //! weights changes the *split*, not the store's viability.
 
 use p4all_bench::emit_tsv;
-use p4all_core::{CompileOptions, Compiler};
+use p4all_core::Compiler;
 use p4all_elastic::apps::netcache::{self, NetCacheOptions};
 use p4all_pisa::presets;
 
@@ -32,16 +32,7 @@ fn main() {
         ("0.6*cms+0.4*kv", configure(NetCacheOptions::cms_heavy())),
     ] {
         let src = netcache::source(&opts);
-        // Solve sequentially and with all cores: same layout either way
-        // (the deterministic parallel mode is scheduling-independent), but
-        // both solve times land in the table.
-        let seq = Compiler::with_options(target.clone(), CompileOptions::default().with_threads(1));
-        let par = Compiler::with_options(target.clone(), CompileOptions::default().with_threads(0));
-        let par_solve_s = match par.compile(&src) {
-            Ok(p) => format!("{:.3}", p.timings.solve.as_secs_f64()),
-            Err(_) => "-".to_string(),
-        };
-        match seq.compile(&src) {
+        match Compiler::new(target.clone()).compile(&src) {
             Ok(c) => {
                 let r = c.layout.symbol_values["cms_rows"];
                 let w = c.layout.symbol_values["cms_cols"];
@@ -51,7 +42,7 @@ fn main() {
                 let pivots = c.solve_stats.telemetry.total_pivots();
                 let cuts = c.solve_stats.telemetry.cuts.applied;
                 rows.push(format!(
-                    "{label}\t{r}\t{w}\t{}\t{s}\t{k}\t{}\t{total}\t{:.1}\t{:.3}\t{par_solve_s}\t{pivots}\t{cuts}",
+                    "{label}\t{r}\t{w}\t{}\t{s}\t{k}\t{}\t{total}\t{:.1}\t{:.3}\t{pivots}\t{cuts}",
                     r * w,
                     s * k,
                     c.layout.objective,
@@ -59,7 +50,7 @@ fn main() {
                 ));
                 eprintln!(
                     "{label}: cms {r}x{w} ({}), kv {s}x{k} ({}), total {total} bits, \
-                     utility {:.1}, solve {:.3}s @1t / {par_solve_s}s @Nt, {pivots} pivots",
+                     utility {:.1}, solve {:.3}s, {pivots} pivots",
                     r * w,
                     s * k,
                     c.layout.objective,
@@ -67,14 +58,14 @@ fn main() {
                 );
             }
             Err(e) => {
-                rows.push(format!("{label}\t-\t-\t-\t-\t-\t-\t-\t- ({e})\t-\t-\t-\t-"));
+                rows.push(format!("{label}\t-\t-\t-\t-\t-\t-\t-\t- ({e})\t-\t-\t-"));
                 eprintln!("{label}: {e}");
             }
         }
     }
     emit_tsv(
         "fig13_utility_functions",
-        "utility\tcms_rows\tcms_cols\tcms_counters\tkv_slices\tkv_cols\tkv_items\ttotal_bits\tobjective\tsolve_1t_s\tsolve_nt_s\tlp_pivots\tcuts_applied",
+        "utility\tcms_rows\tcms_cols\tcms_counters\tkv_slices\tkv_cols\tkv_items\ttotal_bits\tobjective\tsolve_s\tlp_pivots\tcuts_applied",
         &rows,
     );
 }

@@ -1,6 +1,6 @@
 //! ILP solver benchmark: warm-started dual simplex vs the all-cold
-//! historical search, single-threaded, on the four evaluation apps and
-//! the Figure-12 memory sweep. Writes `BENCH_ilp.json` with per-app
+//! reference configuration (`warm_lp: false`), on the four evaluation
+//! apps and the Figure-12 memory sweep. Writes `BENCH_ilp.json` with per-app
 //! cold/warm solve times, node counts, and pivot counts, plus the sweep's
 //! cross-solve warm-start acceptance.
 //!
@@ -69,7 +69,7 @@ impl Sample {
 }
 
 fn options(warm: bool) -> CompileOptions {
-    let mut o = CompileOptions::default().with_threads(1);
+    let mut o = CompileOptions::default();
     o.solver.warm_lp = warm;
     o
 }
@@ -132,15 +132,13 @@ fn scaled_joint_workload() -> Vec<TenantProgram> {
 const PLAIN_NODE_CAP: usize = 5_000;
 
 /// Options for the cut-engine comparison: diving is disabled so the node
-/// counts compare the actual search trees, and the cut/pseudocost engine
-/// is toggled as one unit. The plain side is capped (see
+/// counts compare the actual search trees. The plain side is capped (see
 /// [`PLAIN_NODE_CAP`]); the cuts side keeps the default node budget and
 /// is required to prove optimality.
 fn cuts_options(on: bool) -> CompileOptions {
-    let mut o = CompileOptions::default().with_threads(1);
+    let mut o = CompileOptions::default();
     o.solver.dive_limit = 0;
     o.solver.cuts = on;
-    o.solver.pseudocost = on;
     if !on {
         o.solver.node_limit = PLAIN_NODE_CAP;
     }
@@ -160,10 +158,10 @@ fn solve_joint_cuts(
     (Sample::of(&jc.compilation), optimal)
 }
 
-/// The reference objective for a joint workload: the historical default
+/// The reference objective for a joint workload: the default
 /// configuration (diving on), which proves optimality on these models.
 fn joint_reference_objective(tenants: &[TenantProgram], target: &TargetSpec) -> f64 {
-    let mut ctx = CompileCtx::new(CompileOptions::default().with_threads(1));
+    let mut ctx = CompileCtx::new(CompileOptions::default());
     let jc = ctx.compile_joint(tenants, target).expect("joint reference must compile");
     assert_eq!(
         jc.compilation.solve_stats.status,
@@ -175,8 +173,8 @@ fn joint_reference_objective(tenants: &[TenantProgram], target: &TargetSpec) -> 
 
 /// One full pass over the Figure-12 memory sweep (8 points). Warm mode
 /// shares one context so each point's incumbent seeds the next solve;
-/// cold mode uses a fresh context per point (the historical behavior:
-/// greedy seed only, every LP solved from scratch).
+/// cold mode uses a fresh context per point (greedy seed only, every LP
+/// solved from scratch).
 fn sweep_once(src: &str, warm: bool) -> (Sample, usize) {
     let mut totals = Sample::default();
     let mut warm_accepted = 0usize;
@@ -286,11 +284,11 @@ fn main() {
 
     // Cut-and-branch vs plain branch-and-bound on the joint workloads:
     // node counts with diving disabled, so the comparison is between the
-    // search trees themselves. Node counts are deterministic at one
-    // thread, so each variant runs once. The cuts side must prove
-    // optimality and match the historical default configuration's
-    // objective; the plain side runs to PLAIN_NODE_CAP (it does not
-    // close these trees), so its node count is a lower bound.
+    // search trees themselves. Node counts repeat exactly, so each
+    // variant runs once. The cuts side must prove optimality and match
+    // the default configuration's objective; the plain side runs to
+    // PLAIN_NODE_CAP (it does not close these trees), so its node count
+    // is a lower bound.
     let scaled = scaled_joint_workload();
     let scaled_target = presets::paper_eval(1 << 17);
     let mut cuts_rows: Vec<(&str, Sample, bool, Sample)> = Vec::new();

@@ -18,8 +18,6 @@
 //!   --phv BITS           override PHV size
 //!   --emit WHAT          p4 | layout | stats | all   (default: all)
 //!   --out FILE           write the generated P4 to FILE
-//!   --threads N          ILP solver worker threads (0 = all cores,
-//!                        the default; 1 = exact sequential search)
 //!   --greedy             use the greedy first-fit allocator instead of
 //!                        the ILP (baseline / quick feasibility check)
 //!   --sim N              after compiling, replay N synthetic packets
@@ -67,7 +65,6 @@ struct Args {
     emit_layout: bool,
     emit_stats: bool,
     out: Option<String>,
-    threads: usize,
     greedy: bool,
     sim: Option<u64>,
     sim_backend: Backend,
@@ -114,7 +111,7 @@ fn usage() -> &'static str {
     "usage: p4allc PROGRAM.p4all | --tenant FILE[:WEIGHT] ... \
      [--target tofino|paper-eval|paper-example|small] \
      [--stages N] [--memory BITS] [--stateful-alus N] [--stateless-alus N] \
-     [--phv BITS] [--emit p4|layout|stats|all] [--out FILE] [--threads N] [--greedy] \
+     [--phv BITS] [--emit p4|layout|stats|all] [--out FILE] [--greedy] \
      [--sim N] [--sim-backend interp|compiled|native] [--sim-threads N] [--sim-batch N] \
      [--timings] [--json-diagnostics]"
 }
@@ -125,7 +122,6 @@ fn parse_args() -> Result<Args, String> {
     let mut target = presets::tofino_like();
     let mut emit = "all".to_string();
     let mut out = None;
-    let mut threads = 0usize;
     let mut greedy = false;
     let mut sim = None;
     let mut sim_backend = Backend::Compiled;
@@ -179,11 +175,6 @@ fn parse_args() -> Result<Args, String> {
             "--tenant" => tenants.push(next(&mut i, "--tenant")?),
             "--emit" => emit = next(&mut i, "--emit")?,
             "--out" => out = Some(next(&mut i, "--out")?),
-            "--threads" => {
-                threads = next(&mut i, "--threads")?
-                    .parse()
-                    .map_err(|_| "--threads needs an integer".to_string())?;
-            }
             "--greedy" => greedy = true,
             "--timings" => timings = true,
             "--json-diagnostics" => json_diagnostics = true,
@@ -247,7 +238,6 @@ fn parse_args() -> Result<Args, String> {
         emit_layout,
         emit_stats,
         out,
-        threads,
         greedy,
         sim,
         sim_backend,
@@ -350,7 +340,7 @@ fn json_tenant_report(reports: &[TenantReport]) -> String {
 
 fn run(args: Args) -> Result<(), Failure> {
     eprintln!("target: {}", args.target);
-    let options = CompileOptions::default().with_threads(args.threads);
+    let options = CompileOptions::default();
 
     let (src, mut c, reports): (String, Compilation, Option<Vec<TenantReport>>) =
         if args.tenants.is_empty() {

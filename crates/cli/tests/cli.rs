@@ -28,7 +28,7 @@ fn compiles_cms_example() {
 fn dive_outcome_is_printed_by_stats_timings_and_json() {
     let out = bin()
         .arg(example("cms.p4all"))
-        .args(["--target", "paper-example", "--threads", "1"])
+        .args(["--target", "paper-example"])
         .args(["--emit", "stats", "--timings", "--json-diagnostics"])
         .output()
         .expect("p4allc runs");
@@ -37,6 +37,33 @@ fn dive_outcome_is_printed_by_stats_timings_and_json() {
     // Once under --timings, once inside the solve summary of --emit stats.
     assert_eq!(stdout.matches("root dive: warm ").count(), 2, "{stdout}");
     assert!(stdout.contains("\"dive\":{\"warm\":{\"end\":\""), "{stdout}");
+}
+
+/// The solver has one search: `--threads` is no flag at all, and the solve
+/// summary has no thread to name.
+#[test]
+fn threads_flag_is_rejected_and_the_summary_names_no_thread() {
+    let cms = |extra: &[&str]| {
+        bin()
+            .arg(example("cms.p4all"))
+            .args(["--target", "paper-example", "--emit", "stats"])
+            .args(extra)
+            .output()
+            .expect("p4allc runs")
+    };
+    let out = cms(&["--threads", "1"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag `--threads`"), "{stderr}");
+    assert!(!stderr.contains("[--threads"), "usage still lists the flag: {stderr}");
+
+    let out = cms(&[]);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for line in ["  LP work: ", "  cuts: ", "  root dive: ", "  incumbents ("] {
+        assert!(stdout.contains(line), "no `{line}` line in:\n{stdout}");
+    }
+    assert!(!stdout.contains("thread"), "{stdout}");
 }
 
 #[test]

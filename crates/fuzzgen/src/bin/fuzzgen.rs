@@ -63,7 +63,7 @@ usage: fuzzgen [options]
   --corpus-dir DIR     where to write shrunk cases (default tests/fuzz-corpus)
   --save-corpus        write shrunk divergent cases into the corpus dir
   --no-shrink          report divergences without minimizing them
-  --no-cross           skip the warm/cold and 1/4-thread solver cross-checks
+  --no-cross           skip the warm/cold and cuts-on/off solver cross-checks
   --no-native          skip the generated-Rust native engine (three-way oracle)
   --max-divergences M  stop after M distinct divergent samples (default 5)
   --shrink-budget B    oracle runs per shrink (default 300)

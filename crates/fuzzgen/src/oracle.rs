@@ -7,9 +7,10 @@
 //! 1. **ILP** — compile under the exact solver; a feasible answer must
 //!    survive [`p4all_core::verify_layout`], dominate the greedy
 //!    allocator on the program's own utility, and agree on the objective
-//!    with a cold-LP solve and a 4-thread solve. An infeasible answer
-//!    must be corroborated: greedy may not find a valid layout, and the
-//!    4-thread solver must agree.
+//!    with the solver's two reference configurations (all LPs cold; cut
+//!    engine off). An infeasible answer must be corroborated: greedy may
+//!    not find a valid layout, and both reference configurations must
+//!    agree.
 //! 2. **Simulation** — a random trace replays through the reference
 //!    interpreter, the bytecode backend, and (when `rustc` is
 //!    available) the native-codegen backend in lockstep (per-packet PHV
@@ -50,7 +51,7 @@ pub struct OracleOptions {
     pub node_limit: usize,
     /// Wall-clock cap per solve.
     pub time_limit: Duration,
-    /// Run the warm/cold and 1/4-thread solver cross-checks (on for
+    /// Run the warm/cold and cuts-on/off solver cross-checks (on for
     /// fuzzing; the shrinker keeps them on so the bug class is preserved).
     pub cross_checks: bool,
     /// Include the native-codegen backend in the sim phase (the
@@ -70,11 +71,38 @@ impl Default for OracleOptions {
     }
 }
 
-/// Every divergence kind the oracle can currently emit. Corpus loading
-/// validates `.meta` kinds against this list so a renamed or retired
-/// check fails loudly, naming the stale file, instead of silently
-/// replaying under a dead class.
-pub const KNOWN_KINDS: &[&str] = &[
+/// A reference solver configuration the baseline verdict (default
+/// options) is re-checked under, and the divergence kinds a disagreement
+/// is filed as. The one table behind the cross-check loops and the
+/// cross-check entries of [`KNOWN_KINDS`].
+struct CrossCheck {
+    warm_lp: bool,
+    /// The whole cut-and-branch engine (cut separation and pseudocost
+    /// branching); off is plain branch-and-bound.
+    cuts: bool,
+    /// Both proved `Optimal`, at different objectives.
+    objective_kind: &'static str,
+    /// One side found a layout, the other proved none exists or failed.
+    status_kind: &'static str,
+}
+
+const CROSS_CHECKS: &[CrossCheck] = &[
+    CrossCheck {
+        warm_lp: false,
+        cuts: true,
+        objective_kind: "warm-cold-objective",
+        status_kind: "warm-cold-status",
+    },
+    CrossCheck {
+        warm_lp: true,
+        cuts: false,
+        objective_kind: "cuts-off-objective",
+        status_kind: "cuts-off-status",
+    },
+];
+
+/// The divergence kinds the oracle names by literal.
+const LITERAL_KINDS: &[&str] = &[
     "roundtrip-parse",
     "roundtrip-ast",
     "compile-panic",
@@ -87,10 +115,6 @@ pub const KNOWN_KINDS: &[&str] = &[
     "greedy-layout-invalid",
     "greedy-beats-ilp",
     "infeasible-vs-greedy",
-    "warm-cold-objective",
-    "warm-cold-status",
-    "threads-objective",
-    "threads-status",
     "sim-build",
     "sim-panic",
     "sim-status",
@@ -110,6 +134,28 @@ pub const KNOWN_KINDS: &[&str] = &[
     "joint-verify",
     "joint-utility",
 ];
+
+/// Every divergence kind the oracle can currently emit: the literal ones
+/// and the two of each solver cross-check (`CROSS_CHECKS`). Corpus
+/// loading validates `.meta` kinds against this list so a renamed or
+/// retired check fails loudly, naming the stale file, instead of silently
+/// replaying under a dead class.
+pub const KNOWN_KINDS: &[&str] = &{
+    let mut kinds = [""; LITERAL_KINDS.len() + 2 * CROSS_CHECKS.len()];
+    let mut i = 0;
+    while i < LITERAL_KINDS.len() {
+        kinds[i] = LITERAL_KINDS[i];
+        i += 1;
+    }
+    let mut c = 0;
+    while c < CROSS_CHECKS.len() {
+        kinds[i] = CROSS_CHECKS[c].objective_kind;
+        kinds[i + 1] = CROSS_CHECKS[c].status_kind;
+        i += 2;
+        c += 1;
+    }
+    kinds
+};
 
 /// One observed disagreement between two things that must agree.
 #[derive(Debug, Clone, PartialEq)]
@@ -167,22 +213,12 @@ impl Outcome {
     }
 }
 
-fn make_compiler(
-    target: &TargetSpec,
-    threads: usize,
-    warm_lp: bool,
-    cuts: bool,
-    opts: &OracleOptions,
-) -> Compiler {
-    let mut o = CompileOptions::default().with_threads(threads);
+fn make_compiler(target: &TargetSpec, warm_lp: bool, cuts: bool, opts: &OracleOptions) -> Compiler {
+    let mut o = CompileOptions::default();
     o.solver.node_limit = opts.node_limit;
     o.solver.time_limit = Some(opts.time_limit);
     o.solver.warm_lp = warm_lp;
-    // `cuts` toggles the whole cut-and-branch engine (cut separation and
-    // pseudocost branching) so the cross-check compares it against the
-    // plain historical search.
     o.solver.cuts = cuts;
-    o.solver.pseudocost = cuts;
     // Infeasibility explanations (IIS probing) cost extra solves the
     // oracle does not read; the *status* is the oracle's input.
     o.explain_infeasible = false;
@@ -228,7 +264,7 @@ pub fn run_case(case: &FuzzCase, opts: &OracleOptions) -> Outcome {
 
     // Phase 1: the exact solver, verified and cross-checked.
     let target = case.target.to_spec();
-    let compiler = make_compiler(&target, 1, true, true, opts);
+    let compiler = make_compiler(&target, true, true, opts);
     let res = match catch_unwind(AssertUnwindSafe(|| compiler.compile(&src))) {
         Ok(r) => r,
         Err(p) => {
@@ -271,14 +307,8 @@ pub fn run_case(case: &FuzzCase, opts: &OracleOptions) -> Outcome {
             }
 
             if opts.cross_checks && c.solve_stats.status == SolveStatus::Optimal {
-                for (kind, threads, warm, cuts) in [
-                    ("warm-cold", 1usize, false, true),
-                    ("threads", 4, true, true),
-                    ("cuts-off", 1, true, false),
-                ] {
-                    if let Some(d) = cross_check(
-                        &src, &target, opts, kind, threads, warm, cuts, c.layout.objective,
-                    ) {
+                for check in CROSS_CHECKS {
+                    if let Some(d) = cross_check(&src, &target, opts, check, c.layout.objective) {
                         return Outcome::Divergence(d);
                     }
                 }
@@ -317,14 +347,8 @@ pub fn run_case(case: &FuzzCase, opts: &OracleOptions) -> Outcome {
                 Ok(Err(_)) => {}
             }
             if opts.cross_checks {
-                for (kind, threads, warm, cuts) in [
-                    ("warm-cold", 1usize, false, true),
-                    ("threads", 4, true, true),
-                    ("cuts-off", 1, true, false),
-                ] {
-                    if let Some(d) =
-                        cross_check_infeasible(&src, &target, opts, kind, threads, warm, cuts)
-                    {
+                for check in CROSS_CHECKS {
+                    if let Some(d) = cross_check_infeasible(&src, &target, opts, check) {
                         return Outcome::Divergence(d);
                     }
                 }
@@ -408,7 +432,7 @@ pub fn run_joint_case(case: &JointFuzzCase, opts: &OracleOptions) -> Outcome {
         Err(d) => return Outcome::Divergence(d),
     };
     let target = case.target.to_spec();
-    let mut o = CompileOptions::default().with_threads(1);
+    let mut o = CompileOptions::default();
     o.solver.node_limit = opts.node_limit;
     o.solver.time_limit = Some(opts.time_limit);
     o.explain_infeasible = false;
@@ -468,18 +492,15 @@ pub fn run_joint_case(case: &JointFuzzCase, opts: &OracleOptions) -> Outcome {
 /// Re-solve with a different solver configuration; an `Optimal` answer
 /// must match the baseline objective, and no configuration may flip to
 /// infeasible.
-#[allow(clippy::too_many_arguments)]
 fn cross_check(
     src: &str,
     target: &TargetSpec,
     opts: &OracleOptions,
-    kind: &str,
-    threads: usize,
-    warm_lp: bool,
-    cuts: bool,
+    check: &CrossCheck,
     baseline_objective: f64,
 ) -> Option<Divergence> {
-    let compiler = make_compiler(target, threads, warm_lp, cuts, opts);
+    let CrossCheck { warm_lp, cuts, objective_kind, status_kind } = *check;
+    let compiler = make_compiler(target, warm_lp, cuts, opts);
     match catch_unwind(AssertUnwindSafe(|| compiler.compile(src))) {
         Err(p) => Some(Divergence::new("compile-panic", panic_message(p))),
         Ok(Ok(c2)) => {
@@ -487,9 +508,9 @@ fn cross_check(
                 && !objectives_agree(baseline_objective, c2.layout.objective)
             {
                 Some(Divergence::new(
-                    &format!("{kind}-objective"),
+                    objective_kind,
                     format!(
-                        "baseline objective {baseline_objective} vs {} under threads={threads} warm_lp={warm_lp} cuts={cuts}",
+                        "baseline objective {baseline_objective} vs {} under warm_lp={warm_lp} cuts={cuts}",
                         c2.layout.objective
                     ),
                 ))
@@ -499,8 +520,8 @@ fn cross_check(
         }
         Ok(Err(CompileError::SolverLimit(_))) => None,
         Ok(Err(e)) => Some(Divergence::new(
-            &format!("{kind}-status"),
-            format!("baseline feasible but threads={threads} warm_lp={warm_lp} cuts={cuts} failed: {e}"),
+            status_kind,
+            format!("baseline feasible but warm_lp={warm_lp} cuts={cuts} failed: {e}"),
         )),
     }
 }
@@ -511,25 +532,23 @@ fn cross_check_infeasible(
     src: &str,
     target: &TargetSpec,
     opts: &OracleOptions,
-    kind: &str,
-    threads: usize,
-    warm_lp: bool,
-    cuts: bool,
+    check: &CrossCheck,
 ) -> Option<Divergence> {
-    let compiler = make_compiler(target, threads, warm_lp, cuts, opts);
+    let CrossCheck { warm_lp, cuts, status_kind, .. } = *check;
+    let compiler = make_compiler(target, warm_lp, cuts, opts);
     match catch_unwind(AssertUnwindSafe(|| compiler.compile(src))) {
         Err(p) => Some(Divergence::new("compile-panic", panic_message(p))),
         Ok(Ok(c2)) => Some(Divergence::new(
-            &format!("{kind}-status"),
+            status_kind,
             format!(
-                "baseline infeasible but threads={threads} warm_lp={warm_lp} cuts={cuts} found objective {}",
+                "baseline infeasible but warm_lp={warm_lp} cuts={cuts} found objective {}",
                 c2.layout.objective
             ),
         )),
         Ok(Err(CompileError::Infeasible(_))) | Ok(Err(CompileError::SolverLimit(_))) => None,
         Ok(Err(e)) => Some(Divergence::new(
-            &format!("{kind}-status"),
-            format!("baseline infeasible but threads={threads} warm_lp={warm_lp} cuts={cuts} errored differently: {e}"),
+            status_kind,
+            format!("baseline infeasible but warm_lp={warm_lp} cuts={cuts} errored differently: {e}"),
         )),
     }
 }
@@ -750,6 +769,30 @@ mod tests {
         let p3 = Divergence::new("compile-panic", "attempt to divide by zero");
         assert!(p1.same_bug(&p2));
         assert!(!p1.same_bug(&p3));
+    }
+
+    /// A kind the oracle emits but `KNOWN_KINDS` lacks would make
+    /// `corpus::load_dir` reject the first witness saved under it.
+    #[test]
+    fn every_kind_the_oracle_emits_is_a_known_kind() {
+        for kind in ["warm-cold-objective", "warm-cold-status", "cuts-off-objective", "cuts-off-status"] {
+            assert!(KNOWN_KINDS.contains(&kind), "{kind} witnesses would not load");
+        }
+        assert!(!KNOWN_KINDS.iter().any(|k| k.starts_with("threads-")), "retired with the search");
+        // Every kind named by literal where a divergence is constructed.
+        let source = include_str!("oracle.rs");
+        let (code, _tests) = source.split_once("#[cfg(test)]").expect("this module");
+        let mut literals = 0;
+        for after in code.split(concat!("Divergence::", "new(")).skip(1) {
+            if let Some(kind) = after.trim_start().strip_prefix('"').and_then(|r| r.split('"').next()) {
+                assert!(KNOWN_KINDS.contains(&kind), "`{kind}` is emitted but not in KNOWN_KINDS");
+                literals += 1;
+            }
+        }
+        assert!(literals >= 20, "the scan found only {literals} literal kinds");
+        for (i, kind) in KNOWN_KINDS.iter().enumerate() {
+            assert!(!KNOWN_KINDS[..i].contains(kind), "{kind} listed twice");
+        }
     }
 
     #[test]

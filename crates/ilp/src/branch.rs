@@ -1,15 +1,15 @@
 //! Branch-and-bound driver for mixed-integer programs.
 //!
-//! Single-threaded solves use a depth-first search over bound-tightened
-//! subproblems, each relaxed and solved by the [simplex](crate::simplex)
-//! module; a root diving heuristic finds an early incumbent so the LP
-//! bound can prune aggressively. Multi-threaded solves (see
-//! [`SolveOptions::threads`]) switch to the best-first parallel search in
-//! [`crate::parallel`], where workers pull subproblems from a shared
-//! bound-ordered frontier and prune against a shared incumbent.
+//! One search: a depth-first walk over bound-tightened subproblems, each
+//! relaxed and solved by the [simplex](crate::simplex) module. A root
+//! diving heuristic finds an early incumbent so the LP bound can prune
+//! aggressively; root cut rounds and reliability-initialized pseudocost
+//! branching (see [`SolveOptions::cuts`]) shrink the tree; each node's LP
+//! starts from its parent's basis (see [`SolveOptions::warm_lp`]), which
+//! the depth-first order hands to the second child by move, not copy.
 //!
-//! Every solve records [`SolveTelemetry`]: per-thread node and LP counts,
-//! the incumbent-improvement timeline, and the final optimality gap.
+//! Every solve records [`SolveTelemetry`]: LP work counters, the
+//! incumbent-improvement timeline, and the final optimality gap.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -18,20 +18,19 @@ use crate::cuts::{self, CutCounters, CutPool};
 use crate::model::{Model, Sense, Solution, VarKind};
 use crate::presolve::{presolve, Presolved};
 use crate::simplex::{
-    solve_lp_ext, solve_lp_tableau, solve_lp_take, Basis, LpError, LpResult, LpSolve, LpStats,
+    solve_lp_ext, solve_lp_tableau, solve_lp_take, Basis, LpError, LpResult, LpSolve,
 };
 use crate::telemetry::{
-    DiveTelemetry, DiveWork, IncumbentEvent, IncumbentSource, SolveTelemetry, ThreadTelemetry,
-    WarmDiveEnd,
+    DiveTelemetry, DiveWork, IncumbentEvent, IncumbentSource, LpWork, SolveTelemetry, WarmDiveEnd,
 };
 
 /// Fractional root candidates initialized by reliability (strong)
 /// branching — two LPs each, warm-started from the root basis.
 const STRONG_BRANCH_MAX: usize = 8;
-/// First node count at which the sequential search attempts node-level
-/// cut separation; subsequent events at 4x intervals.
+/// First node count at which the tree search attempts node-level cut
+/// separation; subsequent events at 4x intervals.
 const NODE_SEP_BASE: usize = 256;
-/// Maximum node-level separation events per sequential solve (each one
+/// Maximum node-level separation events per solve (each one
 /// invalidates the stacked warm bases, so they are rationed).
 const NODE_SEP_EVENTS: usize = 4;
 /// Relative bound improvement below which the root cut loop stops.
@@ -59,40 +58,28 @@ pub struct SolveOptions {
     /// feasible for the model it seeds the incumbent, activating bound
     /// pruning from the first node.
     pub warm_start: Option<Vec<f64>>,
-    /// Worker threads for the branch and bound. `0` means "use all
-    /// available parallelism" (the default); `1` reproduces the
-    /// sequential depth-first search exactly — same node order, same
-    /// node count, same answer as before threading existed.
-    pub threads: usize,
-    /// When solving in parallel, make tie-breaking independent of thread
-    /// scheduling: workers synchronize on batched rounds and incumbent
-    /// updates apply in a fixed order, so the returned layout is a pure
-    /// function of (model, options, threads). Costs a synchronization
-    /// barrier per round; disable for maximum throughput when
-    /// reproducibility does not matter.
-    pub deterministic: bool,
     /// Warm-start each LP after the root from a previous optimal basis
     /// and re-optimize with the dual simplex (on by default — typically an
     /// order of magnitude fewer pivots per LP): tree nodes from their
     /// parent's basis, cut rounds from the last round's, and the root dive
     /// as a chain from the root basis, with the cold dive kept as its
     /// second opinion whenever the chain does not close the root gap (see
-    /// `root_dive`). The answer is the same; set `false` to reproduce the
-    /// historical cold-solve arithmetic exactly.
+    /// `root_dive`). `false` solves every LP cold from the slack basis: a
+    /// reference configuration for tests and the fuzz oracle, which
+    /// reaches the same optimum and is compared by objective.
     pub warm_lp: bool,
-    /// Run the cutting-plane engine (on by default): Gomory mixed-integer
+    /// Run the cut-and-branch engine (on by default): Gomory mixed-integer
     /// cuts from the simplex tableau and knapsack cover cuts from
     /// capacity rows, separated in rounds at the root (and sparingly at
-    /// tree nodes in the sequential search), pooled, and activated by
-    /// violation under a budget. Cuts tighten the LP relaxation so the
-    /// tree search needs fewer nodes; `false` reproduces the historical
-    /// plain branch-and-bound byte-for-byte.
+    /// tree nodes), pooled, and activated by violation under a budget;
+    /// and branching on pseudocost scores, reliability-initialized by
+    /// bounded strong branching at the root. Cuts tighten the LP
+    /// relaxation and pseudocosts pick better variables, so the tree
+    /// needs fewer nodes. `false` is plain branch-and-bound on the most
+    /// fractional variable: a reference configuration for tests and the
+    /// fuzz oracle, which reaches the same optimum and is compared by
+    /// objective.
     pub cuts: bool,
-    /// Branch on pseudocost scores (on by default), reliability-
-    /// initialized by bounded strong branching at the root, instead of
-    /// the historical most-fractional rule. `false` reproduces the
-    /// historical variable selection byte-for-byte.
-    pub pseudocost: bool,
 }
 
 impl Default for SolveOptions {
@@ -105,22 +92,8 @@ impl Default for SolveOptions {
             rel_gap: 0.0,
             dive_limit: 400,
             warm_start: None,
-            threads: 0,
-            deterministic: true,
             warm_lp: true,
             cuts: true,
-            pseudocost: true,
-        }
-    }
-}
-
-impl SolveOptions {
-    /// Resolve the `threads` knob: `0` becomes the machine's available
-    /// parallelism, anything else is taken literally (min 1).
-    pub fn effective_threads(&self) -> usize {
-        match self.threads {
-            0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            n => n.max(1),
         }
     }
 }
@@ -146,13 +119,13 @@ pub struct MipOutcome {
     pub status: SolveStatus,
     /// Best solution found (present for `Optimal` and `Feasible`).
     pub solution: Option<Solution>,
-    /// Branch-and-bound nodes explored (all threads).
+    /// Branch-and-bound nodes explored.
     pub nodes: usize,
     /// Total LP relaxations solved (including heuristic dives).
     pub lp_solves: usize,
     /// Wall-clock time spent.
     pub elapsed: Duration,
-    /// Per-thread counts, incumbent timeline, final gap.
+    /// LP work counters, incumbent timeline, final gap.
     pub telemetry: SolveTelemetry,
 }
 
@@ -161,27 +134,27 @@ pub fn solve(model: &Model) -> Result<MipOutcome, LpError> {
     solve_with(model, &SolveOptions::default())
 }
 
-pub(crate) struct Node {
-    pub bounds: Vec<(f64, f64)>,
+struct Node {
+    bounds: Vec<(f64, f64)>,
     /// LP bound inherited from the parent (in "higher is better" score).
-    pub parent_score: f64,
-    /// The parent's optimal basis, shared by both children (and across
-    /// the parallel frontier). `None` at the root or when the parent's
-    /// basis was not representable; ignored when `warm_lp` is off.
-    pub basis: Option<Arc<Basis>>,
+    parent_score: f64,
+    /// The parent's optimal basis, shared by both children. `None` at the
+    /// root or when the parent's basis was not representable; ignored
+    /// when `warm_lp` is off.
+    basis: Option<Arc<Basis>>,
     /// How this node was created, for pseudocost updates once its LP is
     /// solved. `None` at the root; carried but unused when
-    /// `SolveOptions::pseudocost` is off.
-    pub branch: Option<BranchInfo>,
+    /// `SolveOptions::cuts` is off.
+    branch: Option<BranchInfo>,
 }
 
 /// Branching decision that created a node: variable, fractional distance
 /// the bound moved (`f` for the down child, `1 − f` for up), direction.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct BranchInfo {
-    pub var: usize,
-    pub dist: f64,
-    pub up: bool,
+struct BranchInfo {
+    var: usize,
+    dist: f64,
+    up: bool,
 }
 
 /// Per-variable pseudocost statistics: observed objective degradation per
@@ -190,7 +163,7 @@ pub(crate) struct BranchInfo {
 /// initialized ones (or 1.0 when nothing is initialized yet), which
 /// reduces the selection to most-fractional until data arrives.
 #[derive(Debug, Clone)]
-pub(crate) struct Pseudocosts {
+struct Pseudocosts {
     dn_sum: Vec<f64>,
     dn_n: Vec<u32>,
     up_sum: Vec<f64>,
@@ -198,7 +171,7 @@ pub(crate) struct Pseudocosts {
 }
 
 impl Pseudocosts {
-    pub fn new(num_vars: usize) -> Self {
+    fn new(num_vars: usize) -> Self {
         Pseudocosts {
             dn_sum: vec![0.0; num_vars],
             dn_n: vec![0; num_vars],
@@ -209,7 +182,7 @@ impl Pseudocosts {
 
     /// Record one observation: branching `var` in `up` direction cost
     /// `per_unit` objective per unit of bound movement.
-    pub fn record(&mut self, var: usize, up: bool, per_unit: f64) {
+    fn record(&mut self, var: usize, up: bool, per_unit: f64) {
         if up {
             self.up_sum[var] += per_unit;
             self.up_n[var] += 1;
@@ -235,12 +208,12 @@ impl Pseudocosts {
 
     /// Pseudocost branching: among fractional integer variables, pick the
     /// one with the largest product of estimated down/up degradations.
-    /// Branch priority and the binaries-first class still dominate, like
-    /// the historical most-fractional rule; degradation ties (common when
+    /// Branch priority and the binaries-first class still dominate, as in
+    /// the most-fractional rule; degradation ties (common when
     /// every observed move was degenerate) fall back to fractionality, so
     /// zero information reduces the rule to most-fractional, and exact
     /// ties keep the lowest index.
-    pub fn pick(&self, ctx: &SearchCtx<'_>, x: &[f64], tol: f64) -> Option<(usize, f64)> {
+    fn pick(&self, ctx: &SearchCtx<'_>, x: &[f64], tol: f64) -> Option<(usize, f64)> {
         let (avg_dn, avg_up) = self.averages();
         let mut best: Option<(usize, (i32, u8, f64, f64))> = None;
         for &j in &ctx.int_vars {
@@ -267,33 +240,33 @@ impl Pseudocosts {
     }
 }
 
-/// State of the cut-and-branch engine threaded through the searches:
-/// the cut-extended model the LPs solve against, the cut pool, shared
-/// pseudocost statistics, and the engine counters. Empty (and inert)
-/// when `SolveOptions { cuts: false, pseudocost: false }`.
-pub(crate) struct SearchAux {
+/// State of the cut-and-branch engine threaded through the search: the
+/// cut-extended model the LPs solve against, the cut pool, pseudocost
+/// statistics, and the engine counters. Empty (and inert) when
+/// `SolveOptions { cuts: false }`.
+struct SearchAux {
     /// The original model plus activated cut rows; `None` while no cut
     /// has been activated (LPs then solve the original model).
-    pub cut_model: Option<Model>,
+    cut_model: Option<Model>,
     /// Separated-but-inactive cuts, selectable at later events.
-    pub pool: CutPool,
-    /// Pseudocost statistics; `Some` iff `SolveOptions::pseudocost`.
-    pub pseudo: Option<Pseudocosts>,
-    pub counters: CutCounters,
+    pool: CutPool,
+    /// Pseudocost statistics; `Some` iff `SolveOptions::cuts`.
+    pseudo: Option<Pseudocosts>,
+    counters: CutCounters,
 }
 
 impl SearchAux {
-    pub fn new(num_vars: usize, opts: &SolveOptions) -> Self {
+    fn new(num_vars: usize, opts: &SolveOptions) -> Self {
         SearchAux {
             cut_model: None,
             pool: CutPool::default(),
-            pseudo: opts.pseudocost.then(|| Pseudocosts::new(num_vars)),
+            pseudo: opts.cuts.then(|| Pseudocosts::new(num_vars)),
             counters: CutCounters::default(),
         }
     }
 
     /// Record a pseudocost observation for a solved child node.
-    pub fn observe(&mut self, node_branch: Option<BranchInfo>, parent_score: f64, score: f64) {
+    fn observe(&mut self, node_branch: Option<BranchInfo>, parent_score: f64, score: f64) {
         if let (Some(pc), Some(b)) = (self.pseudo.as_mut(), node_branch) {
             if b.dist > 1e-6 {
                 let per_unit = (parent_score - score).max(0.0) / b.dist;
@@ -303,9 +276,9 @@ impl SearchAux {
         }
     }
 
-    /// Variable selection: pseudocost when enabled, else the historical
-    /// most-fractional rule.
-    pub fn pick(&self, ctx: &SearchCtx<'_>, x: &[f64], tol: f64) -> Option<(usize, f64)> {
+    /// Variable selection: pseudocost when the engine is on, else most
+    /// fractional.
+    fn pick(&self, ctx: &SearchCtx<'_>, x: &[f64], tol: f64) -> Option<(usize, f64)> {
         match &self.pseudo {
             Some(pc) => pc.pick(ctx, x, tol),
             None => ctx.pick_branch_var(x, tol),
@@ -313,53 +286,18 @@ impl SearchAux {
     }
 }
 
-/// Accumulated LP work counters for one worker (pivots, refactorizations,
-/// and warm/fallback solve counts), folded into [`ThreadTelemetry`].
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct LpWork {
-    pub pivots: usize,
-    pub refactorizations: usize,
-    pub warm_solves: usize,
-    pub cold_fallbacks: usize,
-}
-
-impl LpWork {
-    pub fn add(&mut self, s: &LpStats) {
-        self.pivots += s.pivots;
-        self.refactorizations += s.refactorizations;
-        if s.warm {
-            self.warm_solves += 1;
-        }
-        if s.fell_back {
-            self.cold_fallbacks += 1;
-        }
-    }
-
-    pub fn into_thread(self, thread: usize, nodes: usize, lp_solves: usize) -> ThreadTelemetry {
-        ThreadTelemetry {
-            thread,
-            nodes,
-            lp_solves,
-            pivots: self.pivots,
-            refactorizations: self.refactorizations,
-            warm_solves: self.warm_solves,
-            cold_fallbacks: self.cold_fallbacks,
-        }
-    }
-}
-
 /// Shared per-solve context: the model, options, the sense sign that maps
 /// objectives into "higher is better" scores, and the branch ordering.
-pub(crate) struct SearchCtx<'a> {
-    pub model: &'a Model,
-    pub opts: &'a SolveOptions,
-    pub sgn: f64,
-    pub int_vars: Vec<usize>,
-    pub start: Instant,
+struct SearchCtx<'a> {
+    model: &'a Model,
+    opts: &'a SolveOptions,
+    sgn: f64,
+    int_vars: Vec<usize>,
+    start: Instant,
 }
 
 impl<'a> SearchCtx<'a> {
-    pub fn new(model: &'a Model, opts: &'a SolveOptions) -> Self {
+    fn new(model: &'a Model, opts: &'a SolveOptions) -> Self {
         let sgn = match model.sense() {
             Sense::Maximize => 1.0,
             Sense::Minimize => -1.0,
@@ -383,7 +321,7 @@ impl<'a> SearchCtx<'a> {
 
     /// Selection key: highest branch priority, then binaries before
     /// general integers, then most fractional.
-    pub fn pick_branch_var(&self, x: &[f64], tol: f64) -> Option<(usize, f64)> {
+    fn pick_branch_var(&self, x: &[f64], tol: f64) -> Option<(usize, f64)> {
         let frac_of = |v: f64| (v - v.round()).abs();
         let mut best: Option<(usize, (i32, u8, f64))> = None;
         for &j in &self.int_vars {
@@ -406,7 +344,7 @@ impl<'a> SearchCtx<'a> {
     }
 
     /// Round every integral variable to the nearest integer.
-    pub fn snap(&self, x: &[f64]) -> Vec<f64> {
+    fn snap(&self, x: &[f64]) -> Vec<f64> {
         x.iter()
             .enumerate()
             .map(|(j, &v)| {
@@ -420,36 +358,33 @@ impl<'a> SearchCtx<'a> {
     }
 
     /// Map an internal score back to objective units.
-    pub fn score_to_objective(&self, score: f64) -> f64 {
+    fn score_to_objective(&self, score: f64) -> f64 {
         self.sgn * score
     }
 
     /// The prune threshold against an incumbent score.
-    pub fn prune_gap(&self, inc_score: f64) -> f64 {
+    fn prune_gap(&self, inc_score: f64) -> f64 {
         self.opts.gap_tol.max(self.opts.rel_gap * inc_score.abs())
     }
 }
 
 /// Everything the tree search needs after the root phase: tightened
 /// bounds, the root LP score, the seeded incumbent, and the LP/event
-/// bookkeeping accumulated so far (all attributed to thread 0).
-pub(crate) struct Prepared {
-    pub root_bounds: Vec<(f64, f64)>,
-    pub root_score: f64,
-    pub incumbent: Option<(f64, Vec<f64>)>,
-    pub lp_solves: usize,
-    pub events: Vec<IncumbentEvent>,
+/// bookkeeping accumulated so far.
+struct Prepared {
+    root_bounds: Vec<(f64, f64)>,
+    root_score: f64,
+    incumbent: Option<(f64, Vec<f64>)>,
+    lp_solves: usize,
+    events: Vec<IncumbentEvent>,
     /// Optimal basis of the root LP, seed for warm-started children.
-    pub root_basis: Option<Arc<Basis>>,
+    root_basis: Option<Arc<Basis>>,
     /// LP work done during the root phase (root LP + dives).
-    pub lp_work: LpWork,
+    lp_work: LpWork,
 }
 
-/// Root phase shared by the sequential and parallel searches: presolve,
-/// warm start, root LP, integrality shortcut, diving heuristic. Under
-/// `warm_lp: false` identical to the historical sequential behavior (same
-/// LP counts, same `nodes` values in the early returns); under `warm_lp`
-/// the dive differs as [`root_dive`] describes.
+/// Root phase: presolve, warm start, root LP, integrality shortcut,
+/// diving heuristic (see [`root_dive`]).
 enum RootPhase {
     Done(MipOutcome),
     /// The tree search's input, and what the root dive did (`None` when
@@ -638,32 +573,19 @@ fn pick_dive_incumbent(
 fn root_phase(ctx: &SearchCtx<'_>) -> Result<RootPhase, LpError> {
     let model = ctx.model;
     let opts = ctx.opts;
-    let threads = opts.effective_threads();
-    let trivial = |nodes: usize, lp_solves: usize, work: LpWork, status: SolveStatus, start: Instant| {
-        let mut telemetry = SolveTelemetry::trivial(threads, opts.deterministic);
-        if let Some(t0) = telemetry.per_thread.first_mut() {
-            *t0 = work.into_thread(0, nodes, lp_solves);
-        }
-        MipOutcome {
-            status,
-            solution: None,
-            nodes,
-            lp_solves,
-            elapsed: start.elapsed(),
-            telemetry,
-        }
+    let trivial = |nodes: usize, lp_solves: usize, lp: LpWork, status: SolveStatus| MipOutcome {
+        status,
+        solution: None,
+        nodes,
+        lp_solves,
+        elapsed: ctx.start.elapsed(),
+        telemetry: SolveTelemetry { lp, ..Default::default() },
     };
 
     let root_bounds = match presolve(model) {
         Presolved::Bounds(b) => b,
         Presolved::Infeasible { .. } => {
-            return Ok(RootPhase::Done(trivial(
-                0,
-                0,
-                LpWork::default(),
-                SolveStatus::Infeasible,
-                ctx.start,
-            )));
+            return Ok(RootPhase::Done(trivial(0, 0, LpWork::default(), SolveStatus::Infeasible)));
         }
     };
 
@@ -682,7 +604,6 @@ fn root_phase(ctx: &SearchCtx<'_>) -> Result<RootPhase, LpError> {
             events.push(IncumbentEvent {
                 elapsed: ctx.start.elapsed(),
                 objective: obj,
-                thread: 0,
                 source: IncumbentSource::WarmStart,
             });
         }
@@ -695,22 +616,10 @@ fn root_phase(ctx: &SearchCtx<'_>) -> Result<RootPhase, LpError> {
     let root_basis: Option<Arc<Basis>> = root_solve.basis.map(Arc::new);
     let (root_x, root_score) = match root_solve.result {
         LpResult::Infeasible => {
-            return Ok(RootPhase::Done(trivial(
-                1,
-                lp_solves,
-                lp_work,
-                SolveStatus::Infeasible,
-                ctx.start,
-            )));
+            return Ok(RootPhase::Done(trivial(1, lp_solves, lp_work, SolveStatus::Infeasible)));
         }
         LpResult::Unbounded => {
-            return Ok(RootPhase::Done(trivial(
-                1,
-                lp_solves,
-                lp_work,
-                SolveStatus::Unbounded,
-                ctx.start,
-            )));
+            return Ok(RootPhase::Done(trivial(1, lp_solves, lp_work, SolveStatus::Unbounded)));
         }
         LpResult::Optimal { x, obj } => (x, ctx.sgn * obj),
     };
@@ -720,12 +629,11 @@ fn root_phase(ctx: &SearchCtx<'_>) -> Result<RootPhase, LpError> {
         let vals = ctx.snap(&root_x);
         if model.check_feasible(&vals, 1e-5).is_ok() {
             let obj = model.objective_value(&vals);
-            let mut out = trivial(1, lp_solves, lp_work, SolveStatus::Optimal, ctx.start);
+            let mut out = trivial(1, lp_solves, lp_work, SolveStatus::Optimal);
             out.solution = Some(Solution { values: vals, objective: obj });
             out.telemetry.incumbents.push(IncumbentEvent {
                 elapsed: ctx.start.elapsed(),
                 objective: obj,
-                thread: 0,
                 source: IncumbentSource::Node,
             });
             out.telemetry.best_bound = Some(obj);
@@ -756,7 +664,6 @@ fn root_phase(ctx: &SearchCtx<'_>) -> Result<RootPhase, LpError> {
                 events.push(IncumbentEvent {
                     elapsed: ctx.start.elapsed(),
                     objective: ctx.score_to_objective(score),
-                    thread: 0,
                     source,
                 });
                 incumbent = Some((score, vals));
@@ -780,14 +687,10 @@ pub fn solve_with(model: &Model, opts: &SolveOptions) -> Result<MipOutcome, LpEr
     if opts.cuts && !root_gap_closed(&ctx, &prepared) {
         run_cut_loop(&ctx, &mut prepared, &mut aux)?;
     }
-    if opts.pseudocost && !root_gap_closed(&ctx, &prepared) {
+    if opts.cuts && !root_gap_closed(&ctx, &prepared) {
         reliability_init(&ctx, &mut prepared, &mut aux)?;
     }
-    let mut out = if opts.effective_threads() <= 1 {
-        solve_sequential(&ctx, prepared, aux)?
-    } else {
-        crate::parallel::solve_parallel(&ctx, prepared, aux)?
-    };
+    let mut out = tree_search(&ctx, prepared, aux)?;
     out.telemetry.dive = dive;
     Ok(out)
 }
@@ -877,7 +780,6 @@ fn run_cut_loop(
                     prepared.events.push(IncumbentEvent {
                         elapsed: ctx.start.elapsed(),
                         objective: ctx.score_to_objective(s),
-                        thread: 0,
                         source: IncumbentSource::CutRound,
                     });
                     prepared.incumbent = Some((s, vals));
@@ -1021,10 +923,10 @@ fn reliability_init(
     Ok(())
 }
 
-/// The historical depth-first search, byte-for-byte: node order, prune
-/// rules, and incumbent acceptance are unchanged from the single-threaded
-/// solver, so `threads = 1` explores exactly the same tree it always did.
-fn solve_sequential(
+/// The depth-first tree search: the child nearest the LP value first,
+/// parent-bound and LP-bound pruning against the incumbent, node-level
+/// cut separation at geometrically spaced node counts.
+fn tree_search(
     ctx: &SearchCtx<'_>,
     prepared: Prepared,
     mut aux: SearchAux,
@@ -1041,8 +943,8 @@ fn solve_sequential(
         mut lp_work,
     } = prepared;
 
-    // Node-level separation state (sequential search only): root bounds
-    // keep node cuts globally valid, `int_mask` drives the tableau scan.
+    // Node-level separation state: root bounds keep node cuts globally
+    // valid, `int_mask` drives the tableau scan.
     let mut cut_model = aux.cut_model.take();
     let sep_root_bounds = opts.cuts.then(|| root_bounds.clone());
     let int_mask: Vec<bool> = if opts.cuts {
@@ -1091,17 +993,18 @@ fn solve_sequential(
         let (x, score) = match sol.result {
             LpResult::Infeasible => continue,
             LpResult::Unbounded => {
-                let mut telemetry = SolveTelemetry::trivial(1, opts.deterministic);
-                telemetry.per_thread[0] = lp_work.into_thread(0, nodes, lp_solves);
-                telemetry.incumbents = events;
-                telemetry.cuts = aux.counters;
                 return Ok(MipOutcome {
                     status: SolveStatus::Unbounded,
                     solution: None,
                     nodes,
                     lp_solves,
                     elapsed: ctx.start.elapsed(),
-                    telemetry,
+                    telemetry: SolveTelemetry {
+                        lp: lp_work,
+                        incumbents: events,
+                        cuts: aux.counters,
+                        ..Default::default()
+                    },
                 });
             }
             LpResult::Optimal { x, obj } => (x, ctx.sgn * obj),
@@ -1166,7 +1069,6 @@ fn solve_sequential(
                         events.push(IncumbentEvent {
                             elapsed: ctx.start.elapsed(),
                             objective: ctx.score_to_objective(s),
-                            thread: 0,
                             source: IncumbentSource::Node,
                         });
                         incumbent = Some((s, vals));
@@ -1222,30 +1124,16 @@ fn solve_sequential(
             .fold(None, |acc: Option<f64>, s| Some(acc.map_or(s, |a| a.max(s))));
     }
 
-    let elapsed = ctx.start.elapsed();
-    let mut telemetry = SolveTelemetry::trivial(1, opts.deterministic);
-    telemetry.per_thread[0] = lp_work.into_thread(0, nodes, lp_solves);
-    telemetry.incumbents = events;
-    telemetry.cuts = aux.counters;
-    finish(ctx, incumbent, proven, nodes, lp_solves, elapsed, remaining_bound, telemetry)
-}
-
-/// Assemble the final outcome from the incumbent and proof state (shared
-/// by the sequential and parallel searches).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn finish(
-    ctx: &SearchCtx<'_>,
-    incumbent: Option<(f64, Vec<f64>)>,
-    proven: bool,
-    nodes: usize,
-    lp_solves: usize,
-    elapsed: Duration,
-    remaining_bound: Option<f64>,
-    mut telemetry: SolveTelemetry,
-) -> Result<MipOutcome, LpError> {
-    match incumbent {
+    // Assemble the outcome from the incumbent and the proof state.
+    let mut telemetry = SolveTelemetry {
+        lp: lp_work,
+        incumbents: events,
+        cuts: aux.counters,
+        ..Default::default()
+    };
+    let (status, solution) = match incumbent {
         Some((inc_score, values)) => {
-            let objective = ctx.model.objective_value(&values);
+            let objective = model.objective_value(&values);
             telemetry.best_bound = Some(if proven {
                 objective
             } else {
@@ -1254,28 +1142,17 @@ pub(crate) fn finish(
                 ctx.score_to_objective(remaining_bound.map_or(inc_score, |b| b.max(inc_score)))
             });
             telemetry.set_gap(Some(objective));
-            Ok(MipOutcome {
-                status: if proven { SolveStatus::Optimal } else { SolveStatus::Feasible },
-                solution: Some(Solution { values, objective }),
-                nodes,
-                lp_solves,
-                elapsed,
-                telemetry,
-            })
+            let status = if proven { SolveStatus::Optimal } else { SolveStatus::Feasible };
+            (status, Some(Solution { values, objective }))
         }
         None => {
             telemetry.best_bound = remaining_bound.map(|b| ctx.score_to_objective(b));
-            Ok(MipOutcome {
-                status: if proven { SolveStatus::Infeasible } else { SolveStatus::Unknown },
-                solution: None,
-                nodes,
-                lp_solves,
-                elapsed,
-                telemetry,
-            })
+            (if proven { SolveStatus::Infeasible } else { SolveStatus::Unknown }, None)
         }
-    }
+    };
+    Ok(MipOutcome { status, solution, nodes, lp_solves, elapsed: ctx.start.elapsed(), telemetry })
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1418,15 +1295,10 @@ mod tests {
         }
         m.le("cap", cap, 17.0);
         m.set_objective(obj, Sense::Maximize);
-        // Historical configuration: the root cut loop can close this model
+        // Plain branch-and-bound: the root cut loop can close this model
         // at the root, and the point here is the budget-limited statuses.
-        let opts = SolveOptions {
-            node_limit: 2,
-            dive_limit: 0,
-            cuts: false,
-            pseudocost: false,
-            ..Default::default()
-        };
+        let opts =
+            SolveOptions { node_limit: 2, dive_limit: 0, cuts: false, ..Default::default() };
         let out = solve_with(&m, &opts).unwrap();
         assert!(matches!(out.status, SolveStatus::Feasible | SolveStatus::Unknown));
     }
@@ -1463,20 +1335,9 @@ mod tests {
     }
 
     #[test]
-    fn effective_threads_resolution() {
-        let auto = SolveOptions { threads: 0, ..Default::default() };
-        assert!(auto.effective_threads() >= 1);
-        let one = SolveOptions { threads: 1, ..Default::default() };
-        assert_eq!(one.effective_threads(), 1);
-        let four = SolveOptions { threads: 4, ..Default::default() };
-        assert_eq!(four.effective_threads(), 4);
-    }
-
-    #[test]
-    fn sequential_solve_is_reproducible() {
-        // The threads = 1 path is the historical DFS: two runs must agree
-        // on everything the search determines — node count, LP count,
-        // objective, and the value vector.
+    fn solve_is_reproducible() {
+        // Two runs must agree on everything the search determines — node
+        // count, LP count, LP work, and the value vector.
         let mut m = Model::new();
         let xs: Vec<_> = (0..12).map(|i| m.binary(format!("x{i}"))).collect();
         let mut cap = LinExpr::zero();
@@ -1487,16 +1348,12 @@ mod tests {
         }
         m.le("cap", cap, 15.0);
         m.set_objective(obj, Sense::Maximize);
-        let opts = SolveOptions { threads: 1, ..Default::default() };
-        let a = solve_with(&m, &opts).unwrap();
-        let b = solve_with(&m, &opts).unwrap();
+        let a = solve(&m).unwrap();
+        let b = solve(&m).unwrap();
         assert_eq!(a.nodes, b.nodes);
         assert_eq!(a.lp_solves, b.lp_solves);
+        assert_eq!(a.telemetry.lp, b.telemetry.lp);
         assert_eq!(a.solution.as_ref().unwrap().values, b.solution.as_ref().unwrap().values);
-        // Sequential telemetry attributes everything to thread 0.
-        assert_eq!(a.telemetry.threads, 1);
-        assert_eq!(a.telemetry.per_thread[0].nodes, a.nodes);
-        assert_eq!(a.telemetry.per_thread[0].lp_solves, a.lp_solves);
         assert!(a.telemetry.gap_abs.is_some());
     }
 
@@ -1512,10 +1369,8 @@ mod tests {
         }
         m.le("cap", cap, 14.0);
         m.set_objective(obj, Sense::Maximize);
-        let cold = solve_with(&m, &SolveOptions { threads: 1, warm_lp: false, ..Default::default() })
-            .unwrap();
-        let warm = solve_with(&m, &SolveOptions { threads: 1, warm_lp: true, ..Default::default() })
-            .unwrap();
+        let cold = solve_with(&m, &SolveOptions { warm_lp: false, ..Default::default() }).unwrap();
+        let warm = solve(&m).unwrap();
         assert_eq!(cold.status, SolveStatus::Optimal);
         assert_eq!(warm.status, SolveStatus::Optimal);
         assert!(
@@ -1527,7 +1382,7 @@ mod tests {
     }
 
     /// Equal-weight knapsack against an odd capacity (the `branchy` model
-    /// of `tests/historical_search.rs`): root bound 59.5, first dive LP 59,
+    /// of `tests/search_pins.rs`): root bound 59.5, first dive LP 59,
     /// dive incumbent 50, optimum 54.
     fn odd_capacity_knapsack() -> Model {
         let mut m = Model::new();
@@ -1551,7 +1406,7 @@ mod tests {
     fn warm_dive_that_closes_the_root_gap_starts_no_cold_lp() {
         // Within 20 % of the root bound counts as closed, so the dive's 50
         // against 59.5 ends the solve: one cold root LP, the rest chained.
-        let opts = SolveOptions { threads: 1, rel_gap: 0.2, ..Default::default() };
+        let opts = SolveOptions { rel_gap: 0.2, ..Default::default() };
         let out = solve_with(&odd_capacity_knapsack(), &opts).unwrap();
         assert_eq!(out.status, SolveStatus::Optimal);
         assert_eq!(out.nodes, 0);
@@ -1570,13 +1425,7 @@ mod tests {
         // so the warm pass stops there and the cold dive decides — same
         // incumbent, same tree as the all-cold solver.
         let m = odd_capacity_knapsack();
-        let plain = |warm_lp| SolveOptions {
-            threads: 1,
-            warm_lp,
-            cuts: false,
-            pseudocost: false,
-            ..Default::default()
-        };
+        let plain = |warm_lp| SolveOptions { warm_lp, cuts: false, ..Default::default() };
         let warm = solve_with(&m, &plain(true)).unwrap();
         let cold = solve_with(&m, &plain(false)).unwrap();
         let dive = dive_of(&warm);
@@ -1611,7 +1460,7 @@ mod tests {
 
     #[test]
     fn all_cold_solver_never_chains_a_basis() {
-        let opts = SolveOptions { threads: 1, warm_lp: false, ..Default::default() };
+        let opts = SolveOptions { warm_lp: false, ..Default::default() };
         let out = solve_with(&odd_capacity_knapsack(), &opts).unwrap();
         assert_eq!(out.status, SolveStatus::Optimal);
         assert_eq!(out.telemetry.total_warm_solves(), 0);
@@ -1630,7 +1479,7 @@ mod tests {
         }
         m.le("cap", cap, 11.0);
         m.set_objective(obj, Sense::Maximize);
-        let out = solve_with(&m, &SolveOptions { threads: 1, ..Default::default() }).unwrap();
+        let out = solve(&m).unwrap();
         assert_eq!(out.status, SolveStatus::Optimal);
         let tel = &out.telemetry;
         assert!(!tel.incumbents.is_empty(), "an optimal solve must log its incumbent");
@@ -1646,8 +1495,7 @@ mod tests {
         assert_eq!(tel.best_bound, Some(obj_val));
         assert_eq!(tel.gap_abs, Some(0.0));
         let summary = tel.summary();
-        assert!(summary.contains("threads: 1"), "summary was:\n{summary}");
+        assert!(summary.contains("LP work:"), "summary was:\n{summary}");
         assert!(summary.contains("incumbents"), "summary was:\n{summary}");
     }
 }
-

@@ -40,9 +40,9 @@ pub struct IisOptions {
     /// Warm-start probe LPs from parent bases (see
     /// [`crate::SolveOptions::warm_lp`]), and seed each probe's incumbent
     /// with the last feasible probe's point (probes are zero-objective, so
-    /// any accepted point settles a probe immediately). Off reproduces the
-    /// historical all-cold filter; either way the deleted rows and the
-    /// final core are decided by the same feasible/infeasible verdicts.
+    /// any accepted point settles a probe immediately). Off is the
+    /// all-cold filter; either way the deleted rows and the final core are
+    /// decided by the same feasible/infeasible verdicts.
     pub warm_lp: bool,
 }
 
@@ -102,7 +102,6 @@ pub fn find_iis(model: &Model, opts: &IisOptions) -> IisReport {
             time_limit: opts.probe_time_limit,
             node_limit: opts.probe_node_limit,
             dive_limit: 50,
-            threads: 1,
             warm_lp: opts.warm_lp,
             warm_start: if opts.warm_lp { last_feasible.clone() } else { None },
             ..SolveOptions::default()
@@ -237,7 +236,7 @@ mod tests {
 
     /// The warm probe path (parent-basis LPs + cross-probe incumbent
     /// seeding) must delete the same rows and reach the same core as the
-    /// historical all-cold filter.
+    /// all-cold filter.
     #[test]
     fn warm_probes_find_the_same_core() {
         let mut m = Model::new();

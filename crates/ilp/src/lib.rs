@@ -5,11 +5,10 @@
 //! memory, and metadata allocation. The paper used the Gurobi Optimizer;
 //! this crate is a self-contained replacement: a model-building API, a
 //! bound-propagation presolve, a bounded-variable two-phase primal simplex
-//! for LP relaxations, and a branch-and-bound with a root diving
-//! heuristic — depth-first when single-threaded, best-first over a shared
-//! frontier when [`SolveOptions::threads`] asks for parallelism. Every
-//! solve records [`SolveTelemetry`] (per-thread node and LP counts, the
-//! incumbent timeline, and the final optimality gap).
+//! for LP relaxations (with a dual simplex for warm re-solves), and one
+//! depth-first cut-and-branch search with a root diving heuristic. Every
+//! solve records [`SolveTelemetry`] (LP work counters, the incumbent
+//! timeline, and the final optimality gap).
 //!
 //! The solver is exact: when it reports [`SolveStatus::Optimal`], the
 //! returned solution maximizes (or minimizes) the objective over all
@@ -39,7 +38,6 @@ pub mod cuts;
 pub mod iis;
 pub mod lpwrite;
 pub mod model;
-pub mod parallel;
 pub mod presolve;
 pub mod simplex;
 pub mod telemetry;
@@ -48,8 +46,7 @@ pub use branch::{solve, solve_with, MipOutcome, SolveOptions, SolveStatus};
 pub use cuts::CutCounters;
 pub use iis::{find_iis, IisOptions, IisReport};
 pub use telemetry::{
-    DiveTelemetry, DiveWork, IncumbentEvent, IncumbentSource, SolveTelemetry, ThreadTelemetry,
-    WarmDiveEnd,
+    DiveTelemetry, DiveWork, IncumbentEvent, IncumbentSource, LpWork, SolveTelemetry, WarmDiveEnd,
 };
 pub use model::{
     brute_force, Cmp, Constraint, LinExpr, Model, ModelStats, Sense, Solution, VarId, VarKind,

@@ -13,6 +13,8 @@ use std::collections::HashMap;
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 
+use crate::simplex::{solve_lp, LpResult};
+
 /// Handle to a variable inside a [`Model`].
 ///
 /// `VarId`s are only meaningful for the model that created them.
@@ -483,19 +485,23 @@ impl Solution {
 }
 
 /// Exhaustively solve a model whose integral variables all have finite,
-/// small ranges; continuous variables are not supported. Used as the
-/// reference oracle in tests. Returns `None` if infeasible.
+/// small ranges: every assignment of the integral columns is enumerated,
+/// and when continuous columns remain, the LP over them — the enumerated
+/// columns fixed through their bounds — is solved cold by [`solve_lp`].
+/// No branching, cuts or warm starts are involved, which is what makes it
+/// the reference oracle in tests. Returns `None` if infeasible.
 ///
-/// Panics if the search space exceeds `max_points`.
+/// Panics if the search space exceeds `max_points`, or if the continuous
+/// part is unbounded at some integral assignment.
 pub fn brute_force(model: &Model, max_points: u64) -> Option<Solution> {
-    let mut ranges: Vec<(i64, i64)> = Vec::with_capacity(model.vars.len());
+    // Enumerated columns and their ranges; the rest are continuous.
+    let mut int_cols: Vec<usize> = Vec::new();
+    let mut ranges: Vec<(i64, i64)> = Vec::new();
     let mut space: u64 = 1;
-    for v in &model.vars {
-        assert!(
-            v.is_integral(),
-            "brute_force: continuous variable {} unsupported",
-            v.name
-        );
+    for (j, v) in model.vars.iter().enumerate() {
+        if !v.is_integral() {
+            continue;
+        }
         assert!(v.ub.is_finite(), "brute_force: unbounded variable {}", v.name);
         let lo = v.lb.ceil() as i64;
         let hi = v.ub.floor() as i64;
@@ -505,15 +511,34 @@ pub fn brute_force(model: &Model, max_points: u64) -> Option<Solution> {
         let width = (hi - lo + 1) as u64;
         space = space.saturating_mul(width);
         assert!(space <= max_points, "brute_force: search space too large");
+        int_cols.push(j);
         ranges.push((lo, hi));
     }
+    let mixed = int_cols.len() < model.vars.len();
+    let mut bounds: Vec<(f64, f64)> = model.vars.iter().map(|v| (v.lb, v.ub)).collect();
 
     let n = ranges.len();
     let mut current: Vec<i64> = ranges.iter().map(|&(lo, _)| lo).collect();
     let mut best: Option<(f64, Vec<f64>)> = None;
     loop {
-        let values: Vec<f64> = current.iter().map(|&x| x as f64).collect();
-        if model.check_feasible(&values, 1e-6).is_ok() {
+        for (&j, &x) in int_cols.iter().zip(&current) {
+            bounds[j] = (x as f64, x as f64);
+        }
+        let point = if mixed {
+            match solve_lp(model, &bounds).expect("brute_force: LP failed") {
+                LpResult::Optimal { mut x, .. } => {
+                    for &j in &int_cols {
+                        x[j] = bounds[j].0;
+                    }
+                    Some(x)
+                }
+                LpResult::Infeasible => None,
+                LpResult::Unbounded => panic!("brute_force: continuous part is unbounded"),
+            }
+        } else {
+            Some(bounds.iter().map(|b| b.0).collect())
+        };
+        if let Some(values) = point.filter(|v| model.check_feasible(v, 1e-6).is_ok()) {
             let obj = model.objective_value(&values);
             let better = match (&best, model.sense) {
                 (None, _) => true,
@@ -626,6 +651,29 @@ mod tests {
         assert_eq!(sol.int_value(a), 1);
         assert_eq!(sol.int_value(b), 0);
         assert_eq!(sol.int_value(c), 1);
+    }
+
+    #[test]
+    fn brute_force_solves_the_continuous_part_by_lp() {
+        // max 2x + y - z, x binary, z in 0..=2 integer, y continuous <= 1.5,
+        // x + y <= 2, y - z == 0.25  ->  x = 1, z = 0, y = 0.25 -> 2.25.
+        let mut m = Model::new();
+        let x = m.binary("x");
+        let y = m.continuous("y", 0.0, 1.5);
+        let z = m.integer("z", 0.0, 2.0);
+        m.le("cap", LinExpr::from(x) + LinExpr::from(y), 2.0);
+        m.eq("link", LinExpr::from(y) - LinExpr::from(z), 0.25);
+        m.set_objective(
+            LinExpr::term(x, 2.0) + LinExpr::from(y) - LinExpr::from(z),
+            Sense::Maximize,
+        );
+        let sol = brute_force(&m, 100).expect("feasible");
+        assert!((sol.objective - 2.25).abs() < 1e-9, "objective {}", sol.objective);
+        assert_eq!((sol.int_value(x), sol.int_value(z)), (1, 0));
+        assert!((sol.value(y) - 0.25).abs() < 1e-9);
+        // No integral z puts y = z + 0.25 under a cap of 0.2.
+        m.le("tight", LinExpr::from(y), 0.2);
+        assert!(brute_force(&m, 100).is_none());
     }
 
     #[test]

@@ -1692,9 +1692,9 @@ mod warm_tests {
     }
 
     /// The snapshot owns the finished solver's inverse (moved, not copied);
-    /// shared behind an `Arc` as on the parallel frontier, it must install
-    /// into two different children, leave itself untouched, and take both
-    /// to the cold optimum.
+    /// shared behind an `Arc` as between a node's two children, it must
+    /// install into both, leave itself untouched, and take both to the
+    /// cold optimum.
     #[test]
     fn moved_out_snapshot_warm_starts_two_children() {
         let (m, root_bounds) = three_rows();

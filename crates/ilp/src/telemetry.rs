@@ -1,26 +1,19 @@
 //! Solve telemetry: what the branch-and-bound did, not just what it
-//! returned. Captured by every solve (sequential and parallel) and
-//! surfaced by the CLI's solve summary and the bench harness's
-//! compile-time tables.
+//! returned. Captured by every solve and surfaced by the CLI's solve
+//! summary and the bench harness's compile-time tables.
 
 use crate::cuts::CutCounters;
+use crate::simplex::LpStats;
 use std::fmt;
 use std::time::Duration;
 
-/// Work attributed to one worker thread (thread 0 is the orchestrating
-/// thread and additionally owns the root LP and the diving heuristic).
+/// LP work of one solve, summed over every relaxation it solved (root
+/// LP, dives, cut rounds, strong branching, tree nodes).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ThreadTelemetry {
-    /// Worker index in `0..threads`.
-    pub thread: usize,
-    /// Branch-and-bound nodes whose LP relaxation this worker solved.
-    pub nodes: usize,
-    /// LP relaxations this worker solved (>= `nodes`: includes the root
-    /// LP and heuristic dives on thread 0).
-    pub lp_solves: usize,
-    /// Simplex pivots across this worker's LP solves (primal and dual).
-    /// The warm-vs-cold win shows up here: a warm re-solve typically
-    /// pivots a handful of times where a cold solve pivots hundreds.
+pub struct LpWork {
+    /// Simplex pivots (primal and dual). The warm-vs-cold win shows up
+    /// here: a warm re-solve typically pivots a handful of times where a
+    /// cold solve pivots hundreds.
     pub pivots: usize,
     /// From-scratch basis-inverse rebuilds (numerical-health failures,
     /// plus warm installs whose snapshot did not capture the parent's
@@ -32,6 +25,19 @@ pub struct ThreadTelemetry {
     pub cold_fallbacks: usize,
 }
 
+impl LpWork {
+    pub(crate) fn add(&mut self, s: &LpStats) {
+        self.pivots += s.pivots;
+        self.refactorizations += s.refactorizations;
+        if s.warm {
+            self.warm_solves += 1;
+        }
+        if s.fell_back {
+            self.cold_fallbacks += 1;
+        }
+    }
+}
+
 /// One improvement of the best known feasible solution.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IncumbentEvent {
@@ -40,8 +46,6 @@ pub struct IncumbentEvent {
     /// Objective value of the new incumbent (in the model's own units and
     /// sense — not the internal normalized score).
     pub objective: f64,
-    /// Worker that produced it (0 for the warm start and the root dive).
-    pub thread: usize,
     /// Where it came from.
     pub source: IncumbentSource,
 }
@@ -157,15 +161,12 @@ impl fmt::Display for DiveTelemetry {
     }
 }
 
-/// Full telemetry of one MIP solve.
-#[derive(Debug, Clone, PartialEq)]
+/// Full telemetry of one MIP solve. The default value is that of a solve
+/// that ended before any LP ran.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SolveTelemetry {
-    /// Worker threads actually used (after resolving `threads = 0`).
-    pub threads: usize,
-    /// Whether the scheduling-independent deterministic mode was active.
-    pub deterministic: bool,
-    /// Per-worker node / LP counts; `per_thread.len() == threads`.
-    pub per_thread: Vec<ThreadTelemetry>,
+    /// LP work across every relaxation of the solve.
+    pub lp: LpWork,
     /// Incumbent-improvement timeline, in discovery order.
     pub incumbents: Vec<IncumbentEvent>,
     /// Best proven bound on the optimum at exit, in objective units.
@@ -177,7 +178,7 @@ pub struct SolveTelemetry {
     /// Final relative gap, `gap_abs / max(1, |incumbent|)`.
     pub gap_rel: Option<f64>,
     /// Cut-engine and pseudocost-branching counters (all zero when
-    /// `SolveOptions { cuts: false, pseudocost: false }`).
+    /// `SolveOptions { cuts: false }`).
     pub cuts: CutCounters,
     /// What the root dive did; `None` when it did not run (disabled, the
     /// seeded incumbent already closed the root gap, or the solve ended
@@ -186,24 +187,6 @@ pub struct SolveTelemetry {
 }
 
 impl SolveTelemetry {
-    /// Telemetry skeleton for a solve that ended before any search
-    /// happened (presolve infeasibility, root infeasible/unbounded).
-    pub fn trivial(threads: usize, deterministic: bool) -> Self {
-        SolveTelemetry {
-            threads,
-            deterministic,
-            per_thread: (0..threads)
-                .map(|t| ThreadTelemetry { thread: t, ..Default::default() })
-                .collect(),
-            incumbents: Vec::new(),
-            best_bound: None,
-            gap_abs: None,
-            gap_rel: None,
-            cuts: CutCounters::default(),
-            dive: None,
-        }
-    }
-
     /// Fill `gap_abs` / `gap_rel` from `best_bound` and the incumbent
     /// objective (`None` incumbent leaves the gaps unset).
     pub fn set_gap(&mut self, incumbent_objective: Option<f64>) {
@@ -220,23 +203,9 @@ impl SolveTelemetry {
         let mut s = String::new();
         let _ = writeln!(
             s,
-            "threads: {} ({})",
-            self.threads,
-            if self.threads == 1 {
-                "sequential"
-            } else if self.deterministic {
-                "parallel, deterministic rounds"
-            } else {
-                "parallel, free-running"
-            }
+            "LP work: {} pivots, {} warm solves, {} cold fallbacks, {} refactorizations",
+            self.lp.pivots, self.lp.warm_solves, self.lp.cold_fallbacks, self.lp.refactorizations
         );
-        for t in &self.per_thread {
-            let _ = writeln!(
-                s,
-                "  thread {}: {} nodes, {} LP solves, {} pivots ({} warm, {} fallbacks, {} refactorizations)",
-                t.thread, t.nodes, t.lp_solves, t.pivots, t.warm_solves, t.cold_fallbacks, t.refactorizations
-            );
-        }
         if self.cuts != CutCounters::default() {
             let _ = writeln!(
                 s,
@@ -258,11 +227,10 @@ impl SolveTelemetry {
             for ev in &self.incumbents {
                 let _ = writeln!(
                     s,
-                    "  +{:>9.3}s  obj {:<14.6} ({}, thread {})",
+                    "  +{:>9.3}s  obj {:<14.6} ({})",
                     ev.elapsed.as_secs_f64(),
                     ev.objective,
-                    ev.source,
-                    ev.thread
+                    ev.source
                 );
             }
         }
@@ -282,35 +250,24 @@ impl SolveTelemetry {
         s
     }
 
-    /// Total nodes across workers (should equal `MipOutcome::nodes`).
-    pub fn total_nodes(&self) -> usize {
-        self.per_thread.iter().map(|t| t.nodes).sum()
-    }
-
-    /// Total LP solves across workers (should equal
-    /// `MipOutcome::lp_solves`).
-    pub fn total_lp_solves(&self) -> usize {
-        self.per_thread.iter().map(|t| t.lp_solves).sum()
-    }
-
-    /// Total simplex pivots across workers.
+    /// Total simplex pivots of the solve.
     pub fn total_pivots(&self) -> usize {
-        self.per_thread.iter().map(|t| t.pivots).sum()
+        self.lp.pivots
     }
 
-    /// Total basis refactorizations across workers.
+    /// Total basis refactorizations of the solve.
     pub fn total_refactorizations(&self) -> usize {
-        self.per_thread.iter().map(|t| t.refactorizations).sum()
+        self.lp.refactorizations
     }
 
     /// LP solves that finished on the warm dual-simplex path.
     pub fn total_warm_solves(&self) -> usize {
-        self.per_thread.iter().map(|t| t.warm_solves).sum()
+        self.lp.warm_solves
     }
 
     /// Warm attempts that fell back to the cold solve.
     pub fn total_cold_fallbacks(&self) -> usize {
-        self.per_thread.iter().map(|t| t.cold_fallbacks).sum()
+        self.lp.cold_fallbacks
     }
 
     /// Whether a caller-provided warm-start assignment was accepted as

@@ -105,45 +105,6 @@ proptest! {
         }
     }
 
-    /// Differential test: the parallel best-first search (2–8 threads,
-    /// deterministic and free-running) returns the same status and the
-    /// same optimal objective as the sequential depth-first search.
-    #[test]
-    fn parallel_matches_sequential(
-        raw in raw_model_strategy(),
-        threads in 2usize..=8,
-        deterministic in any::<bool>(),
-    ) {
-        let m = build(&raw);
-        let seq = solve_with(&m, &SolveOptions { threads: 1, ..SolveOptions::default() })
-            .expect("sequential solve must not error");
-        let par = solve_with(
-            &m,
-            &SolveOptions { threads, deterministic, ..SolveOptions::default() },
-        )
-        .expect("parallel solve must not error");
-        // These models are tiny and limit-free, so both searches run to
-        // proof: statuses must agree exactly.
-        prop_assert_eq!(par.status, seq.status);
-        match (&seq.solution, &par.solution) {
-            (Some(a), Some(b)) => {
-                prop_assert!(
-                    (a.objective - b.objective).abs() < 1e-6,
-                    "sequential {} vs {} threads {}: {} != {}",
-                    1, threads, if deterministic { "det" } else { "free" },
-                    a.objective, b.objective
-                );
-                prop_assert!(m.check_feasible(&b.values, 1e-5).is_ok());
-            }
-            (None, None) => {}
-            _ => prop_assert!(false, "one search found a solution, the other did not"),
-        }
-        // Telemetry bookkeeping must be consistent with the totals.
-        prop_assert_eq!(par.telemetry.threads, threads);
-        prop_assert_eq!(par.telemetry.total_nodes(), par.nodes);
-        prop_assert_eq!(par.telemetry.total_lp_solves(), par.lp_solves);
-    }
-
     /// Differential test for LP warm starting: with `warm_lp` on (each
     /// node's LP re-optimized by the dual simplex from its parent's
     /// basis) and off (every node solved cold), the search returns the
@@ -151,24 +112,17 @@ proptest! {
     /// differ — the LP can land on a different co-optimal vertex — but
     /// what is solvable and the optimum value may not.
     #[test]
-    fn warm_lp_matches_cold(raw in raw_model_strategy(), threads in 1usize..=4) {
+    fn warm_lp_matches_cold(raw in raw_model_strategy()) {
         let m = build(&raw);
-        let cold = solve_with(
-            &m,
-            &SolveOptions { threads, warm_lp: false, ..SolveOptions::default() },
-        )
-        .expect("cold solve must not error");
-        let warm = solve_with(
-            &m,
-            &SolveOptions { threads, warm_lp: true, ..SolveOptions::default() },
-        )
-        .expect("warm solve must not error");
+        let cold = solve_with(&m, &SolveOptions { warm_lp: false, ..SolveOptions::default() })
+            .expect("cold solve must not error");
+        let warm = solve(&m).expect("warm solve must not error");
         prop_assert_eq!(warm.status, cold.status);
         match (&cold.solution, &warm.solution) {
             (Some(a), Some(b)) => {
                 prop_assert!(
                     (a.objective - b.objective).abs() < 1e-6,
-                    "threads {}: cold {} != warm {}", threads, a.objective, b.objective
+                    "cold {} != warm {}", a.objective, b.objective
                 );
                 prop_assert!(m.check_feasible(&b.values, 1e-5).is_ok());
             }

@@ -37,7 +37,6 @@ fn feasible_warm_start_seeds_incumbent() {
         node_limit: 0,
         dive_limit: 0,
         cuts: false,
-        pseudocost: false,
         ..Default::default()
     };
     let out = solve_with(&m, &opts).unwrap();

@@ -243,7 +243,7 @@ mod tests {
 
     #[test]
     fn two_tenant_joint_compile_splits_utility() {
-        let mut ctx = CompileCtx::new(CompileOptions::default().with_threads(1));
+        let mut ctx = CompileCtx::new(CompileOptions::default());
         let target = presets::paper_eval(1 << 14);
         let jc = ctx
             .compile_joint(&[tp("cache", 2.0, CMS), tp("tele", 1.0, CMS)], &target)
@@ -277,9 +277,9 @@ mod tests {
         // One weight-1 tenant must land on the same objective as the
         // plain single-program path (names differ; the optimum does not).
         let target = presets::paper_example();
-        let mut ctx = CompileCtx::new(CompileOptions::default().with_threads(1));
+        let mut ctx = CompileCtx::new(CompileOptions::default());
         let single = ctx.compile(CMS, &target).unwrap();
-        let mut ctx2 = CompileCtx::new(CompileOptions::default().with_threads(1));
+        let mut ctx2 = CompileCtx::new(CompileOptions::default());
         let joint = ctx2.compile_joint(&[tp("solo", 1.0, CMS)], &target).unwrap();
         assert!(
             (single.layout.objective - joint.compilation.layout.objective).abs() < 1e-6,
@@ -301,7 +301,7 @@ mod tests {
         assert_eq!(joint.tenants[0].0.name, "heavy");
         assert!(joint.merged.symbolics[0].name.starts_with("heavy::"));
 
-        let mut ctx = CompileCtx::new(CompileOptions::default().with_threads(1));
+        let mut ctx = CompileCtx::new(CompileOptions::default());
         let c = ctx.compile(&joint.src, &target).unwrap();
         let (greedy, _trace) = ctx.compile_greedy(&joint.src, &target).unwrap();
         let gap = ilp_dominates_greedy(&joint.merged, &c.layout, &greedy).unwrap();
@@ -310,7 +310,7 @@ mod tests {
 
     #[test]
     fn tenant_source_errors_name_the_tenant() {
-        let mut ctx = CompileCtx::new(CompileOptions::default().with_threads(1));
+        let mut ctx = CompileCtx::new(CompileOptions::default());
         let err = ctx
             .compile_joint(
                 &[tp("ok", 1.0, CMS), tp("broken", 1.0, "symbolic int x; assume x >= oops;")],

@@ -138,7 +138,7 @@ fn front_key(src: &str, target: &TargetSpec, max_unroll: usize) -> u64 {
 /// use p4all_core::{CompileCtx, CompileOptions};
 /// use p4all_pisa::presets;
 ///
-/// let mut ctx = CompileCtx::new(CompileOptions::default().with_threads(1));
+/// let mut ctx = CompileCtx::new(CompileOptions::default());
 /// let src = "header h { bit<32> x; } struct metadata { bit<32> y; }
 ///            action a() { meta.y = hdr.x; }
 ///            control Main() { apply { a(); } }";

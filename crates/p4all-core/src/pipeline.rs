@@ -58,11 +58,12 @@ impl Default for CompileOptions {
 }
 
 impl CompileOptions {
-    /// Set the solver's worker-thread count (`0` = all available cores,
-    /// `1` = the exact sequential search; see
-    /// [`SolveOptions::threads`]).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.solver.threads = threads;
+    /// Does nothing: the solver has one search and no thread count. Kept
+    /// only because the frozen benchmark driver calls it
+    /// (`crates/bench/src/bin/e2e/compile.rs`, `options()` — its one
+    /// caller in the repository); delete it with that call.
+    #[doc(hidden)]
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 }
@@ -518,7 +519,7 @@ mod tests {
     fn memory_sweep_reuses_front_half() {
         // One context, two memory points: the second compile must serve
         // the whole front half from cache and re-run only encode+solve.
-        let mut ctx = CompileCtx::new(CompileOptions::default().with_threads(1));
+        let mut ctx = CompileCtx::new(CompileOptions::default());
         let mut target = presets::paper_example();
         target.memory_bits = 1024;
         let c1 = ctx.compile(CMS, &target).unwrap();
@@ -541,7 +542,7 @@ mod tests {
         // accepted warm-start incumbent. Sweeping back down invalidates
         // the cached incumbent (it no longer fits) and the compile must
         // silently fall back rather than fail.
-        let mut ctx = CompileCtx::new(CompileOptions::default().with_threads(1));
+        let mut ctx = CompileCtx::new(CompileOptions::default());
         let mut target = presets::paper_example();
         target.memory_bits = 1024;
         let c1 = ctx.compile(CMS, &target).unwrap();

@@ -28,7 +28,7 @@ fn tenants() -> Vec<TenantProgram> {
 }
 
 fn compile() -> JointCompilation {
-    let mut ctx = CompileCtx::new(CompileOptions::default().with_threads(1));
+    let mut ctx = CompileCtx::new(CompileOptions::default());
     ctx.compile_joint(&tenants(), &presets::paper_eval(1 << 16))
         .expect("three tenants fit the 64 Kb/stage eval target")
 }

@@ -18,17 +18,18 @@
 //!   warm must branch no more than cold on Precision and use at most ~2x
 //!   the LP solves (an abandoned warm dive plus the cold one);
 //! - [`apps_the_warm_dive_closes_start_no_cold_dive`] is the warm side;
-//! - [`joint_tree_is_the_tree_the_cold_dive_seeds`] holds the 77-node
-//!   joint to the tree it had when every dive was cold.
+//! - [`joint_tree_is_the_tree_the_cold_dive_seeds`] holds the joint that
+//!   closed in 77 nodes when every dive was cold to a verified optimum,
+//!   a cold-seeded tree of at most twice that size, and exact repetition.
 
-use p4all_core::{Compilation, CompileCtx, CompileOptions, TenantProgram};
+use p4all_core::{verify_joint, Compilation, CompileCtx, CompileOptions, TenantProgram};
 use p4all_elastic::apps::{lpm, netcache, precision, sketchlearn, vlan};
 use p4all_ilp::{SolveStatus, WarmDiveEnd};
 use p4all_lang::Tenant;
 use p4all_pisa::presets;
 
 fn solve(warm_lp: bool) -> Compilation {
-    let mut o = CompileOptions::default().with_threads(1);
+    let mut o = CompileOptions::default();
     o.solver.warm_lp = warm_lp;
     let src = precision::source(&Default::default());
     CompileCtx::new(o)
@@ -85,7 +86,7 @@ fn apps_the_warm_dive_closes_start_no_cold_dive() {
         ("sketchlearn", sketchlearn::source(&Default::default())),
     ];
     for (name, src) in apps {
-        let c = CompileCtx::new(CompileOptions::default().with_threads(1))
+        let c = CompileCtx::new(CompileOptions::default())
             .compile(&src, &presets::paper_eval(1 << 16))
             .unwrap_or_else(|e| panic!("{name} compiles: {e}"));
         assert_eq!(c.solve_stats.status, SolveStatus::Optimal, "{name}");
@@ -97,8 +98,10 @@ fn apps_the_warm_dive_closes_start_no_cold_dive() {
 }
 
 /// The cold side: joint-3tenant-mid (the `joint_tree` benchmark unit)
-/// enters the tree with the cold dive's incumbent and closes in the 77
-/// nodes it took before the dive was ever warm.
+/// enters the tree with the cold dive's incumbent. It closed in 77 nodes
+/// before the dive was ever warm; the count may move with the solver's
+/// arithmetic, so it is held to twice that, beside the verified optimum
+/// and an identical second run.
 #[test]
 fn joint_tree_is_the_tree_the_cold_dive_seeds() {
     let mut nc = netcache::NetCacheOptions::default();
@@ -111,14 +114,28 @@ fn joint_tree_is_the_tree_the_cold_dive_seeds() {
         TenantProgram::new(Tenant::new("filter", 1.0).unwrap(), vlan::source(&vlan_opts)),
         TenantProgram::new(Tenant::new("routes", 1.0).unwrap(), lpm::source(&lpm_opts)),
     ];
-    let jc = CompileCtx::new(CompileOptions::default().with_threads(1))
-        .compile_joint(&tenants, &presets::paper_eval(1 << 17))
-        .expect("joint-3tenant-mid compiles");
+    let target = presets::paper_eval(1 << 17);
+    let compile = || {
+        CompileCtx::new(CompileOptions::default())
+            .compile_joint(&tenants, &target)
+            .expect("joint-3tenant-mid compiles")
+    };
+    let jc = compile();
     let stats = &jc.compilation.solve_stats;
     assert_eq!(stats.status, SolveStatus::Optimal);
     assert!((jc.compilation.layout.objective - 34816.0).abs() < 1e-6);
-    assert_eq!(stats.nodes, 77);
+    verify_joint(&jc.joint, &jc.compilation.layout, &target)
+        .unwrap_or_else(|v| panic!("layout violates the joint: {v:?}"));
+    assert!(stats.nodes <= 2 * 77, "{} nodes, recorded 77", stats.nodes);
     let dive = stats.telemetry.dive.expect("the root dive ran");
     assert!(dive.cold.is_some(), "the cold dive must seed this tree");
     assert_ne!(dive.warm.map(|(end, _)| end), Some(WarmDiveEnd::ClosedGap));
+
+    let again = compile().compilation;
+    assert_eq!(
+        (again.solve_stats.nodes, again.solve_stats.lp_solves),
+        (stats.nodes, stats.lp_solves),
+        "second run differs"
+    );
+    assert_eq!(again.layout.render(), jc.compilation.layout.render(), "second run differs");
 }
