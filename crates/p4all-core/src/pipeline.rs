@@ -165,9 +165,9 @@ pub struct SolveStats {
     pub status: SolveStatus,
     pub nodes: usize,
     pub lp_solves: usize,
-    /// Full solve telemetry: per-thread node/LP counts, the incumbent
-    /// timeline, and the final optimality gap (the CLI's `--stats` solve
-    /// summary renders this).
+    /// Full solve telemetry: LP work, cut counters, the root dive, the
+    /// incumbent timeline, and the final optimality gap (the CLI's
+    /// `--stats` solve summary renders this).
     pub telemetry: SolveTelemetry,
 }
 

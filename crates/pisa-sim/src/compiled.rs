@@ -24,9 +24,19 @@
 //!   control plane resolves action names and action-data field names to
 //!   dense indices *at install time*.
 //!
-//! A stage is one contiguous code range, so packet execution is a single
-//! dispatch loop per stage: **zero** string hashing, no `Box` pointer
-//! chasing, no per-packet clones, no per-action call overhead.
+//! A stage is one contiguous code range and the stages lie back to back,
+//! so a whole packet is a single dispatch loop: **zero** string hashing,
+//! no `Box` pointer chasing, no per-packet clones, no per-action call
+//! overhead.
+//!
+//! Per-stage cost (`stage_cost`) is static except where a packet leaves
+//! the straight line, so it is charged by length, not counted by
+//! dispatch: a packet is charged every stage's instruction count up
+//! front, a *taken* jump gives back the instructions it skipped, an
+//! `Apply` that runs an action body charges the body's length to its own
+//! stage, and a fault gives back what was never reached. The counters are
+//! exact at every packet boundary and never dip below their value before
+//! the charge.
 //!
 //! The engine runs **in place** on one PHV buffer. That is bit-for-bit
 //! the interpreter's stage-snapshot semantics: the interpreter also reads
@@ -125,10 +135,6 @@ pub(crate) enum Instr {
     JFOr { op1: BinOp, a1: Opnd, b1: Opnd, op2: BinOp, a2: Opnd, b2: Opnd, target: u32 },
     /// Unconditional jump.
     Jmp { target: u32 },
-    /// Stage boundary: subsequent cost accrues to stage `s`. Emitted at
-    /// the start of every non-empty stage so a whole packet is **one**
-    /// dispatch loop instead of one `exec_range` call per stage.
-    Stage { s: u16 },
     /// Table dispatch: read `apply_sites[site]`'s key operands, look the
     /// key up, write the entry's action data, run the matched action's
     /// body range.
@@ -144,6 +150,20 @@ pub(crate) enum Instr {
     /// `StoreSlot`) in one dispatch:
     /// `if src < phv[slot] || phv[slot] == 0 { phv[slot] = src }`.
     MinOrInit { slot: u32, src: Opnd },
+}
+
+impl Instr {
+    /// Where a jump lands when taken; `None` for everything else.
+    fn jump_target(&self) -> Option<u32> {
+        match self {
+            Instr::JF { target, .. }
+            | Instr::JT { target, .. }
+            | Instr::JFAnd { target, .. }
+            | Instr::JFOr { target, .. }
+            | Instr::Jmp { target } => Some(*target),
+            _ => None,
+        }
+    }
 }
 
 /// A table apply site: which table, and where the key comes from.
@@ -176,12 +196,19 @@ pub(crate) struct TableMeta {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CompiledProgram {
     pub code: Vec<Instr>,
-    /// One contiguous code range per stage (includes its `Stage` mark).
+    /// One contiguous code range per stage (empty for a stage that holds
+    /// no code). Jumps are forward and never leave their stage, so a
+    /// range's length is what a packet that takes no jump, runs no action
+    /// body and does not fault costs that stage.
     pub stages: Vec<(u32, u32)>,
-    /// The whole pipeline as one contiguous range: every non-empty stage
-    /// in order, each opened by its `Stage` mark. A packet is a single
-    /// dispatch loop over this range — empty preset stages cost nothing.
+    /// The whole pipeline as one contiguous range: the stages back to
+    /// back, in order. A packet is a single dispatch loop over this range
+    /// — empty preset stages cost nothing.
     pub body: (u32, u32),
+    /// Stage of each `pc` in `body`. Action-body positions hold
+    /// `u16::MAX`: a body's cost belongs to the stage of the `Apply` that
+    /// ran it, which [`exec_range`] is told by value.
+    stage_of: Vec<u16>,
     pub tables: Vec<TableMeta>,
     pub apply_sites: Vec<ApplySite>,
     /// Dense id -> code range, for table-dispatched action bodies.
@@ -625,11 +652,8 @@ pub(crate) fn lower(sw: &Switch) -> CompiledProgram {
     let mut apply_sites = Vec::new();
     let mut stages = Vec::with_capacity(sw.stages.len());
     let body_start = lo.code.len() as u32;
-    for (s, stage) in sw.stages.iter().enumerate() {
+    for stage in &sw.stages {
         let start = lo.code.len() as u32;
-        // Open with the cost-attribution mark; popped again below if the
-        // stage turns out to hold no code.
-        lo.code.push(Instr::Stage { s: s as u16 });
         for a in stage {
             let guard_jumps = a.guard.as_ref().map(|g| {
                 lo.reset_temps();
@@ -652,10 +676,6 @@ pub(crate) fn lower(sw: &Switch) -> CompiledProgram {
                 }
             }
         }
-        if lo.code.len() == start as usize + 1 {
-            // Nothing but the mark: the stage is empty, drop it.
-            lo.code.pop();
-        }
         stages.push((start, lo.code.len() as u32));
     }
 
@@ -670,8 +690,14 @@ pub(crate) fn lower(sw: &Switch) -> CompiledProgram {
         action_ids,
         diags: lo.diags,
         temp_count: lo.max_temps,
+        stage_of: Vec::new(),
     };
     peephole(&mut prog, &sw.masks, &sw.registers);
+    // Cost attribution is static: fixed once the code has its final shape.
+    prog.stage_of = vec![u16::MAX; prog.code.len()];
+    for (s, &(a, b)) in prog.stages.iter().enumerate() {
+        prog.stage_of[a as usize..b as usize].fill(s as u16);
+    }
     validate(&prog, sw.masks.len(), sw.registers.len());
     prog
 }
@@ -746,15 +772,8 @@ fn peephole(prog: &mut CompiledProgram, masks: &[u64], regs: &[RegState]) {
     // Positions that must survive as instruction starts: jump targets and
     // every range endpoint the program indexes by.
     let mut barrier = vec![false; len + 1];
-    for i in &prog.code {
-        match i {
-            Instr::JF { target, .. }
-            | Instr::JT { target, .. }
-            | Instr::JFAnd { target, .. }
-            | Instr::JFOr { target, .. }
-            | Instr::Jmp { target } => barrier[*target as usize] = true,
-            _ => {}
-        }
+    for target in prog.code.iter().filter_map(Instr::jump_target) {
+        barrier[target as usize] = true;
     }
     for &(a, b) in prog.stages.iter().chain(prog.action_code.iter()) {
         barrier[a as usize] = true;
@@ -813,12 +832,13 @@ fn peephole(prog: &mut CompiledProgram, masks: &[u64], regs: &[RegState]) {
 
 /// Build-time validation underwriting the execution loop's unchecked
 /// accesses: every static slot reference is within the PHV, every dynamic
-/// slot window fits, every register id resolves, and every jump target
-/// lands inside the code. A violation is a lowering bug, and panicking
-/// here (once, at build) is what lets [`exec_range`] skip those checks on
-/// every packet.
+/// slot window fits, every register id resolves, and every jump is
+/// forward and lands within its own stage or action range. It also checks
+/// the static half of cost attribution: the stages tile `body` in order
+/// and `stage_of` names the stage of every body position. A violation is a lowering bug, and panicking here (once,
+/// at build) is what lets [`exec_range`] skip those checks on every packet
+/// and refund a taken jump as plain `target - pc - 1`.
 fn validate(prog: &CompiledProgram, phv_len: usize, reg_count: usize) {
-    let code_len = prog.code.len() as u32;
     let slot = |s: u32| assert!((s as usize) < phv_len, "slot {s} out of PHV ({phv_len})");
     let opnd = |o: &Opnd| {
         if let Opnd::S(s) = o {
@@ -829,7 +849,6 @@ fn validate(prog: &CompiledProgram, phv_len: usize, reg_count: usize) {
         assert!(base as usize + count as usize <= phv_len, "dyn window out of PHV");
     };
     let reg = |r: u16| assert!((r as usize) < reg_count, "register {r} unresolved");
-    let target = |t: u32| assert!(t <= code_len, "jump target {t} out of code");
     for i in &prog.code {
         match i {
             Instr::LoadSlotDyn { base, count, idx, diag, .. } => {
@@ -877,23 +896,17 @@ fn validate(prog: &CompiledProgram, phv_len: usize, reg_count: usize) {
                 reg(*r);
                 opnd(cell);
             }
-            Instr::JF { a, b, target: t, .. } | Instr::JT { a, b, target: t, .. } => {
+            Instr::JF { a, b, .. } | Instr::JT { a, b, .. } => {
                 opnd(a);
                 opnd(b);
-                target(*t);
             }
-            Instr::JFAnd { a1, b1, a2, b2, target: t, .. }
-            | Instr::JFOr { a1, b1, a2, b2, target: t, .. } => {
+            Instr::JFAnd { a1, b1, a2, b2, .. } | Instr::JFOr { a1, b1, a2, b2, .. } => {
                 opnd(a1);
                 opnd(b1);
                 opnd(a2);
                 opnd(b2);
-                target(*t);
             }
-            Instr::Jmp { target: t } => target(*t),
-            Instr::Stage { s } => {
-                assert!((*s as usize) < prog.stages.len(), "stage mark out of range");
-            }
+            Instr::Jmp { .. } => {}
             Instr::Apply { site } => {
                 let s = &prog.apply_sites[*site as usize];
                 assert!((s.table as usize) < prog.tables.len());
@@ -912,6 +925,23 @@ fn validate(prog: &CompiledProgram, phv_len: usize, reg_count: usize) {
             }
         }
     }
+
+    assert_eq!(prog.stage_of.len(), prog.code.len(), "one stage entry per instruction");
+    let mut at = prog.body.0;
+    for (s, &(a, b)) in prog.stages.iter().enumerate() {
+        assert!(a == at && a <= b, "stage {s} [{a}..{b}] does not continue body at {at}");
+        at = b;
+        let of = &prog.stage_of[a as usize..b as usize];
+        assert!(of.iter().all(|&x| x as usize == s), "stage_of disagrees in stage {s}");
+    }
+    assert_eq!(at, prog.body.1, "stages end where body ends");
+    for &(a, b) in prog.stages.iter().chain(&prog.action_code) {
+        for pc in a..b {
+            if let Some(t) = prog.code[pc as usize].jump_target() {
+                assert!(pc < t && t <= b, "jump at {pc} to {t} leaves [{a}..{b}]");
+            }
+        }
+    }
 }
 
 // ------------------------------------------------------------ execution
@@ -924,8 +954,14 @@ fn validate(prog: &CompiledProgram, phv_len: usize, reg_count: usize) {
 /// per-access dispatch.
 pub(crate) trait PhvView {
     fn get(&self, slot: usize) -> u64;
-    /// Width-masked store.
-    fn set(&mut self, slot: usize, v: u64);
+    /// `phv[slot] = f(phv[slot], mask[slot])`, stored **raw**: `f` does
+    /// the masking it wants. Returns what was stored.
+    fn update(&mut self, slot: usize, f: impl FnOnce(u64, u64) -> u64) -> u64;
+    /// Width-masked store; returns the masked value.
+    #[inline(always)]
+    fn set(&mut self, slot: usize, v: u64) -> u64 {
+        self.update(slot, |_, m| v & m)
+    }
     fn temp(&self, t: Temp) -> u64;
     fn set_temp(&mut self, t: Temp, v: u64);
 }
@@ -950,10 +986,13 @@ impl PhvView for ScalarView<'_> {
     }
 
     #[inline(always)]
-    fn set(&mut self, slot: usize, v: u64) {
+    fn update(&mut self, slot: usize, f: impl FnOnce(u64, u64) -> u64) -> u64 {
         unsafe {
             let m = *self.phv.masks.get_unchecked(slot);
-            *self.phv.slots.get_unchecked_mut(slot) = v & m;
+            let p = self.phv.slots.get_unchecked_mut(slot);
+            let v = f(*p, m);
+            *p = v;
+            v
         }
     }
 
@@ -989,10 +1028,13 @@ impl PhvView for LaneView<'_> {
     }
 
     #[inline(always)]
-    fn set(&mut self, slot: usize, v: u64) {
+    fn update(&mut self, slot: usize, f: impl FnOnce(u64, u64) -> u64) -> u64 {
         unsafe {
             let m = *self.masks.get_unchecked(slot);
-            *self.slots.get_unchecked_mut(slot * self.n + self.lane) = v & m;
+            let p = self.slots.get_unchecked_mut(slot * self.n + self.lane);
+            let v = f(*p, m);
+            *p = v;
+            v
         }
     }
 
@@ -1031,9 +1073,46 @@ fn cmp(op: BinOp, x: u64, y: u64) -> bool {
     }
 }
 
+/// Charge `packets` packets the full length of every stage, up front.
+/// [`exec_range`] then gives back what a packet did not dispatch, so the
+/// counters are exact again when the packet ends and never dip below
+/// their value before the charge.
+fn charge_stage_lengths(prog: &CompiledProgram, stage_cost: &mut [u64], packets: u64) {
+    assert!(stage_cost.len() >= prog.stages.len(), "one cost counter per stage");
+    for (c, &(a, b)) in stage_cost.iter_mut().zip(&prog.stages) {
+        *c += u64::from(b - a) * packets;
+    }
+}
+
+/// The cold half of cost attribution: the instruction at `pc` faulted, so
+/// nothing after it runs. Give back the rest of its range — and, at top
+/// level (`stage` is `None`), every later stage whole — leaving the packet
+/// charged exactly the instructions dispatched up to and including `pc`.
+#[cold]
+fn refund_unreached(
+    prog: &CompiledProgram,
+    stage_cost: &mut [u64],
+    stage: Option<usize>,
+    pc: usize,
+    end: usize,
+) {
+    match stage {
+        Some(s) => stage_cost[s] -= (end - pc - 1) as u64,
+        None => {
+            let s = prog.stage_of[pc] as usize;
+            stage_cost[s] -= (prog.stages[s].1 as usize - pc - 1) as u64;
+            for (c, &(a, b)) in stage_cost[s + 1..].iter_mut().zip(&prog.stages[s + 1..]) {
+                *c -= u64::from(b - a);
+            }
+        }
+    }
+}
+
 /// Run one packet (already in `phv`) through every stage, **in place**.
 /// Faults abort mid-stage exactly like the interpreter; the caller rolls
 /// back `undo` (the PHV content after a fault is unspecified).
+/// `stage_cost[s]` grows by the instructions the packet dispatched in
+/// stage `s`, action bodies included — also when it faults.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_packet(
     prog: &CompiledProgram,
@@ -1046,20 +1125,25 @@ pub(crate) fn run_packet(
 ) -> Result<(), SimError> {
     assert!(ctx.temps.len() >= prog.temp_count, "scratch must come from ExecCtx::for_program");
     assert!(phv.slots.len() == phv.masks.len(), "PHV built by Switch::build");
-    assert!(stage_cost.len() >= prog.stages.len(), "one cost counter per stage");
-    // `body` opens with a `Stage` mark (if it holds any code at all), so
-    // the initial attribution stage is never actually charged.
-    let mut cur = 0usize;
+    charge_stage_lengths(prog, stage_cost, 1);
     let (start, end) = prog.body;
     let ExecCtx { temps, keys } = ctx;
     let mut view = ScalarView { phv, temps };
-    exec_range(prog, ctables, regs, &mut view, keys, undo, stage_cost, &mut cur, start, end)
+    exec_range(prog, ctables, regs, &mut view, keys, undo, stage_cost, None, start, end)
 }
 
 /// Execute `code[start..end]`: the single dispatch loop of the fast path.
 /// Generic over [`PhvView`] so the identical loop runs one contiguous
 /// packet ([`ScalarView`]) or one lane of an SoA batch ([`LaneView`],
 /// driven by [`run_batch`]).
+///
+/// Cost is not counted here but corrected: the caller has already charged
+/// `stage_cost` every instruction of the range (the stage lengths for
+/// `body`, the body's length for an action), and the loop gives back what
+/// it does not dispatch — the `target - pc - 1` instructions a taken jump
+/// skips, and on a fault everything after the faulting instruction.
+/// `stage` is `None` for `body`, whose positions name their own stage
+/// (`stage_of`), and the applying stage for an action body.
 #[allow(clippy::too_many_arguments)]
 fn exec_range<V: PhvView>(
     prog: &CompiledProgram,
@@ -1069,24 +1153,37 @@ fn exec_range<V: PhvView>(
     keys: &mut Vec<u64>,
     undo: &mut Vec<RegUndo>,
     stage_cost: &mut [u64],
-    cur: &mut usize,
+    stage: Option<usize>,
     start: u32,
     end: u32,
 ) -> Result<(), SimError> {
     let end = end as usize;
     assert!(end <= prog.code.len(), "code range within program");
     let mut pc = start as usize;
-    let mut executed = 0u64;
+    macro_rules! stage_here {
+        () => {
+            stage.unwrap_or_else(|| prog.stage_of[pc] as usize)
+        };
+    }
     macro_rules! fault {
         ($e:expr) => {{
-            stage_cost[*cur] += executed;
+            refund_unreached(prog, stage_cost, stage, pc, end);
             return Err($e);
         }};
     }
+    // A jump is forward and stays in its range ([`validate`]), so the
+    // skipped instructions all belong to the jump's own stage.
+    macro_rules! jump {
+        ($target:expr) => {{
+            let target = *$target as usize;
+            stage_cost[stage_here!()] -= (target - pc - 1) as u64;
+            pc = target;
+            continue;
+        }};
+    }
     while pc < end {
-        executed += 1;
         // SAFETY: `pc < end <= code.len()` (asserted above); every jump
-        // target is patched to a position within its enclosing range.
+        // target lies within its enclosing range ([`validate`]).
         let instr = unsafe { prog.code.get_unchecked(pc) };
         match instr {
             Instr::LoadSlotDyn { dst, base, count, idx, diag } => {
@@ -1216,11 +1313,10 @@ fn exec_range<V: PhvView>(
             }
             Instr::SketchStep { idx_slot, salt, src, mask, reg, add, dst_slot } => {
                 let h = splitmix(*salt ^ ov(view, src)) & *mask;
-                view.set(*idx_slot as usize, h);
-                // Read the index back through the slot so the cell matches
-                // what the unfused `RegAdd` would have seen (the slot's own
-                // width mask re-applies on store).
-                let c = view.get(*idx_slot as usize) as usize;
+                // The cell is the index as stored — the slot's own width
+                // mask re-applied — which is what the unfused `RegAdd`
+                // would have read back.
+                let c = view.set(*idx_slot as usize, h) as usize;
                 let v = ov(view, add);
                 let r = &mut regs[*reg as usize];
                 // In bounds by construction: [`peephole`] only forms this
@@ -1233,11 +1329,11 @@ fn exec_range<V: PhvView>(
                 view.set(*dst_slot as usize, new);
             }
             Instr::MinOrInit { slot, src } => {
+                // A select, not a branch on packet data. The not-taken arm
+                // stores `cur` back raw, so a slot holding bits above its
+                // mask keeps them, as it did when nothing was stored.
                 let x = ov(view, src);
-                let cur = view.get(*slot as usize);
-                if x < cur || cur == 0 {
-                    view.set(*slot as usize, x);
-                }
+                view.update(*slot as usize, |cur, m| if x < cur || cur == 0 { x & m } else { cur });
             }
             Instr::RegToSlot { slot, reg, cell } => {
                 let c = ov(view, cell) as usize;
@@ -1258,40 +1354,27 @@ fn exec_range<V: PhvView>(
                 if !(cmp(*op1, ov(view, a1), ov(view, b1))
                     && cmp(*op2, ov(view, a2), ov(view, b2)))
                 {
-                    pc = *target as usize;
-                    continue;
+                    jump!(target);
                 }
             }
             Instr::JFOr { op1, a1, b1, op2, a2, b2, target } => {
                 if !(cmp(*op1, ov(view, a1), ov(view, b1))
                     || cmp(*op2, ov(view, a2), ov(view, b2)))
                 {
-                    pc = *target as usize;
-                    continue;
+                    jump!(target);
                 }
             }
             Instr::JF { op, a, b, target } => {
                 if !cmp(*op, ov(view, a), ov(view, b)) {
-                    pc = *target as usize;
-                    continue;
+                    jump!(target);
                 }
             }
             Instr::JT { op, a, b, target } => {
                 if cmp(*op, ov(view, a), ov(view, b)) {
-                    pc = *target as usize;
-                    continue;
+                    jump!(target);
                 }
             }
-            Instr::Jmp { target } => {
-                pc = *target as usize;
-                continue;
-            }
-            Instr::Stage { s } => {
-                // The mark itself is free: `executed` already counted it.
-                stage_cost[*cur] += executed - 1;
-                executed = 0;
-                *cur = *s as usize;
-            }
+            Instr::Jmp { target } => jump!(target),
             Instr::Apply { site } => {
                 let site = &prog.apply_sites[*site as usize];
                 keys.clear();
@@ -1315,17 +1398,19 @@ fn exec_range<V: PhvView>(
                 };
                 if let Some(id) = action {
                     let (bs, be) = prog.action_code[id as usize];
-                    stage_cost[*cur] += executed;
-                    executed = 0;
-                    exec_range(
-                        prog, ctables, regs, view, keys, undo, stage_cost, cur, bs, be,
-                    )?;
+                    let s = stage_here!();
+                    stage_cost[s] += u64::from(be - bs);
+                    let ran = exec_range(
+                        prog, ctables, regs, view, keys, undo, stage_cost, Some(s), bs, be,
+                    );
+                    if let Err(e) = ran {
+                        fault!(e);
+                    }
                 }
             }
         }
         pc += 1;
     }
-    stage_cost[*cur] += executed;
     Ok(())
 }
 
@@ -1378,17 +1463,15 @@ pub(crate) fn run_batch(
     assert!(n > 0, "empty batch");
     assert_eq!(bctx.slots.len(), masks.len() * n, "matrices sized by BatchCtx::prepare");
     assert!(bctx.temps.len() >= prog.temp_count * n, "matrices sized by BatchCtx::prepare");
-    assert!(stage_cost.len() >= prog.stages.len(), "one cost counter per stage");
+    charge_stage_lengths(prog, stage_cost, n as u64);
     let (start, end) = prog.body;
     let BatchCtx { slots, temps, keys } = bctx;
     let mut dropped = 0u64;
     for lane in 0..n {
         undo.clear();
-        let mut cur = 0usize;
         let mut view = LaneView { slots, masks, temps, n, lane };
-        let r = exec_range(
-            prog, ctables, regs, &mut view, keys, undo, stage_cost, &mut cur, start, end,
-        );
+        let r =
+            exec_range(prog, ctables, regs, &mut view, keys, undo, stage_cost, None, start, end);
         if r.is_err() {
             rollback(regs, undo);
             dropped += 1;
@@ -1424,3 +1507,260 @@ pub(crate) fn disasm(prog: &CompiledProgram) -> String {
 }
 
 pub(crate) use crate::interp::splitmix;
+
+#[cfg(test)]
+mod tests {
+    //! Cost exactness. Every expected `stage_cost` below was counted by
+    //! hand from the program's `dump_bytecode()` listing (quoted beside
+    //! it), not computed by a second loop. Each program is a dependency
+    //! chain exactly as deep as its target has stages, so the layout — and
+    //! with it the listing — is forced by the program, not by a solver
+    //! tie-break.
+
+    use super::*;
+    use p4all_core::Compiler;
+    use p4all_pisa::presets;
+
+    fn build(src: &str, stages: usize) -> Switch {
+        let target = p4all_pisa::TargetSpec { stages, ..presets::paper_eval(1 << 14) };
+        let c = Compiler::new(target).compile(src).unwrap();
+        let program = p4all_lang::parse(src).unwrap();
+        Switch::build(&c.concrete, &program).unwrap()
+    }
+
+    /// `stage_cost` of one packet with these header fields on a reset
+    /// switch, and whether it ran to completion.
+    fn cost_of(sw: &mut Switch, fields: &[(&str, u64)]) -> (Vec<u64>, Result<(), SimError>) {
+        sw.reset();
+        sw.begin_packet();
+        for (f, v) in fields {
+            sw.set_header(f, *v).unwrap();
+        }
+        let r = sw.run_packet();
+        (sw.stage_cost().to_vec(), r)
+    }
+
+    // stage 0: [0..2]   Bin; StoreSlot
+    // stage 1: [2..6]   Bin; StoreSlot; Bin; StoreSlot
+    const STRAIGHT: &str = r#"
+        header h { bit<32> x; }
+        struct metadata { bit<32> a; bit<32> b; }
+        action one() { meta.a = hdr.x + 1; }
+        action two() { meta.b = meta.a + 2; meta.b = meta.b * 3; }
+        control Main() { apply { one(); two(); } }
+    "#;
+
+    #[test]
+    fn straight_line_costs_the_stage_lengths() {
+        let mut sw = build(STRAIGHT, 2);
+        assert_eq!(sw.compiled.stages, [(0, 2), (2, 6)]);
+        assert_eq!(cost_of(&mut sw, &[("x", 5)]), (vec![2, 4], Ok(())));
+    }
+
+    // stage 0: [0..1]   StoreSlot
+    // stage 1: [1..6]   JF -> 6; Bin; StoreSlot; Bin; StoreSlot
+    // stage 2: [6..7]   StoreSlot
+    const GUARDED: &str = r#"
+        header h { bit<32> x; }
+        struct metadata { bit<32> a; bit<32> b; bit<32> c; }
+        action one() { meta.a = hdr.x; }
+        action two() { meta.b = meta.a + 2; meta.b = meta.b * 3; }
+        action three() { meta.c = meta.b; }
+        control Main() { apply { one(); if (meta.a == 1) { two(); } three(); } }
+    "#;
+
+    #[test]
+    fn a_taken_jump_gives_back_what_it_skipped() {
+        let mut sw = build(GUARDED, 3);
+        assert_eq!(sw.compiled.stages, [(0, 1), (1, 6), (6, 7)]);
+        // Guard holds: the JF falls through and all five run.
+        assert_eq!(cost_of(&mut sw, &[("x", 1)]), (vec![1, 5, 1], Ok(())));
+        // Guard fails: the JF alone is dispatched, to the stage's end.
+        assert_eq!(cost_of(&mut sw, &[("x", 0)]), (vec![1, 1, 1], Ok(())));
+    }
+
+    // stage 0: [10..11]   StoreSlot
+    // stage 1: [11..15]   Bin; StoreSlot; Apply(plain); StoreSlot
+    // stage 2: [15..16]   Apply(dflt)
+    // stage 3: [16..18]   Bin; StoreSlot
+    // action hit:   [0..7]  JF -> 5; StoreSlot; Bin; StoreSlot; Jmp -> 6;
+    //                       StoreSlot; StoreSlot
+    // action hit2:  [7..8]  StoreSlot
+    // action miss2: [8..10] Bin; StoreSlot
+    const TABLES: &str = r#"
+        header h { bit<32> k; bit<32> x; }
+        struct metadata {
+            bit<32> a; bit<32> b; bit<32> c; bit<32> d; bit<32> e; bit<32> f; bit<32> g;
+        }
+        action pre() { meta.a = hdr.x; }
+        action before() { meta.d = meta.a + 1; }
+        action hit() {
+            if (meta.a == 1) { meta.b = 10; meta.b = meta.b + 1; } else { meta.b = 20; }
+            meta.c = 1;
+        }
+        action after() { meta.e = meta.a; }
+        action hit2() { meta.f = meta.b; }
+        action miss2() { meta.f = meta.d + meta.e; }
+        action post() { meta.g = meta.f + meta.c; }
+        table plain { key = { hdr.k; } actions = { hit; } size = 16; }
+        table dflt {
+            key = { hdr.k; }
+            actions = { hit2; miss2; }
+            size = 16;
+            default_action = miss2;
+        }
+        control Main() {
+            apply { pre(); before(); plain.apply(); after(); dflt.apply(); post(); }
+        }
+    "#;
+
+    #[test]
+    fn an_action_body_is_charged_to_the_stage_that_applied_it() {
+        let mut sw = build(TABLES, 4);
+        assert_eq!(sw.compiled.stages, [(10, 11), (11, 15), (15, 16), (16, 18)]);
+        assert_eq!(sw.compiled.action_code, [(0, 7), (7, 8), (8, 10)]);
+        sw.install_entry("plain", vec![1], "hit", &[]).unwrap();
+        sw.install_entry("dflt", vec![2], "hit2", &[]).unwrap();
+        // `plain` hits, then-arm: JF, three, and a taken Jmp over one, then
+        // the last store — 6 of the body's 7. `dflt` misses into `miss2`.
+        assert_eq!(cost_of(&mut sw, &[("k", 1), ("x", 1)]), (vec![1, 4 + 6, 1 + 2, 2], Ok(())));
+        // Else-arm: the JF skips four, then two stores — 3 of 7.
+        assert_eq!(cost_of(&mut sw, &[("k", 1), ("x", 0)]), (vec![1, 4 + 3, 1 + 2, 2], Ok(())));
+        // `plain` misses with no default: the `Apply` alone.
+        assert_eq!(cost_of(&mut sw, &[("k", 3), ("x", 1)]), (vec![1, 4, 1 + 2, 2], Ok(())));
+        // `dflt` hits `hit2`, one instruction.
+        assert_eq!(cost_of(&mut sw, &[("k", 2), ("x", 1)]), (vec![1, 4, 1 + 1, 2], Ok(())));
+    }
+
+    // stage 0: [0..2]    RegAdd a[0]; RegToSlot
+    // stage 1: [2..10]   Bin; StoreSlot; LoadSlotDyn arr[i]; Bin; StoreSlot;
+    //                    RegToSlot b[j]; Bin; StoreSlot
+    // stage 2: [10..11]  StoreSlot
+    const TOP_FAULT: &str = r#"
+        header h { bit<32> i; bit<32> j; }
+        struct metadata { bit<32>[4] arr; bit<32> t; bit<32> u; bit<32> v; }
+        register<bit<32>>[4] a;
+        register<bit<32>>[4] b;
+        action first() { a[0] = a[0] + 1; meta.t = a[0]; }
+        action second() {
+            meta.u = meta.t + 1;
+            meta.u = meta.arr[hdr.i] + meta.u;
+            meta.v = b[hdr.j];
+            meta.v = meta.v + 1;
+        }
+        action third() { meta.t = meta.v; }
+        control Main() { apply { first(); second(); third(); } }
+    "#;
+
+    fn is_oob(r: &Result<(), SimError>) -> bool {
+        matches!(r, Err(SimError::IndexOutOfBounds { .. }))
+    }
+
+    #[test]
+    fn a_fault_mid_stage_is_charged_up_to_the_faulting_instruction() {
+        let mut sw = build(TOP_FAULT, 3);
+        assert_eq!(sw.compiled.stages, [(0, 2), (2, 10), (10, 11)]);
+        assert_eq!(cost_of(&mut sw, &[("i", 1), ("j", 1)]), (vec![2, 8, 1], Ok(())));
+        assert_eq!(sw.read_register("a", 0, 0).unwrap(), 1);
+        // `arr[9]`: the LoadSlotDyn is the third instruction of stage 1.
+        let (cost, r) = cost_of(&mut sw, &[("i", 9), ("j", 1)]);
+        assert!(is_oob(&r), "{r:?}");
+        assert_eq!(cost, [2, 3, 0]);
+        assert_eq!(sw.read_register("a", 0, 0).unwrap(), 0, "stage 0's increment rolls back");
+        // `b[9]`: the RegToSlot is the sixth.
+        let (cost, r) = cost_of(&mut sw, &[("i", 1), ("j", 9)]);
+        assert!(is_oob(&r), "{r:?}");
+        assert_eq!(cost, [2, 6, 0]);
+        assert_eq!(sw.read_register("a", 0, 0).unwrap(), 0, "stage 0's increment rolls back");
+    }
+
+    // stage 0: [4..6]     RegAdd a[0]; RegToSlot
+    // stage 1: [6..10]    Bin; StoreSlot; Apply(tbl); StoreSlot
+    // stage 2: [10..14]   Bin; Bin; Bin; StoreSlot
+    // action hit: [0..4]  StoreSlot; RegToSlot b[j]; Bin; StoreSlot
+    const BODY_FAULT: &str = r#"
+        header h { bit<32> k; bit<32> j; }
+        struct metadata { bit<32> t; bit<32> u; bit<32> v; bit<32> w; bit<32> y; bit<32> z; }
+        register<bit<32>>[4] a;
+        register<bit<32>>[4] b;
+        action first() { a[0] = a[0] + 1; meta.t = a[0]; }
+        action before() { meta.w = meta.t + 1; }
+        action hit() { meta.u = meta.t; meta.v = b[hdr.j]; meta.v = meta.v + 1; }
+        action after() { meta.y = meta.t; }
+        action last() { meta.z = meta.v + meta.w + meta.y + meta.u; }
+        table tbl { key = { hdr.k; } actions = { hit; } size = 16; }
+        control Main() { apply { first(); before(); tbl.apply(); after(); last(); } }
+    "#;
+
+    #[test]
+    fn a_fault_inside_an_action_body_is_charged_to_the_applying_stage() {
+        let mut sw = build(BODY_FAULT, 3);
+        assert_eq!(sw.compiled.stages, [(4, 6), (6, 10), (10, 14)]);
+        assert_eq!(sw.compiled.action_code, [(0, 4)]);
+        sw.install_entry("tbl", vec![1], "hit", &[]).unwrap();
+        assert_eq!(cost_of(&mut sw, &[("k", 1), ("j", 1)]), (vec![2, 4 + 4, 4], Ok(())));
+        assert_eq!(cost_of(&mut sw, &[("k", 0), ("j", 9)]), (vec![2, 4, 4], Ok(())));
+        assert_eq!(sw.read_register("a", 0, 0).unwrap(), 1);
+        // `b[9]` in the body: three of stage 1 up to the `Apply`, two of
+        // the body up to the RegToSlot; the store after the `Apply` and
+        // all of stage 2 never run.
+        let (cost, r) = cost_of(&mut sw, &[("k", 1), ("j", 9)]);
+        assert!(is_oob(&r), "{r:?}");
+        assert_eq!(cost, [2, 3 + 2, 0]);
+        assert_eq!(sw.read_register("a", 0, 0).unwrap(), 0, "stage 0's increment rolls back");
+    }
+
+    /// A hand-assembled one-stage program, held to [`validate`] like a
+    /// lowered one.
+    fn one_stage(code: Vec<Instr>, masks: &[u64], regs: &[RegState]) -> CompiledProgram {
+        let n = code.len() as u32;
+        let prog = CompiledProgram {
+            code,
+            stages: vec![(0, n)],
+            body: (0, n),
+            stage_of: vec![0; n as usize],
+            ..CompiledProgram::default()
+        };
+        validate(&prog, masks.len(), regs.len());
+        prog
+    }
+
+    /// `SketchStep` takes its cell from the index as stored, not from the
+    /// raw hash: with an index slot narrower than the hash mask it must
+    /// touch the cell the unfused triple reads back through the slot.
+    #[test]
+    fn sketch_step_touches_the_cell_the_unfused_triple_does() {
+        use crate::state::mask;
+        // key, a 4-bit index under a 6-bit hash mask, count.
+        let masks = [mask(32), mask(4), mask(32)];
+        let regs = vec![RegState::new("cms".into(), 0, 0, 32, 64)];
+        let salt = splitmix(7);
+        let triple = vec![
+            Instr::Hash1Mask { slot: 1, salt, src: Opnd::S(0), mask: 63 },
+            Instr::RegAdd { reg: 0, cell: Opnd::S(1), add: Opnd::I(1) },
+            Instr::RegToSlot { slot: 2, reg: 0, cell: Opnd::S(1) },
+        ];
+        let fused = fuse_sketch(&triple, 0, &masks, &regs).expect("63 & 15 < 64 cells");
+        let unfused = one_stage(triple, &masks, &regs);
+        let fused = one_stage(vec![fused], &masks, &regs);
+
+        let run = |prog: &CompiledProgram, regs: &mut [RegState], key: u64| {
+            let mut phv = Phv::new(masks.to_vec());
+            phv.set(0, key);
+            let mut ctx = ExecCtx::for_program(prog);
+            let mut cost = [0u64];
+            run_packet(prog, &[], regs, &mut phv, &mut ctx, &mut Vec::new(), &mut cost).unwrap();
+            assert_eq!(cost[0], prog.code.len() as u64);
+            phv.slots
+        };
+        let (mut ra, mut rb) = (regs.clone(), regs);
+        let mut narrowed = 0;
+        for key in 0..64 {
+            assert_eq!(run(&unfused, &mut ra, key), run(&fused, &mut rb, key), "key {key}");
+            assert_eq!(ra[0].cells, rb[0].cells, "key {key}");
+            narrowed += u32::from(splitmix(salt ^ key) & 63 > 15);
+        }
+        assert!(narrowed > 0, "no key hashed above the index slot's width");
+        assert!(ra[0].cells[16..].iter().all(|&c| c == 0), "cells past the slot's width untouched");
+    }
+}

@@ -668,6 +668,17 @@ mod tests {
         assert_eq!(scalar.registers_snapshot(), batched.registers_snapshot());
         assert_eq!(sstats.stage_cost, bstats.stage_cost);
         assert_eq!(batched.read_register("a", 0, 0).unwrap(), 18);
+
+        // Two shard workers, scalar and batched: a faulting packet gives
+        // back its unreached cost on whichever worker it lands, so the
+        // merged per-stage cost is still the scalar run's.
+        for width in [0, 4] {
+            let mut sharded = build(FAULTY_DIV);
+            sharded.set_batch_width(width);
+            assert_eq!(sharded.run_trace_sharded(&trace, 2).0, 2, "w={width}");
+            assert_eq!(scalar.registers_snapshot(), sharded.registers_snapshot(), "w={width}");
+            assert_eq!(sstats.stage_cost, sharded.stage_cost(), "w={width}");
+        }
     }
 
     /// `FAULTY_IDX` makes packet order observable through a register

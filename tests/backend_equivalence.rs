@@ -245,3 +245,65 @@ proptest! {
         }
     }
 }
+
+/// The bytecode engine's running-min update is a select-and-store; the
+/// tree interpreter branches and stores only when the guard holds. They
+/// must agree bit for bit even when the running-min slot arrives holding
+/// bits above its width mask — reachable, because `Phv::slots` is `pub`
+/// and `run_trace` copies an input PHV in raw.
+#[test]
+fn min_update_agrees_on_a_slot_holding_bits_above_its_mask() {
+    const SRC: &str = r#"
+        symbolic int rows;
+        symbolic int cols;
+        assume rows >= 2 && rows <= 2;
+        assume cols >= 16 && cols <= 16;
+        optimize rows * cols;
+        header pkt { bit<32> key; }
+        struct metadata { bit<32>[rows] index; bit<32>[rows] count; bit<8> min; }
+        register<bit<32>>[cols][rows] cms;
+        action incr()[int i] {
+            meta.index[i] = hash(hdr.key, cols);
+            cms[i][meta.index[i]] = cms[i][meta.index[i]] + 1;
+            meta.count[i] = cms[i][meta.index[i]];
+        }
+        action set_min()[int i] { meta.min = meta.count[i]; }
+        control sketch() { apply { for (i < rows) { incr()[i]; } } }
+        control minimum() {
+            apply {
+                for (i < rows) {
+                    if (meta.count[i] < meta.min || meta.min == 0) { set_min()[i]; }
+                }
+            }
+        }
+        control Main() { apply { sketch.apply(); minimum.apply(); } }
+    "#;
+    const ABOVE_MASK: u64 = 0x105;
+    let c = Compiler::new(presets::paper_eval(1 << 15)).compile(SRC).expect("compiles");
+    let program = p4all_lang::parse(SRC).expect("parses");
+    // Every cell pre-set to `warm`, so each row counts `warm + 1`: below
+    // 0x105 the first row's update is taken, above it neither is.
+    for (warm, min_after) in [(0, 1), (1000, ABOVE_MASK)] {
+        let mut sides = [Backend::Interp, Backend::Compiled].map(|backend| {
+            let mut sw = Switch::build(&c.concrete, &program).expect("sim builds");
+            sw.set_backend(backend);
+            for row in 0..2 {
+                for cell in 0..16 {
+                    sw.write_register("cms", row, cell, warm).unwrap();
+                }
+            }
+            let mut input = sw.make_packet(&[("key", 3)]).unwrap();
+            // `min` is the only 8-bit field of the layout.
+            let min_slot = input.masks.iter().position(|&m| m == 0xFF).expect("meta.min");
+            assert_eq!(input.masks.iter().filter(|&&m| m == 0xFF).count(), 1);
+            input.slots[min_slot] = ABOVE_MASK;
+            assert_eq!(sw.run_trace(&[input], 1).dropped, 0);
+            sw
+        });
+        let [interp, fast] = &mut sides;
+        assert!(fast.dump_bytecode().contains("MinOrInit"), "the idiom no longer fuses");
+        assert_eq!(interp.phv_snapshot(), fast.phv_snapshot(), "warm={warm}");
+        assert_eq!(interp.registers_snapshot(), fast.registers_snapshot(), "warm={warm}");
+        assert_eq!(fast.meta("min").unwrap(), min_after, "warm={warm}");
+    }
+}
