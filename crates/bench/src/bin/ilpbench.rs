@@ -11,9 +11,12 @@
 //! ```
 //!
 //! In `--smoke` mode the harness runs the same workload once and **fails**
-//! (exit 1) when the total warm solve time regresses more than 20% against
-//! the committed baseline — the CI tripwire for accidental de-optimization
-//! of the warm path.
+//! (exit 1) unless every count it reports — nodes, LP solves and pivots of
+//! every row, cuts applied, strong-branching LPs, warm-accepted sweep
+//! points — equals the committed baseline's, or unless cut-and-branch
+//! falls below 2x fewer nodes than plain branch-and-bound. The solver is
+//! deterministic, so the gate is exact: it checks "same search" on every
+//! push, where a wall-clock tripwire read 0.96–1.35x from run to run.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -202,15 +205,38 @@ fn median(mut v: Vec<(Sample, usize)>) -> (Sample, usize) {
     v.swap_remove(mid)
 }
 
-/// Extract `"key": <number>` from the hand-rolled baseline JSON.
-fn json_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// Whether a `BENCH_ilp.json` field is a count the smoke gate holds equal.
+fn is_count(key: &str) -> bool {
+    key.ends_with("_nodes")
+        || key.ends_with("_lp_solves")
+        || key.ends_with("_pivots")
+        || matches!(key, "cuts_applied" | "strong_branch_lps" | "warm_accepted_points")
+}
+
+/// Every count field of the hand-rolled JSON, in document order, as
+/// `(row, key, value)`: `row` is the enclosing object's `app`/`workload`
+/// name or top-level key. Rows are written in a fixed order, so two files
+/// of the same workload list the same fields.
+fn count_fields(json: &str) -> Vec<(String, String, String)> {
+    let mut fields = Vec::new();
+    let mut row = String::new();
+    let mut rest = json;
+    while let Some(open) = rest.find('"') {
+        let Some(len) = rest[open + 1..].find('"') else { break };
+        let key = &rest[open + 1..open + 1 + len];
+        rest = &rest[open + len + 2..];
+        let Some(value) = rest.strip_prefix(':').map(str::trim_start) else { continue };
+        let end = value.find([',', '}', '\n']).unwrap_or(value.len());
+        let value = value[..end].trim();
+        if value.starts_with('{') || value.starts_with('[') {
+            row = key.to_string();
+        } else if matches!(key, "app" | "workload") {
+            row = value.trim_matches('"').to_string();
+        } else if is_count(key) {
+            fields.push((row.clone(), key.to_string(), value.to_string()));
+        }
+    }
+    fields
 }
 
 fn main() {
@@ -437,56 +463,36 @@ fn main() {
     json.push_str("}\n");
 
     if smoke {
-        // CI gate: the same workload must not have gotten slower on the
-        // warm path. Compare against the committed full-run baseline.
-        match std::fs::read_to_string("BENCH_ilp.json") {
-            Ok(baseline) => {
-                let base = json_number(&baseline, "total_warm_solve_s")
-                    .expect("baseline BENCH_ilp.json lacks total_warm_solve_s");
-                let ratio = total_warm_s / base.max(1e-9);
-                println!(
-                    "smoke: warm total {total_warm_s:.3}s vs baseline {base:.3}s ({ratio:.2}x)"
-                );
-                if ratio > 1.20 {
-                    eprintln!(
-                        "FAIL: warm solve time regressed {:.0}% (> 20%) vs committed BENCH_ilp.json",
-                        (ratio - 1.0) * 100.0
-                    );
-                    std::process::exit(1);
-                }
-                // Cut-engine gates: the acceptance bar (>= 2x fewer
-                // nodes than the capped plain tree) plus a node-count
-                // regression tripwire against the committed baseline.
-                for (label, o, _, c) in &cuts_rows {
-                    let reduction = o.nodes as f64 / c.nodes.max(1) as f64;
-                    println!(
-                        "smoke: {label} cut-and-branch {} nodes vs plain {} ({reduction:.1}x)",
-                        c.nodes, o.nodes
-                    );
-                    if reduction < 2.0 {
-                        eprintln!(
-                            "FAIL: {label} node reduction {reduction:.1}x below the 2x acceptance bar"
-                        );
-                        std::process::exit(1);
-                    }
-                    let base_nodes = baseline
-                        .find(label)
-                        .and_then(|at| json_number(&baseline[at..], "cuts_nodes"));
-                    if let Some(b) = base_nodes {
-                        if c.nodes as f64 > b * 1.20 {
-                            eprintln!(
-                                "FAIL: {label} cut-and-branch nodes {} regressed > 20% vs baseline {b}",
-                                c.nodes
-                            );
-                            std::process::exit(1);
-                        }
-                    }
-                }
+        // CI gate: the search is deterministic, so every count must equal
+        // the committed full-run baseline's, plus the cut engine's
+        // acceptance bar (>= 2x fewer nodes than the capped plain tree).
+        let baseline = std::fs::read_to_string("BENCH_ilp.json").unwrap_or_else(|e| {
+            eprintln!("FAIL: no committed BENCH_ilp.json to compare against: {e}");
+            std::process::exit(1);
+        });
+        let (want, got) = (count_fields(&baseline), count_fields(&json));
+        let mut failed = want.len() != got.len();
+        if failed {
+            eprintln!("FAIL: {} count fields vs {} in the baseline", got.len(), want.len());
+        }
+        for (w, g) in want.iter().zip(&got).filter(|(w, g)| w != g) {
+            eprintln!("FAIL: {} {} = {} (baseline {} {} = {})", g.0, g.1, g.2, w.0, w.1, w.2);
+            failed = true;
+        }
+        println!("smoke: {} count fields checked against the committed BENCH_ilp.json", got.len());
+        for (label, o, _, c) in &cuts_rows {
+            let reduction = o.nodes as f64 / c.nodes.max(1) as f64;
+            println!(
+                "smoke: {label} cut-and-branch {} nodes vs plain {} ({reduction:.1}x)",
+                c.nodes, o.nodes
+            );
+            if reduction < 2.0 {
+                eprintln!("FAIL: {label} node reduction {reduction:.1}x below the 2x acceptance bar");
+                failed = true;
             }
-            Err(e) => {
-                eprintln!("FAIL: no committed BENCH_ilp.json to compare against: {e}");
-                std::process::exit(1);
-            }
+        }
+        if failed {
+            std::process::exit(1);
         }
     } else {
         std::fs::write("BENCH_ilp.json", &json).expect("write BENCH_ilp.json");

@@ -1,7 +1,7 @@
 //! # p4all-bench — shared harness for the evaluation reproduction
 //!
 //! Helpers used by the figure binaries (`fig4`, `fig11`, `fig12`, `fig13`,
-//! `ablation`) and the criterion benches: app compilation shortcuts, the
+//! `ablation`) and `simbench`/`ilpbench`: app compilation shortcuts, the
 //! NetCache simulation loop, and TSV result emission.
 
 use std::io::Write as _;

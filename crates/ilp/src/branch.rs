@@ -6,7 +6,8 @@
 //! aggressively; root cut rounds and reliability-initialized pseudocost
 //! branching (see [`SolveOptions::cuts`]) shrink the tree; each node's LP
 //! starts from its parent's basis (see [`SolveOptions::warm_lp`]), which
-//! the depth-first order hands to the second child by move, not copy.
+//! waits on the stack as its nonzeros and is expanded when the node is
+//! popped.
 //!
 //! Every solve records [`SolveTelemetry`]: LP work counters, the
 //! incumbent-improvement timeline, and the final optimality gap.
@@ -18,7 +19,7 @@ use crate::cuts::{self, CutCounters, CutPool};
 use crate::model::{Model, Sense, Solution, VarKind};
 use crate::presolve::{presolve, Presolved};
 use crate::simplex::{
-    solve_lp_ext, solve_lp_tableau, solve_lp_take, Basis, LpError, LpResult, LpSolve,
+    solve_lp_ext, solve_lp_tableau, solve_lp_take, Basis, LpError, LpResult, StoredBasis,
 };
 use crate::telemetry::{
     DiveTelemetry, DiveWork, IncumbentEvent, IncumbentSource, LpWork, SolveTelemetry, WarmDiveEnd,
@@ -138,10 +139,10 @@ struct Node {
     bounds: Vec<(f64, f64)>,
     /// LP bound inherited from the parent (in "higher is better" score).
     parent_score: f64,
-    /// The parent's optimal basis, shared by both children. `None` at the
-    /// root or when the parent's basis was not representable; ignored
-    /// when `warm_lp` is off.
-    basis: Option<Arc<Basis>>,
+    /// The parent's optimal basis, stored once and shared by both
+    /// children. `None` at the root (its LP takes the root basis dense),
+    /// when `warm_lp` is off, or when no basis was representable.
+    basis: Option<Arc<StoredBasis>>,
     /// How this node was created, for pseudocost updates once its LP is
     /// solved. `None` at the root; carried but unused when
     /// `SolveOptions::cuts` is off.
@@ -705,24 +706,6 @@ fn root_gap_closed(ctx: &SearchCtx<'_>, prepared: &Prepared) -> bool {
         .is_some_and(|(s, _)| closes_root_gap(ctx, prepared.root_score, *s))
 }
 
-/// A tree node's LP, warm from its parent's basis: the parent's inverse
-/// is moved into the solver when this node is the last holder of the
-/// snapshot (the second child, once its sibling's subtree is done), and
-/// copied while the sibling still waits for it.
-fn solve_node_lp(
-    model: &Model,
-    bounds: &[(f64, f64)],
-    warm: Option<&mut Arc<Basis>>,
-) -> Result<LpSolve, LpError> {
-    match warm {
-        None => solve_lp_ext(model, bounds, None),
-        Some(shared) => match Arc::get_mut(shared) {
-            Some(basis) => solve_lp_take(model, bounds, basis),
-            None => solve_lp_ext(model, bounds, Some(shared)),
-        },
-    }
-}
-
 /// Root cut loop: separate Gomory and cover cuts at the (cut-extended)
 /// root LP optimum, activate the most violated pool cuts under the
 /// activation budget, re-solve, and repeat until no violated cut remains,
@@ -958,12 +941,17 @@ fn tree_search(
     let mut sep_events = 0usize;
 
     let mut nodes = 0usize;
+    // Bases are kept only under `warm_lp`, the one configuration that
+    // reads them. The root node is popped first and its LP takes the root
+    // basis as it is, dense, like every direct hand-off: a tree that ends
+    // at the root stores nothing.
+    let mut root_warm = root_basis.filter(|_| opts.warm_lp).map(Arc::unwrap_or_clone);
     let mut stack: Vec<Node> =
-        vec![Node { bounds: root_bounds, parent_score: root_score, basis: root_basis, branch: None }];
+        vec![Node { bounds: root_bounds, parent_score: root_score, basis: None, branch: None }];
     let mut proven = true;
     let mut remaining_bound: Option<f64> = None;
 
-    while let Some(mut node) = stack.pop() {
+    while let Some(node) = stack.pop() {
         if nodes >= opts.node_limit {
             proven = false;
             stack.push(node);
@@ -984,12 +972,22 @@ fn tree_search(
         }
         nodes += 1;
         lp_solves += 1;
-        let warm = if opts.warm_lp { node.basis.as_mut() } else { None };
-        let sol = solve_node_lp(cut_model.as_ref().unwrap_or(model), &node.bounds, warm)?;
+        // The parent's basis, expanded for this node alone: its inverse
+        // moves into the solver, statuses and row order stay in `warm`.
+        let lpm = cut_model.as_ref().unwrap_or(model);
+        let mut warm = match node.basis.as_deref() {
+            Some(stored) => Some(stored.expand()),
+            None => root_warm.take(),
+        };
+        let sol = match warm.as_mut() {
+            Some(basis) => solve_lp_take(lpm, &node.bounds, basis)?,
+            None => solve_lp_ext(lpm, &node.bounds, None)?,
+        };
         lp_work.add(&sol.stats);
         // Children warm-start from this node's optimal basis; if it was
-        // not representable, the grandparent's is still dual-feasible.
-        let mut child_basis = sol.basis.map(Arc::new).or(node.basis);
+        // not representable, what is left of the parent's (statuses and
+        // row order) is still dual-feasible.
+        let mut child_basis = if opts.warm_lp { sol.basis.or(warm) } else { None };
         let (x, score) = match sol.result {
             LpResult::Infeasible => continue,
             LpResult::Unbounded => {
@@ -1021,9 +1019,8 @@ fn tree_search(
         if opts.cuts && sep_events < NODE_SEP_EVENTS && nodes >= next_sep_at {
             sep_events += 1;
             next_sep_at *= 4;
-            let warm = if opts.warm_lp { child_basis.as_deref() } else { None };
+            let warm = child_basis.as_ref();
             lp_solves += 1;
-            let lpm = cut_model.as_ref().unwrap_or(model);
             let tab = solve_lp_tableau(
                 lpm,
                 &node.bounds,
@@ -1055,7 +1052,7 @@ fn tree_search(
                     }
                     // Keep this subtree warm across the new rows; stale
                     // bases elsewhere in the stack fall back cold.
-                    child_basis = child_basis.map(|b| Arc::new(b.with_new_rows(picked.len())));
+                    child_basis = child_basis.map(|b| b.with_new_rows(picked.len()));
                 }
             }
         }
@@ -1091,6 +1088,7 @@ fn tree_search(
                 up[j].0 = up[j].0.max(floor + 1.0);
                 let dn_branch = Some(BranchInfo { var: j, dist: f, up: false });
                 let up_branch = Some(BranchInfo { var: j, dist: 1.0 - f, up: true });
+                let child_basis = child_basis.as_ref().map(|b| Arc::new(StoredBasis::new(b)));
                 // Explore the child nearest the LP value first (pushed last).
                 let (first, fb, second, sb) = if f <= 0.5 {
                     (up, up_branch, down, dn_branch)

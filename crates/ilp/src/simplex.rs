@@ -89,9 +89,13 @@ enum BStat {
 }
 
 /// Row cap above which a snapshot stores only variable statuses, not the
-/// dense basis inverse (8 MB at 1024 rows). Beyond it a warm install pays
-/// one refactorization instead; below it the install is an O(m²) copy.
+/// basis inverse. Below it the install is an O(m²) copy; beyond it a warm
+/// install pays one refactorization instead. A dense snapshot is m² × 8 B
+/// (8 MiB at the cap) only while it passes from one LP to the next: the
+/// search tree keeps its nonzeros ([`StoredBasis`]), whose `u16` column
+/// indices this cap keeps in range.
 const BINV_SNAPSHOT_MAX_ROWS: usize = 1024;
+const _: () = assert!(BINV_SNAPSHOT_MAX_ROWS <= 1 << 16, "column indices are u16");
 
 /// Snapshot of an optimal simplex basis: the status of every structural
 /// and slack variable (`n + m` entries), plus — for models up to
@@ -99,8 +103,9 @@ const BINV_SNAPSHOT_MAX_ROWS: usize = 1024;
 /// basis inverse. `B^-1` depends only on the basic set and the model's
 /// (bound-independent) equilibrated matrix, so a child node can install
 /// the parent's inverse verbatim and skip the O(m³) refactorization that
-/// would otherwise dominate a warm re-solve. Snapshots are shared across
-/// a branch-and-bound frontier behind `Arc` (see `SolveOptions::warm_lp`).
+/// would otherwise dominate a warm re-solve. Every hand-off from one LP
+/// straight to the next passes this dense form; a node waiting on the
+/// branch-and-bound stack holds its `StoredBasis` form instead.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Basis {
     stat: Vec<BStat>,
@@ -134,6 +139,86 @@ impl Basis {
         let mut stat = self.stat.clone();
         stat.extend(std::iter::repeat_n(BStat::Basic, extra));
         Basis { stat, rows: Vec::new(), binv: Vec::new() }
+    }
+}
+
+/// Bit pattern of `-0.0`.
+const NEG_ZERO: u64 = 1 << 63;
+
+/// The search tree's stored form of a [`Basis`]: statuses and row order
+/// as they are, and the inverse's nonzeros row by row (CSR, `u16` column
+/// indices). Entries are compared by bit pattern, and each row leaves out
+/// only its more common zero — a pivot row scaled by a negative pivot
+/// turns every zero it holds into `-0.0`, a quarter of the zeros on the
+/// joint models — so `-0.0`, `+0.0` and subnormals all survive and
+/// [`StoredBasis::expand`] rebuilds the dense snapshot bit for bit: a node
+/// warm-starts from its parent's inverse exactly as if it had been kept
+/// dense. A captured inverse on the joint models is 2–40 % nonzero, so
+/// this is what bounds the memory of a deep stack (DESIGN.md, "Basis
+/// lifetime in the search").
+#[derive(Debug)]
+pub(crate) struct StoredBasis {
+    stat: Vec<BStat>,
+    rows: Vec<usize>,
+    /// Start of each inverse row in `cols`/`vals`, `m + 1` entries; empty
+    /// when the snapshot carries no inverse.
+    row_start: Vec<u32>,
+    /// Rows whose left-out entries are `-0.0` (else `+0.0`).
+    neg_zero: Vec<bool>,
+    cols: Vec<u16>,
+    vals: Vec<f64>,
+}
+
+impl StoredBasis {
+    pub(crate) fn new(basis: &Basis) -> StoredBasis {
+        let m = basis.rows.len();
+        let (mut row_start, mut neg_zero, mut cols, mut vals) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        if m > 0 && m <= BINV_SNAPSHOT_MAX_ROWS && basis.binv.len() == m * m {
+            let mut nnz = 0;
+            neg_zero.reserve_exact(m);
+            for row in basis.binv.chunks_exact(m) {
+                let neg = row.iter().filter(|v| v.to_bits() == NEG_ZERO).count();
+                let pos = row.iter().filter(|v| v.to_bits() == 0).count();
+                neg_zero.push(neg > pos);
+                nnz += m - neg.max(pos);
+            }
+            row_start.reserve_exact(m + 1);
+            cols.reserve_exact(nnz);
+            vals.reserve_exact(nnz);
+            row_start.push(0);
+            for (row, &neg) in basis.binv.chunks_exact(m).zip(&neg_zero) {
+                let zero = if neg { NEG_ZERO } else { 0 };
+                for (j, &v) in row.iter().enumerate() {
+                    if v.to_bits() != zero {
+                        cols.push(j as u16);
+                        vals.push(v);
+                    }
+                }
+                row_start.push(vals.len() as u32);
+            }
+        }
+        let (stat, rows) = (basis.stat.clone(), basis.rows.clone());
+        StoredBasis { stat, rows, row_start, neg_zero, cols, vals }
+    }
+
+    /// The dense snapshot this was built from, owned, for [`solve_lp_take`].
+    pub(crate) fn expand(&self) -> Basis {
+        let mut binv = Vec::new();
+        if let Some(m) = self.row_start.len().checked_sub(1) {
+            binv = vec![0.0; m * m];
+            let spans = self.row_start.windows(2).zip(&self.neg_zero);
+            for (row, (span, &neg)) in binv.chunks_exact_mut(m).zip(spans) {
+                if neg {
+                    row.fill(-0.0);
+                }
+                let (a, b) = (span[0] as usize, span[1] as usize);
+                for (&j, &v) in self.cols[a..b].iter().zip(&self.vals[a..b]) {
+                    row[j as usize] = v;
+                }
+            }
+        }
+        Basis { stat: self.stat.clone(), rows: self.rows.clone(), binv }
     }
 }
 
@@ -1550,6 +1635,8 @@ mod tests {
 mod warm_tests {
     use super::*;
     use crate::model::{LinExpr, Model, Sense};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn knapsack() -> (Model, Vec<(f64, f64)>) {
         let mut m = Model::new();
@@ -1777,6 +1864,123 @@ mod warm_tests {
         let warm = solve_lp_ext(&m, &b, Some(&basis)).unwrap();
         assert!(warm.stats.warm);
         assert_eq!(warm.stats.refactorizations, 0);
+    }
+
+    fn inv_bits(basis: &Basis) -> Vec<u64> {
+        basis.binv.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The tree's stored form expands to the dense snapshot bit for bit at
+    /// every size and density, with exact zeros of both signs (whole rows
+    /// of `-0.0`, as a negative pivot leaves them, and strays of either
+    /// sign) and subnormals planted among the values. A compaction that
+    /// treated `-0.0` as a zero to drop would hand it back as `+0.0`.
+    #[test]
+    fn stored_form_expands_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(25);
+        let mut planted_neg_zeros = 0;
+        for density in [0.0, 0.02, 0.1, 0.34, 0.6, 0.9, 1.0] {
+            for _ in 0..40 {
+                let m = rng.gen_range(1..=64usize);
+                let n = rng.gen_range(0..=8usize);
+                let mut binv = Vec::with_capacity(m * m);
+                for _ in 0..m {
+                    let row_zero = if rng.gen_bool(0.5) { -0.0 } else { 0.0 };
+                    for _ in 0..m {
+                        let v = match rng.gen_range(0..10u32) {
+                            _ if !rng.gen_bool(density) => row_zero,
+                            0 => -0.0,
+                            1 => 0.0,
+                            2 => f64::MIN_POSITIVE / rng.gen_range(2.0..1e6),
+                            3 => -f64::MIN_POSITIVE / rng.gen_range(2.0..1e6),
+                            _ => rng.gen_range(-1e3..1e3),
+                        };
+                        planted_neg_zeros += usize::from(v.to_bits() == NEG_ZERO);
+                        binv.push(v);
+                    }
+                }
+                let stat = (0..n + m)
+                    .map(|_| [BStat::Basic, BStat::AtLower, BStat::AtUpper, BStat::Free][rng.gen_range(0..4usize)])
+                    .collect();
+                let rows = (0..m).map(|_| rng.gen_range(0..n + m)).collect();
+                let dense = Basis { stat, rows, binv };
+                let back = StoredBasis::new(&dense).expand();
+                assert_eq!((&back.stat, &back.rows), (&dense.stat, &dense.rows));
+                assert_eq!(inv_bits(&back), inv_bits(&dense), "m={m} density={density}");
+            }
+        }
+        assert!(planted_neg_zeros > 10_000, "only {planted_neg_zeros} -0.0 planted");
+
+        // A snapshot without an inverse (statuses only, or statuses and row
+        // order after a taken install) stays without one.
+        for rows in [Vec::new(), vec![1]] {
+            let dense = Basis { stat: vec![BStat::AtLower, BStat::Basic], rows, binv: Vec::new() };
+            assert_eq!(StoredBasis::new(&dense).expand(), dense);
+        }
+    }
+
+    /// `m` rows over `m` bounded columns, a diagonal plus ~30 % random
+    /// off-diagonal coefficients, every column worth raising.
+    fn random_lp(rng: &mut StdRng, m: usize) -> (Model, Vec<(f64, f64)>) {
+        let mut model = Model::new();
+        let xs: Vec<_> = (0..m).map(|j| model.continuous(format!("x{j}"), 0.0, 10.0)).collect();
+        for i in 0..m {
+            let mut row = LinExpr::term(xs[i], rng.gen_range(1.0..5.0));
+            for (j, &x) in xs.iter().enumerate() {
+                if j != i && rng.gen_bool(0.3) {
+                    row += LinExpr::term(x, rng.gen_range(-5.0..5.0));
+                }
+            }
+            model.le(format!("r{i}"), row, rng.gen_range(1.0..50.0));
+        }
+        let obj = LinExpr::sum(xs.iter().map(|&x| LinExpr::term(x, rng.gen_range(0.5..3.0))));
+        model.set_objective(obj, Sense::Maximize);
+        let bounds = model.vars().iter().map(|v| (v.lb, v.ub)).collect();
+        (model, bounds)
+    }
+
+    /// A child warm-started from the expanded snapshot is the child
+    /// warm-started from the dense one: same pivots and refactorizations,
+    /// bit-identical `x`, objective and next basis — by the tree's taken
+    /// install and by the copying one.
+    #[test]
+    fn warm_solve_from_the_stored_form_equals_the_dense_one() {
+        let mut rng = StdRng::seed_from_u64(0x5eed_2025);
+        let mut warm_pivots = 0;
+        for m in [12, 40] {
+            let (model, root_bounds) = random_lp(&mut rng, m);
+            let root = solve_lp_ext(&model, &root_bounds, None).unwrap();
+            let LpResult::Optimal { x: root_x, .. } = &root.result else { panic!("{:?}", root.result) };
+            let dense = root.basis.expect("root basis");
+            assert_eq!(dense.binv.len(), m * m);
+            let stored = StoredBasis::new(&dense);
+            for j in (0..m).filter(|&j| root_x[j] > 1e-6 && root_x[j] < 10.0 - 1e-6) {
+                for side in [(0.0, root_x[j] / 2.0), ((root_x[j] + 10.0) / 2.0, 10.0)] {
+                    let mut b = root_bounds.clone();
+                    b[j] = side;
+                    let want = solve_lp_ext(&model, &b, Some(&dense)).unwrap();
+                    let copied = solve_lp_ext(&model, &b, Some(&stored.expand())).unwrap();
+                    let taken = solve_lp_take(&model, &b, &mut stored.expand()).unwrap();
+                    assert!(want.stats.warm, "x{j} in {side:?}");
+                    warm_pivots += want.stats.pivots;
+                    for got in [&copied, &taken] {
+                        assert_eq!(got.stats, want.stats, "x{j} in {side:?}");
+                        match (&got.result, &want.result) {
+                            (LpResult::Optimal { x: xg, obj: og }, LpResult::Optimal { x: xw, obj: ow }) => {
+                                let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                                assert_eq!(bits(xg), bits(xw), "x{j} in {side:?}");
+                                assert_eq!(og.to_bits(), ow.to_bits(), "x{j} in {side:?}");
+                            }
+                            (LpResult::Infeasible, LpResult::Infeasible) => {}
+                            other => panic!("x{j} in {side:?}: {other:?}"),
+                        }
+                        let next = |s: &LpSolve| s.basis.as_ref().map(|b| (b.stat.clone(), b.rows.clone(), inv_bits(b)));
+                        assert_eq!(next(got), next(&want), "x{j} in {side:?}");
+                    }
+                }
+            }
+        }
+        assert!(warm_pivots > 20, "the children must pivot ({warm_pivots} dual pivots)");
     }
 }
 

@@ -16,13 +16,13 @@ const EMPTY: u8 = 0;
 const FULL: u8 = 1;
 const TOMB: u8 = 2;
 
-/// Multiply-xor over the key words. Keys are switch-internal values, not
-/// attacker-chosen, so nothing DoS-resistant is needed.
+/// Multiply-xor over the key words by 2^64/φ. Keys are switch-internal
+/// values, not attacker-chosen, so nothing DoS-resistant is needed.
 #[inline(always)]
 pub fn table_hash(key: &[u64]) -> u64 {
     let mut h = 0u64;
     for &w in key {
-        h = (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
+        h = (h.rotate_left(5) ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     }
     h
 }
@@ -59,14 +59,21 @@ impl Table {
         self.key_words
     }
 
-    /// The slot holding `key`: a hash, a mask and a linear probe.
+    /// The top bits of the hash (Fibonacci hashing): its low bits see only
+    /// a key's low bits, so aligned keys would share few home slots.
+    #[inline(always)]
+    fn home(&self, key: &[u64]) -> usize {
+        (table_hash(key) >> (64 - self.cap.trailing_zeros())) as usize
+    }
+
+    /// The slot holding `key`: a hash and a linear probe.
     #[inline(always)]
     fn find(&self, key: &[u64]) -> Option<usize> {
         if self.cap == 0 {
             return None;
         }
         let (mask, kw) = (self.cap - 1, self.key_words);
-        let mut i = (table_hash(key) as usize) & mask;
+        let mut i = self.home(key);
         loop {
             match self.ctrl[i] {
                 EMPTY => return None,
@@ -101,7 +108,7 @@ impl Table {
     /// probe path (a tombstone is reused).
     fn place(&mut self, key: &[u64], entry: Entry) {
         let (mask, kw) = (self.cap - 1, self.key_words);
-        let mut i = (table_hash(key) as usize) & mask;
+        let mut i = self.home(key);
         while self.ctrl[i] == FULL {
             i = (i + 1) & mask;
         }

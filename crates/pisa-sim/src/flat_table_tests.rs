@@ -126,6 +126,28 @@ fn overwrite_never_rehashes() {
     assert_eq!(t.lookup(&[6, 6]).map(|e| (e.action, e.data.clone())), Some((1, vec![(4, 2)])));
 }
 
+/// Keys with trailing zero bits — IPv4 /24 prefixes, shifted ids — spread
+/// over the whole table: at half load a full slot sits on average at most
+/// two slots past its home. Homes taken from the hash's low bits put
+/// `i << 8` on 32 of 8192 slots.
+#[test]
+fn aligned_keys_spread_over_the_table() {
+    for shift in [8u32, 16, 32] {
+        let mut t = Table::new(1);
+        for i in 1..=4096u64 {
+            t.insert(&[i << shift], entry(0, &[]));
+        }
+        assert_eq!((t.cap, t.live), (8192, 4096));
+        let mask = t.cap - 1;
+        let distance: usize = (0..t.cap)
+            .filter(|&i| t.ctrl[i] == FULL)
+            .map(|i| i.wrapping_sub(t.home(&t.keys[i..i + 1])) & mask)
+            .sum();
+        let mean = distance as f64 / t.live as f64;
+        assert!(mean <= 2.0, "keys i << {shift}: mean distance from home {mean:.2}");
+    }
+}
+
 /// The FIFO controller's pattern: evict the oldest key, install a new
 /// one, a million times over a thousand live keys. Tombstones must be
 /// reclaimed at the same capacity, not by doubling.
