@@ -8,16 +8,23 @@
 //! the same `--seed`/`--samples` pair always examines the same cases, so
 //! a reported seed replays alone via `--samples 1 --seed <seed>`.
 //!
+//! The summary line splits the clean feasible cases by how the bytecode
+//! engine ran them: without an undo log (the listing's header reads
+//! `undo log: elided`) or with one, so a run shows that the oracle
+//! covered both.
+//!
 //! Exit codes: `0` all clean, `1` divergences found, `2` usage error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
+use p4all_core::{CompileOptions, Compiler};
 use p4all_fuzzgen::{
-    generate, generate_joint, merged_case, run_case, run_joint_case, shrink, Outcome,
-    OracleOptions,
+    generate, generate_joint, merged_case, run_case, run_joint_case, shrink, FuzzCase,
+    OracleOptions, Outcome,
 };
+use p4all_sim::Switch;
 
 struct Args {
     samples: u64,
@@ -132,6 +139,9 @@ fn main() -> ExitCode {
         let case = generate(seed, args.trace_len);
         let target = case.target.as_str();
         let outcome = run_case(&case, &opts);
+        if outcome == (Outcome::Clean { feasible: true }) {
+            tally.count_undo(&case, &opts);
+        }
         if handle(outcome, seed, "seed", target, Some(&case), &args, &opts, &mut tally) {
             break;
         }
@@ -146,6 +156,11 @@ fn main() -> ExitCode {
             let case = generate_joint(seed, args.trace_len);
             let target = case.target.as_str();
             let outcome = run_joint_case(&case, &opts);
+            if outcome == (Outcome::Clean { feasible: true }) {
+                if let Ok(merged) = merged_case(&case) {
+                    tally.count_undo(&merged, &opts);
+                }
+            }
             let merged = match outcome.divergence() {
                 Some(d) if !d.kind.starts_with("joint-") => merged_case(&case).ok(),
                 _ => None,
@@ -158,11 +173,13 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "fuzzgen: {} samples + {} joint from seed {}: {} feasible, {} infeasible, {} skipped, {} divergent",
+        "fuzzgen: {} samples + {} joint from seed {}: {} feasible ({} undo-free, {} logged), {} infeasible, {} skipped, {} divergent",
         args.samples,
         args.joint_samples,
         args.seed,
         tally.clean_feasible,
+        tally.undo_free,
+        tally.undo_logged,
         tally.clean_infeasible,
         tally.skipped,
         tally.divergences
@@ -177,9 +194,36 @@ fn main() -> ExitCode {
 #[derive(Default)]
 struct Tally {
     clean_feasible: u64,
+    /// Clean feasible cases the bytecode engine ran without, and with, an
+    /// undo log.
+    undo_free: u64,
+    undo_logged: u64,
     clean_infeasible: u64,
     skipped: u64,
     divergences: usize,
+}
+
+impl Tally {
+    /// Rebuild a clean feasible case's switch under the oracle's solver
+    /// budget and count it by the header line of its bytecode listing. A
+    /// rebuild that fails (a solve that hits the time limit this time) is
+    /// counted in neither.
+    fn count_undo(&mut self, case: &FuzzCase, opts: &OracleOptions) {
+        let src = case.source();
+        let mut o = CompileOptions::default();
+        o.solver.node_limit = opts.node_limit;
+        o.solver.time_limit = Some(opts.time_limit);
+        o.explain_infeasible = false;
+        let Ok(c) = Compiler::with_options(case.target.to_spec(), o).compile(&src) else {
+            return;
+        };
+        let Ok(sw) = Switch::build(&c.concrete, &case.program) else { return };
+        if sw.dump_bytecode().starts_with("undo log: elided") {
+            self.undo_free += 1;
+        } else {
+            self.undo_logged += 1;
+        }
+    }
 }
 
 /// Record one oracle outcome; on divergence, shrink and save when a

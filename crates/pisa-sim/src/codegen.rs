@@ -25,9 +25,12 @@
 //!   dynamic slot reads, register reads, division — materialize into
 //!   temporaries in source order; pure leaves fold inline, which is
 //!   unobservable because expression evaluation never writes the PHV.
-//! * Faults carry a 4-word record (code, a, b, c) back across the ABI;
-//!   the generated `State` keeps its own register undo log and rolls
-//!   back before returning, so a dropped packet leaves no trace.
+//! * Faults carry a 4-word record (code, a, b, c) back across the ABI,
+//!   and a dropped packet leaves no trace. The generated `State` keeps
+//!   its own register undo log and rolls back before returning, except
+//!   where the bytecode's build-time scan proved that no fault can
+//!   follow a register write (`CompiledProgram::undo_free`): then no
+//!   write is logged, since a faulting packet has written nothing.
 //! * Table and action ids reuse the bytecode backend's sorted-by-name
 //!   dense numbering, and the table store is the bytecode engine's own
 //!   `flat_table.rs`, pasted in verbatim: the host forwards one
@@ -385,9 +388,13 @@ impl<'a> Gen<'a> {
                 self.line(&format!(
                     "if {t} >= {len} {{ return Err(f_reg({reg}, {t} as u64, {len})); }}"
                 ));
-                self.line(&format!(
-                    "undo.push(({reg}u32, {t} as u64, regs.r{reg}[{t}]));"
-                ));
+                // The bytecode's fault-after-write fact is a fact about the
+                // program: where it holds, no fault can follow this write.
+                if !self.sw.compiled.undo_free {
+                    self.line(&format!(
+                        "undo.push(({reg}u32, {t} as u64, regs.r{reg}[{t}]));"
+                    ));
+                }
                 self.line(&format!("regs.r{reg}[{t}] = ({val}) & {mask:#x};"));
             }
         }

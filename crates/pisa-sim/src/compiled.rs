@@ -17,8 +17,7 @@
 //! - the ubiquitous single-input `hash(x, range)`-to-slot statement
 //!   becomes one `Instr::Hash1Mask`/`Instr::Hash1Mod` with the salt
 //!   pre-mixed at lower time;
-//! - the sketch idiom `reg[c] = reg[c] + v` becomes one undo-logged
-//!   `Instr::RegAdd`;
+//! - the sketch idiom `reg[c] = reg[c] + v` becomes one `Instr::RegAdd`;
 //! - a table apply is a single `Instr::Apply` whose key operands are
 //!   read inline and probed in the flat table (`flat_table.rs`); the
 //!   control plane resolves action names and action-data field names to
@@ -37,6 +36,12 @@
 //! stage, and a fault gives back what was never reached. The counters are
 //! exact at every packet boundary and never dip below their value before
 //! the charge.
+//!
+//! Rollback is paid for only where a fault can follow a register write.
+//! One build-time scan (`fault_after_write`) decides it per program;
+//! where no instruction that may fault comes after a write, a faulting
+//! packet has written nothing, and the loop runs with its undo log
+//! compiled away (`exec_range`'s `UNDO = false`).
 //!
 //! The engine runs **in place** on one PHV buffer. That is bit-for-bit
 //! the interpreter's stage-snapshot semantics: the interpreter also reads
@@ -112,10 +117,10 @@ pub(crate) enum Instr {
     StoreSlot { slot: u32, src: Opnd },
     /// `phv[base + idx] = src`, bounds-checked.
     StoreSlotDyn { base: u32, count: u32, idx: Opnd, src: Opnd, diag: u16 },
-    /// `reg[cell] = src` (element-masked, undo-logged).
+    /// `reg[cell] = src` (element-masked, bounds-checked).
     StoreReg { reg: u16, cell: Opnd, src: Opnd },
     /// Fused sketch increment: `reg[cell] = reg[cell] + add`
-    /// (element-masked, undo-logged, one bounds check).
+    /// (element-masked, one bounds check).
     RegAdd { reg: u16, cell: Opnd, add: Opnd },
     /// Fused register-to-field copy: `phv[slot] = reg[cell]`
     /// (width-masked, one bounds check) — the read-back half of the
@@ -218,6 +223,11 @@ pub(crate) struct CompiledProgram {
     pub diags: Vec<String>,
     /// Size of the temporary file a packet needs.
     pub temp_count: usize,
+    /// No instruction that may fault comes after a register write
+    /// ([`fault_after_write`]), so a faulting packet has written nothing
+    /// and its writes need no undo log. Derived at build; `false` (log
+    /// every write) until then.
+    pub undo_free: bool,
 }
 
 /// Per-executor scratch: the temporary file and the reusable key buffer.
@@ -691,6 +701,7 @@ pub(crate) fn lower(sw: &Switch) -> CompiledProgram {
         diags: lo.diags,
         temp_count: lo.max_temps,
         stage_of: Vec::new(),
+        undo_free: false,
     };
     peephole(&mut prog, &sw.masks, &sw.registers);
     // Cost attribution is static: fixed once the code has its final shape.
@@ -699,6 +710,7 @@ pub(crate) fn lower(sw: &Switch) -> CompiledProgram {
         prog.stage_of[a as usize..b as usize].fill(s as u16);
     }
     validate(&prog, sw.masks.len(), sw.registers.len());
+    prog.undo_free = fault_after_write(&prog).is_ok();
     prog
 }
 
@@ -835,9 +847,11 @@ fn peephole(prog: &mut CompiledProgram, masks: &[u64], regs: &[RegState]) {
 /// slot window fits, every register id resolves, and every jump is
 /// forward and lands within its own stage or action range. It also checks
 /// the static half of cost attribution: the stages tile `body` in order
-/// and `stage_of` names the stage of every body position. A violation is a lowering bug, and panicking here (once,
-/// at build) is what lets [`exec_range`] skip those checks on every packet
-/// and refund a taken jump as plain `target - pc - 1`.
+/// and `stage_of` names the stage of every body position.
+///
+/// A violation is a lowering bug. Panicking here, once at build, is what
+/// lets [`exec_range`] skip those checks on every packet and refund a
+/// taken jump as plain `target - pc - 1`.
 fn validate(prog: &CompiledProgram, phv_len: usize, reg_count: usize) {
     let slot = |s: u32| assert!((s as usize) < phv_len, "slot {s} out of PHV ({phv_len})");
     let opnd = |o: &Opnd| {
@@ -942,6 +956,59 @@ fn validate(prog: &CompiledProgram, phv_len: usize, reg_count: usize) {
             }
         }
     }
+}
+
+/// The fault-after-write scan behind [`CompiledProgram::undo_free`]:
+/// `Err(pc)` names the first instruction in code order that may fault
+/// after an instruction that may write a register, `Ok` says there is
+/// none. Jumps only go forward ([`validate`]), so code order covers every
+/// path a packet can take.
+///
+/// An `Apply` may run any action body, because an install may name any
+/// table action. So it may fault when its table's default is unknown or
+/// when any body may fault, and it may write when any body does. A body
+/// that may fault after one of its own writes fails the scan by itself.
+fn fault_after_write(prog: &CompiledProgram) -> Result<(), u32> {
+    // (may fault, may write a register). `StoreReg` and `RegAdd` check
+    // bounds before their own write; `SketchStep`'s cell is in bounds by
+    // construction.
+    let own = |i: &Instr| match i {
+        Instr::LoadSlotDyn { .. }
+        | Instr::LoadReg { .. }
+        | Instr::RegToSlot { .. }
+        | Instr::StoreSlotDyn { .. }
+        | Instr::Bin { op: BinOp::Div, .. } => (true, false),
+        Instr::StoreReg { .. } | Instr::RegAdd { .. } => (true, true),
+        Instr::SketchStep { .. } => (false, true),
+        _ => (false, false),
+    };
+    let scan = |(a, b): (u32, u32), of: &dyn Fn(&Instr) -> (bool, bool)| {
+        let (mut faults, mut writes) = (false, false);
+        for pc in a..b {
+            let (f, w) = of(&prog.code[pc as usize]);
+            if f && writes {
+                return Err(pc);
+            }
+            faults |= f;
+            writes |= w;
+        }
+        Ok((faults, writes))
+    };
+    let (mut body_faults, mut body_writes) = (false, false);
+    for &range in &prog.action_code {
+        let (f, w) = scan(range, &own)?;
+        body_faults |= f;
+        body_writes |= w;
+    }
+    let with_apply = |i: &Instr| match i {
+        Instr::Apply { site } => {
+            let table = prog.apply_sites[*site as usize].table as usize;
+            let unknown = matches!(prog.tables[table].default_action, DefaultAction::Unknown(_));
+            (body_faults || unknown, body_writes)
+        }
+        _ => own(i),
+    };
+    scan(prog.body, &with_apply).map(drop)
 }
 
 // ------------------------------------------------------------ execution
@@ -1126,16 +1193,37 @@ pub(crate) fn run_packet(
     assert!(ctx.temps.len() >= prog.temp_count, "scratch must come from ExecCtx::for_program");
     assert!(phv.slots.len() == phv.masks.len(), "PHV built by Switch::build");
     charge_stage_lengths(prog, stage_cost, 1);
-    let (start, end) = prog.body;
     let ExecCtx { temps, keys } = ctx;
     let mut view = ScalarView { phv, temps };
-    exec_range(prog, ctables, regs, &mut view, keys, undo, stage_cost, None, start, end)
+    exec_body(prog, ctables, regs, &mut view, keys, undo, stage_cost)
+}
+
+/// Run the whole pipeline for one packet, logging register writes only
+/// when the program needs it: with [`CompiledProgram::undo_free`] a fault
+/// can only come before the first write, so the log stays empty either
+/// way.
+fn exec_body<V: PhvView>(
+    prog: &CompiledProgram,
+    ctables: &[Table],
+    regs: &mut [RegState],
+    view: &mut V,
+    keys: &mut Vec<u64>,
+    undo: &mut Vec<RegUndo>,
+    stage_cost: &mut [u64],
+) -> Result<(), SimError> {
+    let (start, end) = prog.body;
+    if prog.undo_free {
+        exec_range::<V, false>(prog, ctables, regs, view, keys, undo, stage_cost, None, start, end)
+    } else {
+        exec_range::<V, true>(prog, ctables, regs, view, keys, undo, stage_cost, None, start, end)
+    }
 }
 
 /// Execute `code[start..end]`: the single dispatch loop of the fast path.
 /// Generic over [`PhvView`] so the identical loop runs one contiguous
 /// packet ([`ScalarView`]) or one lane of an SoA batch ([`LaneView`],
-/// driven by [`run_batch`]).
+/// driven by [`run_batch`]). `UNDO` logs every register write to `undo`;
+/// [`exec_body`] turns it off where no fault can follow a write.
 ///
 /// Cost is not counted here but corrected: the caller has already charged
 /// `stage_cost` every instruction of the range (the stage lengths for
@@ -1145,7 +1233,7 @@ pub(crate) fn run_packet(
 /// `stage` is `None` for `body`, whose positions name their own stage
 /// (`stage_of`), and the applying stage for an action body.
 #[allow(clippy::too_many_arguments)]
-fn exec_range<V: PhvView>(
+fn exec_range<V: PhvView, const UNDO: bool>(
     prog: &CompiledProgram,
     ctables: &[Table],
     regs: &mut [RegState],
@@ -1293,7 +1381,9 @@ fn exec_range<V: PhvView>(
                         len: r.cells.len(),
                     });
                 }
-                undo.push((*reg as u32, c as u64, r.cells[c]));
+                if UNDO {
+                    undo.push((*reg as u32, c as u64, r.cells[c]));
+                }
                 r.cells[c] = v & r.elem_mask;
             }
             Instr::RegAdd { reg, cell, add } => {
@@ -1308,7 +1398,9 @@ fn exec_range<V: PhvView>(
                     });
                 }
                 let old = r.cells[c];
-                undo.push((*reg as u32, c as u64, old));
+                if UNDO {
+                    undo.push((*reg as u32, c as u64, old));
+                }
                 r.cells[c] = old.wrapping_add(v) & r.elem_mask;
             }
             Instr::SketchStep { idx_slot, salt, src, mask, reg, add, dst_slot } => {
@@ -1323,7 +1415,9 @@ fn exec_range<V: PhvView>(
                 // instruction when `mask & slot-mask < cells.len()`, and
                 // shards clone the register file at full length.
                 let old = r.cells[c];
-                undo.push((*reg as u32, c as u64, old));
+                if UNDO {
+                    undo.push((*reg as u32, c as u64, old));
+                }
                 let new = old.wrapping_add(v) & r.elem_mask;
                 r.cells[c] = new;
                 view.set(*dst_slot as usize, new);
@@ -1400,7 +1494,7 @@ fn exec_range<V: PhvView>(
                     let (bs, be) = prog.action_code[id as usize];
                     let s = stage_here!();
                     stage_cost[s] += u64::from(be - bs);
-                    let ran = exec_range(
+                    let ran = exec_range::<V, UNDO>(
                         prog, ctables, regs, view, keys, undo, stage_cost, Some(s), bs, be,
                     );
                     if let Err(e) = ran {
@@ -1464,14 +1558,12 @@ pub(crate) fn run_batch(
     assert_eq!(bctx.slots.len(), masks.len() * n, "matrices sized by BatchCtx::prepare");
     assert!(bctx.temps.len() >= prog.temp_count * n, "matrices sized by BatchCtx::prepare");
     charge_stage_lengths(prog, stage_cost, n as u64);
-    let (start, end) = prog.body;
     let BatchCtx { slots, temps, keys } = bctx;
     let mut dropped = 0u64;
     for lane in 0..n {
         undo.clear();
         let mut view = LaneView { slots, masks, temps, n, lane };
-        let r =
-            exec_range(prog, ctables, regs, &mut view, keys, undo, stage_cost, None, start, end);
+        let r = exec_body(prog, ctables, regs, &mut view, keys, undo, stage_cost);
         if r.is_err() {
             rollback(regs, undo);
             dropped += 1;
@@ -1481,10 +1573,18 @@ pub(crate) fn run_batch(
 }
 
 /// Human-readable listing of the lowered program, one stage per section —
-/// the ground truth for "what does this packet actually execute".
+/// the ground truth for "what does this packet actually execute". The
+/// first line says whether packets pay for an undo log, and if so which
+/// instruction makes them.
 pub(crate) fn disasm(prog: &CompiledProgram) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
+    let scan = fault_after_write(prog);
+    debug_assert_eq!(scan.is_ok(), prog.undo_free, "listing of a lowered program");
+    let _ = match scan {
+        Ok(()) => writeln!(out, "undo log: elided"),
+        Err(pc) => writeln!(out, "undo log: kept (first fault after a write at pc {pc})"),
+    };
     for (s, &(start, end)) in prog.stages.iter().enumerate() {
         let _ = writeln!(out, "stage {s}: [{start}..{end}]");
         for pc in start as usize..end as usize {
@@ -1762,5 +1862,146 @@ mod tests {
         }
         assert!(narrowed > 0, "no key hashed above the index slot's width");
         assert!(ra[0].cells[16..].iter().all(|&c| c == 0), "cells past the slot's width untouched");
+    }
+
+    // Undo-log elision. Each expected header line was read off the listing
+    // quoted beside the program: the first instruction that may fault
+    // after one that may write a register, in code order.
+
+    /// The listing's header line, and whether the generated native source
+    /// logs register writes.
+    fn undo_of(sw: &Switch) -> (String, bool) {
+        let listing = sw.dump_bytecode();
+        let header = listing.lines().next().unwrap().to_string();
+        (header, crate::codegen::generate(sw).source.contains("undo.push"))
+    }
+
+    // stage 0: [0..1]   SketchStep c[hash(k) & 63] += 1
+    // stage 1: [1..2]   MinOrInit min
+    const SKETCH: &str = r#"
+        header h { bit<32> k; }
+        struct metadata { bit<32> i; bit<32> n; bit<32> min; }
+        register<bit<32>>[64] c;
+        action bump() { meta.i = hash(hdr.k, 64); c[meta.i] = c[meta.i] + 1; meta.n = c[meta.i]; }
+        action set_min() { meta.min = meta.n; }
+        control Main() { apply { bump(); if (meta.n < meta.min || meta.min == 0) { set_min(); } } }
+    "#;
+
+    #[test]
+    fn a_pure_sketch_program_runs_without_an_undo_log() {
+        let mut sw = build(SKETCH, 2);
+        assert_eq!(sw.compiled.stages, [(0, 1), (1, 2)]);
+        assert!(matches!(sw.compiled.code[0], Instr::SketchStep { .. }));
+        assert!(matches!(sw.compiled.code[1], Instr::MinOrInit { .. }));
+        assert!(sw.compiled.undo_free);
+        assert_eq!(undo_of(&sw), ("undo log: elided".to_string(), false));
+        assert_eq!(cost_of(&mut sw, &[("k", 7)]), (vec![1, 1], Ok(())));
+        assert_eq!(sw.meta("min").unwrap(), 1);
+    }
+
+    // stage 0: [0..2]   Bin Div; StoreSlot q
+    // stage 1: [2..3]   RegAdd a[0] += q
+    const DIV_FIRST: &str = r#"
+        header h { bit<32> x; bit<32> y; }
+        struct metadata { bit<32> q; }
+        register<bit<32>>[4] a;
+        action divide() { meta.q = hdr.x / hdr.y; }
+        action tally() { a[0] = a[0] + meta.q; }
+        control Main() { apply { divide(); tally(); } }
+    "#;
+
+    #[test]
+    fn a_fault_before_the_first_write_keeps_no_log_and_rolls_nothing_back() {
+        let mut sw = build(DIV_FIRST, 2);
+        assert_eq!(sw.compiled.stages, [(0, 2), (2, 3)]);
+        assert!(sw.compiled.undo_free);
+        // `RegAdd` may fault, but only before its own write.
+        assert_eq!(undo_of(&sw), ("undo log: elided".to_string(), false));
+        assert_eq!(cost_of(&mut sw, &[("x", 12), ("y", 3)]), (vec![2, 1], Ok(())));
+        assert_eq!(sw.read_register("a", 0, 0).unwrap(), 4);
+        sw.write_register("a", 0, 0, 40).unwrap();
+        sw.begin_packet();
+        sw.set_header("x", 12).unwrap();
+        assert_eq!(sw.run_packet(), Err(SimError::DivByZero));
+        assert_eq!(sw.read_register("a", 0, 0).unwrap(), 40, "nothing was written");
+    }
+
+    // action hit: [0..1]  StoreSlot u
+    // stage 0:    [1..4]  RegAdd a[0]; Bin Add; StoreSlot t
+    // stage 1:    [4..5]  Apply(tbl) — default `ghost` is not one of the
+    //                     table's actions, so it was never compiled
+    const UNKNOWN_DEFAULT: &str = r#"
+        header h { bit<32> k; }
+        struct metadata { bit<32> t; bit<32> u; }
+        register<bit<32>>[4] a;
+        action first() { a[0] = a[0] + 1; meta.t = hdr.k + 1; }
+        action hit() { meta.u = 1; }
+        action ghost() { meta.u = 2; }
+        table tbl { key = { meta.t; } actions = { hit; } size = 16; default_action = ghost; }
+        control Main() { apply { first(); tbl.apply(); } }
+    "#;
+
+    #[test]
+    fn an_unknown_default_applied_after_a_write_keeps_the_log() {
+        let mut sw = build(UNKNOWN_DEFAULT, 2);
+        assert_eq!(sw.compiled.stages, [(1, 4), (4, 5)]);
+        assert_eq!(sw.compiled.action_code, [(0, 1)]);
+        assert!(!sw.compiled.undo_free);
+        let kept = "undo log: kept (first fault after a write at pc 4)".to_string();
+        assert_eq!(undo_of(&sw), (kept, true));
+        sw.install_entry("tbl", vec![2], "hit", &[]).unwrap();
+        assert_eq!(cost_of(&mut sw, &[("k", 1)]), (vec![3, 1 + 1], Ok(())));
+        assert_eq!(sw.read_register("a", 0, 0).unwrap(), 1);
+        let (_, r) = cost_of(&mut sw, &[("k", 5)]);
+        assert_eq!(r, Err(SimError::UnknownAction("ghost".into())));
+        assert_eq!(sw.read_register("a", 0, 0).unwrap(), 0, "the increment rolls back");
+    }
+
+    // stage 0: [0..2]   RegAdd a[0]; StoreSlot t
+    // stage 1: [2..4]   Bin Div; StoreSlot q
+    const DIV_AFTER: &str = r#"
+        header h { bit<32> x; bit<32> y; }
+        struct metadata { bit<32> t; bit<32> q; }
+        register<bit<32>>[4] a;
+        action tally() { a[0] = a[0] + 1; meta.t = hdr.x; }
+        action divide() { meta.q = meta.t / hdr.y; }
+        control Main() { apply { tally(); divide(); } }
+    "#;
+
+    #[test]
+    fn a_division_after_a_register_add_keeps_the_log() {
+        let mut sw = build(DIV_AFTER, 2);
+        assert_eq!(sw.compiled.stages, [(0, 2), (2, 4)]);
+        assert!(!sw.compiled.undo_free);
+        let kept = "undo log: kept (first fault after a write at pc 2)".to_string();
+        assert_eq!(undo_of(&sw), (kept, true));
+        let (cost, r) = cost_of(&mut sw, &[("x", 6), ("y", 0)]);
+        assert_eq!((cost, r), (vec![2, 1], Err(SimError::DivByZero)));
+        assert_eq!(sw.read_register("a", 0, 0).unwrap(), 0, "the increment rolls back");
+    }
+
+    // action hit: [0..3]  RegAdd a[0]; Bin Div; StoreSlot q
+    // stage 0:    [3..4]  Apply(tbl)
+    const BODY_WRITES_THEN_FAULTS: &str = r#"
+        header h { bit<32> k; bit<32> y; }
+        struct metadata { bit<32> q; }
+        register<bit<32>>[4] a;
+        action hit() { a[0] = a[0] + 1; meta.q = hdr.k / hdr.y; }
+        table tbl { key = { hdr.k; } actions = { hit; } size = 16; }
+        control Main() { apply { tbl.apply(); } }
+    "#;
+
+    #[test]
+    fn an_action_body_that_writes_then_faults_keeps_the_log() {
+        let mut sw = build(BODY_WRITES_THEN_FAULTS, 1);
+        assert_eq!(sw.compiled.stages, [(3, 4)]);
+        assert_eq!(sw.compiled.action_code, [(0, 3)]);
+        assert!(!sw.compiled.undo_free);
+        let kept = "undo log: kept (first fault after a write at pc 1)".to_string();
+        assert_eq!(undo_of(&sw), (kept, true));
+        sw.install_entry("tbl", vec![1], "hit", &[]).unwrap();
+        let (cost, r) = cost_of(&mut sw, &[("k", 1), ("y", 0)]);
+        assert_eq!((cost, r), (vec![1 + 2], Err(SimError::DivByZero)));
+        assert_eq!(sw.read_register("a", 0, 0).unwrap(), 0, "the body's increment rolls back");
     }
 }
