@@ -13,7 +13,9 @@
 //!   a separate test, and *pure* `&&`/`||` chains lower structurally into
 //!   branch sequences (skipping a pure operand is unobservable — it
 //!   cannot fault and has no effects — so the interpreter's
-//!   both-operands-evaluated semantics are preserved);
+//!   both-operands-evaluated semantics are preserved); a comparison of a
+//!   slot with an immediate is decided at lowering into a range check
+//!   (`Test::Slot`), so the branch decodes no operator or operand;
 //! - the ubiquitous single-input `hash(x, range)`-to-slot statement
 //!   becomes one `Instr::Hash1Mask`/`Instr::Hash1Mod` with the salt
 //!   pre-mixed at lower time;
@@ -25,17 +27,18 @@
 //!
 //! A stage is one contiguous code range and the stages lie back to back,
 //! so a whole packet is a single dispatch loop: **zero** string hashing,
-//! no `Box` pointer chasing, no per-packet clones, no per-action call
-//! overhead.
+//! no per-packet clones, no per-action call overhead. A whole trace is one
+//! loop around it (`run_trace`), which pays the per-trace work once.
 //!
 //! Per-stage cost (`stage_cost`) is static except where a packet leaves
 //! the straight line, so it is charged by length, not counted by
 //! dispatch: a packet is charged every stage's instruction count up
-//! front, a *taken* jump gives back the instructions it skipped, an
-//! `Apply` that runs an action body charges the body's length to its own
-//! stage, and a fault gives back what was never reached. The counters are
-//! exact at every packet boundary and never dip below their value before
-//! the charge.
+//! front (a trace, all its packets at once), a *taken* jump gives back the
+//! instructions it skipped, an `Apply` that runs an action body charges
+//! the body's length to its own stage, and a fault gives back what was
+//! never reached. The counters are exact at the end of every `run_packet`
+//! and every `run_trace`, and never dip below their value before the
+//! charge.
 //!
 //! Rollback is paid for only where a fault can follow a register write.
 //! One build-time scan (`fault_after_write`) decides it per program;
@@ -82,6 +85,88 @@ pub(crate) enum Opnd {
     I(u64),
 }
 
+/// The comparison a conditional jump tests.
+///
+/// Guards compare a PHV slot with a constant almost always (`hit == 1`,
+/// `slice == k`, `flag != 0`), so that shape is decided at lowering: the
+/// operator and the immediate fold into one wrapping range check, and a
+/// packet pays no operator or operand decode for it. Temps and
+/// slot-vs-slot comparisons keep the generic form, boxed so that a
+/// fused two-comparison jump stays smaller than a `SketchStep`.
+#[derive(Clone, PartialEq, Eq)]
+pub(crate) enum Test {
+    /// `(phv[slot] - lo <= span) != neg`, wrapping: `phv[slot]` lies in
+    /// `lo..=lo + span`, or outside it when `neg`. Every comparison of a
+    /// slot with an immediate has this form ([`Test::new`]).
+    Slot { slot: u32, neg: bool, lo: u64, span: u64 },
+    /// `a <op> b` (`op` a comparison), decoded per packet.
+    Opnds(Box<(BinOp, Opnd, Opnd)>),
+}
+
+impl Test {
+    /// `a <op> b` for a comparison `op`, as a range check when one side is
+    /// a slot and the other an immediate.
+    fn new(op: BinOp, a: Opnd, b: Opnd) -> Test {
+        let (slot, op, k) = match (a, b) {
+            (Opnd::S(s), Opnd::I(k)) => (s, op, k),
+            (Opnd::I(k), Opnd::S(s)) => (s, mirror(op), k),
+            _ => return Test::Opnds(Box::new((op, a, b))),
+        };
+        // x == k: x in k..=k.  x <= k: x in 0..=k.  x >= k: x in k..=MAX.
+        // The other three are their complements.
+        let (neg, lo, span) = match op {
+            BinOp::Eq => (false, k, 0),
+            BinOp::Ne => (true, k, 0),
+            BinOp::Le => (false, 0, k),
+            BinOp::Gt => (true, 0, k),
+            BinOp::Ge => (false, k, u64::MAX - k),
+            BinOp::Lt => (true, k, u64::MAX - k),
+            other => unreachable!("non-comparison {other:?} in a branch"),
+        };
+        Test::Slot { slot, neg, lo, span }
+    }
+}
+
+/// `op` with its operands swapped: `k < x` is `x > k`.
+fn mirror(op: BinOp) -> BinOp {
+    match op {
+        BinOp::Lt => BinOp::Gt,
+        BinOp::Le => BinOp::Ge,
+        BinOp::Gt => BinOp::Lt,
+        BinOp::Ge => BinOp::Le,
+        other => other,
+    }
+}
+
+/// Listings print a test as the comparison it was lowered from, e.g.
+/// `S(8) == 1` or `T(0) != I(0)`.
+impl std::fmt::Debug for Test {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Test::Opnds(ref c) => {
+                let op = match c.0 {
+                    BinOp::Eq => "==",
+                    BinOp::Ne => "!=",
+                    BinOp::Lt => "<",
+                    BinOp::Le => "<=",
+                    BinOp::Gt => ">",
+                    _ => ">=",
+                };
+                write!(f, "{:?} {op} {:?}", c.1, c.2)
+            }
+            // [`Test::new`] builds three ranges; `neg` is the complement.
+            Test::Slot { slot, neg, lo, span } => {
+                let (ops, k) = match (span, lo) {
+                    (0, _) => (["==", "!="], lo),
+                    (_, 0) => (["<=", ">"], span),
+                    _ => ([">=", "<"], lo),
+                };
+                write!(f, "S({slot}) {} {k}", ops[usize::from(neg)])
+            }
+        }
+    }
+}
+
 /// One register-machine instruction. Slot/register/table references are
 /// dense indices fixed at build time; `diag` indexes the side table of
 /// error strings so the hot path carries no `String`s.
@@ -126,18 +211,18 @@ pub(crate) enum Instr {
     /// (width-masked, one bounds check) — the read-back half of the
     /// sketch idiom (`meta.count[i] = cms[i][idx]`).
     RegToSlot { slot: u32, reg: u16, cell: Opnd },
-    /// Jump to `target` when `a <op> b` is **false** (`op` is always a
-    /// comparison). Guards and `if` conditions compile to this.
-    JF { op: BinOp, a: Opnd, b: Opnd, target: u32 },
-    /// Jump to `target` when `a <op> b` is **true** — the dual, used by
+    /// Jump to `target` when `test` is **false**. Guards and `if`
+    /// conditions compile to this.
+    JF { test: Test, target: u32 },
+    /// Jump to `target` when `test` is **true** — the dual, used by
     /// structural `||` lowering.
-    JT { op: BinOp, a: Opnd, b: Opnd, target: u32 },
+    JT { test: Test, target: u32 },
     /// Fused `&&` of two comparisons: jump when **either** is false.
     /// Guards like `flag == 1 && idx == 2` are one dispatch.
-    JFAnd { op1: BinOp, a1: Opnd, b1: Opnd, op2: BinOp, a2: Opnd, b2: Opnd, target: u32 },
+    JFAnd { t1: Test, t2: Test, target: u32 },
     /// Fused `||` of two comparisons: jump when **both** are false.
     /// The min-update guard `count < min || min == 0` is one dispatch.
-    JFOr { op1: BinOp, a1: Opnd, b1: Opnd, op2: BinOp, a2: Opnd, b2: Opnd, target: u32 },
+    JFOr { t1: Test, t2: Test, target: u32 },
     /// Unconditional jump.
     Jmp { target: u32 },
     /// Table dispatch: read `apply_sites[site]`'s key operands, look the
@@ -212,7 +297,7 @@ pub(crate) struct CompiledProgram {
     pub body: (u32, u32),
     /// Stage of each `pc` in `body`. Action-body positions hold
     /// `u16::MAX`: a body's cost belongs to the stage of the `Apply` that
-    /// ran it, which [`exec_range`] is told by value.
+    /// ran it, which [`exec_range`] keeps while the body runs.
     stage_of: Vec<u16>,
     pub tables: Vec<TableMeta>,
     pub apply_sites: Vec<ApplySite>,
@@ -407,20 +492,18 @@ impl Lowerer {
         match e {
             CExpr::Bin { op: BinOp::And, a, b } if pure(a) && pure(b) => {
                 // Two bare comparisons fuse into one JFAnd dispatch.
-                if let Some((c1, c2)) = self.fuse_cmp_pair(a, b) {
+                if let Some((t1, t2)) = self.fuse_cmp_pair(a, b) {
                     false_jumps.push(self.code.len());
-                    let ((op1, a1, b1), (op2, a2, b2)) = (c1, c2);
-                    self.code.push(Instr::JFAnd { op1, a1, b1, op2, a2, b2, target: 0 });
+                    self.code.push(Instr::JFAnd { t1, t2, target: 0 });
                     return;
                 }
                 self.lower_cond_jf(a, false_jumps);
                 self.lower_cond_jf(b, false_jumps);
             }
             CExpr::Bin { op: BinOp::Or, a, b } if pure(a) && pure(b) => {
-                if let Some((c1, c2)) = self.fuse_cmp_pair(a, b) {
+                if let Some((t1, t2)) = self.fuse_cmp_pair(a, b) {
                     false_jumps.push(self.code.len());
-                    let ((op1, a1, b1), (op2, a2, b2)) = (c1, c2);
-                    self.code.push(Instr::JFOr { op1, a1, b1, op2, a2, b2, target: 0 });
+                    self.code.push(Instr::JFOr { t1, t2, target: 0 });
                     return;
                 }
                 let mut true_jumps = Vec::new();
@@ -432,16 +515,15 @@ impl Lowerer {
                 }
             }
             CExpr::Bin { op, a, b } if is_cmp(*op) => {
-                let oa = self.operand(a);
-                let ob = self.operand(b);
+                let test = self.test(*op, a, b);
                 false_jumps.push(self.code.len());
-                self.code.push(Instr::JF { op: *op, a: oa, b: ob, target: 0 });
+                self.code.push(Instr::JF { test, target: 0 });
             }
             CExpr::Not(a) => self.lower_cond_jt(a, false_jumps),
             _ => {
-                let o = self.operand(e);
+                let test = Test::new(BinOp::Ne, self.operand(e), Opnd::I(0));
                 false_jumps.push(self.code.len());
-                self.code.push(Instr::JF { op: BinOp::Ne, a: o, b: Opnd::I(0), target: 0 });
+                self.code.push(Instr::JF { test, target: 0 });
             }
         }
     }
@@ -464,16 +546,15 @@ impl Lowerer {
                 }
             }
             CExpr::Bin { op, a, b } if is_cmp(*op) => {
-                let oa = self.operand(a);
-                let ob = self.operand(b);
+                let test = self.test(*op, a, b);
                 true_jumps.push(self.code.len());
-                self.code.push(Instr::JT { op: *op, a: oa, b: ob, target: 0 });
+                self.code.push(Instr::JT { test, target: 0 });
             }
             CExpr::Not(a) => self.lower_cond_jf(a, true_jumps),
             _ => {
-                let o = self.operand(e);
+                let test = Test::new(BinOp::Ne, self.operand(e), Opnd::I(0));
                 true_jumps.push(self.code.len());
-                self.code.push(Instr::JT { op: BinOp::Ne, a: o, b: Opnd::I(0), target: 0 });
+                self.code.push(Instr::JT { test, target: 0 });
             }
         }
     }
@@ -558,15 +639,18 @@ impl Lowerer {
         }
     }
 
+    /// Lower the operands of the comparison `a <op> b`, in order, into
+    /// the test a branch carries.
+    fn test(&mut self, op: BinOp, a: &CExpr, b: &CExpr) -> Test {
+        let oa = self.operand(a);
+        let ob = self.operand(b);
+        Test::new(op, oa, ob)
+    }
+
     /// When `a` and `b` are both bare comparisons (callers have already
-    /// established they are pure), lower their operands and return the
-    /// two `(op, a, b)` halves of a fused double-comparison branch.
-    #[allow(clippy::type_complexity)]
-    fn fuse_cmp_pair(
-        &mut self,
-        a: &CExpr,
-        b: &CExpr,
-    ) -> Option<((BinOp, Opnd, Opnd), (BinOp, Opnd, Opnd))> {
+    /// established they are pure), lower them into the two tests of a
+    /// fused double-comparison branch.
+    fn fuse_cmp_pair(&mut self, a: &CExpr, b: &CExpr) -> Option<(Test, Test)> {
         let (CExpr::Bin { op: op1, a: a1, b: b1 }, CExpr::Bin { op: op2, a: a2, b: b2 }) = (a, b)
         else {
             return None;
@@ -574,9 +658,7 @@ impl Lowerer {
         if !is_cmp(*op1) || !is_cmp(*op2) {
             return None;
         }
-        let (oa1, ob1) = (self.operand(a1), self.operand(b1));
-        let (oa2, ob2) = (self.operand(a2), self.operand(b2));
-        Some(((*op1, oa1, ob1), (*op2, oa2, ob2)))
+        Some((self.test(*op1, a1, b1), self.test(*op2, a2, b2)))
     }
 
     /// Match `reg[cell] = reg[cell] + v` (either operand order) with a
@@ -753,25 +835,20 @@ fn fuse_sketch(code: &[Instr], pc: usize, masks: &[u64], regs: &[RegState]) -> O
 /// guard `src < phv[m] || phv[m] == 0` that jumps over exactly its own
 /// `phv[m] = src` store.
 fn fuse_min(code: &[Instr], pc: usize) -> Option<Instr> {
-    let Instr::JFOr {
-        op1: BinOp::Lt,
-        a1,
-        b1: Opnd::S(m),
-        op2: BinOp::Eq,
-        a2: Opnd::S(m2),
-        b2: Opnd::I(0),
-        target,
-    } = code.get(pc)?
-    else {
+    let Instr::JFOr { t1, t2, target } = code.get(pc)? else {
         return None;
     };
-    let Instr::StoreSlot { slot: m3, src } = code.get(pc + 1)? else {
+    let Instr::StoreSlot { slot, src } = *code.get(pc + 1)? else {
         return None;
     };
-    if m2 != m || m3 != m || src != a1 || *target as usize != pc + 2 {
+    let m = Opnd::S(slot);
+    if *t1 != Test::new(BinOp::Lt, src, m)
+        || *t2 != Test::new(BinOp::Eq, m, Opnd::I(0))
+        || *target as usize != pc + 2
+    {
         return None;
     }
-    Some(Instr::MinOrInit { slot: *m, src: *a1 })
+    Some(Instr::MinOrInit { slot, src })
 }
 
 /// Post-lowering peephole over the final code: fuse the CMS idiom into
@@ -844,10 +921,12 @@ fn peephole(prog: &mut CompiledProgram, masks: &[u64], regs: &[RegState]) {
 
 /// Build-time validation underwriting the execution loop's unchecked
 /// accesses: every static slot reference is within the PHV, every dynamic
-/// slot window fits, every register id resolves, and every jump is
-/// forward and lands within its own stage or action range. It also checks
-/// the static half of cost attribution: the stages tile `body` in order
-/// and `stage_of` names the stage of every body position.
+/// slot window fits, every register id resolves, every branch tests a
+/// comparison, every jump is forward and lands within its own stage or
+/// action range, and every action body lies within the code and holds no
+/// `Apply` (so it runs inline, one level deep). It also checks the static
+/// half of cost attribution: the stages tile `body` in order and
+/// `stage_of` names the stage of every body position.
 ///
 /// A violation is a lowering bug. Panicking here, once at build, is what
 /// lets [`exec_range`] skip those checks on every packet and refund a
@@ -863,6 +942,14 @@ fn validate(prog: &CompiledProgram, phv_len: usize, reg_count: usize) {
         assert!(base as usize + count as usize <= phv_len, "dyn window out of PHV");
     };
     let reg = |r: u16| assert!((r as usize) < reg_count, "register {r} unresolved");
+    let guard = |t: &Test| match t {
+        Test::Slot { slot: s, .. } => slot(*s),
+        Test::Opnds(c) => {
+            assert!(is_cmp(c.0), "non-comparison {:?} in a branch", c.0);
+            opnd(&c.1);
+            opnd(&c.2);
+        }
+    };
     for i in &prog.code {
         match i {
             Instr::LoadSlotDyn { base, count, idx, diag, .. } => {
@@ -910,15 +997,10 @@ fn validate(prog: &CompiledProgram, phv_len: usize, reg_count: usize) {
                 reg(*r);
                 opnd(cell);
             }
-            Instr::JF { a, b, .. } | Instr::JT { a, b, .. } => {
-                opnd(a);
-                opnd(b);
-            }
-            Instr::JFAnd { a1, b1, a2, b2, .. } | Instr::JFOr { a1, b1, a2, b2, .. } => {
-                opnd(a1);
-                opnd(b1);
-                opnd(a2);
-                opnd(b2);
+            Instr::JF { test, .. } | Instr::JT { test, .. } => guard(test),
+            Instr::JFAnd { t1, t2, .. } | Instr::JFOr { t1, t2, .. } => {
+                guard(t1);
+                guard(t2);
             }
             Instr::Jmp { .. } => {}
             Instr::Apply { site } => {
@@ -949,6 +1031,11 @@ fn validate(prog: &CompiledProgram, phv_len: usize, reg_count: usize) {
         assert!(of.iter().all(|&x| x as usize == s), "stage_of disagrees in stage {s}");
     }
     assert_eq!(at, prog.body.1, "stages end where body ends");
+    for &(a, b) in &prog.action_code {
+        assert!(a <= b && b as usize <= prog.code.len(), "action body [{a}..{b}] outside code");
+        let apply = (a..b).find(|&pc| matches!(prog.code[pc as usize], Instr::Apply { .. }));
+        assert!(apply.is_none(), "Apply at {apply:?} inside action body [{a}..{b}]");
+    }
     for &(a, b) in prog.stages.iter().chain(&prog.action_code) {
         for pc in a..b {
             if let Some(t) = prog.code[pc as usize].jump_target() {
@@ -1042,7 +1129,8 @@ pub(crate) struct ScalarView<'a> {
 impl PhvView for ScalarView<'_> {
     // SAFETY (all four): every static slot index in a program was checked
     // against the PHV length by [`validate`] at build time, `slots` and
-    // `masks` have equal length (asserted in [`run_packet`]), and every
+    // `masks` have equal length (asserted in [`run_packet`] and
+    // [`run_trace`]; a trace row is copied in only at that length), and every
     // `Temp` the lowerer emits is below `temp_count` ([`Lowerer::alloc`]
     // is the only source and tracks the high-water mark) while the
     // scratch is at least that large — so the bounds checks are provably
@@ -1126,24 +1214,33 @@ fn ov<V: PhvView>(view: &V, o: &Opnd) -> u64 {
     }
 }
 
-/// `a <op> b` for the comparison subset `JF`/`JT` carry.
+/// Evaluate a branch's test against a view. A slot test is one load, a
+/// subtract and a compare; only the generic form decodes anything.
 #[inline(always)]
-fn cmp(op: BinOp, x: u64, y: u64) -> bool {
-    match op {
-        BinOp::Lt => x < y,
-        BinOp::Le => x <= y,
-        BinOp::Gt => x > y,
-        BinOp::Ge => x >= y,
-        BinOp::Eq => x == y,
-        BinOp::Ne => x != y,
-        other => unreachable!("non-comparison {other:?} in fused branch"),
+fn test<V: PhvView>(view: &V, t: &Test) -> bool {
+    match t {
+        Test::Slot { slot, neg, lo, span } => {
+            (view.get(*slot as usize).wrapping_sub(*lo) <= *span) != *neg
+        }
+        Test::Opnds(c) => {
+            let (x, y) = (ov(view, &c.1), ov(view, &c.2));
+            match c.0 {
+                BinOp::Lt => x < y,
+                BinOp::Le => x <= y,
+                BinOp::Gt => x > y,
+                BinOp::Ge => x >= y,
+                BinOp::Eq => x == y,
+                BinOp::Ne => x != y,
+                other => unreachable!("non-comparison {other:?} in a branch"),
+            }
+        }
     }
 }
 
 /// Charge `packets` packets the full length of every stage, up front.
 /// [`exec_range`] then gives back what a packet did not dispatch, so the
-/// counters are exact again when the packet ends and never dip below
-/// their value before the charge.
+/// counters are exact again when the last of them ends and never dip
+/// below their value before the charge.
 fn charge_stage_lengths(prog: &CompiledProgram, stage_cost: &mut [u64], packets: u64) {
     assert!(stage_cost.len() >= prog.stages.len(), "one cost counter per stage");
     for (c, &(a, b)) in stage_cost.iter_mut().zip(&prog.stages) {
@@ -1152,26 +1249,30 @@ fn charge_stage_lengths(prog: &CompiledProgram, stage_cost: &mut [u64], packets:
 }
 
 /// The cold half of cost attribution: the instruction at `pc` faulted, so
-/// nothing after it runs. Give back the rest of its range — and, at top
-/// level (`stage` is `None`), every later stage whole — leaving the packet
-/// charged exactly the instructions dispatched up to and including `pc`.
+/// nothing after it runs. Give back the rest of its range — inside an
+/// action body (`caller` is the `Apply` and its stage), the rest of the
+/// body and then what follows the `Apply` — and every later stage whole,
+/// leaving the packet charged exactly the instructions dispatched up to
+/// and including `pc`.
 #[cold]
 fn refund_unreached(
     prog: &CompiledProgram,
     stage_cost: &mut [u64],
-    stage: Option<usize>,
+    caller: Option<(usize, usize)>,
     pc: usize,
     end: usize,
 ) {
-    match stage {
-        Some(s) => stage_cost[s] -= (end - pc - 1) as u64,
-        None => {
-            let s = prog.stage_of[pc] as usize;
-            stage_cost[s] -= (prog.stages[s].1 as usize - pc - 1) as u64;
-            for (c, &(a, b)) in stage_cost[s + 1..].iter_mut().zip(&prog.stages[s + 1..]) {
-                *c -= u64::from(b - a);
-            }
+    let pc = match caller {
+        Some((apply, s)) => {
+            stage_cost[s] -= (end - pc - 1) as u64;
+            apply
         }
+        None => pc,
+    };
+    let s = prog.stage_of[pc] as usize;
+    stage_cost[s] -= (prog.stages[s].1 as usize - pc - 1) as u64;
+    for (c, &(a, b)) in stage_cost[s + 1..].iter_mut().zip(&prog.stages[s + 1..]) {
+        *c -= u64::from(b - a);
     }
 }
 
@@ -1198,6 +1299,42 @@ pub(crate) fn run_packet(
     exec_body(prog, ctables, regs, &mut view, keys, undo, stage_cost)
 }
 
+/// Replay `rows` — one input slot vector per packet, in trace order —
+/// through `phv`, in place: [`run_packet`] for a whole trace, with what is
+/// the same for every packet paid once. The scratch and PHV preconditions
+/// are checked and every stage's length charged for all packets up front,
+/// so `stage_cost` is exact again when the trace ends (not between its
+/// packets). A faulting packet's register writes are rolled back and it
+/// counts as a drop; `phv` ends holding the last packet's PHV. Returns
+/// the number of drops.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_trace<'r>(
+    prog: &CompiledProgram,
+    ctables: &[Table],
+    regs: &mut [RegState],
+    phv: &mut Phv,
+    ctx: &mut ExecCtx,
+    undo: &mut Vec<RegUndo>,
+    stage_cost: &mut [u64],
+    rows: impl ExactSizeIterator<Item = &'r [u64]>,
+) -> u64 {
+    assert!(ctx.temps.len() >= prog.temp_count, "scratch must come from ExecCtx::for_program");
+    assert!(phv.slots.len() == phv.masks.len(), "PHV built by Switch::build");
+    charge_stage_lengths(prog, stage_cost, rows.len() as u64);
+    let ExecCtx { temps, keys } = ctx;
+    let mut dropped = 0;
+    for slots in rows {
+        phv.slots.copy_from_slice(slots);
+        undo.clear();
+        let mut view = ScalarView { phv, temps };
+        if exec_body(prog, ctables, regs, &mut view, keys, undo, stage_cost).is_err() {
+            rollback(regs, undo);
+            dropped += 1;
+        }
+    }
+    dropped
+}
+
 /// Run the whole pipeline for one packet, logging register writes only
 /// when the program needs it: with [`CompiledProgram::undo_free`] a fault
 /// can only come before the first write, so the log stays empty either
@@ -1211,28 +1348,29 @@ fn exec_body<V: PhvView>(
     undo: &mut Vec<RegUndo>,
     stage_cost: &mut [u64],
 ) -> Result<(), SimError> {
-    let (start, end) = prog.body;
     if prog.undo_free {
-        exec_range::<V, false>(prog, ctables, regs, view, keys, undo, stage_cost, None, start, end)
+        exec_range::<V, false>(prog, ctables, regs, view, keys, undo, stage_cost)
     } else {
-        exec_range::<V, true>(prog, ctables, regs, view, keys, undo, stage_cost, None, start, end)
+        exec_range::<V, true>(prog, ctables, regs, view, keys, undo, stage_cost)
     }
 }
 
-/// Execute `code[start..end]`: the single dispatch loop of the fast path.
-/// Generic over [`PhvView`] so the identical loop runs one contiguous
-/// packet ([`ScalarView`]) or one lane of an SoA batch ([`LaneView`],
-/// driven by [`run_batch`]). `UNDO` logs every register write to `undo`;
-/// [`exec_body`] turns it off where no fault can follow a write.
+/// Execute `body`, and the action bodies its `Apply`s run, in one
+/// dispatch loop: the single loop of the fast path. An action body runs
+/// inline — the loop moves into its range and comes back after the
+/// `Apply` — so a table hit costs no call. Generic over [`PhvView`] so the
+/// identical loop runs one contiguous packet ([`ScalarView`]) or one lane
+/// of an SoA batch ([`LaneView`], driven by [`run_batch`]). `UNDO` logs
+/// every register write to `undo`; [`exec_body`] turns it off where no
+/// fault can follow a write.
 ///
 /// Cost is not counted here but corrected: the caller has already charged
-/// `stage_cost` every instruction of the range (the stage lengths for
-/// `body`, the body's length for an action), and the loop gives back what
-/// it does not dispatch — the `target - pc - 1` instructions a taken jump
-/// skips, and on a fault everything after the faulting instruction.
-/// `stage` is `None` for `body`, whose positions name their own stage
-/// (`stage_of`), and the applying stage for an action body.
-#[allow(clippy::too_many_arguments)]
+/// `stage_cost` every stage's length, an `Apply` charges its body's length
+/// to its own stage, and the loop gives back what it does not dispatch —
+/// the `target - pc - 1` instructions a taken jump skips, and on a fault
+/// everything after the faulting instruction. Positions of `body` name
+/// their own stage (`stage_of`); an action body's belong to the stage of
+/// the `Apply` that ran it.
 fn exec_range<V: PhvView, const UNDO: bool>(
     prog: &CompiledProgram,
     ctables: &[Table],
@@ -1241,21 +1379,21 @@ fn exec_range<V: PhvView, const UNDO: bool>(
     keys: &mut Vec<u64>,
     undo: &mut Vec<RegUndo>,
     stage_cost: &mut [u64],
-    stage: Option<usize>,
-    start: u32,
-    end: u32,
 ) -> Result<(), SimError> {
-    let end = end as usize;
-    assert!(end <= prog.code.len(), "code range within program");
-    let mut pc = start as usize;
+    let (mut pc, mut end) = (prog.body.0 as usize, prog.body.1 as usize);
+    // While an action body runs: its `Apply`'s pc and stage.
+    let mut caller: Option<(usize, usize)> = None;
     macro_rules! stage_here {
         () => {
-            stage.unwrap_or_else(|| prog.stage_of[pc] as usize)
+            match caller {
+                Some((_, s)) => s,
+                None => prog.stage_of[pc] as usize,
+            }
         };
     }
     macro_rules! fault {
         ($e:expr) => {{
-            refund_unreached(prog, stage_cost, stage, pc, end);
+            refund_unreached(prog, stage_cost, caller, pc, end);
             return Err($e);
         }};
     }
@@ -1269,9 +1407,17 @@ fn exec_range<V: PhvView, const UNDO: bool>(
             continue;
         }};
     }
-    while pc < end {
-        // SAFETY: `pc < end <= code.len()` (asserted above); every jump
-        // target lies within its enclosing range ([`validate`]).
+    loop {
+        if pc >= end {
+            // The end of `body`, or of an action body: back after its
+            // `Apply`.
+            let Some((apply, _)) = caller.take() else { return Ok(()) };
+            (pc, end) = (apply + 1, prog.body.1 as usize);
+            continue;
+        }
+        // SAFETY: `pc < end`, and `end` is the end of `body` or of an
+        // action body, both within `code`, as is every jump target
+        // ([`validate`]).
         let instr = unsafe { prog.code.get_unchecked(pc) };
         match instr {
             Instr::LoadSlotDyn { dst, base, count, idx, diag } => {
@@ -1444,27 +1590,23 @@ fn exec_range<V: PhvView, const UNDO: bool>(
                     }),
                 }
             }
-            Instr::JFAnd { op1, a1, b1, op2, a2, b2, target } => {
-                if !(cmp(*op1, ov(view, a1), ov(view, b1))
-                    && cmp(*op2, ov(view, a2), ov(view, b2)))
-                {
+            Instr::JFAnd { t1, t2, target } => {
+                if !(test(view, t1) && test(view, t2)) {
                     jump!(target);
                 }
             }
-            Instr::JFOr { op1, a1, b1, op2, a2, b2, target } => {
-                if !(cmp(*op1, ov(view, a1), ov(view, b1))
-                    || cmp(*op2, ov(view, a2), ov(view, b2)))
-                {
+            Instr::JFOr { t1, t2, target } => {
+                if !(test(view, t1) || test(view, t2)) {
                     jump!(target);
                 }
             }
-            Instr::JF { op, a, b, target } => {
-                if !cmp(*op, ov(view, a), ov(view, b)) {
+            Instr::JF { test: t, target } => {
+                if !test(view, t) {
                     jump!(target);
                 }
             }
-            Instr::JT { op, a, b, target } => {
-                if cmp(*op, ov(view, a), ov(view, b)) {
+            Instr::JT { test: t, target } => {
+                if test(view, t) {
                     jump!(target);
                 }
             }
@@ -1491,21 +1633,19 @@ fn exec_range<V: PhvView, const UNDO: bool>(
                     },
                 };
                 if let Some(id) = action {
+                    // `Apply` appears only in `body` ([`validate`]), so
+                    // no other body is running.
                     let (bs, be) = prog.action_code[id as usize];
-                    let s = stage_here!();
+                    let s = prog.stage_of[pc] as usize;
                     stage_cost[s] += u64::from(be - bs);
-                    let ran = exec_range::<V, UNDO>(
-                        prog, ctables, regs, view, keys, undo, stage_cost, Some(s), bs, be,
-                    );
-                    if let Err(e) = ran {
-                        fault!(e);
-                    }
+                    caller = Some((pc, s));
+                    (pc, end) = (bs as usize, be as usize);
+                    continue;
                 }
             }
         }
         pc += 1;
     }
-    Ok(())
 }
 
 // ------------------------------------------------------- batch execution
@@ -1862,6 +2002,48 @@ mod tests {
         }
         assert!(narrowed > 0, "no key hashed above the index slot's width");
         assert!(ra[0].cells[16..].iter().all(|&c| c == 0), "cells past the slot's width untouched");
+    }
+
+    /// A slot–immediate comparison folds into a range check at lowering,
+    /// with the immediate on either side; it must decide every operator
+    /// exactly as the comparison does, at the ends of `u64` too, and print
+    /// as that comparison.
+    #[test]
+    fn a_slot_immediate_test_decides_what_its_comparison_does() {
+        use BinOp::*;
+        let edges = [0, 1, 4, 5, 6, u64::MAX - 1, u64::MAX];
+        let mut phv = Phv::new(vec![u64::MAX]);
+        let mut temps = [0u64];
+        for op in [Lt, Le, Gt, Ge, Eq, Ne] {
+            for k in edges {
+                let fwd = Test::new(op, Opnd::S(0), Opnd::I(k));
+                let rev = Test::new(op, Opnd::I(k), Opnd::S(0));
+                assert!(matches!(fwd, Test::Slot { .. }) && matches!(rev, Test::Slot { .. }));
+                for x in edges {
+                    phv.slots[0] = x;
+                    let view = ScalarView { phv: &mut phv, temps: &mut temps };
+                    let want = Test::Opnds(Box::new((op, Opnd::I(x), Opnd::I(k))));
+                    assert_eq!(test(&view, &fwd), test(&view, &want), "{x} {op:?} {k}");
+                    let want = Test::Opnds(Box::new((op, Opnd::I(k), Opnd::I(x))));
+                    assert_eq!(test(&view, &rev), test(&view, &want), "{k} {op:?} {x}");
+                }
+            }
+        }
+        let shown = |op, a, b| format!("{:?}", Test::new(op, a, b));
+        assert_eq!(shown(Eq, Opnd::S(8), Opnd::I(1)), "S(8) == 1");
+        assert_eq!(shown(Ne, Opnd::S(22), Opnd::I(0)), "S(22) != 0");
+        assert_eq!(shown(Lt, Opnd::I(3), Opnd::S(4)), "S(4) > 3");
+        assert_eq!(shown(Ge, Opnd::S(4), Opnd::I(7)), "S(4) >= 7");
+        assert_eq!(shown(Lt, Opnd::S(4), Opnd::S(7)), "S(4) < S(7)");
+        assert_eq!(shown(Ne, Opnd::T(0), Opnd::I(0)), "T(0) != I(0)");
+    }
+
+    /// Boxing the generic test keeps a fused two-comparison jump below
+    /// `SketchStep`, so the typed guards did not grow the instruction
+    /// (72 bytes when a jump carried its operands inline).
+    #[test]
+    fn an_instruction_is_at_most_one_cache_line() {
+        assert!(std::mem::size_of::<Instr>() <= 64, "{}", std::mem::size_of::<Instr>());
     }
 
     // Undo-log elision. Each expected header line was read off the listing

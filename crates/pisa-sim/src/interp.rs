@@ -142,6 +142,8 @@ pub struct Switch {
     pub(crate) stages: Vec<Vec<CAction>>,
     pub(crate) cur: Phv,
     pub(crate) next: Phv,
+    /// The interpreter's table-key buffer, reused across applies.
+    table_key: Vec<u64>,
     // ---- bytecode backend state ----
     pub(crate) backend: Backend,
     pub(crate) compiled: crate::compiled::CompiledProgram,
@@ -222,6 +224,7 @@ impl Switch {
         let mut sw = Switch {
             cur: Phv::new(masks.clone()),
             next: Phv::new(masks.clone()),
+            table_key: Vec::new(),
             header_count: concrete.headers.len(),
             masks,
             header_slots,
@@ -628,20 +631,44 @@ impl Switch {
     }
 
     fn apply_table(&mut self, tname: &str, keys: &[CExpr]) -> Result<(), SimError> {
-        let mut kv = Vec::with_capacity(keys.len());
+        // Split borrows, as for the stage program: the matched body is
+        // read while it runs, so the bodies and the key buffer move out.
+        let bodies = std::mem::take(&mut self.table_actions);
+        let mut kv = std::mem::take(&mut self.table_key);
+        let result = match self.match_entry(&bodies, tname, keys, &mut kv) {
+            Ok(Some(body)) => self.exec_block(body),
+            Ok(None) => Ok(()), // no-op miss
+            Err(e) => Err(e),
+        };
+        self.table_actions = bodies;
+        self.table_key = kv;
+        result
+    }
+
+    /// Evaluate `keys` into `kv`, look the entry up by name, write its
+    /// action data, and return the body to run. Errors come in the order
+    /// key evaluation, unknown table, unknown field, unknown action.
+    fn match_entry<'b>(
+        &mut self,
+        bodies: &'b HashMap<String, Vec<CStmt>>,
+        tname: &str,
+        keys: &[CExpr],
+        kv: &mut Vec<u64>,
+    ) -> Result<Option<&'b [CStmt]>, SimError> {
+        kv.clear();
         for k in keys {
             kv.push(self.eval(k)?);
         }
         let table = &self.tables[self.table_id(tname)?];
-        let (action, data) = match table.entries.get(&kv) {
-            Some(e) => (e.action.clone(), e.data.clone()),
+        let (action, data): (&str, &[(String, u64)]) = match table.entries.get(kv.as_slice()) {
+            Some(e) => (&e.action, &e.data),
             None => match &table.default_action {
-                Some(a) => (a.clone(), Vec::new()),
-                None => return Ok(()), // no-op miss
+                Some(a) => (a, &[]),
+                None => return Ok(None),
             },
         };
         // Action data writes (modelled action parameters).
-        for (field, value) in &data {
+        for (field, value) in data {
             let slot = self
                 .meta_scalars
                 .get(field)
@@ -649,12 +676,8 @@ impl Switch {
                 .ok_or_else(|| SimError::UnknownField(format!("meta.{field}")))?;
             self.next.set(slot, *value);
         }
-        let body = self
-            .table_actions
-            .get(&action)
-            .cloned()
-            .ok_or_else(|| SimError::UnknownAction(action.clone()))?;
-        self.exec_block(&body)
+        let body = bodies.get(action).ok_or_else(|| SimError::UnknownAction(action.to_string()))?;
+        Ok(Some(body))
     }
 
     fn exec_block(&mut self, body: &[CStmt]) -> Result<(), SimError> {

@@ -57,7 +57,7 @@
 use std::time::{Duration, Instant};
 
 use crate::compiled::{self, BatchCtx, ExecCtx};
-use crate::interp::{rollback, splitmix, Backend, RegUndo, Switch};
+use crate::interp::{splitmix, Backend, RegUndo, Switch};
 use crate::state::{gather_lane, scatter_lane, Phv, RegState};
 
 /// Packets hashed and gathered per pipeline step of the sharded front
@@ -161,31 +161,21 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// Execute one packet given its input slot vector.
-    #[inline]
-    fn step(&mut self, slots: &[u64]) {
-        self.cur.slots.copy_from_slice(slots);
-        self.undo.clear();
-        let r = compiled::run_packet(
-            self.prog,
-            self.ctables,
-            &mut self.regs,
-            &mut self.cur,
-            &mut self.ctx,
-            &mut self.undo,
-            &mut self.stage_cost,
-        );
-        if r.is_err() {
-            rollback(&mut self.regs, &mut self.undo);
-            self.dropped += 1;
-        }
-    }
-
     /// Run `rows` — one input slot vector per packet, in trace order —
-    /// packet by packet, or in SoA batches of up to `width` lanes.
+    /// through the scalar trace loop, or in SoA batches of up to `width`
+    /// lanes.
     fn run_rows<'r>(&mut self, mut rows: impl ExactSizeIterator<Item = &'r [u64]>) {
         if self.width < 2 {
-            rows.for_each(|slots| self.step(slots));
+            self.dropped += compiled::run_trace(
+                self.prog,
+                self.ctables,
+                &mut self.regs,
+                &mut self.cur,
+                &mut self.ctx,
+                &mut self.undo,
+                &mut self.stage_cost,
+                rows,
+            );
             return;
         }
         let stride = self.cur.masks.len();
@@ -256,11 +246,14 @@ impl Switch {
         if threads > 1 {
             used_width = width;
             (dropped, occupancy) = self.run_trace_sharded(trace, threads);
+        } else if self.backend == Backend::Compiled {
+            used_width = width;
+            dropped = self.run_trace_compiled(trace, width);
         } else {
-            let batched = match self.backend {
-                Backend::Native if width >= 2 => self.run_trace_native_batched(trace, width),
-                Backend::Compiled if width >= 2 => Some(self.run_trace_lanes(trace, width)),
-                _ => None,
+            let batched = if self.backend == Backend::Native && width >= 2 {
+                self.run_trace_native_batched(trace, width)
+            } else {
+                None
             };
             if let Some(d) = batched {
                 used_width = width;
@@ -288,9 +281,9 @@ impl Switch {
         }
     }
 
-    /// Single-thread SoA batch replay on the bytecode engine: a [`Worker`]
-    /// around the live register file.
-    fn run_trace_lanes(&mut self, trace: &[Phv], width: usize) -> u64 {
+    /// Single-thread replay on the bytecode engine, scalar (`width` 0) or
+    /// in SoA batches: a [`Worker`] around the live register file.
+    fn run_trace_compiled(&mut self, trace: &[Phv], width: usize) -> u64 {
         let regs = std::mem::take(&mut self.registers);
         let stages = self.stage_cost.len();
         let mut worker =
@@ -298,7 +291,9 @@ impl Switch {
         worker.run_rows(trace.iter().map(|p| p.slots.as_slice()));
         self.registers = worker.regs;
         self.stage_cost = worker.stage_cost;
-        self.cur.slots = worker.cur.slots;
+        if !trace.is_empty() {
+            self.cur.slots = worker.cur.slots;
+        }
         worker.dropped
     }
 
@@ -707,6 +702,41 @@ mod tests {
         assert_eq!(scalar.registers_snapshot(), batched.registers_snapshot());
         assert_eq!(scalar.phv_snapshot(), batched.phv_snapshot());
         assert_eq!(batched.read_register("a", 0, 0).unwrap(), 9);
+    }
+
+    /// The bytecode trace loop charges every stage for the whole trace up
+    /// front and checks its preconditions once; a faulting packet gives
+    /// back what it did not reach. With the first and the last packet
+    /// faulting, it must leave what a `begin_packet`/`run_packet` loop
+    /// over the same packets leaves: drops, registers, final PHV and
+    /// per-stage cost.
+    #[test]
+    fn trace_loop_matches_a_run_packet_loop_when_first_and_last_packets_fault() {
+        let faults = |p: u64| p == 0 || p == 6 || p == 11;
+        let div: Vec<Vec<(&str, u64)>> =
+            (0..12).map(|p| vec![("x", 100 + p), ("y", if faults(p) { 0 } else { 3 })]).collect();
+        let idx: Vec<Vec<(&str, u64)>> =
+            (0..12).map(|p| vec![("x", p), ("i", if faults(p) { 9 } else { p % 4 })]).collect();
+        for (src, packets) in [(FAULTY_DIV, div), (FAULTY_IDX, idx)] {
+            let mut looped = build(src);
+            let mut dropped = 0;
+            for fields in &packets {
+                looped.begin_packet();
+                for &(f, v) in fields {
+                    looped.set_header(f, v).unwrap();
+                }
+                dropped += u64::from(looped.run_packet().is_err());
+            }
+            assert_eq!(dropped, 3);
+            let mut traced = build(src);
+            let trace: Vec<Phv> = packets.iter().map(|f| traced.make_packet(f).unwrap()).collect();
+            let stats = traced.run_trace(&trace, 1);
+            assert_eq!(stats.dropped, dropped);
+            assert_eq!(stats.stage_cost, looped.stage_cost());
+            assert_eq!(traced.registers_snapshot(), looped.registers_snapshot());
+            assert_eq!(traced.phv_snapshot(), looped.phv_snapshot());
+            assert_eq!(traced.read_register("a", 0, 0).unwrap(), 9);
+        }
     }
 
     #[test]

@@ -392,3 +392,89 @@ fn faults_before_the_first_write_need_no_undo_log() {
     // 60 out-of-bounds indices and 43 zero divisors, 9 packets with both.
     assert_eq!(faults, 94);
 }
+
+/// One guarded action per condition, each raising its own flag, over a
+/// grid of boundary values for `hdr.a` and `hdr.b`: the bytecode engine
+/// must leave the interpreter's PHV after every packet. `shape` is a test
+/// the bytecode listing must print, so the case exercises the form it
+/// names.
+fn guards_agree(conds: &[&str], shape: &str) {
+    let mut src = String::from("header pkt { bit<32> a; bit<32> b; }\nstruct metadata {");
+    for i in 0..conds.len() {
+        src += &format!(" bit<8> f{i};");
+    }
+    src += " }\n";
+    for i in 0..conds.len() {
+        src += &format!("action raise{i}() {{ meta.f{i} = 1; }}\n");
+    }
+    src += "control Main() { apply {";
+    for (i, cond) in conds.iter().enumerate() {
+        src += &format!(" if ({cond}) {{ raise{i}(); }}");
+    }
+    src += " } }\n";
+    let c = Compiler::new(presets::paper_eval(1 << 15)).compile(&src).expect("compiles");
+    let program = p4all_lang::parse(&src).expect("parses");
+    let [mut interp, mut fast] = [Backend::Interp, Backend::Compiled].map(|backend| {
+        let mut sw = Switch::build(&c.concrete, &program).expect("sim builds");
+        sw.set_backend(backend);
+        sw
+    });
+    let listing = fast.dump_bytecode();
+    assert!(listing.contains(shape), "no `{shape}` in\n{listing}");
+    let values = [0, 1, 2, 5, 6, 7, 0xFFFF_FFFE, 0xFFFF_FFFF];
+    let mut raised = vec![0; conds.len()];
+    for a in values {
+        for b in values {
+            for sw in [&mut interp, &mut fast] {
+                sw.begin_packet();
+                sw.set_header("a", a).unwrap();
+                sw.set_header("b", b).unwrap();
+                sw.run_packet().unwrap();
+            }
+            assert_eq!(interp.phv_snapshot(), fast.phv_snapshot(), "a={a} b={b}");
+            for (i, n) in raised.iter_mut().enumerate() {
+                *n += fast.meta(&format!("f{i}")).unwrap();
+            }
+        }
+    }
+    let packets = (values.len() * values.len()) as u64;
+    assert!(raised.iter().all(|&n| 0 < n && n < packets), "a guard never switched: {raised:?}");
+}
+
+/// Guards over computed values keep the generic comparison: temp against
+/// slot, immediate and temp, fused `&&`/`||` of two such, and the `JT` a
+/// negation lowers to.
+#[test]
+fn guards_comparing_a_temp_agree_with_the_interpreter() {
+    guards_agree(
+        &[
+            "hdr.a + 1 > hdr.b",
+            "hdr.a - hdr.b != 0",
+            "hdr.a * 2 == hdr.b + 2",
+            "hdr.a < hdr.b + 1 && hdr.b - hdr.a <= 5",
+            "hdr.a + hdr.b == 7 || hdr.a - 1 >= hdr.b",
+            "!(hdr.a + 1 <= hdr.b)",
+        ],
+        "test: T(0) > S(1)",
+    );
+}
+
+/// Two slots compared with each other keep the generic comparison too,
+/// alone and fused with a slot–immediate test on either side.
+#[test]
+fn guards_comparing_two_slots_agree_with_the_interpreter() {
+    guards_agree(
+        &[
+            "hdr.a < hdr.b",
+            "hdr.a <= hdr.b",
+            "hdr.a > hdr.b",
+            "hdr.a >= hdr.b",
+            "hdr.a == hdr.b",
+            "hdr.a != hdr.b",
+            "hdr.a < hdr.b || hdr.a == hdr.b",
+            "hdr.a != hdr.b && 5 < hdr.a",
+            "!(hdr.a >= hdr.b)",
+        ],
+        "test: S(0) < S(1)",
+    );
+}
