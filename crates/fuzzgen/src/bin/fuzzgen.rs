@@ -11,7 +11,8 @@
 //! The summary line splits the clean feasible cases by how the bytecode
 //! engine ran them: without an undo log (the listing's header reads
 //! `undo log: elided`) or with one, so a run shows that the oracle
-//! covered both.
+//! covered both. It also counts the install contracts of those cases,
+//! each of which the oracle tried one out-of-range install against.
 //!
 //! Exit codes: `0` all clean, `1` divergences found, `2` usage error.
 
@@ -173,13 +174,14 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "fuzzgen: {} samples + {} joint from seed {}: {} feasible ({} undo-free, {} logged), {} infeasible, {} skipped, {} divergent",
+        "fuzzgen: {} samples + {} joint from seed {}: {} feasible ({} undo-free, {} logged, {} contract slots), {} infeasible, {} skipped, {} divergent",
         args.samples,
         args.joint_samples,
         args.seed,
         tally.clean_feasible,
         tally.undo_free,
         tally.undo_logged,
+        tally.contracts,
         tally.clean_infeasible,
         tally.skipped,
         tally.divergences
@@ -198,6 +200,8 @@ struct Tally {
     /// undo log.
     undo_free: u64,
     undo_logged: u64,
+    /// Install contracts of those cases, summed.
+    contracts: u64,
     clean_infeasible: u64,
     skipped: u64,
     divergences: usize,
@@ -205,9 +209,9 @@ struct Tally {
 
 impl Tally {
     /// Rebuild a clean feasible case's switch under the oracle's solver
-    /// budget and count it by the header line of its bytecode listing. A
-    /// rebuild that fails (a solve that hits the time limit this time) is
-    /// counted in neither.
+    /// budget, count it by the header line of its bytecode listing, and
+    /// add up its install contracts. A rebuild that fails (a solve that
+    /// hits the time limit this time) is counted in none.
     fn count_undo(&mut self, case: &FuzzCase, opts: &OracleOptions) {
         let src = case.source();
         let mut o = CompileOptions::default();
@@ -218,6 +222,7 @@ impl Tally {
             return;
         };
         let Ok(sw) = Switch::build(&c.concrete, &case.program) else { return };
+        self.contracts += sw.install_contracts().count() as u64;
         if sw.dump_bytecode().starts_with("undo log: elided") {
             self.undo_free += 1;
         } else {

@@ -20,7 +20,8 @@
 //! - **arith** — chains of metadata assignments over random expression
 //!   trees, with `/ hdr.d` as an injectable runtime fault;
 //! - **table** — an exact-match table with action data bound to metadata
-//!   and control-plane-installed entries.
+//!   and control-plane-installed entries, one datum of which then indexes
+//!   a register (an install contract).
 //!
 //! Traces are generated with a *prefix property*: packet `i` consumes a
 //! fixed number of RNG draws, so truncating a trace during shrinking
@@ -582,7 +583,8 @@ fn gen_cond(rng: &mut StdRng, pool: &[String]) -> Expr {
 }
 
 /// An exact-match table keyed on `hdr.key` with action data (`tbl_boost`)
-/// bound by installed entries, plus the entries themselves.
+/// bound by installed entries, plus the entries themselves, and a read of
+/// `tbl_vals[tbl_boost]` after the apply.
 fn gen_table(
     rng: &mut StdRng,
     p: &mut Program,
@@ -623,6 +625,27 @@ fn gen_table(
     });
     main_body.push(Stmt::ApplyTable { name: "watch".into(), span: sp() });
     scalar_pool.push("tbl_acc".into());
+    // Only installs set `tbl_boost`, and it indexes `tbl_vals`: an install
+    // contract (`tbl_boost < 64`) the oracle tries out of range.
+    p.metadata.push(MetaField { name: "tbl_seen".into(), bits: 32, count: None, span: sp() });
+    p.registers.push(RegisterDecl {
+        name: "tbl_vals".into(),
+        elem_bits: 32,
+        cells: Size::Const(64),
+        instances: None,
+        span: sp(),
+    });
+    p.actions.push(ActionDecl {
+        name: "tbl_fetch".into(),
+        indexed: false,
+        index_param: None,
+        body: vec![assign(
+            LValue::Meta { field: "tbl_seen".into(), index: None },
+            reg_read("tbl_vals", None, meta("tbl_boost")),
+        )],
+        span: sp(),
+    });
+    main_body.push(call("tbl_fetch", None));
 
     let n = rng.gen_range(0usize..8);
     let mut keys: Vec<u64> = Vec::new();

@@ -17,7 +17,10 @@
 //!    and fault equivalence, final register equality), then through
 //!    `run_trace` at 1 shard (interp), 4 shards (bytecode delta-sum
 //!    merge), and 1 shard again on the native engine, all of which must
-//!    reproduce the lockstep register state and drop count.
+//!    reproduce the lockstep register state and drop count. Before the
+//!    trace, every install contract of the program is tried once at its
+//!    limit: each engine must refuse it with the same typed error and
+//!    keep its table as it was.
 //!
 //! Native divergences carry `native-diverge-*` kinds so shrunk corpus
 //! cases are attributable at a glance; [`OracleOptions::native`] is the
@@ -123,6 +126,7 @@ const LITERAL_KINDS: &[&str] = &[
     "sim-replay1",
     "sim-sharded",
     "sim-batched",
+    "sim-contract",
     "native-diverge-build",
     "native-diverge-status",
     "native-diverge-phv",
@@ -577,6 +581,38 @@ fn step(sw: &mut Switch, plan: &[(String, usize)], pkt: &[u64; 4]) -> Result<(),
     sw.run_packet()
 }
 
+/// For every install contract (`Switch::install_contracts`), one install
+/// at the contract's limit into the program's first table: every engine
+/// must refuse it with the same `DataOutOfRange` and leave the table's
+/// length as it was. A program without a table has no install to try.
+fn contract_lane(parsed: &Program, engines: &mut [&mut Switch]) -> Result<(), Divergence> {
+    let Some((table, action)) = parsed.tables.first().and_then(|t| Some((t, t.actions.first()?)))
+    else {
+        return Ok(());
+    };
+    let contracts: Vec<(String, u64)> =
+        engines[0].install_contracts().map(|(f, limit)| (f.to_string(), limit)).collect();
+    for (field, limit) in &contracts {
+        let mut refusal: Option<SimError> = None;
+        for sw in engines.iter_mut() {
+            let before = sw.table_len(&table.name);
+            let key = vec![u64::MAX; table.keys.len()];
+            let got = sw.install_entry(&table.name, key, action, &[(field, *limit)]);
+            let detail = format!("install of {field} = {limit} on {:?}: {got:?}", sw.backend());
+            match got {
+                Err(e @ SimError::DataOutOfRange { .. }) if sw.table_len(&table.name) == before => {
+                    if refusal.get_or_insert_with(|| e.clone()) != &e {
+                        let detail = format!("{detail}, not {refusal:?}");
+                        return Err(Divergence::new("sim-contract", detail));
+                    }
+                }
+                _ => return Err(Divergence::new("sim-contract", detail)),
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Phase 2: lockstep interp-vs-bytecode-vs-native replay, then
 /// whole-trace replay at 1 shard (interp), 4 shards (bytecode,
 /// delta-sum merge), and 1 shard on the native engine.
@@ -625,6 +661,10 @@ fn sim_phase_inner(
     } else {
         None
     };
+
+    let mut engines: Vec<&mut Switch> = vec![&mut interp, &mut fast];
+    engines.extend(native.as_mut());
+    contract_lane(parsed, &mut engines)?;
 
     let plan = header_plan(parsed);
     let trace = gen_trace(case.trace_seed, case.trace_len);

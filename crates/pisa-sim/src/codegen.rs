@@ -15,11 +15,9 @@
 //! Semantics contract (held to the interpreter by the four-way fuzz
 //! oracle and the golden/contract suites):
 //!
-//! * Execution is in place on a single PHV buffer. The interpreter's
-//!   copy-to-`next`-then-swap per stage is observationally identical
-//!   because stage-local register ownership is enforced at build time
-//!   and reads within a stage see the stage's own earlier writes — the
-//!   same argument [`crate::compiled`] relies on.
+//! * Execution is in place on a single PHV buffer, as in the
+//!   interpreter: stage-local register ownership is enforced at build
+//!   time and reads within a stage see the stage's own earlier writes.
 //! * Every operand of a binary op is always evaluated, left first
 //!   (`&`/`|` on bools, never `&&`/`||`). Impure subexpressions —
 //!   dynamic slot reads, register reads, division — materialize into
@@ -29,7 +27,7 @@
 //!   and a dropped packet leaves no trace. The generated `State` keeps
 //!   its own register undo log and rolls back before returning, except
 //!   where the bytecode's build-time scan proved that no fault can
-//!   follow a register write (`CompiledProgram::undo_free`): then no
+//!   follow a register write (`CompiledProgram::undo_log`): then no
 //!   write is logged, since a faulting packet has written nothing.
 //! * Table and action ids reuse the bytecode backend's sorted-by-name
 //!   dense numbering, and the table store is the bytecode engine's own
@@ -390,7 +388,7 @@ impl<'a> Gen<'a> {
                 ));
                 // The bytecode's fault-after-write fact is a fact about the
                 // program: where it holds, no fault can follow this write.
-                if !self.sw.compiled.undo_free {
+                if self.sw.compiled.undo_log.is_some() {
                     self.line(&format!(
                         "undo.push(({reg}u32, {t} as u64, regs.r{reg}[{t}]));"
                     ));

@@ -20,6 +20,12 @@
 //!   becomes one `Instr::Hash1Mask`/`Instr::Hash1Mod` with the salt
 //!   pre-mixed at lower time;
 //! - the sketch idiom `reg[c] = reg[c] + v` becomes one `Instr::RegAdd`;
+//! - a hash into an index slot and the register access through it become
+//!   one `Instr::HashRead`/`Instr::HashAdd` (with the read-back of a
+//!   count, one `Instr::SketchStep`) where the range pass proves the index
+//!   in bounds, so the fused access has no fault path;
+//! - a guard over one store becomes a select (`Instr::CondStore`, and
+//!   `Instr::MinOrInit` for the running minimum);
 //! - a table apply is a single `Instr::Apply` whose key operands are
 //!   read inline and probed in the flat table (`flat_table.rs`); the
 //!   control plane resolves action names and action-data field names to
@@ -44,15 +50,17 @@
 //! One build-time scan (`fault_after_write`) decides it per program;
 //! where no instruction that may fault comes after a write, a faulting
 //! packet has written nothing, and the loop runs with its undo log
-//! compiled away (`exec_range`'s `UNDO = false`).
+//! compiled away (`exec_range`'s `UNDO = false`). Whether an index may
+//! fault is the answer of one forward range pass (`slot_ranges`), which
+//! bounds every slot at every pc from hash masks, field widths,
+//! immediates and install contracts: a metadata field that only action
+//! data sets and that indexes a register gets a limit the control plane
+//! enforces at install (`Contract`), so the index it holds is in bounds.
 //!
-//! The engine runs **in place** on one PHV buffer. That is bit-for-bit
-//! the interpreter's stage-snapshot semantics: the interpreter also reads
-//! and writes the stage write buffer (an action sees all earlier writes
-//! of its stage, as a PISA stateful ALU does), and its per-stage
-//! copy-then-swap reduces to plain in-place mutation. The one observable
-//! difference is the PHV *after a faulting packet*, which is unspecified
-//! in both backends (the packet is dropped; only the register rollback is
+//! The engine runs **in place** on one PHV buffer, as the interpreter
+//! does: an action sees all earlier writes of its stage, as a PISA
+//! stateful ALU does. The PHV *after a faulting packet* is unspecified in
+//! every engine (the packet is dropped; only the register rollback is
 //! contractual).
 //!
 //! Semantics are otherwise pinned to the interpreter by
@@ -233,13 +241,24 @@ pub(crate) enum Instr {
     /// index slot) in one dispatch:
     /// `phv[idx_slot] = h = splitmix(salt ^ src) & mask;`
     /// `reg[h] += add; phv[dst_slot] = reg[h]`.
-    /// Formed by [`peephole`] only when `mask & slot-mask < cells`, so
-    /// the register index is in bounds by construction.
+    /// Formed by [`peephole`] only where [`slot_ranges`] puts the index
+    /// inside the register, so it cannot fault.
     SketchStep { idx_slot: u32, salt: u64, src: Opnd, mask: u64, reg: u16, add: Opnd, dst_slot: u32 },
+    /// `Hash1Mask; RegToSlot` over the same index slot in one dispatch:
+    /// `phv[idx_slot] = h = splitmix(salt ^ src) & mask; phv[dst_slot] = reg[h]`.
+    /// In bounds by the range pass, as `SketchStep` is.
+    HashRead { idx_slot: u32, salt: u64, src: Opnd, mask: u64, reg: u16, dst_slot: u32 },
+    /// `Hash1Mask; RegAdd` over the same index slot in one dispatch:
+    /// `phv[idx_slot] = h = splitmix(salt ^ src) & mask; reg[h] += add`.
+    /// In bounds by the range pass, as `SketchStep` is.
+    HashAdd { idx_slot: u32, salt: u64, src: Opnd, mask: u64, reg: u16, add: Opnd },
     /// The running-min idiom (`JFOr(Lt, Eq 0)` jumping over its own
     /// `StoreSlot`) in one dispatch:
     /// `if src < phv[slot] || phv[slot] == 0 { phv[slot] = src }`.
     MinOrInit { slot: u32, src: Opnd },
+    /// A `JF` that jumps over exactly its own `StoreSlot`, as a select:
+    /// `if test { phv[slot] = src }`.
+    CondStore { test: Test, slot: u32, src: Opnd },
 }
 
 impl Instr {
@@ -308,11 +327,28 @@ pub(crate) struct CompiledProgram {
     pub diags: Vec<String>,
     /// Size of the temporary file a packet needs.
     pub temp_count: usize,
-    /// No instruction that may fault comes after a register write
-    /// ([`fault_after_write`]), so a faulting packet has written nothing
-    /// and its writes need no undo log. Derived at build; `false` (log
-    /// every write) until then.
-    pub undo_free: bool,
+    /// The first instruction that may fault after one that may write a
+    /// register ([`fault_after_write`]). `None`: there is none, so a
+    /// faulting packet has written nothing and its writes need no undo
+    /// log.
+    pub undo_log: Option<u32>,
+    /// The install contracts the range pass relied on, by slot.
+    pub contracts: Vec<Contract>,
+    /// Per PHV slot, the bound every installed action datum for it must
+    /// stay below: a contract's `limit`, `u64::MAX` for every other slot.
+    pub data_limit: Vec<u64>,
+}
+
+/// An install contract: a metadata slot that only action data sets (no
+/// instruction writes it) and that indexes a register. The control plane
+/// rejects a datum for it at or past `limit`, the smallest length of the
+/// registers it indexes, so every value it holds is a valid index.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Contract {
+    pub slot: u32,
+    pub limit: u64,
+    /// The metadata field's name, as installs spell it.
+    pub field: String,
 }
 
 /// Per-executor scratch: the temporary file and the reusable key buffer.
@@ -783,52 +819,288 @@ pub(crate) fn lower(sw: &Switch) -> CompiledProgram {
         diags: lo.diags,
         temp_count: lo.max_temps,
         stage_of: Vec::new(),
-        undo_free: false,
+        undo_log: None,
+        contracts: Vec::new(),
+        data_limit: Vec::new(),
     };
-    peephole(&mut prog, &sw.masks, &sw.registers);
+    // Action data may set any scalar metadata field.
+    let mut settable = vec![false; sw.masks.len()];
+    let mut fields: Vec<(usize, &String)> = Vec::new();
+    for (name, &slot) in &sw.meta_scalars {
+        settable[slot] = true;
+        fields.push((slot, name));
+    }
+    fields.sort();
+    prog.contracts = install_contracts(&prog.code, &fields, &sw.masks, &sw.registers);
+    prog.data_limit = vec![u64::MAX; sw.masks.len()];
+    for c in &prog.contracts {
+        prog.data_limit[c.slot as usize] = c.limit;
+    }
+    let ranges = slot_ranges(&prog, &sw.masks, &settable);
+    peephole(&mut prog, &ranges, &sw.registers);
     // Cost attribution is static: fixed once the code has its final shape.
     prog.stage_of = vec![u16::MAX; prog.code.len()];
     for (s, &(a, b)) in prog.stages.iter().enumerate() {
         prog.stage_of[a as usize..b as usize].fill(s as u16);
     }
     validate(&prog, sw.masks.len(), sw.registers.len());
-    prog.undo_free = fault_after_write(&prog).is_ok();
+    let ranges = slot_ranges(&prog, &sw.masks, &settable);
+    prog.undo_log = fault_after_write(&prog, &ranges, &sw.registers).err();
     prog
+}
+
+/// The slots an instruction writes, each as a range of slots (a dynamic
+/// store may write any slot of its window).
+fn slot_writes(i: &Instr) -> [std::ops::Range<u32>; 2] {
+    let one = |s: u32| s..s + 1;
+    match *i {
+        Instr::Hash1Mask { slot, .. }
+        | Instr::Hash1Mod { slot, .. }
+        | Instr::StoreSlot { slot, .. }
+        | Instr::RegToSlot { slot, .. }
+        | Instr::MinOrInit { slot, .. }
+        | Instr::CondStore { slot, .. }
+        | Instr::HashAdd { idx_slot: slot, .. } => [one(slot), 0..0],
+        Instr::StoreSlotDyn { base, count, .. } => [base..base + count, 0..0],
+        Instr::SketchStep { idx_slot, dst_slot, .. }
+        | Instr::HashRead { idx_slot, dst_slot, .. } => [one(idx_slot), one(dst_slot)],
+        _ => [0..0, 0..0],
+    }
+}
+
+/// The install contracts of a lowered program: every scalar metadata
+/// field (`fields`, by slot) that no instruction writes and that indexes
+/// a register. Its limit is the smallest length of those registers; a
+/// field indexing a register without cells gets no contract (no datum
+/// could meet it).
+fn install_contracts(
+    code: &[Instr],
+    fields: &[(usize, &String)],
+    masks: &[u64],
+    regs: &[RegState],
+) -> Vec<Contract> {
+    let mut written = vec![false; masks.len()];
+    let mut limit = vec![u64::MAX; masks.len()];
+    for i in code {
+        for r in slot_writes(i) {
+            written[r.start as usize..r.end as usize].fill(true);
+        }
+        if let Instr::LoadReg { reg, cell: Opnd::S(s), .. }
+        | Instr::StoreReg { reg, cell: Opnd::S(s), .. }
+        | Instr::RegAdd { reg, cell: Opnd::S(s), .. }
+        | Instr::RegToSlot { reg, cell: Opnd::S(s), .. } = *i
+        {
+            let cells = regs[reg as usize].cells.len() as u64;
+            limit[s as usize] = limit[s as usize].min(cells);
+        }
+    }
+    fields
+        .iter()
+        .filter(|&&(s, _)| !written[s] && limit[s] > 0 && limit[s] < u64::MAX)
+        .map(|&(s, name)| Contract { slot: s as u32, limit: limit[s], field: name.clone() })
+        .collect()
+}
+
+/// What the range pass knows: for every `pc`, an upper bound on each
+/// slot's value when the instruction there starts, on every path that
+/// reaches it. A pc no path reaches has no bounds.
+struct SlotRanges {
+    at: Vec<Option<Vec<u64>>>,
+}
+
+impl SlotRanges {
+    /// The largest value `o` can have at `pc` (temps are not tracked).
+    fn max(&self, pc: usize, o: &Opnd) -> u64 {
+        match (*o, &self.at[pc]) {
+            (Opnd::I(k), _) => k,
+            (Opnd::S(s), Some(max)) => max[s as usize],
+            _ => u64::MAX,
+        }
+    }
+
+    /// `o` is below `len` whenever the instruction at `pc` runs: an index
+    /// `o` into `len` cells needs no bounds check there.
+    fn below(&self, pc: usize, o: &Opnd, len: u64) -> bool {
+        self.max(pc, o) < len
+    }
+}
+
+/// The slot-range pass: one forward walk over the loop-free program that
+/// bounds every slot at every pc ([`SlotRanges`]). Its facts:
+///
+/// - a packet enters with a contract slot below its limit (it holds 0 or
+///   installed data) and every other slot unbounded (a trace row may hold
+///   anything outside the contracts);
+/// - a store leaves a value no wider than its slot's mask, and no larger
+///   than its source: an immediate, a bounded slot, or a hash's mask
+///   (`Hash1Mask`: `mask & slot-mask`) or range;
+/// - a select (`MinOrInit`, `CondStore`) or a dynamic store may leave its
+///   slot as it was, so the bound is the larger of old and new;
+/// - an `Apply` may install action data (`settable` slots, a contract
+///   slot only below its limit) and then run any action body, whose
+///   bounds the walk takes from the state at the `Apply`;
+/// - where paths join (a jump target), the bound is the larger one.
+///
+/// Jumps only go forward within their range, so one walk in code order
+/// sees every edge into a pc before the pc itself.
+fn slot_ranges(prog: &CompiledProgram, masks: &[u64], settable: &[bool]) -> SlotRanges {
+    let entry = prog.data_limit.iter().map(|&l| below_limit(l)).collect();
+    let mut at = vec![None; prog.code.len()];
+    walk(prog, prog.body, entry, masks, settable, &mut at);
+    SlotRanges { at }
+}
+
+/// The largest value below an install limit (`u64::MAX`: no limit).
+fn below_limit(limit: u64) -> u64 {
+    if limit == u64::MAX {
+        limit
+    } else {
+        limit - 1
+    }
+}
+
+/// `into[s] = max(into[s], from[s])`.
+fn join(into: &mut Option<Vec<u64>>, from: &[u64]) {
+    match into {
+        Some(v) => v.iter_mut().zip(from).for_each(|(a, &b)| *a = (*a).max(b)),
+        None => *into = Some(from.to_vec()),
+    }
+}
+
+/// Walk `range` from `entry`, joining each pc's bounds into `at`; returns
+/// the bounds at the range's end.
+fn walk(
+    prog: &CompiledProgram,
+    (a, b): (u32, u32),
+    entry: Vec<u64>,
+    masks: &[u64],
+    settable: &[bool],
+    at: &mut [Option<Vec<u64>>],
+) -> Vec<u64> {
+    let (a, b) = (a as usize, b as usize);
+    let mut into: Vec<Option<Vec<u64>>> = vec![None; b - a + 1];
+    into[0] = Some(entry);
+    for pc in a..b {
+        // A pc no edge reaches holds nothing to carry forward.
+        let Some(mut st) = into[pc - a].take() else { continue };
+        join(&mut at[pc], &st);
+        let instr = &prog.code[pc];
+        let val = |st: &[u64], o: &Opnd| match *o {
+            Opnd::I(k) => k,
+            Opnd::S(s) => st[s as usize],
+            Opnd::T(_) => u64::MAX,
+        };
+        // A width-masked store of a value at most `x`: `x & m <= min(x, m)`.
+        let put = |st: &mut [u64], s: u32, x: u64| st[s as usize] = x.min(masks[s as usize]);
+        let keep_or = |st: &mut [u64], s: u32, x: u64| {
+            st[s as usize] = st[s as usize].max(x.min(masks[s as usize]));
+        };
+        match *instr {
+            Instr::Hash1Mask { slot, mask, .. } | Instr::HashAdd { idx_slot: slot, mask, .. } => {
+                st[slot as usize] = mask & masks[slot as usize];
+            }
+            Instr::Hash1Mod { slot, range, .. } => put(&mut st, slot, range - 1),
+            Instr::StoreSlot { slot, src } => {
+                let x = val(&st, &src);
+                put(&mut st, slot, x);
+            }
+            Instr::RegToSlot { slot, .. } => put(&mut st, slot, u64::MAX),
+            Instr::SketchStep { idx_slot, mask, dst_slot, .. }
+            | Instr::HashRead { idx_slot, mask, dst_slot, .. } => {
+                st[idx_slot as usize] = mask & masks[idx_slot as usize];
+                put(&mut st, dst_slot, u64::MAX);
+            }
+            Instr::MinOrInit { slot, src } | Instr::CondStore { slot, src, .. } => {
+                let x = val(&st, &src);
+                keep_or(&mut st, slot, x);
+            }
+            Instr::StoreSlotDyn { base, count, src, .. } => {
+                let x = val(&st, &src);
+                (base..base + count).for_each(|s| keep_or(&mut st, s, x));
+            }
+            Instr::Apply { .. } => {
+                let mut hit = st.clone();
+                for (s, _) in settable.iter().enumerate().filter(|(_, &d)| d) {
+                    hit[s] = hit[s].max(masks[s].min(below_limit(prog.data_limit[s])));
+                }
+                let mut out = Some(hit.clone());
+                for &body in &prog.action_code {
+                    join(&mut out, &walk(prog, body, hit.clone(), masks, settable, at));
+                }
+                st = out.expect("set above");
+            }
+            _ => {}
+        }
+        if let Some(t) = instr.jump_target() {
+            join(&mut into[t as usize - a], &st);
+        }
+        if !matches!(instr, Instr::Jmp { .. }) {
+            join(&mut into[pc + 1 - a], &st);
+        }
+    }
+    into[b - a].take().expect("a forward range always reaches its end")
+}
+
+/// The hash-to-register pair at `code[pc..pc + 2]`: a `Hash1Mask` into
+/// an index slot, then a register access through that slot that the range
+/// pass proves in bounds. Returns the hash's fields and the access.
+fn hash_pair<'c>(
+    code: &'c [Instr],
+    pc: usize,
+    ranges: &SlotRanges,
+    regs: &[RegState],
+) -> Option<(u32, u64, Opnd, u64, &'c Instr)> {
+    let Instr::Hash1Mask { slot, salt, src, mask } = *code.get(pc)? else {
+        return None;
+    };
+    let next = code.get(pc + 1)?;
+    let (Instr::RegAdd { reg, cell, .. } | Instr::RegToSlot { reg, cell, .. }) = *next else {
+        return None;
+    };
+    let len = regs[reg as usize].cells.len() as u64;
+    (cell == Opnd::S(slot) && ranges.below(pc + 1, &cell, len))
+        .then_some((slot, salt, src, mask, next))
 }
 
 /// Try to fuse the CMS idiom at `code[pc..pc + 3]`: hash into an index
 /// slot, bump the register cell it names, read the new count back into a
-/// field. Only fuses when the hashed index is provably inside the
-/// register (`mask & slot-mask < cells`), which removes the fault path
-/// along with two dispatches.
-fn fuse_sketch(code: &[Instr], pc: usize, masks: &[u64], regs: &[RegState]) -> Option<Instr> {
-    let Instr::Hash1Mask { slot, salt, src, mask } = code.get(pc)? else {
+/// field.
+fn fuse_sketch(code: &[Instr], pc: usize, ranges: &SlotRanges, regs: &[RegState]) -> Option<Instr> {
+    let (idx_slot, salt, src, mask, &Instr::RegAdd { reg, add, .. }) =
+        hash_pair(code, pc, ranges, regs)?
+    else {
         return None;
     };
-    let Instr::RegAdd { reg, cell: Opnd::S(c1), add } = code.get(pc + 1)? else {
+    let Instr::RegToSlot { slot: dst_slot, reg: r2, cell } = *code.get(pc + 2)? else {
         return None;
     };
-    let Instr::RegToSlot { slot: dst, reg: r2, cell: Opnd::S(c2) } = code.get(pc + 2)? else {
-        return None;
-    };
-    if c1 != slot || c2 != slot || r2 != reg {
-        return None;
-    }
-    // The cell value the fused step reads back is `h & mask` re-masked by
-    // the slot's own width, so its bound is the AND of both masks.
-    let idx_bound = *mask & masks[*slot as usize];
-    if (idx_bound as usize) >= regs[*reg as usize].cells.len() {
-        return None;
-    }
-    Some(Instr::SketchStep {
-        idx_slot: *slot,
-        salt: *salt,
-        src: *src,
-        mask: *mask,
-        reg: *reg,
-        add: *add,
-        dst_slot: *dst,
+    let step = Instr::SketchStep { idx_slot, salt, src, mask, reg, add, dst_slot };
+    (cell == Opnd::S(idx_slot) && r2 == reg).then_some(step)
+}
+
+/// Try to fuse a hash-to-register pair at `code[pc..pc + 2]` into
+/// [`Instr::HashRead`] or [`Instr::HashAdd`].
+fn fuse_hash(code: &[Instr], pc: usize, ranges: &SlotRanges, regs: &[RegState]) -> Option<Instr> {
+    let (idx_slot, salt, src, mask, access) = hash_pair(code, pc, ranges, regs)?;
+    Some(match *access {
+        Instr::RegAdd { reg, add, .. } => Instr::HashAdd { idx_slot, salt, src, mask, reg, add },
+        Instr::RegToSlot { slot, reg, .. } => {
+            Instr::HashRead { idx_slot, salt, src, mask, reg, dst_slot: slot }
+        }
+        _ => unreachable!("hash_pair returns a register access"),
     })
+}
+
+/// Try to fuse a `JF` that jumps over exactly its own `StoreSlot` at
+/// `code[pc..pc + 2]` into [`Instr::CondStore`].
+fn fuse_cond_store(code: &[Instr], pc: usize) -> Option<Instr> {
+    let Instr::JF { test, target } = code.get(pc)? else {
+        return None;
+    };
+    let Instr::StoreSlot { slot, src } = *code.get(pc + 1)? else {
+        return None;
+    };
+    (*target as usize == pc + 2).then(|| Instr::CondStore { test: test.clone(), slot, src })
 }
 
 /// Try to fuse the running-min idiom at `code[pc..pc + 2]`: a `JFOr`
@@ -852,11 +1124,14 @@ fn fuse_min(code: &[Instr], pc: usize) -> Option<Instr> {
 }
 
 /// Post-lowering peephole over the final code: fuse the CMS idiom into
-/// [`Instr::SketchStep`] and the running-min idiom into
-/// [`Instr::MinOrInit`]. A fusion never swallows a jump target or a
-/// stage/action/body boundary, and every surviving jump target and range
-/// endpoint is remapped onto the compacted code.
-fn peephole(prog: &mut CompiledProgram, masks: &[u64], regs: &[RegState]) {
+/// [`Instr::SketchStep`], hash-to-register pairs into [`Instr::HashRead`]
+/// and [`Instr::HashAdd`], and the two store-over-a-jump idioms into the
+/// selects [`Instr::MinOrInit`] and [`Instr::CondStore`]. `ranges` is the
+/// range pass over the code as lowered; a register access fuses only
+/// where it proves the index in bounds. A fusion never swallows a jump
+/// target or a stage/action/body boundary, and every surviving jump target
+/// and range endpoint is remapped onto the compacted code.
+fn peephole(prog: &mut CompiledProgram, ranges: &SlotRanges, regs: &[RegState]) {
     let len = prog.code.len();
     // Positions that must survive as instruction starts: jump targets and
     // every range endpoint the program indexes by.
@@ -876,28 +1151,24 @@ fn peephole(prog: &mut CompiledProgram, masks: &[u64], regs: &[RegState]) {
     let mut out: Vec<Instr> = Vec::with_capacity(len);
     let mut pc = 0usize;
     while pc < len {
-        map[pc] = out.len() as u32;
-        if !barrier[pc + 1] && pc + 2 < len && !barrier[pc + 2] {
-            if let Some(fused) = fuse_sketch(&old, pc, masks, regs) {
-                // Interior positions are unreachable (no barrier), but
-                // keep the map total.
-                map[pc + 1] = out.len() as u32;
-                map[pc + 2] = out.len() as u32;
-                out.push(fused);
-                pc += 3;
-                continue;
-            }
-        }
+        let mut fused = None;
         if !barrier[pc + 1] {
-            if let Some(fused) = fuse_min(&old, pc) {
-                map[pc + 1] = out.len() as u32;
-                out.push(fused);
-                pc += 2;
-                continue;
+            if pc + 2 < len && !barrier[pc + 2] {
+                fused = fuse_sketch(&old, pc, ranges, regs).map(|i| (i, 3));
             }
+            fused = fused.or_else(|| {
+                let two = fuse_hash(&old, pc, ranges, regs)
+                    .or_else(|| fuse_min(&old, pc))
+                    .or_else(|| fuse_cond_store(&old, pc));
+                two.map(|i| (i, 2))
+            });
         }
-        out.push(old[pc].clone());
-        pc += 1;
+        let (instr, width) = fused.unwrap_or_else(|| (old[pc].clone(), 1));
+        // Interior positions of a fusion are unreachable (no barrier), but
+        // keep the map total.
+        map[pc..pc + width].fill(out.len() as u32);
+        out.push(instr);
+        pc += width;
     }
     map[len] = out.len() as u32;
 
@@ -1015,7 +1286,24 @@ fn validate(prog: &CompiledProgram, phv_len: usize, reg_count: usize) {
                 opnd(add);
                 reg(*r);
             }
+            Instr::HashRead { idx_slot, src, reg: r, dst_slot, .. } => {
+                slot(*idx_slot);
+                slot(*dst_slot);
+                opnd(src);
+                reg(*r);
+            }
+            Instr::HashAdd { idx_slot, src, reg: r, add, .. } => {
+                slot(*idx_slot);
+                opnd(src);
+                opnd(add);
+                reg(*r);
+            }
             Instr::MinOrInit { slot: s, src } => {
+                slot(*s);
+                opnd(src);
+            }
+            Instr::CondStore { test, slot: s, src } => {
+                guard(test);
                 slot(*s);
                 opnd(src);
             }
@@ -1045,34 +1333,47 @@ fn validate(prog: &CompiledProgram, phv_len: usize, reg_count: usize) {
     }
 }
 
-/// The fault-after-write scan behind [`CompiledProgram::undo_free`]:
+/// The fault-after-write scan behind [`CompiledProgram::undo_log`]:
 /// `Err(pc)` names the first instruction in code order that may fault
 /// after an instruction that may write a register, `Ok` says there is
 /// none. Jumps only go forward ([`validate`]), so code order covers every
 /// path a packet can take.
 ///
-/// An `Apply` may run any action body, because an install may name any
+/// Whether an index may fault is the range pass's answer at that pc. An
+/// `Apply` may run any action body, because an install may name any
 /// table action. So it may fault when its table's default is unknown or
 /// when any body may fault, and it may write when any body does. A body
 /// that may fault after one of its own writes fails the scan by itself.
-fn fault_after_write(prog: &CompiledProgram) -> Result<(), u32> {
+fn fault_after_write(
+    prog: &CompiledProgram,
+    ranges: &SlotRanges,
+    regs: &[RegState],
+) -> Result<(), u32> {
     // (may fault, may write a register). `StoreReg` and `RegAdd` check
-    // bounds before their own write; `SketchStep`'s cell is in bounds by
-    // construction.
-    let own = |i: &Instr| match i {
-        Instr::LoadSlotDyn { .. }
-        | Instr::LoadReg { .. }
-        | Instr::RegToSlot { .. }
-        | Instr::StoreSlotDyn { .. }
-        | Instr::Bin { op: BinOp::Div, .. } => (true, false),
-        Instr::StoreReg { .. } | Instr::RegAdd { .. } => (true, true),
-        Instr::SketchStep { .. } => (false, true),
-        _ => (false, false),
+    // bounds before their own write; the fused register accesses are in
+    // bounds by the range pass.
+    let own = |pc: usize| {
+        let index = |cell: &Opnd, len: u64| !ranges.below(pc, cell, len);
+        let cells = |r: u16| regs[r as usize].cells.len() as u64;
+        match &prog.code[pc] {
+            Instr::LoadSlotDyn { count, idx, .. } | Instr::StoreSlotDyn { count, idx, .. } => {
+                (index(idx, u64::from(*count)), false)
+            }
+            Instr::LoadReg { reg, cell, .. } | Instr::RegToSlot { reg, cell, .. } => {
+                (index(cell, cells(*reg)), false)
+            }
+            Instr::StoreReg { reg, cell, .. } | Instr::RegAdd { reg, cell, .. } => {
+                (index(cell, cells(*reg)), true)
+            }
+            Instr::Bin { op: BinOp::Div, .. } => (true, false),
+            Instr::SketchStep { .. } | Instr::HashAdd { .. } => (false, true),
+            _ => (false, false),
+        }
     };
-    let scan = |(a, b): (u32, u32), of: &dyn Fn(&Instr) -> (bool, bool)| {
+    let scan = |(a, b): (u32, u32), of: &dyn Fn(usize) -> (bool, bool)| {
         let (mut faults, mut writes) = (false, false);
         for pc in a..b {
-            let (f, w) = of(&prog.code[pc as usize]);
+            let (f, w) = of(pc as usize);
             if f && writes {
                 return Err(pc);
             }
@@ -1087,13 +1388,13 @@ fn fault_after_write(prog: &CompiledProgram) -> Result<(), u32> {
         body_faults |= f;
         body_writes |= w;
     }
-    let with_apply = |i: &Instr| match i {
+    let with_apply = |pc: usize| match prog.code[pc] {
         Instr::Apply { site } => {
-            let table = prog.apply_sites[*site as usize].table as usize;
+            let table = prog.apply_sites[site as usize].table as usize;
             let unknown = matches!(prog.tables[table].default_action, DefaultAction::Unknown(_));
             (body_faults || unknown, body_writes)
         }
-        _ => own(i),
+        _ => own(pc),
     };
     scan(prog.body, &with_apply).map(drop)
 }
@@ -1336,9 +1637,9 @@ pub(crate) fn run_trace<'r>(
 }
 
 /// Run the whole pipeline for one packet, logging register writes only
-/// when the program needs it: with [`CompiledProgram::undo_free`] a fault
-/// can only come before the first write, so the log stays empty either
-/// way.
+/// when the program needs it: without a [`CompiledProgram::undo_log`] pc
+/// a fault can only come before the first write, so the log stays empty
+/// either way.
 fn exec_body<V: PhvView>(
     prog: &CompiledProgram,
     ctables: &[Table],
@@ -1348,7 +1649,7 @@ fn exec_body<V: PhvView>(
     undo: &mut Vec<RegUndo>,
     stage_cost: &mut [u64],
 ) -> Result<(), SimError> {
-    if prog.undo_free {
+    if prog.undo_log.is_none() {
         exec_range::<V, false>(prog, ctables, regs, view, keys, undo, stage_cost)
     } else {
         exec_range::<V, true>(prog, ctables, regs, view, keys, undo, stage_cost)
@@ -1557,8 +1858,8 @@ fn exec_range<V: PhvView, const UNDO: bool>(
                 let c = view.set(*idx_slot as usize, h) as usize;
                 let v = ov(view, add);
                 let r = &mut regs[*reg as usize];
-                // In bounds by construction: [`peephole`] only forms this
-                // instruction when `mask & slot-mask < cells.len()`, and
+                // In bounds: [`peephole`] only forms this instruction where
+                // the range pass puts the index below `cells.len()`, and
                 // shards clone the register file at full length.
                 let old = r.cells[c];
                 if UNDO {
@@ -1568,12 +1869,36 @@ fn exec_range<V: PhvView, const UNDO: bool>(
                 r.cells[c] = new;
                 view.set(*dst_slot as usize, new);
             }
+            Instr::HashRead { idx_slot, salt, src, mask, reg, dst_slot } => {
+                // The index as stored, as in `SketchStep`; in bounds by
+                // the range pass ([`peephole`]).
+                let h = splitmix(*salt ^ ov(view, src)) & *mask;
+                let c = view.set(*idx_slot as usize, h) as usize;
+                let v = regs[*reg as usize].cells[c];
+                view.set(*dst_slot as usize, v);
+            }
+            Instr::HashAdd { idx_slot, salt, src, mask, reg, add } => {
+                let h = splitmix(*salt ^ ov(view, src)) & *mask;
+                let c = view.set(*idx_slot as usize, h) as usize;
+                let v = ov(view, add);
+                let r = &mut regs[*reg as usize];
+                let old = r.cells[c];
+                if UNDO {
+                    undo.push((*reg as u32, c as u64, old));
+                }
+                r.cells[c] = old.wrapping_add(v) & r.elem_mask;
+            }
             Instr::MinOrInit { slot, src } => {
                 // A select, not a branch on packet data. The not-taken arm
                 // stores `cur` back raw, so a slot holding bits above its
                 // mask keeps them, as it did when nothing was stored.
                 let x = ov(view, src);
                 view.update(*slot as usize, |cur, m| if x < cur || cur == 0 { x & m } else { cur });
+            }
+            Instr::CondStore { test: t, slot, src } => {
+                // A select, as `MinOrInit` is.
+                let (hold, x) = (test(view, t), ov(view, src));
+                view.update(*slot as usize, |cur, m| if hold { x & m } else { cur });
             }
             Instr::RegToSlot { slot, reg, cell } => {
                 let c = ov(view, cell) as usize;
@@ -1715,15 +2040,19 @@ pub(crate) fn run_batch(
 /// Human-readable listing of the lowered program, one stage per section —
 /// the ground truth for "what does this packet actually execute". The
 /// first line says whether packets pay for an undo log, and if so which
-/// instruction makes them.
+/// instruction makes them; an elided log names the install contracts the
+/// range pass relied on.
 pub(crate) fn disasm(prog: &CompiledProgram) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    let scan = fault_after_write(prog);
-    debug_assert_eq!(scan.is_ok(), prog.undo_free, "listing of a lowered program");
-    let _ = match scan {
-        Ok(()) => writeln!(out, "undo log: elided"),
-        Err(pc) => writeln!(out, "undo log: kept (first fault after a write at pc {pc})"),
+    let _ = match (prog.undo_log, prog.contracts.as_slice()) {
+        (None, []) => writeln!(out, "undo log: elided"),
+        (None, contracts) => {
+            let terms: Vec<String> =
+                contracts.iter().map(|c| format!("{} < {}", c.field, c.limit)).collect();
+            writeln!(out, "undo log: elided (install contract: {})", terms.join(", "))
+        }
+        (Some(pc), _) => writeln!(out, "undo log: kept (first fault after a write at pc {pc})"),
     };
     for (s, &(start, end)) in prog.stages.iter().enumerate() {
         let _ = writeln!(out, "stage {s}: [{start}..{end}]");
@@ -1959,6 +2288,7 @@ mod tests {
             stages: vec![(0, n)],
             body: (0, n),
             stage_of: vec![0; n as usize],
+            data_limit: vec![u64::MAX; masks.len()],
             ..CompiledProgram::default()
         };
         validate(&prog, masks.len(), regs.len());
@@ -1980,8 +2310,9 @@ mod tests {
             Instr::RegAdd { reg: 0, cell: Opnd::S(1), add: Opnd::I(1) },
             Instr::RegToSlot { slot: 2, reg: 0, cell: Opnd::S(1) },
         ];
-        let fused = fuse_sketch(&triple, 0, &masks, &regs).expect("63 & 15 < 64 cells");
         let unfused = one_stage(triple, &masks, &regs);
+        let ranges = slot_ranges(&unfused, &masks, &[false; 3]);
+        let fused = fuse_sketch(&unfused.code, 0, &ranges, &regs).expect("63 & 15 < 64 cells");
         let fused = one_stage(vec![fused], &masks, &regs);
 
         let run = |prog: &CompiledProgram, regs: &mut [RegState], key: u64| {
@@ -2075,7 +2406,7 @@ mod tests {
         assert_eq!(sw.compiled.stages, [(0, 1), (1, 2)]);
         assert!(matches!(sw.compiled.code[0], Instr::SketchStep { .. }));
         assert!(matches!(sw.compiled.code[1], Instr::MinOrInit { .. }));
-        assert!(sw.compiled.undo_free);
+        assert_eq!(sw.compiled.undo_log, None);
         assert_eq!(undo_of(&sw), ("undo log: elided".to_string(), false));
         assert_eq!(cost_of(&mut sw, &[("k", 7)]), (vec![1, 1], Ok(())));
         assert_eq!(sw.meta("min").unwrap(), 1);
@@ -2096,7 +2427,7 @@ mod tests {
     fn a_fault_before_the_first_write_keeps_no_log_and_rolls_nothing_back() {
         let mut sw = build(DIV_FIRST, 2);
         assert_eq!(sw.compiled.stages, [(0, 2), (2, 3)]);
-        assert!(sw.compiled.undo_free);
+        assert_eq!(sw.compiled.undo_log, None);
         // `RegAdd` may fault, but only before its own write.
         assert_eq!(undo_of(&sw), ("undo log: elided".to_string(), false));
         assert_eq!(cost_of(&mut sw, &[("x", 12), ("y", 3)]), (vec![2, 1], Ok(())));
@@ -2128,7 +2459,7 @@ mod tests {
         let mut sw = build(UNKNOWN_DEFAULT, 2);
         assert_eq!(sw.compiled.stages, [(1, 4), (4, 5)]);
         assert_eq!(sw.compiled.action_code, [(0, 1)]);
-        assert!(!sw.compiled.undo_free);
+        assert_eq!(sw.compiled.undo_log, Some(4));
         let kept = "undo log: kept (first fault after a write at pc 4)".to_string();
         assert_eq!(undo_of(&sw), (kept, true));
         sw.install_entry("tbl", vec![2], "hit", &[]).unwrap();
@@ -2154,7 +2485,7 @@ mod tests {
     fn a_division_after_a_register_add_keeps_the_log() {
         let mut sw = build(DIV_AFTER, 2);
         assert_eq!(sw.compiled.stages, [(0, 2), (2, 4)]);
-        assert!(!sw.compiled.undo_free);
+        assert_eq!(sw.compiled.undo_log, Some(2));
         let kept = "undo log: kept (first fault after a write at pc 2)".to_string();
         assert_eq!(undo_of(&sw), (kept, true));
         let (cost, r) = cost_of(&mut sw, &[("x", 6), ("y", 0)]);
@@ -2178,12 +2509,276 @@ mod tests {
         let mut sw = build(BODY_WRITES_THEN_FAULTS, 1);
         assert_eq!(sw.compiled.stages, [(3, 4)]);
         assert_eq!(sw.compiled.action_code, [(0, 3)]);
-        assert!(!sw.compiled.undo_free);
+        assert_eq!(sw.compiled.undo_log, Some(1));
         let kept = "undo log: kept (first fault after a write at pc 1)".to_string();
         assert_eq!(undo_of(&sw), (kept, true));
         sw.install_entry("tbl", vec![1], "hit", &[]).unwrap();
         let (cost, r) = cost_of(&mut sw, &[("k", 1), ("y", 0)]);
         assert_eq!((cost, r), (vec![1 + 2], Err(SimError::DivByZero)));
         assert_eq!(sw.read_register("a", 0, 0).unwrap(), 0, "the body's increment rolls back");
+    }
+
+    // The slot-range pass and install contracts. Bounds below were worked
+    // out by hand from the code quoted beside each program.
+
+    /// Hand-assembled, one stage (slots: 0 key, 1 index, 2 out, 3 a
+    /// field only installs set, under a contract of 64):
+    ///   0  Hash1Mask S(1) = h(S(0)) & 63    S(1) <= 63 after it
+    ///   1  JF S(0) == 7 -> 3
+    ///   2  StoreSlot S(1) = 64              S(1) <= 64 on this path
+    ///   3  RegAdd r0[S(1)] += 1             join: S(1) <= 64
+    ///   4  RegToSlot S(2) = r1[S(3)]        S(3) <= 63 everywhere
+    fn ranged(r0: u64, r1: u64) -> (CompiledProgram, SlotRanges, Vec<RegState>) {
+        use crate::state::mask;
+        let masks = [mask(32); 4];
+        let regs = vec![
+            RegState::new("r0".into(), 0, 0, 32, r0),
+            RegState::new("r1".into(), 0, 0, 32, r1),
+        ];
+        let code = vec![
+            Instr::Hash1Mask { slot: 1, salt: 1, src: Opnd::S(0), mask: 63 },
+            Instr::JF { test: Test::new(BinOp::Eq, Opnd::S(0), Opnd::I(7)), target: 3 },
+            Instr::StoreSlot { slot: 1, src: Opnd::I(64) },
+            Instr::RegAdd { reg: 0, cell: Opnd::S(1), add: Opnd::I(1) },
+            Instr::RegToSlot { slot: 2, reg: 1, cell: Opnd::S(3) },
+        ];
+        let mut prog = one_stage(code, &masks, &regs);
+        prog.data_limit[3] = 64;
+        let ranges = slot_ranges(&prog, &masks, &[false, false, false, true]);
+        (prog, ranges, regs)
+    }
+
+    #[test]
+    fn the_range_pass_bounds_hashes_stores_joins_and_contracts() {
+        let (_, r, _) = ranged(65, 64);
+        let max = |pc: usize, s: u32| r.max(pc, &Opnd::S(s));
+        assert_eq!([max(0, 1), max(1, 1), max(2, 1), max(3, 1)], [u64::MAX, 63, 63, 64]);
+        assert_eq!([max(0, 0), max(4, 2)], [u64::MAX, u64::MAX], "unbounded input, untouched");
+        assert_eq!([max(0, 3), max(4, 3)], [63, 63], "a contract slot holds below its limit");
+        // The join at pc 3 is 64: in bounds of 65 cells, one cell past 64.
+        assert!(r.below(3, &Opnd::S(1), 65));
+        assert!(!r.below(3, &Opnd::S(1), 64), "one cell past the register stays undischarged");
+        assert!(r.below(4, &Opnd::S(3), 64));
+        assert!(!r.below(4, &Opnd::S(3), 63), "one cell past the register stays undischarged");
+        assert!(r.below(0, &Opnd::I(9), 10) && !r.below(0, &Opnd::I(10), 10));
+    }
+
+    #[test]
+    fn an_index_one_cell_past_its_register_keeps_the_undo_log() {
+        // r0 of 65 and r1 of 64 cells hold every index: nothing may fault.
+        let (prog, ranges, regs) = ranged(65, 64);
+        assert_eq!(fault_after_write(&prog, &ranges, &regs), Ok(()));
+        // One cell short of the join's 64: the RegAdd may fault, but before
+        // its own write.
+        let (prog, ranges, regs) = ranged(64, 64);
+        assert_eq!(fault_after_write(&prog, &ranges, &regs), Ok(()));
+        // One cell short of the contract: the read after the write may.
+        let (prog, ranges, regs) = ranged(65, 63);
+        assert_eq!(fault_after_write(&prog, &ranges, &regs), Err(4));
+    }
+
+    /// A hash pair fuses only where the pass proves its index in bounds:
+    /// `h & 63` into 64 cells fuses, into 63 it stays two checked steps.
+    #[test]
+    fn a_hash_pair_fuses_only_inside_its_register() {
+        use crate::state::mask;
+        let masks = [mask(32); 3];
+        let code = vec![
+            Instr::Hash1Mask { slot: 1, salt: 1, src: Opnd::S(0), mask: 63 },
+            Instr::RegToSlot { slot: 2, reg: 0, cell: Opnd::S(1) },
+        ];
+        for (cells, fuses) in [(64, true), (63, false)] {
+            let regs = vec![RegState::new("r".into(), 0, 0, 32, cells)];
+            let prog = one_stage(code.clone(), &masks, &regs);
+            let ranges = slot_ranges(&prog, &masks, &[false; 3]);
+            let fused = fuse_hash(&prog.code, 0, &ranges, &regs);
+            assert_eq!(matches!(fused, Some(Instr::HashRead { .. })), fuses, "{cells} cells");
+        }
+    }
+
+    // stage 0: [1..5]  RegAdd a[0] += 1; Apply(tbl);
+    //                  RegToSlot v = vals[S(slot)]; RegToSlot w = more[S(narrow)]
+    // action hit: [0..1]  StoreSlot f = 1
+    // `slot` and `narrow` are set by installs only, and index 16 cells;
+    // `f` is written by `hit`, so it gets no contract.
+    const CONTRACTED: &str = r#"
+        header h { bit<32> k; }
+        struct metadata { bit<8> f; bit<32> slot; bit<4> narrow; bit<32> v; bit<32> w; }
+        register<bit<32>>[4] a;
+        register<bit<32>>[16] vals;
+        register<bit<32>>[16] more;
+        action first() { a[0] = a[0] + 1; }
+        action hit() { meta.f = 1; }
+        action fetch() { meta.v = vals[meta.slot]; }
+        action peek() { meta.w = more[meta.narrow]; }
+        table tbl { key = { hdr.k; } actions = { hit; } size = 16; }
+        control Main() { apply { first(); tbl.apply(); fetch(); peek(); } }
+    "#;
+
+    #[test]
+    fn installs_are_held_to_the_contracts_the_listing_names() {
+        let mut sw = build(CONTRACTED, 1);
+        assert_eq!(sw.compiled.stages, [(1, 5)]);
+        let elided = "undo log: elided (install contract: slot < 16, narrow < 16)";
+        assert_eq!(undo_of(&sw), (elided.to_string(), false));
+        assert_eq!(sw.install_contracts().collect::<Vec<_>>(), [("slot", 16), ("narrow", 16)]);
+        let refused = |field: &str, value| SimError::DataOutOfRange {
+            field: format!("meta.{field}"),
+            value,
+            limit: 16,
+        };
+        let install =
+            |sw: &mut Switch, data: &[(&str, u64)]| sw.install_entry("tbl", vec![1], "hit", data);
+        assert_eq!(install(&mut sw, &[("slot", 16)]), Err(refused("slot", 16)));
+        let two = [("narrow", 3), ("slot", u64::MAX)];
+        assert_eq!(install(&mut sw, &two), Err(refused("slot", u64::MAX)));
+        assert_eq!(install(&mut sw, &[("narrow", 16)]), Err(refused("narrow", 16)));
+        assert_eq!(sw.table_len("tbl").unwrap(), 0, "a refused install leaves nothing");
+        // At the limit minus one, and an unrestricted field at any value.
+        install(&mut sw, &[("slot", 15), ("narrow", 15), ("f", 300)]).unwrap();
+        assert_eq!(cost_of(&mut sw, &[("k", 1)]), (vec![4 + 1], Ok(())));
+        sw.write_register("vals", 0, 15, 7).unwrap();
+        sw.begin_packet();
+        sw.set_header("k", 1).unwrap();
+        sw.run_packet().unwrap();
+        assert_eq!((sw.meta("v").unwrap(), sw.meta("f").unwrap()), (7, 1));
+        assert_eq!(
+            refused("slot", 16).to_string(),
+            "action data `meta.slot` = 16 indexes past a register of 16 cells"
+        );
+    }
+
+    // Every replayed program undo-free. Each header line and fusion site
+    // below was read off the listing quoted beside the test (`paper_eval`;
+    // salts elided).
+
+    /// `(pc, opcode)` of every fused hash pair and store select.
+    fn sites(sw: &Switch) -> Vec<(usize, &'static str)> {
+        let name = |i: &Instr| match i {
+            Instr::HashRead { .. } => Some("HashRead"),
+            Instr::HashAdd { .. } => Some("HashAdd"),
+            Instr::CondStore { .. } => Some("CondStore"),
+            _ => None,
+        };
+        sw.compiled.code.iter().enumerate().filter_map(|(pc, i)| Some((pc, name(i)?))).collect()
+    }
+
+    fn app(src: &str, memory_bits: u64) -> Switch {
+        let c = Compiler::new(presets::paper_eval(memory_bits)).compile(src).unwrap();
+        Switch::build(&c.concrete, &p4all_lang::parse(src).unwrap()).unwrap()
+    }
+
+    fn netcache_opts(rows: u64, slices: u64) -> p4all_elastic::apps::netcache::NetCacheOptions {
+        let mut o = p4all_elastic::apps::netcache::NetCacheOptions::default();
+        o.cms.max_rows = rows;
+        o.kvs.max_slices = Some(slices);
+        o
+    }
+
+    // NetCache (3 rows, 4 slices) at 2^16; at 2^15 alike, mask 1023 and
+    // 256-cell slices:
+    //   2  Apply(kv_cache)                     sets kv_slice S(9), kv_idx S(10)
+    //   3  SketchStep idx 1 … mask 2047        the first register write
+    //   5  JFAnd S(8) == 1 && S(9) == 0 -> 7
+    //   6  RegToSlot slot 11 = reg 3 [S(10)]   kv[idx]: S(10) < 512 by contract
+    //  12, 14, 16  RegToSlot … reg 4, 5, 6 [S(10)], each under its JFAnd
+    #[test]
+    fn netcache_reads_its_values_under_an_install_contract() {
+        let src = p4all_elastic::apps::netcache::source(&netcache_opts(3, 4));
+        for (bits, cells) in [(1 << 15, 256), (1 << 16, 512)] {
+            let sw = app(&src, bits);
+            let elided = format!("undo log: elided (install contract: kv_idx < {cells})");
+            assert_eq!(undo_of(&sw), (elided, false), "2^{}", bits.trailing_zeros());
+            assert_eq!(sw.install_contracts().collect::<Vec<_>>(), [("kv_idx", cells)]);
+            for pc in [6, 12, 14, 16] {
+                let i = &sw.compiled.code[pc];
+                assert!(matches!(i, Instr::RegToSlot { cell: Opnd::S(10), .. }), "{pc}: {i:?}");
+            }
+            assert_eq!(sites(&sw), [], "no hash pair or single-store guard");
+            assert_eq!(sw.compiled.code.len(), 17);
+        }
+    }
+
+    // Precision, stage 0 (stages 4 and 6 alike with slots 2 and 3):
+    //   0  Hash1Mask slot 1 … mask 2047        S(1) <= 2047
+    //   1  LoadReg t0 = reg 3 [S(1)]
+    //   2  JF T(0) == I(0) -> 4
+    //   3  StoreReg reg 3 [S(1)] = S(0)        a write
+    //   4  RegToSlot slot 4 = reg 3 [S(1)]     2047 < 2048 cells: cannot fault
+    #[test]
+    fn precision_indexes_only_what_its_hashes_bound() {
+        let sw = app(&p4all_elastic::apps::precision::source(&Default::default()), 1 << 16);
+        assert_eq!(undo_of(&sw), ("undo log: elided".to_string(), false));
+        assert!(matches!(sw.compiled.code[3], Instr::StoreReg { cell: Opnd::S(1), .. }));
+        assert!(matches!(sw.compiled.code[4], Instr::RegToSlot { cell: Opnd::S(1), .. }));
+        // Its hashes feed a `LoadReg` into a temp, and its guards are
+        // `JFAnd`s or jump over register writes: nothing to fuse.
+        assert_eq!(sites(&sw), []);
+        assert_eq!(sw.compiled.code.len(), 30);
+    }
+
+    // ConQuest, stage 0 (stages 1-3 alike at pcs 7, 14, 21):
+    //   0  JF S(1) == 0 -> 2
+    //   1  HashAdd idx 2 … mask 2047, reg 0 += 1     was Hash1Mask; RegAdd
+    //   2  JF S(1) != 0 -> 7
+    //   3  Hash1Mask slot 2 … mask 2047
+    //   4  LoadReg t0 = reg 0 [S(2)]                 2047 < 2048 cells
+    #[test]
+    fn conquest_bumps_each_snapshot_in_one_dispatch() {
+        let sw = app(&p4all_elastic::apps::conquest::source(&Default::default()), 1 << 16);
+        assert_eq!(undo_of(&sw), ("undo log: elided".to_string(), false));
+        let adds = [(1, "HashAdd"), (8, "HashAdd"), (15, "HashAdd"), (22, "HashAdd")];
+        assert_eq!(sites(&sw), adds);
+        assert!(matches!(sw.compiled.code[4], Instr::LoadReg { cell: Opnd::S(2), .. }));
+        assert_eq!(sw.compiled.code.len(), 28);
+    }
+
+    // joint-3tenant-mid (NetCache 4 rows / 2 slices, VLAN and LPM at 8192
+    // cells, `paper_eval(2^17)`), 35 instructions before this pass:
+    //   4  SketchStep … reg 0                  the first register write
+    //   5  Apply(cache::kv_cache)
+    //   7  HashRead idx 19 … reg 7 -> 22       was Hash1Mask; RegToSlot (pc 8
+    //   9  HashRead idx 20 … reg 8 -> 23        of the old listing blocked it)
+    //  10  CondStore S(22) != 0: S(25) = S(22) was JF -> pc + 2; StoreSlot
+    //  11  Apply(filter::vlan_acl)
+    //  17  RegToSlot slot 15 = reg 4 [S(14)]   kv[idx]: cache::kv_idx < 1024
+    //  18  HashRead idx 21 … reg 9 -> 24
+    //  19  CondStore S(23) != 0: S(25) = S(23)
+    //  21  HashAdd idx 17 … reg 5 += 1         under JF S(16) == 1
+    //  23  CondStore S(24) != 0: S(25) = S(24)
+    //  26  HashAdd idx 18 … reg 6 += 1         under JF S(16) == 1
+    #[test]
+    fn the_joint_replays_without_an_undo_log_in_27_instructions() {
+        use p4all_core::{CompileCtx, CompileOptions, TenantProgram};
+        use p4all_elastic::apps::{lpm, netcache, vlan};
+        use p4all_lang::Tenant;
+        let vlan_opts = vlan::VlanOptions { max_cells: Some(8192), ..Default::default() };
+        let lpm_opts = lpm::LpmOptions { max_cells: Some(8192), ..Default::default() };
+        let tenant =
+            |name, weight, src| TenantProgram::new(Tenant::new(name, weight).unwrap(), src);
+        let tenants = [
+            tenant("cache", 2.0, netcache::source(&netcache_opts(4, 2))),
+            tenant("filter", 1.0, vlan::source(&vlan_opts)),
+            tenant("routes", 1.0, lpm::source(&lpm_opts)),
+        ];
+        let jc = CompileCtx::new(CompileOptions::default())
+            .compile_joint(&tenants, &presets::paper_eval(1 << 17))
+            .unwrap();
+        let sw = Switch::build(&jc.compilation.concrete, &jc.joint.merged).unwrap();
+        let elided = "undo log: elided (install contract: cache::kv_idx < 1024)";
+        assert_eq!(undo_of(&sw), (elided.to_string(), false));
+        let expected = [
+            (7, "HashRead"),
+            (9, "HashRead"),
+            (10, "CondStore"),
+            (18, "HashRead"),
+            (19, "CondStore"),
+            (21, "HashAdd"),
+            (23, "CondStore"),
+            (26, "HashAdd"),
+        ];
+        assert_eq!(sites(&sw), expected);
+        assert!(matches!(sw.compiled.code[17], Instr::RegToSlot { cell: Opnd::S(14), .. }));
+        assert_eq!(sw.compiled.code.len(), 27);
     }
 }

@@ -14,7 +14,10 @@ use crate::state::TableEntry;
 impl Switch {
     /// Install an exact-match entry: `key` (one value per key field) →
     /// `action`, with `data` assignments applied to metadata on match
-    /// (modelling P4 action parameters).
+    /// (modelling P4 action parameters). A datum for a field under an
+    /// install contract ([`Switch::install_contracts`]) must be below the
+    /// contract's limit; one at or past it is
+    /// [`SimError::DataOutOfRange`], and nothing is installed.
     pub fn install_entry(
         &mut self,
         table: &str,
@@ -37,6 +40,11 @@ impl Switch {
             let slot = self
                 .meta_scalar_slot(field)
                 .ok_or_else(|| SimError::UnknownField(format!("meta.{field}")))?;
+            let limit = self.compiled.data_limit[slot];
+            if value >= limit {
+                let field = format!("meta.{field}");
+                return Err(SimError::DataOutOfRange { field, value, limit });
+            }
             named.push((field.to_string(), value));
             dense.push((slot as u32, value));
         }
@@ -55,6 +63,16 @@ impl Switch {
         self.ctables[tid].insert(mirror.key(), Entry { action: action_id, data: dense });
         mirror.insert_entry(TableEntry { action: action.to_string(), data: named });
         Ok(())
+    }
+
+    /// The install contracts of the program, as `(field, limit)`: each
+    /// field is scalar metadata that only action data sets and that
+    /// indexes a register, and every datum installed for it must be below
+    /// `limit`, the smallest length of those registers. They are what lets
+    /// the build prove such an index in bounds (`dump_bytecode()`'s first
+    /// line names the ones it relied on).
+    pub fn install_contracts(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
+        self.compiled.contracts.iter().map(|c| (c.field.as_str(), c.limit))
     }
 
     /// Remove one entry; returns whether it existed.

@@ -34,6 +34,10 @@ pub enum SimError {
     UnknownTable(String),
     UnknownAction(String),
     IndexOutOfBounds { what: String, index: u64, len: usize },
+    /// An install's action datum for a contract field (see
+    /// [`Switch::install_contracts`]) at or past the length of a register
+    /// the field indexes.
+    DataOutOfRange { field: String, value: u64, limit: u64 },
     TableFull(String),
     BadProgram(String),
     DivByZero,
@@ -48,6 +52,10 @@ impl fmt::Display for SimError {
             SimError::UnknownAction(n) => write!(f, "unknown action `{n}`"),
             SimError::IndexOutOfBounds { what, index, len } => {
                 write!(f, "{what}: index {index} out of bounds (len {len})")
+            }
+            SimError::DataOutOfRange { field, value, limit } => {
+                let what = "indexes past a register of";
+                write!(f, "action data `{field}` = {value} {what} {limit} cells")
             }
             SimError::TableFull(n) => write!(f, "table `{n}` is full"),
             SimError::BadProgram(m) => write!(f, "bad program: {m}"),
@@ -124,7 +132,7 @@ pub struct Switch {
     /// hash that shards traces across replay workers covers exactly them.
     pub(crate) header_count: usize,
     header_slots: HashMap<String, usize>,
-    meta_scalars: HashMap<String, usize>,
+    pub(crate) meta_scalars: HashMap<String, usize>,
     meta_arrays: HashMap<String, (usize, usize)>,
     pub(crate) registers: Vec<RegState>,
     /// Register name -> index into `registers`, by instance.
@@ -140,8 +148,8 @@ pub struct Switch {
     /// Compiled bodies of actions invocable from tables.
     pub(crate) table_actions: HashMap<String, Vec<CStmt>>,
     pub(crate) stages: Vec<Vec<CAction>>,
+    /// The working PHV: the interpreter runs every stage on it in place.
     pub(crate) cur: Phv,
-    pub(crate) next: Phv,
     /// The interpreter's table-key buffer, reused across applies.
     table_key: Vec<u64>,
     // ---- bytecode backend state ----
@@ -223,7 +231,6 @@ impl Switch {
 
         let mut sw = Switch {
             cur: Phv::new(masks.clone()),
-            next: Phv::new(masks.clone()),
             table_key: Vec::new(),
             header_count: concrete.headers.len(),
             masks,
@@ -543,7 +550,6 @@ impl Switch {
             r.clear();
         }
         self.cur.clear();
-        self.next.clear();
         self.undo.clear();
         self.stage_cost.iter_mut().for_each(|c| *c = 0);
         self.stmt_count = 0;
@@ -594,8 +600,6 @@ impl Switch {
 
     fn run_packet_interp(&mut self) -> Result<(), SimError> {
         for s in 0..self.stages.len() {
-            // Stage-input snapshot: actions read `next`'s previous content.
-            self.next.slots.copy_from_slice(&self.cur.slots);
             // We need split borrows: temporarily move the stage program out.
             let actions = std::mem::take(&mut self.stages[s]);
             let before = self.stmt_count;
@@ -625,7 +629,6 @@ impl Switch {
             self.stages[s] = actions;
             self.stage_cost[s] += self.stmt_count - before;
             result?;
-            std::mem::swap(&mut self.cur, &mut self.next);
         }
         Ok(())
     }
@@ -674,7 +677,7 @@ impl Switch {
                 .get(field)
                 .copied()
                 .ok_or_else(|| SimError::UnknownField(format!("meta.{field}")))?;
-            self.next.set(slot, *value);
+            self.cur.set(slot, *value);
         }
         let body = bodies.get(action).ok_or_else(|| SimError::UnknownAction(action.to_string()))?;
         Ok(Some(body))
@@ -714,7 +717,7 @@ impl Switch {
     fn write_dst(&mut self, dst: &CDst, v: u64) -> Result<(), SimError> {
         match dst {
             CDst::Slot(s) => {
-                self.next.set(*s, v);
+                self.cur.set(*s, v);
                 Ok(())
             }
             CDst::DynSlot { base, count, idx, what } => {
@@ -726,7 +729,7 @@ impl Switch {
                         len: *count,
                     });
                 }
-                self.next.set(base + i, v);
+                self.cur.set(base + i, v);
                 Ok(())
             }
             CDst::Reg { reg, cell } => {
@@ -749,14 +752,14 @@ impl Switch {
     fn eval(&self, e: &CExpr) -> Result<u64, SimError> {
         Ok(match e {
             CExpr::Const(v) => *v,
-            // Reads go through the stage's write buffer (`next`), which
-            // starts as a copy of the stage input: statements *within* one
-            // action therefore see the action's own earlier writes (the
-            // hash unit feeds the stateful ALU inside a stage), while
-            // cross-action visibility inside a stage cannot arise because
-            // the dependency analysis places conflicting actions in
-            // different stages.
-            CExpr::Slot(s) => self.next.get(*s),
+            // Reads and writes go to the one working PHV: statements
+            // *within* one action therefore see the action's own earlier
+            // writes (the hash unit feeds the stateful ALU inside a stage),
+            // while cross-action visibility inside a stage cannot arise
+            // because the dependency analysis places conflicting actions in
+            // different stages. So a per-stage input snapshot would be read
+            // by nobody, and there is none.
+            CExpr::Slot(s) => self.cur.get(*s),
             CExpr::DynSlot { base, count, idx, what } => {
                 let i = self.eval(idx)? as usize;
                 if i >= *count {
@@ -766,7 +769,7 @@ impl Switch {
                         len: *count,
                     });
                 }
-                self.next.get(base + i)
+                self.cur.get(base + i)
             }
             CExpr::RegRead { reg, cell } => {
                 let c = self.eval(cell)? as usize;

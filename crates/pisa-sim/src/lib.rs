@@ -1,8 +1,8 @@
 //! # p4all-sim — behavioral PISA pipeline simulator
 //!
 //! Executes the concrete, loop-free programs produced by the P4All
-//! compiler (`p4all-core`) with PISA semantics: stage-by-stage processing,
-//! stage-input snapshot reads, persistent per-stage register state, exact-
+//! compiler (`p4all-core`) with PISA semantics: stage-by-stage processing
+//! on one PHV, persistent per-stage register state, exact-
 //! match tables with control-plane-installed entries, and deterministic
 //! per-destination hash functions.
 //!

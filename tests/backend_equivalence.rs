@@ -478,3 +478,69 @@ fn guards_comparing_two_slots_agree_with_the_interpreter() {
         "test: S(0) < S(1)",
     );
 }
+
+/// NetCache reads `kvs[j][meta.kv_idx]`, and only installs set `kv_idx`,
+/// so the build holds every install to `kv_idx < cells` and proves the
+/// read in bounds. An install at `cells` must be refused with the same
+/// typed error on every engine — for a new key and for one already
+/// installed — and leave the table, the registers and every later packet
+/// as they were.
+#[test]
+fn an_out_of_range_install_is_refused_alike_by_every_engine() {
+    use p4all_elastic::apps::netcache;
+    use p4all_sim::SimError;
+    let mut opts = netcache::NetCacheOptions::default();
+    opts.cms.max_rows = 3;
+    opts.kvs.max_slices = Some(4);
+    let src = netcache::source(&opts);
+    let c = Compiler::new(presets::paper_eval(1 << 15)).compile(&src).expect("compiles");
+    let program = p4all_lang::parse(&src).expect("parses");
+    let mut backends = vec![Backend::Interp, Backend::Compiled];
+    if p4all_sim::rustc_available() {
+        backends.push(Backend::Native);
+    } else {
+        eprintln!("an_out_of_range_install_is_refused_alike_by_every_engine: native skipped");
+    }
+    let cells = 256;
+    let refused =
+        SimError::DataOutOfRange { field: "meta.kv_idx".into(), value: cells, limit: cells };
+    let mut engines: Vec<Switch> = backends
+        .into_iter()
+        .map(|backend| {
+            let mut sw = Switch::build(&c.concrete, &program).expect("sim builds");
+            assert_eq!(sw.register_cells("kvs", 0).unwrap() as u64, cells);
+            assert_eq!(sw.install_contracts().collect::<Vec<_>>(), [("kv_idx", cells)]);
+            sw.set_backend(backend);
+            if backend == Backend::Native {
+                sw.prepare_native().expect("native builds");
+            }
+            for key in 0..8u64 {
+                let (slice, idx) = (key % 4, cells - 1 - key);
+                sw.write_register("kvs", slice as usize, idx as usize, 1000 + key).unwrap();
+                let data = [("kv_slice", slice), ("kv_idx", idx)];
+                sw.install_entry("kv_cache", vec![key], "kv_hit_act", &data).unwrap();
+            }
+            let before = (sw.table_len("kv_cache").unwrap(), sw.registers_snapshot());
+            for key in [3, 99] {
+                let data = [("kv_slice", 0), ("kv_idx", cells)];
+                let got = sw.install_entry("kv_cache", vec![key], "kv_hit_act", &data);
+                assert_eq!(got, Err(refused.clone()), "key {key} on {backend:?}");
+            }
+            assert_eq!((sw.table_len("kv_cache").unwrap(), sw.registers_snapshot()), before);
+            sw
+        })
+        .collect();
+    for key in 0..16u64 {
+        let mut seen = Vec::new();
+        for sw in &mut engines {
+            sw.begin_packet();
+            sw.set_header("key", key).unwrap();
+            sw.run_packet().unwrap_or_else(|e| panic!("key {key} on {:?}: {e}", sw.backend()));
+            seen.push((sw.phv_snapshot(), sw.registers_snapshot()));
+        }
+        assert!(seen.windows(2).all(|w| w[0] == w[1]), "key {key}: engines disagree");
+        let served = engines[0].meta("kv_val").unwrap();
+        let stored = if key < 8 { 1000 + key } else { 0 };
+        assert_eq!(served, stored, "key {key}: the kept entry serves");
+    }
+}
