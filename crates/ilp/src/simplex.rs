@@ -18,9 +18,10 @@
 //!   are exactly `0.0`, nothing else: no operation on a nonzero operand is
 //!   added, dropped or reordered, so the pivot sequence is a function of
 //!   the model alone (DESIGN.md, "Kernel layout and the exact-zero
-//!   contract"). The pivot row is not sparse on the big models — 22 % of
-//!   425 entries on the 3-tenant joint, most of it cancellation residue —
-//!   so the update gathers its nonzeros once per pivot. `B^-1` is
+//!   contract"). The update gathers the pivot row's nonzeros once per
+//!   pivot; a row with at least a quarter of its entries nonzero (the
+//!   3-tenant joint averages 22 % of 425, most of it cancellation
+//!   residue) updates whole target rows at AVX2 width instead. `B^-1` is
 //!   refactorized from scratch when a residual check fails;
 //! - Dantzig pricing with an automatic switch to Bland's rule after a run
 //!   of degenerate pivots guarantees termination;
@@ -753,13 +754,30 @@ impl Simplex {
     }
 
     /// `self.w = B^-1 * A_j`, one entry per row of `B^-1`: each `w[i]` sums
-    /// the column's nonzeros in column order, reading one row slice.
-    /// Branch-free like `dual_prices`: these inner loops are a few entries
-    /// long and a data-dependent zero test in them mispredicts.
+    /// the column's nonzeros in column order, reading one row slice. Four
+    /// rows share a pass over the column, one accumulator each, so its
+    /// entries are loaded once per four rows. Branch-free like
+    /// `dual_prices`: these inner loops are a few entries long and a
+    /// data-dependent zero test in them mispredicts.
     fn ftran(&mut self, j: usize) {
         let col = &self.cols[j];
+        let m = self.m.max(1);
         self.w.clear();
-        self.w.extend(rows(&self.binv, self.m).map(|row| {
+        let mut quads = self.binv.chunks_exact(4 * m);
+        for quad in quads.by_ref() {
+            let (r0, rest) = quad.split_at(m);
+            let (r1, rest) = rest.split_at(m);
+            let (r2, r3) = rest.split_at(m);
+            let mut acc = [0.0; 4];
+            for &(r, a) in col {
+                acc[0] += r0[r] * a;
+                acc[1] += r1[r] * a;
+                acc[2] += r2[r] * a;
+                acc[3] += r3[r] * a;
+            }
+            self.w.extend_from_slice(&acc);
+        }
+        self.w.extend(rows(quads.remainder(), m).map(|row| {
             let mut acc = 0.0;
             for &(r, a) in col {
                 acc += row[r] * a;
@@ -790,15 +808,9 @@ impl Simplex {
         let m = self.m;
         let piv = self.w[row];
         debug_assert!(piv.abs() > PIVOT_TOL * 0.01, "pivot too small: {piv}");
-        // binv[row] /= piv ; binv[i] -= w[i] * binv[row]. The scaled pivot
-        // row is copied out as (column, value) pairs, so each target row is
-        // updated through its own slice and never re-reads the pivot row.
+        // binv[row] /= piv ; binv[i] -= w[i] * binv[row].
         scale_and_gather(&mut self.binv[row * m..(row + 1) * m], 1.0 / piv, &mut self.eta);
-        for (i, (target, &f)) in self.binv.chunks_exact_mut(m).zip(&self.w).enumerate() {
-            if i != row && f != 0.0 {
-                sparse_axpy(target, f, &self.eta);
-            }
-        }
+        eliminate(&mut self.binv, m, row, &self.w, &self.eta);
         let old = self.basis[row];
         debug_assert!(matches!(self.stat[old], VStat::Basic(r) if r == row));
         self.basis[row] = j;
@@ -875,6 +887,7 @@ impl Simplex {
         }
         let mut inv = identity(m);
         let (mut bnz, mut inz) = (Vec::new(), Vec::new());
+        let mut factors = vec![0.0; m];
         // Gauss-Jordan with partial pivoting.
         for c in 0..m {
             let mut best = c;
@@ -904,20 +917,22 @@ impl Simplex {
                 }
             }
             // Scale the pivot row of both matrices, then eliminate column
-            // `c` from every other row over the pivot rows' nonzeros only.
+            // `c` from every other row: `bmat` over its pivot row's
+            // nonzeros, `inv` through the pivot kernel.
             let pinv = 1.0 / bmat[c * m + c];
             scale_and_gather(&mut bmat[c * m..(c + 1) * m], pinv, &mut bnz);
             scale_and_gather(&mut inv[c * m..(c + 1) * m], pinv, &mut inz);
             seen = bnz.iter().fold(seen, |acc, &(_, v)| acc.max(v.abs()));
             for r in 0..m {
                 let f = bmat[r * m + c];
+                factors[r] = f;
                 if r != c && f != 0.0 {
                     let brow = &mut bmat[r * m..(r + 1) * m];
                     sparse_axpy(brow, f, &bnz);
                     seen = bnz.iter().fold(seen, |acc, &(k, _)| acc.max(brow[k].abs()));
-                    sparse_axpy(&mut inv[r * m..(r + 1) * m], f, &inz);
                 }
             }
+            eliminate(&mut inv, m, c, &factors, &inz);
         }
         self.binv = inv;
         self.refactorizations += 1;
@@ -1402,6 +1417,92 @@ fn sparse_axpy(row: &mut [f64], f: f64, nz: &[(usize, f64)]) {
     for &(k, v) in nz {
         row[k] -= f * v;
     }
+}
+
+/// A scaled pivot row with at least `m / DENSE_ROW_DIVISOR` nonzeros
+/// updates whole target rows at vector width; a sparser one updates only
+/// its gathered nonzeros. Measured on the joint and the four apps: `m / 2`
+/// buys almost nothing on the joint, `m / 8` and `m / 16` are level with
+/// `m / 4`, and an always-dense update costs the root-solved apps 5–15 %
+/// (EXPERIMENTS.md, "Simplex row updates at vector width"). Of the flat
+/// region, `m / 4` sends the fewest pivots down the dense path.
+const DENSE_ROW_DIVISOR: usize = 4;
+
+/// `mat[i] -= factors[i] * mat[row]` for every row `i != row` of the
+/// row-major `mat` whose factor is nonzero. `mat[row]` is the scaled pivot
+/// row and `nz` its nonzeros as `scale_and_gather` gathered them; their
+/// count picks the path, once per pivot. The dense path adds only
+/// `x -= f * ±0.0` at the pivot row's zeros, so both paths give the same
+/// bits up to the sign of a zero, and a CPU without AVX2 takes the sparse
+/// path whatever the density.
+fn eliminate(mat: &mut [f64], m: usize, row: usize, factors: &[f64], nz: &[(usize, f64)]) {
+    if nz.len() * DENSE_ROW_DIVISOR >= m {
+        if let Some(dense) = dense_rows_avx2() {
+            return dense(mat, m, row, factors);
+        }
+    }
+    sparse_rows(mat, m, row, factors, nz);
+}
+
+/// The pivot row `row` of the row-major `mat`, and every other row paired
+/// with its factor where that is nonzero.
+fn split_pivot<'a>(
+    mat: &'a mut [f64],
+    m: usize,
+    row: usize,
+    factors: &'a [f64],
+) -> (&'a [f64], impl Iterator<Item = (&'a mut [f64], f64)>) {
+    let (above, rest) = mat.split_at_mut(row * m);
+    let (pivot, below) = rest.split_at_mut(m);
+    let targets = above.chunks_exact_mut(m).zip(&factors[..row])
+        .chain(below.chunks_exact_mut(m).zip(&factors[row + 1..]))
+        .filter_map(|(target, &f)| (f != 0.0).then_some((target, f)));
+    (pivot, targets)
+}
+
+/// The sparse path: each target row is updated at the pivot row's
+/// gathered nonzeros only.
+fn sparse_rows(mat: &mut [f64], m: usize, row: usize, factors: &[f64], nz: &[(usize, f64)]) {
+    for (target, f) in split_pivot(mat, m, row, factors).1 {
+        sparse_axpy(target, f, nz);
+    }
+}
+
+/// The dense path's body: each target row is updated over its whole
+/// length, a contiguous loop the compiler vectorizes (a product, then a
+/// difference: Rust never contracts them into an FMA). Always inlined, so
+/// that `dense_rows_avx2` compiles it for AVX2.
+#[inline(always)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+fn dense_rows(mat: &mut [f64], m: usize, row: usize, factors: &[f64]) {
+    let (pivot, targets) = split_pivot(mat, m, row, factors);
+    for (target, f) in targets {
+        for (x, &p) in target.iter_mut().zip(pivot) {
+            *x -= f * p;
+        }
+    }
+}
+
+/// `mat, m, row, factors`, as `dense_rows` takes them.
+type DenseRows = fn(&mut [f64], usize, usize, &[f64]);
+
+/// `dense_rows` compiled for AVX2 when this CPU has it (the standard
+/// library detects it once and caches the answer); `None` on other x86
+/// CPUs and other architectures.
+fn dense_rows_avx2() -> Option<DenseRows> {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        #[target_feature(enable = "avx2")]
+        fn avx2(mat: &mut [f64], m: usize, row: usize, factors: &[f64]) {
+            dense_rows(mat, m, row, factors);
+        }
+        // SAFETY: calling `avx2` requires a CPU with AVX2, and this
+        // wrapper is handed out only after the run-time check above
+        // found it.
+        let kernel: DenseRows = |mat, m, row, factors| unsafe { avx2(mat, m, row, factors) };
+        return Some(kernel);
+    }
+    None
 }
 
 enum RunOutcome {
@@ -1984,10 +2085,11 @@ mod warm_tests {
     }
 }
 
-/// The new kernels against the loops they replaced. The reference kernels
-/// below are the parent commit's, unchanged: whole-matrix indexing,
-/// column-strided `ftran`, the eager singularity scale. Equality is `==` on
-/// every element, so `+0.0` and `-0.0` agree and nothing else does.
+/// The kernels against the loops they replaced. The reference kernels
+/// below are those loops, unchanged: whole-matrix indexing,
+/// column-strided `ftran`, the eager singularity scale. Equality
+/// is `==` on every element, or bit patterns with `-0.0` folded to `+0.0`,
+/// so `+0.0` and `-0.0` agree and nothing else does.
 #[cfg(test)]
 mod kernel_tests {
     use super::*;
@@ -2227,6 +2329,94 @@ mod kernel_tests {
         sx.cols[..m].clone_from_slice(columns);
         seat(&mut sx, (0..m).collect());
         sx
+    }
+
+    /// Bit patterns with `-0.0` folded to `+0.0`: the contract lets a kernel
+    /// change the sign of a zero and nothing else.
+    fn folded_bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|&x| if x == 0.0 { 0 } else { x.to_bits() }).collect()
+    }
+
+    /// A value for a random matrix: mostly normal, with `+0.0`, `-0.0` and
+    /// subnormals mixed in.
+    fn awkward(rng: &mut StdRng) -> f64 {
+        match rng.gen_range(0..10) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => rng.gen_range(-1.0..1.0) * 1e-310,
+            _ => rng.gen_range(-4.0..4.0),
+        }
+    }
+
+    /// Each row-update path — sparse, the dense body, the dense body at
+    /// AVX2 width (where the CPU has it) and the dispatching `eliminate` —
+    /// against the reference loop, on pivot rows either side of the
+    /// `m / 4` switch.
+    #[test]
+    fn row_update_paths_match_the_reference_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0x0d_e5_e0);
+        let m = 100;
+        let avx2 = dense_rows_avx2();
+        for &nnz in &[10usize, 24, 26, 60, 100] {
+            for trial in 0..4 {
+                let mut binv: Vec<f64> = (0..m * m).map(|_| awkward(&mut rng)).collect();
+                let row = rng.gen_range(0..m);
+                // The pivot row: exactly `nnz` nonzeros, a quarter of them
+                // subnormal, and signed zeros elsewhere.
+                let mut cols: Vec<usize> = (0..m).collect();
+                for k in 0..m {
+                    cols.swap(k, rng.gen_range(k..m));
+                }
+                for k in 0..m {
+                    binv[row * m + k] = if rng.gen_bool(0.5) { 0.0 } else { -0.0 };
+                }
+                for (i, &k) in cols[..nnz].iter().enumerate() {
+                    let v = rng.gen_range(0.5..4.0) * if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+                    binv[row * m + k] = if i % 4 == 0 { v * 1e-310 } else { v };
+                }
+                let mut w: Vec<f64> = (0..m).map(|_| awkward(&mut rng)).collect();
+                w[row] = rng.gen_range(0.5..2.0);
+
+                let mut expect = binv.clone();
+                ref_do_pivot(&mut expect, m, row, &w);
+                let mut nz = Vec::new();
+                scale_and_gather(&mut binv[row * m..(row + 1) * m], 1.0 / w[row], &mut nz);
+                assert_eq!(nz.len(), nnz, "the scaled pivot row keeps its nonzeros");
+
+                let mut paths: Vec<(&str, Vec<f64>)> = Vec::new();
+                let mut run = |name, kernel: &dyn Fn(&mut [f64])| {
+                    let mut mat = binv.clone();
+                    kernel(&mut mat);
+                    paths.push((name, mat));
+                };
+                run("sparse", &|mat| sparse_rows(mat, m, row, &w, &nz));
+                run("dense", &|mat| dense_rows(mat, m, row, &w));
+                run("eliminate", &|mat| eliminate(mat, m, row, &w, &nz));
+                if let Some(kernel) = avx2 {
+                    run("dense avx2", &|mat| kernel(mat, m, row, &w));
+                }
+                for (name, mat) in paths {
+                    assert_eq!(folded_bits(&mat), folded_bits(&expect), "{name}, {nnz} nonzeros, trial {trial}");
+                }
+            }
+        }
+    }
+
+    /// The four-row `ftran` against the column-strided reference, with
+    /// `m` ≡ 0, 1, 2, 3 (mod 4) so that every tail length runs.
+    #[test]
+    fn four_row_ftran_matches_the_reference_at_every_tail() {
+        let mut rng = StdRng::seed_from_u64(0xf7_4a_11);
+        for m in [1usize, 2, 3, 4, 9, 10, 11, 12, 101, 102, 103] {
+            let mut sx = random_simplex(&mut rng, m, 0.3);
+            sx.binv = (0..m * m).map(|_| awkward(&mut rng)).collect();
+            let binv = sx.binv.clone();
+            for j in 0..2 * m {
+                sx.ftran(j);
+                assert_eq!(sx.w.len(), m);
+                assert_eq!(folded_bits(&sx.w), folded_bits(&ref_ftran(&sx, &binv, j)), "m={m} column {j}");
+            }
+        }
     }
 
     /// The lazy scale check must give the eager fold's verdict (and, when
