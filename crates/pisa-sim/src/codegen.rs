@@ -40,12 +40,11 @@
 //! design: the build environment has no route to crates.io, so the
 //! generated crate must compile with a bare `rustc` invocation.
 
-use std::collections::HashMap;
-
 use p4all_lang::ast::BinOp;
 
 use crate::compiled::DefaultAction;
 use crate::interp::{splitmix, CDst, CExpr, CStmt, Switch};
+use crate::name_map::NameMap;
 
 /// The lowering product: source text plus the side tables the host needs
 /// to reconstruct exact [`crate::SimError`] values from fault records.
@@ -67,7 +66,7 @@ pub(crate) fn generate(sw: &Switch) -> Generated {
         indent: 0,
         tmp: 0,
         diags: Vec::new(),
-        diag_ids: HashMap::new(),
+        diag_ids: NameMap::default(),
     };
     g.emit_prelude();
     g.emit_actions();
@@ -83,7 +82,7 @@ struct Gen<'a> {
     /// Per-function temporary counter (reset at each function head).
     tmp: usize,
     diags: Vec<String>,
-    diag_ids: HashMap<String, usize>,
+    diag_ids: NameMap<String, usize>,
 }
 
 impl<'a> Gen<'a> {
@@ -123,7 +122,7 @@ impl<'a> Gen<'a> {
     /// Action names in dense-id order (the bytecode backend's numbering).
     fn actions_by_id(&self) -> Vec<(u32, String)> {
         let mut v: Vec<(u32, String)> =
-            self.sw.compiled.action_ids.iter().map(|(n, &id)| (id, n.clone())).collect();
+            self.sw.compiled.action_ids.iter().map(|(n, &id)| (id, n.to_string())).collect();
         v.sort();
         v
     }
@@ -214,7 +213,7 @@ impl<'a> Gen<'a> {
 
     fn emit_actions(&mut self) {
         for (id, name) in self.actions_by_id() {
-            let body = self.sw.table_actions[&name].clone();
+            let body = self.sw.table_actions[name.as_str()].clone();
             self.tmp = 0;
             self.line(&format!("// table action `{name}`"));
             self.line(&format!(

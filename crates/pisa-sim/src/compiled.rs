@@ -68,12 +68,13 @@
 //! sub-expressions still lower to temps in source order; only pure
 //! operands fold inline), same error surface, same hash function.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
 use p4all_lang::ast::BinOp;
 
 use crate::flat_table::Table;
 use crate::interp::{rollback, CDst, CExpr, CStmt, RegUndo, SimError, Switch};
+use crate::name_map::NameMap;
 use crate::state::{Phv, RegState};
 
 /// Index into the per-packet temporary file.
@@ -322,7 +323,7 @@ pub(crate) struct CompiledProgram {
     pub apply_sites: Vec<ApplySite>,
     /// Dense id -> code range, for table-dispatched action bodies.
     pub action_code: Vec<(u32, u32)>,
-    pub action_ids: HashMap<String, u32>,
+    pub action_ids: NameMap<Arc<str>, u32>,
     /// Error strings for dynamic-index bounds faults.
     pub diags: Vec<String>,
     /// Size of the temporary file a packet needs.
@@ -387,7 +388,7 @@ fn is_cmp(op: BinOp) -> bool {
 struct Lowerer {
     code: Vec<Instr>,
     diags: Vec<String>,
-    diag_ids: HashMap<String, u16>,
+    diag_ids: NameMap<String, u16>,
     next_temp: usize,
     max_temps: usize,
 }
@@ -397,7 +398,7 @@ impl Lowerer {
         Lowerer {
             code: Vec::new(),
             diags: Vec::new(),
-            diag_ids: HashMap::new(),
+            diag_ids: NameMap::default(),
             next_temp: 0,
             max_temps: 0,
         }
@@ -753,20 +754,20 @@ pub(crate) fn lower(sw: &Switch) -> CompiledProgram {
 
     // Dense action ids for table-dispatched bodies (sorted for a
     // deterministic numbering).
-    let mut action_names: Vec<&String> = sw.table_actions.keys().collect();
+    let mut action_names: Vec<&Arc<str>> = sw.table_actions.keys().collect();
     action_names.sort();
-    let mut action_ids = HashMap::new();
+    let mut action_ids = NameMap::default();
     let mut action_code = Vec::with_capacity(action_names.len());
-    for (id, name) in action_names.iter().enumerate() {
-        action_ids.insert((*name).clone(), id as u32);
-        action_code.push(lo.lower_block(&sw.table_actions[*name]));
+    for (id, &name) in action_names.iter().enumerate() {
+        action_ids.insert(Arc::clone(name), id as u32);
+        action_code.push(lo.lower_block(&sw.table_actions[name]));
     }
 
     let mut tables = Vec::with_capacity(sw.tables.len());
     for ts in &sw.tables {
         let default_action = match &ts.default_action {
             None => DefaultAction::None,
-            Some(a) => match action_ids.get(a) {
+            Some(a) => match action_ids.get(a.as_str()) {
                 Some(&id) => DefaultAction::Run(id),
                 None => DefaultAction::Unknown(a.clone()),
             },
@@ -825,10 +826,10 @@ pub(crate) fn lower(sw: &Switch) -> CompiledProgram {
     };
     // Action data may set any scalar metadata field.
     let mut settable = vec![false; sw.masks.len()];
-    let mut fields: Vec<(usize, &String)> = Vec::new();
+    let mut fields: Vec<(usize, &str)> = Vec::new();
     for (name, &slot) in &sw.meta_scalars {
         settable[slot] = true;
-        fields.push((slot, name));
+        fields.push((slot, &**name));
     }
     fields.sort();
     prog.contracts = install_contracts(&prog.code, &fields, &sw.masks, &sw.registers);
@@ -875,7 +876,7 @@ fn slot_writes(i: &Instr) -> [std::ops::Range<u32>; 2] {
 /// could meet it).
 fn install_contracts(
     code: &[Instr],
-    fields: &[(usize, &String)],
+    fields: &[(usize, &str)],
     masks: &[u64],
     regs: &[RegState],
 ) -> Vec<Contract> {
@@ -897,7 +898,7 @@ fn install_contracts(
     fields
         .iter()
         .filter(|&&(s, _)| !written[s] && limit[s] > 0 && limit[s] < u64::MAX)
-        .map(|&(s, name)| Contract { slot: s as u32, limit: limit[s], field: name.clone() })
+        .map(|&(s, name)| Contract { slot: s as u32, limit: limit[s], field: name.to_string() })
         .collect()
 }
 
@@ -2061,12 +2062,8 @@ pub(crate) fn disasm(prog: &CompiledProgram) -> String {
         }
     }
     for (id, &(start, end)) in prog.action_code.iter().enumerate() {
-        let name = prog
-            .action_ids
-            .iter()
-            .find(|(_, &v)| v == id as u32)
-            .map(|(k, _)| k.as_str())
-            .unwrap_or("?");
+        let name =
+            prog.action_ids.iter().find(|(_, &v)| v == id as u32).map(|(k, _)| &**k).unwrap_or("?");
         let _ = writeln!(out, "action {id} ({name}): [{start}..{end}]");
         for pc in start as usize..end as usize {
             let _ = writeln!(out, "  {pc:>5}  {:?}", prog.code[pc]);

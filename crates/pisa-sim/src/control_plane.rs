@@ -6,6 +6,7 @@
 //! these calls.
 
 use std::collections::hash_map::Entry as MapEntry;
+use std::sync::Arc;
 
 use crate::flat_table::Entry;
 use crate::interp::{SimError, Switch};
@@ -14,10 +15,11 @@ use crate::state::TableEntry;
 impl Switch {
     /// Install an exact-match entry: `key` (one value per key field) →
     /// `action`, with `data` assignments applied to metadata on match
-    /// (modelling P4 action parameters). A datum for a field under an
-    /// install contract ([`Switch::install_contracts`]) must be below the
+    /// (modelling P4 action parameters). A key of any other length is
+    /// [`SimError::KeyArity`]. A datum for a field under an install
+    /// contract ([`Switch::install_contracts`]) must be below the
     /// contract's limit; one at or past it is
-    /// [`SimError::DataOutOfRange`], and nothing is installed.
+    /// [`SimError::DataOutOfRange`]. A refused install stores nothing.
     pub fn install_entry(
         &mut self,
         table: &str,
@@ -29,23 +31,31 @@ impl Switch {
         // name is hashed once: the lookup that validates it also yields the
         // dense id the fast engines run on.
         let tid = self.table_id(table)?;
-        let action_id = *self
+        let expected = self.ctables[tid].key_words();
+        if key.len() != expected {
+            let table = table.to_string();
+            return Err(SimError::KeyArity { table, expected, got: key.len() });
+        }
+        // The interpreter's entry shares the names of the maps that
+        // resolved them: an `Arc` clone, no string of its own.
+        let (action_name, &action_id) = self
             .compiled
             .action_ids
-            .get(action)
+            .get_key_value(action)
             .ok_or_else(|| SimError::UnknownAction(action.to_string()))?;
+        let action_name = Arc::clone(action_name);
         let mut named = Vec::with_capacity(data.len());
         let mut dense = Vec::with_capacity(data.len());
         for &(field, value) in data {
-            let slot = self
-                .meta_scalar_slot(field)
+            let (name, slot) = self
+                .meta_scalar(field)
                 .ok_or_else(|| SimError::UnknownField(format!("meta.{field}")))?;
             let limit = self.compiled.data_limit[slot];
             if value >= limit {
                 let field = format!("meta.{field}");
                 return Err(SimError::DataOutOfRange { field, value, limit });
             }
-            named.push((field.to_string(), value));
+            named.push((Arc::clone(name), value));
             dense.push((slot as u32, value));
         }
         let t = &mut self.tables[tid];
@@ -61,7 +71,7 @@ impl Switch {
             engine.install(tid as u64, mirror.key(), action_id, &dense);
         }
         self.ctables[tid].insert(mirror.key(), Entry { action: action_id, data: dense });
-        mirror.insert_entry(TableEntry { action: action.to_string(), data: named });
+        mirror.insert_entry(TableEntry { action: action_name, data: named });
         Ok(())
     }
 
@@ -134,10 +144,8 @@ impl Switch {
 
     /// Zero every cell of every instance of `reg` (epoch reset).
     pub fn clear_register(&mut self, reg: &str) {
-        for r in &mut self.registers {
-            if r.reg == reg {
-                r.clear();
-            }
+        for &i in self.reg_index.get(reg).into_iter().flatten().flatten() {
+            self.registers[i].clear();
         }
     }
 
@@ -148,7 +156,7 @@ impl Switch {
 
     /// Number of placed instances of `reg`.
     pub fn register_instances(&self, reg: &str) -> usize {
-        self.registers.iter().filter(|r| r.reg == reg).count()
+        self.reg_index.get(reg).map_or(0, |by_instance| by_instance.iter().flatten().count())
     }
 }
 
@@ -238,20 +246,39 @@ mod tests {
         ));
     }
 
+    /// A key with more or fewer words than the table has key fields could
+    /// never match; it is refused, and takes no room from valid keys.
+    #[test]
+    fn wrong_arity_install_is_refused() {
+        let mut sw = build();
+        for key in [vec![1, 2], vec![]] {
+            let got = key.len();
+            let e = sw.install_entry("cache", key, "on_hit", &[]).unwrap_err();
+            assert_eq!(e, SimError::KeyArity { table: "cache".into(), expected: 1, got });
+            assert_eq!(sw.table_len("cache").unwrap(), 0);
+        }
+        sw.install_entry("cache", vec![1], "on_hit", &[]).unwrap();
+        sw.install_entry("cache", vec![2], "on_hit", &[]).unwrap();
+        assert_eq!(sw.table_len("cache").unwrap(), 2);
+    }
+
     /// A call that is wrong in several ways reports the first of unknown
-    /// table, unknown action, unknown field, full table — with these texts.
+    /// table, key arity, unknown action, unknown field, full table — with
+    /// these texts.
     #[test]
     fn install_errors_keep_precedence_and_text() {
         let mut sw = build();
         sw.install_entry("cache", vec![1], "on_hit", &[]).unwrap();
         sw.install_entry("cache", vec![2], "on_hit", &[]).unwrap();
-        let mut err = |table: &str, action: &str, field: &str| {
-            sw.install_entry(table, vec![3], action, &[(field, 0)]).unwrap_err().to_string()
+        let mut err = |table: &str, key: &[u64], action: &str, field: &str| {
+            sw.install_entry(table, key.to_vec(), action, &[(field, 0)]).unwrap_err().to_string()
         };
-        assert_eq!(err("nope", "fetch", "ghost"), "unknown table `nope`");
-        assert_eq!(err("cache", "fetch", "ghost"), "unknown action `fetch`");
-        assert_eq!(err("cache", "on_hit", "ghost"), "unknown field `meta.ghost`");
-        assert_eq!(err("cache", "on_hit", "slot"), "table `cache` is full");
+        assert_eq!(err("nope", &[3, 3], "fetch", "ghost"), "unknown table `nope`");
+        let arity = "table `cache` takes a 1-word key, not 2";
+        assert_eq!(err("cache", &[3, 3], "fetch", "ghost"), arity);
+        assert_eq!(err("cache", &[3], "fetch", "ghost"), "unknown action `fetch`");
+        assert_eq!(err("cache", &[3], "on_hit", "ghost"), "unknown field `meta.ghost`");
+        assert_eq!(err("cache", &[3], "on_hit", "slot"), "table `cache` is full");
         // None of the refused calls left anything behind.
         assert_eq!(sw.table_len("cache").unwrap(), 2);
         sw.begin_packet();

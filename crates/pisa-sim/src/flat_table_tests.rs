@@ -1,8 +1,6 @@
 //! Tests of [`super::Table`]: a model-based property test against
 //! `std::collections::HashMap`, and the growth rule under churn.
 
-use std::collections::HashMap;
-
 use proptest::prelude::*;
 
 use super::*;
@@ -52,7 +50,9 @@ proptest! {
         ops in proptest::collection::vec((0u8..20, 0u64..240, 0u8..16), 1..900),
     ) {
         let mut t = Table::new(kw);
-        let mut model: HashMap<Vec<u64>, Stored> = HashMap::new();
+        // The model is std's map: independent of the crate's hasher.
+        #[allow(clippy::disallowed_types)]
+        let mut model: std::collections::HashMap<Vec<u64>, Stored> = Default::default();
         for (step, &(kind, n, quirk)) in ops.iter().enumerate() {
             let arity = match quirk {
                 15 if n % 2 == 0 => kw + 1,

@@ -18,12 +18,13 @@
 //! get independent hash functions, as on real hardware where each stage's
 //! hash unit is seeded differently.
 
-use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use p4all_core::{ConcreteProgram, ConcreteRegister};
 use p4all_lang::ast::{BinOp, Expr, LValue, Program, Size, Stmt, UnOp};
 
+use crate::name_map::NameMap;
 use crate::state::{mask, Phv, RegState, TableState};
 
 /// Interpreter failure.
@@ -32,6 +33,9 @@ pub enum SimError {
     UnknownField(String),
     UnknownRegister(String, usize),
     UnknownTable(String),
+    /// An install's key has a number of words other than the table's key
+    /// field count.
+    KeyArity { table: String, expected: usize, got: usize },
     UnknownAction(String),
     IndexOutOfBounds { what: String, index: u64, len: usize },
     /// An install's action datum for a contract field (see
@@ -49,6 +53,9 @@ impl fmt::Display for SimError {
             SimError::UnknownField(n) => write!(f, "unknown field `{n}`"),
             SimError::UnknownRegister(n, i) => write!(f, "unknown register `{n}[{i}]`"),
             SimError::UnknownTable(n) => write!(f, "unknown table `{n}`"),
+            SimError::KeyArity { table, expected, got } => {
+                write!(f, "table `{table}` takes a {expected}-word key, not {got}")
+            }
             SimError::UnknownAction(n) => write!(f, "unknown action `{n}`"),
             SimError::IndexOutOfBounds { what, index, len } => {
                 write!(f, "{what}: index {index} out of bounds (len {len})")
@@ -131,22 +138,24 @@ pub struct Switch {
     /// Header fields occupy the first `header_count` PHV slots; the flow
     /// hash that shards traces across replay workers covers exactly them.
     pub(crate) header_count: usize,
-    header_slots: HashMap<String, usize>,
-    pub(crate) meta_scalars: HashMap<String, usize>,
-    meta_arrays: HashMap<String, (usize, usize)>,
+    header_slots: NameMap<String, usize>,
+    /// Scalar metadata field -> PHV slot. The interpreter's table entries
+    /// share these names (`Arc` clones), as they share `table_actions`'.
+    pub(crate) meta_scalars: NameMap<Arc<str>, usize>,
+    meta_arrays: NameMap<String, (usize, usize)>,
     pub(crate) registers: Vec<RegState>,
     /// Register name -> index into `registers`, by instance.
-    reg_index: HashMap<String, Vec<Option<usize>>>,
+    pub(crate) reg_index: NameMap<String, Vec<Option<usize>>>,
     /// Table name -> dense id (position in name order), the numbering
     /// all three engines and the control plane share.
-    pub(crate) table_ids: HashMap<String, u16>,
+    pub(crate) table_ids: NameMap<String, u16>,
     /// The interpreter's tables by dense id: entries keep their action and
     /// field *names*, resolved again on every packet — deliberately naive,
     /// so a wrong install-time resolution in `ctables` shows as a
     /// divergence from this oracle.
     pub(crate) tables: Vec<TableState>,
     /// Compiled bodies of actions invocable from tables.
-    pub(crate) table_actions: HashMap<String, Vec<CStmt>>,
+    pub(crate) table_actions: NameMap<Arc<str>, Vec<CStmt>>,
     pub(crate) stages: Vec<Vec<CAction>>,
     /// The working PHV: the interpreter runs every stage on it in place.
     pub(crate) cur: Phv,
@@ -194,9 +203,9 @@ impl Switch {
     pub fn build(concrete: &ConcreteProgram, program: &Program) -> Result<Switch, SimError> {
         // ---- PHV layout ----
         let mut masks = Vec::new();
-        let mut header_slots = HashMap::new();
-        let mut meta_scalars = HashMap::new();
-        let mut meta_arrays = HashMap::new();
+        let mut header_slots = NameMap::default();
+        let mut meta_scalars = NameMap::default();
+        let mut meta_arrays = NameMap::default();
         for (f, bits) in &concrete.headers {
             header_slots.insert(f.clone(), masks.len());
             masks.push(mask(*bits));
@@ -204,7 +213,7 @@ impl Switch {
         for m in &concrete.metadata {
             match m.count {
                 None => {
-                    meta_scalars.insert(m.name.clone(), masks.len());
+                    meta_scalars.insert(Arc::from(m.name.as_str()), masks.len());
                     masks.push(mask(m.bits));
                 }
                 Some(n) => {
@@ -218,7 +227,7 @@ impl Switch {
 
         // ---- Registers ----
         let mut registers = Vec::new();
-        let mut reg_index: HashMap<String, Vec<Option<usize>>> = HashMap::new();
+        let mut reg_index: NameMap<String, Vec<Option<usize>>> = NameMap::default();
         for r in &concrete.registers {
             let ConcreteRegister { reg, instance, cells, elem_bits, stage } = r;
             let by_instance = reg_index.entry(reg.clone()).or_default();
@@ -239,9 +248,9 @@ impl Switch {
             meta_arrays,
             registers,
             reg_index,
-            table_ids: HashMap::new(),
+            table_ids: NameMap::default(),
             tables: Vec::new(),
-            table_actions: HashMap::new(),
+            table_actions: NameMap::default(),
             stages: Vec::new(),
             backend: Backend::default(),
             compiled: crate::compiled::CompiledProgram::default(),
@@ -260,7 +269,7 @@ impl Switch {
         for t in &by_name {
             sw.table_ids.insert(t.name.clone(), sw.tables.len() as u16);
             sw.tables.push(TableState {
-                entries: HashMap::new(),
+                entries: NameMap::default(),
                 default_action: t.default_action.clone(),
                 size: t.size,
             });
@@ -268,7 +277,7 @@ impl Switch {
         }
         for t in &concrete.tables {
             for aname in &t.actions {
-                if sw.table_actions.contains_key(aname) {
+                if sw.table_actions.contains_key(aname.as_str()) {
                     continue;
                 }
                 let decl = program
@@ -282,7 +291,7 @@ impl Switch {
                 }
                 let body: Result<Vec<CStmt>, SimError> =
                     decl.body.iter().map(|s| sw.compile_stmt(s)).collect();
-                sw.table_actions.insert(aname.clone(), body?);
+                sw.table_actions.insert(Arc::from(aname.as_str()), body?);
             }
         }
 
@@ -653,7 +662,7 @@ impl Switch {
     /// key evaluation, unknown table, unknown field, unknown action.
     fn match_entry<'b>(
         &mut self,
-        bodies: &'b HashMap<String, Vec<CStmt>>,
+        bodies: &'b NameMap<Arc<str>, Vec<CStmt>>,
         tname: &str,
         keys: &[CExpr],
         kv: &mut Vec<u64>,
@@ -663,7 +672,7 @@ impl Switch {
             kv.push(self.eval(k)?);
         }
         let table = &self.tables[self.table_id(tname)?];
-        let (action, data): (&str, &[(String, u64)]) = match table.entries.get(kv.as_slice()) {
+        let (action, data): (&str, &[(Arc<str>, u64)]) = match table.entries.get(kv.as_slice()) {
             Some(e) => (&e.action, &e.data),
             None => match &table.default_action {
                 Some(a) => (a, &[]),
@@ -674,7 +683,7 @@ impl Switch {
         for (field, value) in data {
             let slot = self
                 .meta_scalars
-                .get(field)
+                .get(&**field)
                 .copied()
                 .ok_or_else(|| SimError::UnknownField(format!("meta.{field}")))?;
             self.cur.set(slot, *value);
@@ -917,8 +926,9 @@ impl Switch {
             .ok_or_else(|| SimError::UnknownTable(table.to_string()))
     }
 
-    pub(crate) fn meta_scalar_slot(&self, field: &str) -> Option<usize> {
-        self.meta_scalars.get(field).copied()
+    /// The interned name and PHV slot of scalar metadata `field`.
+    pub(crate) fn meta_scalar(&self, field: &str) -> Option<(&Arc<str>, usize)> {
+        self.meta_scalars.get_key_value(field).map(|(name, &slot)| (name, slot))
     }
 }
 
@@ -1067,7 +1077,7 @@ mod tests {
     #[test]
     fn cms_estimate_is_at_least_true_count() {
         let (mut sw, _) = build_cms();
-        let mut true_counts = std::collections::HashMap::new();
+        let mut true_counts = std::collections::BTreeMap::new();
         // 300 packets over 20 keys.
         for p in 0..300u64 {
             let key = p % 20;

@@ -35,12 +35,14 @@ pub mod compiled;
 pub mod control_plane;
 pub(crate) mod flat_table;
 pub mod interp;
+mod name_map;
 pub mod native;
 pub mod netcache_rt;
 pub mod replay;
 pub mod state;
 
 pub use interp::{Backend, SimError, Switch};
+pub use name_map::{NameHasher, NameMap};
 pub use native::{rustc_available, NativeError, NativeReport};
 pub use netcache_rt::{NetCacheConfig, NetCacheRuntime, NetCacheStats};
 pub use replay::SimStats;

@@ -9,9 +9,8 @@
 //! free key-value slots, and resets the sketch every epoch (as NetCache's
 //! controller does to age out stale popularity).
 
-use std::collections::HashMap;
-
 use crate::interp::{SimError, Switch};
+use crate::name_map::NameMap;
 
 /// Field/register/table naming contract between the P4All program and the
 /// runtime, plus controller parameters.
@@ -86,7 +85,7 @@ pub struct NetCacheRuntime {
     pub switch: Switch,
     cfg: NetCacheConfig,
     /// key -> (slice, idx)
-    cache: HashMap<u64, (usize, usize)>,
+    cache: NameMap<u64, (usize, usize)>,
     free: Vec<(usize, usize)>,
     stats: NetCacheStats,
     since_epoch: usize,
@@ -111,7 +110,7 @@ impl NetCacheRuntime {
         Ok(NetCacheRuntime {
             switch,
             cfg,
-            cache: HashMap::new(),
+            cache: NameMap::default(),
             free,
             stats: NetCacheStats::default(),
             since_epoch: 0,

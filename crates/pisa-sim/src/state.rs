@@ -1,7 +1,9 @@
 //! Runtime state of a simulated switch: register files, table entries, and
 //! the packet header vector (PHV).
 
-use std::collections::HashMap;
+use std::sync::Arc;
+
+use crate::name_map::NameMap;
 
 /// One register array instance living in one stage.
 #[derive(Debug, Clone)]
@@ -40,20 +42,22 @@ pub fn mask(bits: u32) -> u64 {
     }
 }
 
-/// One installed match-action entry.
+/// One installed match-action entry, by name. The names are shared with
+/// the switch's build-time maps (an install clones their `Arc`s), so an
+/// entry owns no string of its own.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableEntry {
     /// Action to run on match (must be one of the table's actions).
-    pub action: String,
+    pub action: Arc<str>,
     /// Action data: metadata fields set on match before the action body
     /// runs (models P4 action parameters supplied by the control plane).
-    pub data: Vec<(String, u64)>,
+    pub data: Vec<(Arc<str>, u64)>,
 }
 
 /// Runtime state of one exact-match table.
 #[derive(Debug, Clone, Default)]
 pub struct TableState {
-    pub entries: HashMap<Vec<u64>, TableEntry>,
+    pub entries: NameMap<Vec<u64>, TableEntry>,
     pub default_action: Option<String>,
     pub size: u64,
 }

@@ -484,7 +484,8 @@ fn guards_comparing_two_slots_agree_with_the_interpreter() {
 /// read in bounds. An install at `cells` must be refused with the same
 /// typed error on every engine — for a new key and for one already
 /// installed — and leave the table, the registers and every later packet
-/// as they were.
+/// as they were. So must a key with a word too many or too few for the
+/// table's one key field, which no engine could ever match.
 #[test]
 fn an_out_of_range_install_is_refused_alike_by_every_engine() {
     use p4all_elastic::apps::netcache;
@@ -525,6 +526,13 @@ fn an_out_of_range_install_is_refused_alike_by_every_engine() {
                 let data = [("kv_slice", 0), ("kv_idx", cells)];
                 let got = sw.install_entry("kv_cache", vec![key], "kv_hit_act", &data);
                 assert_eq!(got, Err(refused.clone()), "key {key} on {backend:?}");
+            }
+            for key in [vec![], vec![3, 3]] {
+                let got = key.len();
+                let data = [("kv_slice", 0), ("kv_idx", 0)];
+                let arity = SimError::KeyArity { table: "kv_cache".into(), expected: 1, got };
+                let refused = sw.install_entry("kv_cache", key, "kv_hit_act", &data);
+                assert_eq!(refused, Err(arity), "a {got}-word key on {backend:?}");
             }
             assert_eq!((sw.table_len("kv_cache").unwrap(), sw.registers_snapshot()), before);
             sw

@@ -1,9 +1,12 @@
 //! The control plane's allocation budget, counted by a `#[global_allocator]`:
-//! register reads and writes and `table_len` allocate nothing, a removal
-//! allocates nothing, and an install allocates only what the interpreter's
-//! by-name mirror keeps. A regression here (an eagerly formatted error, a
-//! name turned into a `String` to look it up, a cloned key) costs more than
-//! the operation itself, and no functional test would notice it.
+//! register reads, writes and clears, `register_instances` and `table_len`
+//! allocate nothing, a removal allocates nothing, and an install allocates
+//! only its action data's two vectors (the interpreter's by-name one and
+//! the fast engines' resolved one) plus the tables' amortised growth: the
+//! interpreter's mirror shares the switch's interned names. A regression
+//! here (an eagerly formatted error, a name turned into a `String` to look
+//! it up or to store it, a cloned key) costs more than the operation
+//! itself, and no functional test would notice it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -51,6 +54,11 @@ fn allocs_during(f: impl FnOnce()) -> usize {
 
 const N: usize = 4096;
 
+/// Allocations the growth of the interpreter's map and of the flat table
+/// may take over `N` installs: each doubles about a dozen times on the
+/// way to `N` entries, the flat table with three arrays a rebuild.
+const GROWTH: usize = 64;
+
 const SRC: &str = r#"
     header h { bit<32> key; }
     struct metadata { bit<8> hit; bit<32> slot; bit<32> val; }
@@ -85,6 +93,17 @@ fn register_ops_and_table_len_allocate_nothing() {
     });
     assert_eq!(sum, (0..N as u64).sum::<u64>(), "reads return what was written");
     assert_eq!(allocs, 0, "{allocs} allocations in {N} write + read + table_len rounds");
+
+    let mut instances = 0;
+    let allocs = allocs_during(|| {
+        for _ in 0..N {
+            sw.clear_register("values");
+            instances += sw.register_instances("values");
+        }
+    });
+    assert_eq!(instances, N, "one instance of `values`");
+    assert_eq!(sw.read_register("values", 0, 1).unwrap(), 0, "cleared");
+    assert_eq!(allocs, 0, "{allocs} allocations in {N} clear + register_instances rounds");
 }
 
 #[test]
@@ -99,10 +118,9 @@ fn install_allocates_only_what_the_interpreter_mirror_keeps() {
         }
     });
     assert_eq!(sw.table_len("cache").unwrap(), N);
-    // One each for the action name the interpreter's entry holds; the
-    // growth of the interpreter's map and of the flat table amortises to
-    // a small fraction of one.
-    assert!(allocs <= 2 * N, "{allocs} allocations in {N} installs");
+    // The key moves into the interpreter's map, the action name is an
+    // `Arc` clone: what is left is growth.
+    assert!(allocs <= GROWTH, "{allocs} allocations in {N} installs without action data");
 
     let allocs = allocs_during(|| {
         for k in 0..N as u64 {
@@ -111,4 +129,28 @@ fn install_allocates_only_what_the_interpreter_mirror_keeps() {
     });
     assert_eq!(sw.table_len("cache").unwrap(), 0);
     assert_eq!(allocs, 0, "{allocs} allocations in {N} removals of present keys");
+}
+
+#[test]
+fn install_with_action_data_allocates_its_two_data_vectors() {
+    let mut sw = build();
+    let keys: Vec<Vec<u64>> = (0..N as u64).map(|k| vec![k]).collect();
+    let allocs = allocs_during(|| {
+        for key in keys {
+            let slot = key[0] % 64;
+            sw.install_entry("cache", key, "on_hit", &[("slot", slot), ("val", 7)]).unwrap();
+        }
+    });
+    assert_eq!(sw.table_len("cache").unwrap(), N);
+    // The `(name, value)` vector of the interpreter's entry and the
+    // `(slot, value)` vector of the bytecode engine's: the field names in
+    // the first are `Arc` clones.
+    assert!(allocs <= 2 * N + GROWTH, "{allocs} allocations in {N} installs with two data");
+
+    let allocs = allocs_during(|| {
+        for k in 0..N as u64 {
+            assert!(sw.remove_entry("cache", &[k]).unwrap());
+        }
+    });
+    assert_eq!(allocs, 0, "{allocs} allocations in {N} removals of entries with data");
 }
