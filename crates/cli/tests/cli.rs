@@ -37,6 +37,11 @@ fn dive_outcome_is_printed_by_stats_timings_and_json() {
     // Once under --timings, once inside the solve summary of --emit stats.
     assert_eq!(stdout.matches("root dive: warm ").count(), 2, "{stdout}");
     assert!(stdout.contains("\"dive\":{\"warm\":{\"end\":\""), "{stdout}");
+    // The warm pass gives up short of the root bound (106.67), which no
+    // integral point attains, so the face dive runs and comes back empty.
+    let face = ", face dive found no point on the root face (";
+    assert_eq!(stdout.matches(face).count(), 2, "{stdout}");
+    assert!(stdout.contains(",\"face\":{\"end\":\"empty\",\"lps\":"), "{stdout}");
 }
 
 /// The solver has one search: `--threads` is no flag at all, and the solve

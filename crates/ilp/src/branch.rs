@@ -22,7 +22,8 @@ use crate::simplex::{
     solve_lp_ext, solve_lp_tableau, solve_lp_take, Basis, LpError, LpResult, StoredBasis,
 };
 use crate::telemetry::{
-    DiveTelemetry, DiveWork, IncumbentEvent, IncumbentSource, LpWork, SolveTelemetry, WarmDiveEnd,
+    DiveTelemetry, DiveWork, FaceDiveEnd, IncumbentEvent, IncumbentSource, LpWork, SolveTelemetry,
+    WarmDiveEnd,
 };
 
 /// Fractional root candidates initialized by reliability (strong)
@@ -62,10 +63,9 @@ pub struct SolveOptions {
     /// Warm-start each LP after the root from a previous optimal basis
     /// and re-optimize with the dual simplex (on by default — typically an
     /// order of magnitude fewer pivots per LP): tree nodes from their
-    /// parent's basis, cut rounds from the last round's, and the root dive
-    /// as a chain from the root basis, with the cold dive kept as its
-    /// second opinion whenever the chain does not close the root gap (see
-    /// `root_dive`). `false` solves every LP cold from the slack basis: a
+    /// parent's basis, cut rounds from the last round's, and both passes
+    /// of the root dive as chains from the root basis (see `root_dive`).
+    /// `false` solves every LP cold from the slack basis: a
     /// reference configuration for tests and the fuzz oracle, which
     /// reaches the same optimum and is compared by objective.
     pub warm_lp: bool,
@@ -409,32 +409,34 @@ type DiveIncumbent = (IncumbentSource, f64, Vec<f64>);
 enum DiveEnd {
     /// An integral LP point whose snapped vector is feasible, with its score.
     Incumbent(f64, Vec<f64>),
-    /// Chained pass only: this LP's score no longer closes the root gap.
+    /// Only with a give-up score: this LP's score no longer closes the
+    /// root gap.
     GaveUp(f64),
     /// Both sides infeasible, an unsafe snap, or the depth limit.
     Nothing,
 }
 
-/// One root dive: repeatedly fix the branch variable to its nearest
-/// integer (backtracking once to the other side on infeasibility) until
-/// the LP point is integral, then return the snapped point's score if it
-/// is feasible.
+/// One root dive over the LPs of `lp_model`: repeatedly fix the branch
+/// variable to its nearest integer (backtracking once to the other side on
+/// infeasibility) until the LP point is integral, then return the snapped
+/// point's score if it is feasible for the original model.
 ///
-/// With `link = None` every LP is solved cold from the slack basis, so the
-/// trajectory — and the incumbent it finds — is a pure function of the
-/// model. With `link = Some(basis)` each LP starts from the previous LP's
-/// optimal basis (first link: the root's), a handful of dual pivots where
-/// the cold solve pays for the root LP again; warm solves are equally
-/// exact but can land on other co-optimal vertices and steer the dive
-/// somewhere else, so a chained pass stops as soon as one of its LPs
-/// scores `z` with `!closes_root_gap(z)`: dive bounds only tighten, every
-/// later LP and the incumbent at the end score at most `z`, and
+/// With `link = None` every LP is solved cold from the slack basis. With
+/// `link = Some(basis)` each LP starts from the previous LP's optimal
+/// basis (first link: the root's), a handful of dual pivots where the cold
+/// solve pays for the root LP again. Warm solves are equally exact but can
+/// land on other co-optimal vertices and steer the dive somewhere else.
+/// With `give_up = Some(root_score)` the pass stops as soon as one of its
+/// LPs scores `z` with `!closes_root_gap(z)`: dive bounds only tighten,
+/// every later LP and the incumbent at the end score at most `z`, and
 /// [`closes_root_gap`] is increasing — the pass can no longer win.
+#[allow(clippy::too_many_arguments)]
 fn run_dive(
     ctx: &SearchCtx<'_>,
+    lp_model: &Model,
     root_bounds: &[(f64, f64)],
     root_x: &[f64],
-    root_score: f64,
+    give_up: Option<f64>,
     mut link: Option<Basis>,
     lp_solves: &mut usize,
     lp_work: &mut LpWork,
@@ -443,14 +445,13 @@ fn run_dive(
     let opts = ctx.opts;
     let mut dive_bounds = root_bounds.to_vec();
     let mut cur = root_x.to_vec();
-    let chained = link.is_some();
     // A link is used once, so its inverse moves into the solver; when the
     // LP leaves no basis behind (infeasible side), what stays in the link
     // still warm-starts the other side at one refactorization.
     let mut dive_solve = |bounds: &[(f64, f64)], lp_work: &mut LpWork| -> Result<LpResult, LpError> {
         let sol = match link.as_mut() {
-            Some(basis) => solve_lp_take(model, bounds, basis)?,
-            None => solve_lp_ext(model, bounds, None)?,
+            Some(basis) => solve_lp_take(lp_model, bounds, basis)?,
+            None => solve_lp_ext(lp_model, bounds, None)?,
         };
         lp_work.add(&sol.stats);
         if let (Some(slot), Some(next)) = (link.as_mut(), sol.basis) {
@@ -492,7 +493,7 @@ fn run_dive(
                     }
                 };
                 let z = ctx.sgn * obj;
-                if chained && !closes_root_gap(ctx, root_score, z) {
+                if give_up.is_some_and(|r| !closes_root_gap(ctx, r, z)) {
                     return Ok(DiveEnd::GaveUp(z));
                 }
                 cur = x;
@@ -502,17 +503,21 @@ fn run_dive(
     Ok(DiveEnd::Nothing)
 }
 
-/// The root diving heuristic: warm first, cold as the second opinion.
+/// The root diving heuristic: a warm pass, then a face dive.
 ///
-/// Under `warm_lp` a basis-chained [`run_dive`] goes first. If its
-/// incumbent closes the root gap the solve is over — no cold LP was
-/// started. Otherwise (it gave up, found nothing, or fell short) the cold
-/// dive runs exactly as under `warm_lp: false`, and its incumbent is kept
-/// unless the warm one is strictly better: cold wins ties, so a model
-/// that enters the tree enters it with the incumbent the all-cold solver
-/// gives it, and `warm_lp` cannot reshuffle a tree through a co-optimal
-/// vertex. Returns the chosen incumbent with its source, and the record
-/// of what ran.
+/// The **warm pass** is [`run_dive`] over the model, giving up once its LP
+/// bound can no longer close the root gap. If its incumbent closes the
+/// root gap the solve is over. Otherwise (it gave up, found nothing, or
+/// fell short) the **face dive** runs: the same dive over a copy of the
+/// model with one more row, `score ≥ root_score − prune_gap(root_score)`,
+/// which holds every LP of the dive on the face of the root bound. Under
+/// `warm_lp` the warm pass chains from the root basis and the face dive
+/// from the root basis extended by the new row's slack (dual feasible by
+/// construction, and the root point lies on the face); under `warm_lp:
+/// false` both passes solve every LP cold, so the two configurations run
+/// the same passes and differ only in how each LP starts. Returns the
+/// best incumbent either pass found, with its source, and the record of
+/// what ran.
 fn root_dive(
     ctx: &SearchCtx<'_>,
     root_bounds: &[(f64, f64)],
@@ -522,53 +527,47 @@ fn root_dive(
     lp_solves: &mut usize,
     lp_work: &mut LpWork,
 ) -> Result<(Option<DiveIncumbent>, DiveTelemetry), LpError> {
-    let mut pass = |link: Option<Basis>| -> Result<(DiveEnd, DiveWork), LpError> {
+    let mut pass = |lp_model: &Model, give_up, link| -> Result<(DiveEnd, DiveWork), LpError> {
         let (lps, pivots) = (*lp_solves, lp_work.pivots);
-        let end = run_dive(ctx, root_bounds, root_x, root_score, link, lp_solves, lp_work)?;
+        let end = run_dive(ctx, lp_model, root_bounds, root_x, give_up, link, lp_solves, lp_work)?;
         Ok((end, DiveWork { lps: *lp_solves - lps, pivots: lp_work.pivots - pivots }))
     };
-    let mut warm = None;
-    let mut warm_found = None;
-    if let (true, Some(basis)) = (ctx.opts.warm_lp, root_basis) {
-        let (end, work) = pass(Some(basis.clone()))?;
-        let how = match end {
-            DiveEnd::Incumbent(score, vals) if closes_root_gap(ctx, root_score, score) => {
-                let telemetry =
-                    DiveTelemetry { warm: Some((WarmDiveEnd::ClosedGap, work)), cold: None };
-                return Ok((Some((IncumbentSource::WarmDive, score, vals)), telemetry));
-            }
-            DiveEnd::Incumbent(score, vals) => {
-                warm_found = Some((score, vals));
-                WarmDiveEnd::LeftGapOpen
-            }
-            DiveEnd::GaveUp(z) => WarmDiveEnd::GaveUp {
-                bound: ctx.score_to_objective(z),
-                root: ctx.score_to_objective(root_score),
-            },
-            DiveEnd::Nothing => WarmDiveEnd::LeftGapOpen,
-        };
-        warm = Some((how, work));
-    }
-    let (end, work) = pass(None)?;
-    let cold_found = match end {
-        DiveEnd::Incumbent(score, vals) => Some((score, vals)),
-        _ => None,
+    // Keeps the better of the passes' incumbents; says whether this one
+    // closes the root gap.
+    let mut best: Option<DiveIncumbent> = None;
+    let mut keep = |source, end: DiveEnd| {
+        let DiveEnd::Incumbent(score, vals) = end else { return false };
+        if best.as_ref().is_none_or(|(_, b, _)| score > *b) {
+            best = Some((source, score, vals));
+        }
+        closes_root_gap(ctx, root_score, score)
     };
-    Ok((pick_dive_incumbent(warm_found, cold_found), DiveTelemetry { warm, cold: Some(work) }))
-}
-
-/// Of the two dives' incumbents `(score, values)`, the cold one unless the
-/// warm one scores strictly higher.
-fn pick_dive_incumbent(
-    warm: Option<(f64, Vec<f64>)>,
-    cold: Option<(f64, Vec<f64>)>,
-) -> Option<DiveIncumbent> {
-    match (warm, cold) {
-        (Some((w, vals)), Some((c, _))) if w > c => Some((IncumbentSource::WarmDive, w, vals)),
-        (_, Some((c, vals))) => Some((IncumbentSource::ColdDive, c, vals)),
-        (Some((w, vals)), None) => Some((IncumbentSource::WarmDive, w, vals)),
-        (None, None) => None,
+    let link = root_basis.filter(|_| ctx.opts.warm_lp);
+    let (end, work) = pass(ctx.model, Some(root_score), link.cloned())?;
+    let how = match end {
+        DiveEnd::GaveUp(z) => WarmDiveEnd::GaveUp {
+            bound: ctx.score_to_objective(z),
+            root: ctx.score_to_objective(root_score),
+        },
+        end => match keep(IncumbentSource::WarmDive, end) {
+            true => WarmDiveEnd::ClosedGap,
+            false => WarmDiveEnd::LeftGapOpen,
+        },
+    };
+    let warm = (how, work);
+    if how == WarmDiveEnd::ClosedGap {
+        return Ok((best, DiveTelemetry { warm, face: None }));
     }
+    let mut face_model = ctx.model.clone();
+    let mut face_row = ctx.model.objective().clone() * ctx.sgn;
+    face_row.constant = 0.0;
+    face_model.ge("root_face", face_row, root_score - ctx.prune_gap(root_score));
+    let (end, work) = pass(&face_model, None, link.map(|b| b.with_new_rows(1)))?;
+    let end = match keep(IncumbentSource::FaceDive, end) {
+        true => FaceDiveEnd::ClosedGap,
+        false => FaceDiveEnd::Empty,
+    };
+    Ok((best, DiveTelemetry { warm, face: Some((end, work)) }))
 }
 
 fn root_phase(ctx: &SearchCtx<'_>) -> Result<RootPhase, LpError> {
@@ -1401,7 +1400,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_dive_that_closes_the_root_gap_starts_no_cold_lp() {
+    fn warm_dive_that_closes_the_root_gap_starts_no_face_dive() {
         // Within 20 % of the root bound counts as closed, so the dive's 50
         // against 59.5 ends the solve: one cold root LP, the rest chained.
         let opts = SolveOptions { rel_gap: 0.2, ..Default::default() };
@@ -1409,51 +1408,86 @@ mod tests {
         assert_eq!(out.status, SolveStatus::Optimal);
         assert_eq!(out.nodes, 0);
         let dive = dive_of(&out);
-        let (end, warm) = dive.warm.expect("warm pass ran");
+        let (end, warm) = dive.warm;
         assert_eq!(end, WarmDiveEnd::ClosedGap);
-        assert_eq!(dive.cold, None, "no cold dive LP");
+        assert_eq!(dive.face, None, "no face dive LP");
         assert_eq!(warm.lps, out.lp_solves - 1);
         assert_eq!(out.telemetry.total_warm_solves(), out.lp_solves - 1);
         assert_eq!(out.telemetry.incumbents.last().unwrap().source, IncumbentSource::WarmDive);
     }
 
     #[test]
-    fn warm_dive_gives_up_where_its_bound_falls_through_the_gap() {
-        // Exact gap: the first dive LP already bounds the dive at 59 < 59.5,
-        // so the warm pass stops there and the cold dive decides — same
-        // incumbent, same tree as the all-cold solver.
+    fn face_dive_finds_nothing_across_a_true_integrality_gap() {
+        // Root 59.5, optimum 54: no integral point lies on the root face,
+        // so both passes come back empty under both LP configurations and
+        // the tree still proves the brute-force optimum.
         let m = odd_capacity_knapsack();
-        let plain = |warm_lp| SolveOptions { warm_lp, cuts: false, ..Default::default() };
-        let warm = solve_with(&m, &plain(true)).unwrap();
-        let cold = solve_with(&m, &plain(false)).unwrap();
-        let dive = dive_of(&warm);
-        let (end, work) = dive.warm.expect("warm pass ran");
-        assert_eq!(end, WarmDiveEnd::GaveUp { bound: 59.0, root: 59.5 });
-        assert_eq!(work.lps, 1, "stopped at the LP whose bound fell through");
-        assert_eq!(dive.cold, dive_of(&cold).cold, "the cold dive ran as under warm_lp: false");
-        assert_eq!(warm.lp_solves, cold.lp_solves + work.lps);
-        assert_eq!(warm.nodes, cold.nodes);
-        let first = |out: &MipOutcome| {
-            let e = out.telemetry.incumbents[0];
-            (e.source, e.objective)
-        };
-        assert_eq!(first(&warm), (IncumbentSource::ColdDive, 50.0));
-        assert_eq!(first(&warm), first(&cold));
-        assert_eq!(warm.solution.unwrap().values, cold.solution.unwrap().values);
+        let best = brute_force(&m, 1 << 16).expect("feasible").objective;
+        for warm_lp in [true, false] {
+            let opts = SolveOptions { warm_lp, cuts: false, ..Default::default() };
+            let out = solve_with(&m, &opts).unwrap();
+            let dive = dive_of(&out);
+            let (end, work) = dive.face.expect("the face dive ran");
+            assert_eq!(end, FaceDiveEnd::Empty, "warm_lp: {warm_lp}");
+            assert!(work.lps > 0);
+            let (end, work) = dive.warm;
+            assert_eq!(end, WarmDiveEnd::GaveUp { bound: 59.0, root: 59.5 }, "warm_lp: {warm_lp}");
+            assert_eq!(work.lps, 1, "stopped at the LP whose bound fell through");
+            assert_eq!(out.status, SolveStatus::Optimal);
+            assert!(out.nodes > 0, "warm_lp: {warm_lp}: the tree decides");
+            assert_eq!(out.solution.unwrap().objective, best);
+            let sources: Vec<_> = out.telemetry.incumbents.iter().map(|e| e.source).collect();
+            assert!(!sources.contains(&IncumbentSource::FaceDive), "{sources:?}");
+        }
     }
 
     #[test]
-    fn cold_dive_wins_ties() {
-        let (w, c) = (vec![1.0, 0.0], vec![0.0, 1.0]);
-        let pick = |ws: f64, cs: f64| pick_dive_incumbent(Some((ws, w.clone())), Some((cs, c.clone())));
-        assert_eq!(pick(7.0, 7.0), Some((IncumbentSource::ColdDive, 7.0, c.clone())));
-        assert_eq!(pick(6.0, 7.0), Some((IncumbentSource::ColdDive, 7.0, c.clone())));
-        assert_eq!(pick(8.0, 7.0), Some((IncumbentSource::WarmDive, 8.0, w.clone())));
-        assert_eq!(
-            pick_dive_incumbent(Some((3.0, w.clone())), None),
-            Some((IncumbentSource::WarmDive, 3.0, w.clone()))
+    fn face_dive_closes_an_attained_root_bound_the_warm_pass_gives_up_on() {
+        // max 3a + 2b + c, 2a + 2b + c <= 3: the root LP reads a = 1,
+        // b = 0.5 (4), and a = c = 1 attains it. The warm pass rounds b up
+        // and its bound falls to 3.5; on the face b = 1 is infeasible, so
+        // the face dive backtracks to b = 0 and reaches 4.
+        let mut m = Model::new();
+        let (a, b, c) = (m.binary("a"), m.binary("b"), m.binary("c"));
+        let cap = LinExpr::term(a, 2.0) + LinExpr::term(b, 2.0) + LinExpr::from(c);
+        m.le("cap", cap, 3.0);
+        m.set_objective(
+            LinExpr::term(a, 3.0) + LinExpr::term(b, 2.0) + LinExpr::from(c),
+            Sense::Maximize,
         );
-        assert_eq!(pick_dive_incumbent(None, None), None);
+        let out = solve(&m).unwrap();
+        assert_eq!(out.status, SolveStatus::Optimal);
+        assert_eq!(out.nodes, 0);
+        let dive = dive_of(&out);
+        assert_eq!(dive.warm.0, WarmDiveEnd::GaveUp { bound: 3.5, root: 4.0 });
+        let (end, work) = dive.face.expect("the face dive ran");
+        assert_eq!(end, FaceDiveEnd::ClosedGap);
+        assert_eq!(out.lp_solves, 1 + 1 + work.lps, "root LP, one warm LP, the face dive");
+        let last = out.telemetry.incumbents.last().unwrap();
+        assert_eq!((last.source, last.objective), (IncumbentSource::FaceDive, 4.0));
+        assert_eq!(Some(out.solution.unwrap().objective), brute_force(&m, 8).map(|s| s.objective));
+        assert_eq!(out.telemetry.cuts, CutCounters::default(), "no root work after the dive");
+    }
+
+    #[test]
+    fn face_dive_point_short_of_the_gap_still_seeds_the_tree() {
+        // max 3a + 3b, 3a + 2b <= 3: root 4 (a = 1/3, b = 1), optimum 3.
+        // At a 25 % gap the face row admits 3 (4 − 1), but closing the gap
+        // takes 3.2 (4 ≤ s + 0.25·s): the face dive's 3 is no proof, yet
+        // it is the best point found and the tree starts from it.
+        let mut m = Model::new();
+        let (a, b) = (m.binary("a"), m.binary("b"));
+        m.le("cap", LinExpr::term(a, 3.0) + LinExpr::term(b, 2.0), 3.0);
+        m.set_objective(LinExpr::term(a, 3.0) + LinExpr::term(b, 3.0), Sense::Maximize);
+        let opts = SolveOptions { rel_gap: 0.25, cuts: false, ..Default::default() };
+        let out = solve_with(&m, &opts).unwrap();
+        let dive = dive_of(&out);
+        assert_eq!(dive.warm.0, WarmDiveEnd::GaveUp { bound: 3.0, root: 4.0 });
+        assert_eq!(dive.face.map(|(end, _)| end), Some(FaceDiveEnd::Empty));
+        let first = out.telemetry.incumbents[0];
+        assert_eq!((first.source, first.objective), (IncumbentSource::FaceDive, 3.0));
+        assert_eq!(out.status, SolveStatus::Optimal);
+        assert_eq!(out.solution.unwrap().objective, 3.0);
     }
 
     #[test]
@@ -1462,7 +1496,10 @@ mod tests {
         let out = solve_with(&odd_capacity_knapsack(), &opts).unwrap();
         assert_eq!(out.status, SolveStatus::Optimal);
         assert_eq!(out.telemetry.total_warm_solves(), 0);
-        assert_eq!(dive_of(&out).warm, None);
+        // Both passes ran, every LP from the slack basis.
+        let dive = dive_of(&out);
+        assert_eq!(dive.warm.0, WarmDiveEnd::GaveUp { bound: 59.0, root: 59.5 });
+        assert!(dive.face.is_some(), "the face dive ran");
     }
 
     #[test]

@@ -46,7 +46,8 @@ pub use branch::{solve, solve_with, MipOutcome, SolveOptions, SolveStatus};
 pub use cuts::CutCounters;
 pub use iis::{find_iis, IisOptions, IisReport};
 pub use telemetry::{
-    DiveTelemetry, DiveWork, IncumbentEvent, IncumbentSource, LpWork, SolveTelemetry, WarmDiveEnd,
+    DiveTelemetry, DiveWork, FaceDiveEnd, IncumbentEvent, IncumbentSource, LpWork, SolveTelemetry,
+    WarmDiveEnd,
 };
 pub use model::{
     brute_force, Cmp, Constraint, LinExpr, Model, ModelStats, Sense, Solution, VarId, VarKind,

@@ -57,8 +57,8 @@ pub enum IncumbentSource {
     WarmStart,
     /// The root dive chained from the root basis (`warm_lp`).
     WarmDive,
-    /// The root dive solved from the slack basis.
-    ColdDive,
+    /// The root dive held to the face of the root bound.
+    FaceDive,
     /// An integral optimum of a root cut-round LP.
     CutRound,
     /// An integral branch-and-bound node.
@@ -70,7 +70,7 @@ impl fmt::Display for IncumbentSource {
         match self {
             IncumbentSource::WarmStart => write!(f, "warm-start"),
             IncumbentSource::WarmDive => write!(f, "warm dive"),
-            IncumbentSource::ColdDive => write!(f, "cold dive"),
+            IncumbentSource::FaceDive => write!(f, "face dive"),
             IncumbentSource::CutRound => write!(f, "cut-round"),
             IncumbentSource::Node => write!(f, "node"),
         }
@@ -86,10 +86,11 @@ pub struct DiveWork {
     pub pivots: usize,
 }
 
-/// How the basis-chained (warm) pass of the root dive ended.
+/// How the warm pass of the root dive (over the model; basis-chained under
+/// `warm_lp`, cold under `warm_lp: false`) ended.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WarmDiveEnd {
-    /// Its incumbent closed the root gap: no cold dive, no tree.
+    /// Its incumbent closed the root gap: no face dive, no tree.
     ClosedGap,
     /// Its last LP's bound fell through the root gap, so no incumbent
     /// below it could close it (both in objective units).
@@ -99,65 +100,80 @@ pub enum WarmDiveEnd {
     LeftGapOpen,
 }
 
-/// What the root diving heuristic did: under `warm_lp` a warm pass first,
-/// then the cold pass unless the warm one closed the root gap; under
-/// `warm_lp: false` the cold pass alone.
+/// How the face dive ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaceDiveEnd {
+    /// It reached an integral point on the face of the root bound, which
+    /// closes the root gap: no tree.
+    ClosedGap,
+    /// It found no integral point there; the tree starts from the warm
+    /// pass's incumbent, if any.
+    Empty,
+}
+
+/// What the root diving heuristic did: the warm pass, then the face dive
+/// unless the warm pass closed the root gap (under either `warm_lp`
+/// setting, which only decides how each LP starts).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiveTelemetry {
-    /// The warm pass; `None` when it did not run.
-    pub warm: Option<(WarmDiveEnd, DiveWork)>,
-    /// The cold pass; `None` when the warm pass closed the root gap.
-    pub cold: Option<DiveWork>,
+    /// The warm pass.
+    pub warm: (WarmDiveEnd, DiveWork),
+    /// The face dive; `None` when the warm pass closed the root gap.
+    pub face: Option<(FaceDiveEnd, DiveWork)>,
 }
 
 impl DiveTelemetry {
     /// The record as a JSON object, for `p4allc --json-diagnostics`:
     /// `{"warm":{"end":"closed_gap"|"gave_up"|"left_gap_open","lps":k,
-    /// "pivots":p[,"bound":z,"root":r]}|null,"cold":{"lps":k,"pivots":p}|null}`.
+    /// "pivots":p[,"bound":z,"root":r]},
+    /// "face":{"end":"closed_gap"|"empty","lps":k,"pivots":p}|null}`.
     pub fn to_json(&self) -> String {
-        let warm = match &self.warm {
+        let (end, w) = &self.warm;
+        let (end, bounds) = match end {
+            WarmDiveEnd::ClosedGap => ("closed_gap", String::new()),
+            WarmDiveEnd::GaveUp { bound, root } => {
+                ("gave_up", format!(",\"bound\":{bound},\"root\":{root}"))
+            }
+            WarmDiveEnd::LeftGapOpen => ("left_gap_open", String::new()),
+        };
+        let warm =
+            format!("{{\"end\":\"{end}\",\"lps\":{},\"pivots\":{}{bounds}}}", w.lps, w.pivots);
+        let face = match &self.face {
             None => "null".to_string(),
             Some((end, w)) => {
-                let (end, bounds) = match end {
-                    WarmDiveEnd::ClosedGap => ("closed_gap", String::new()),
-                    WarmDiveEnd::GaveUp { bound, root } => {
-                        ("gave_up", format!(",\"bound\":{bound},\"root\":{root}"))
-                    }
-                    WarmDiveEnd::LeftGapOpen => ("left_gap_open", String::new()),
+                let end = match end {
+                    FaceDiveEnd::ClosedGap => "closed_gap",
+                    FaceDiveEnd::Empty => "empty",
                 };
-                format!("{{\"end\":\"{end}\",\"lps\":{},\"pivots\":{}{bounds}}}", w.lps, w.pivots)
+                format!("{{\"end\":\"{end}\",\"lps\":{},\"pivots\":{}}}", w.lps, w.pivots)
             }
         };
-        let cold = match &self.cold {
-            None => "null".to_string(),
-            Some(c) => format!("{{\"lps\":{},\"pivots\":{}}}", c.lps, c.pivots),
-        };
-        format!("{{\"warm\":{warm},\"cold\":{cold}}}")
+        format!("{{\"warm\":{warm},\"face\":{face}}}")
     }
 }
 
 impl fmt::Display for DiveTelemetry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if let Some((end, w)) = &self.warm {
-            let (lps, pivots) = (w.lps, w.pivots);
-            match end {
-                WarmDiveEnd::ClosedGap => {
-                    write!(f, "warm closed the root gap ({lps} LPs, {pivots} pivots)")?;
-                }
-                WarmDiveEnd::GaveUp { bound, root } => write!(
-                    f,
-                    "warm gave up at LP {lps} (bound {bound:.6} < root {root:.6}; {pivots} pivots)"
-                )?,
-                WarmDiveEnd::LeftGapOpen => {
-                    write!(f, "warm left the root gap open ({lps} LPs, {pivots} pivots)")?;
-                }
+        let (end, w) = &self.warm;
+        let (lps, pivots) = (w.lps, w.pivots);
+        match end {
+            WarmDiveEnd::ClosedGap => {
+                write!(f, "warm closed the root gap ({lps} LPs, {pivots} pivots)")?;
+            }
+            WarmDiveEnd::GaveUp { bound, root } => write!(
+                f,
+                "warm gave up at LP {lps} (bound {bound:.6} < root {root:.6}; {pivots} pivots)"
+            )?,
+            WarmDiveEnd::LeftGapOpen => {
+                write!(f, "warm left the root gap open ({lps} LPs, {pivots} pivots)")?;
             }
         }
-        match (&self.warm, &self.cold) {
-            (Some(_), Some(c)) => write!(f, ", cold dive ran ({} LPs, {} pivots)", c.lps, c.pivots),
-            (None, Some(c)) => write!(f, "cold ({} LPs, {} pivots)", c.lps, c.pivots),
-            (_, None) => Ok(()),
-        }
+        let Some((end, w)) = &self.face else { return Ok(()) };
+        let what = match end {
+            FaceDiveEnd::ClosedGap => "reached the root bound",
+            FaceDiveEnd::Empty => "found no point on the root face",
+        };
+        write!(f, ", face dive {what} ({} LPs, {} pivots)", w.lps, w.pivots)
     }
 }
 
