@@ -15,12 +15,10 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::cuts::{self, CutCounters, CutPool};
+use crate::cuts::{self, Cut, CutCounters, CutPool};
 use crate::model::{Model, Sense, Solution, VarKind};
 use crate::presolve::{presolve, Presolved};
-use crate::simplex::{
-    solve_lp_ext, solve_lp_tableau, solve_lp_take, Basis, LpError, LpResult, StoredBasis,
-};
+use crate::simplex::{Basis, LpError, LpResult, LpWorkspace, StoredBasis};
 use crate::telemetry::{
     DiveTelemetry, DiveWork, FaceDiveEnd, IncumbentEvent, IncumbentSource, LpWork, SolveTelemetry,
     WarmDiveEnd,
@@ -277,6 +275,18 @@ impl SearchAux {
         }
     }
 
+    /// Activate `picked`: append them to the cut model (a copy of `base`
+    /// at the first cut) and rebuild `lp` for the grown model, once for
+    /// every LP that follows.
+    fn apply_cuts(&mut self, base: &Model, picked: &[Cut], lp: &mut LpWorkspace) {
+        let work = self.cut_model.get_or_insert_with(|| base.clone());
+        for cut in picked {
+            cuts::apply_cut(work, cut, self.counters.applied);
+            self.counters.applied += 1;
+        }
+        *lp = LpWorkspace::new(work);
+    }
+
     /// Variable selection: pseudocost when the engine is on, else most
     /// fractional.
     fn pick(&self, ctx: &SearchCtx<'_>, x: &[f64], tol: f64) -> Option<(usize, f64)> {
@@ -416,7 +426,7 @@ enum DiveEnd {
     Nothing,
 }
 
-/// One root dive over the LPs of `lp_model`: repeatedly fix the branch
+/// One root dive over the LPs of `lp`: repeatedly fix the branch
 /// variable to its nearest integer (backtracking once to the other side on
 /// infeasibility) until the LP point is integral, then return the snapped
 /// point's score if it is feasible for the original model.
@@ -433,7 +443,7 @@ enum DiveEnd {
 #[allow(clippy::too_many_arguments)]
 fn run_dive(
     ctx: &SearchCtx<'_>,
-    lp_model: &Model,
+    lp: &mut LpWorkspace,
     root_bounds: &[(f64, f64)],
     root_x: &[f64],
     give_up: Option<f64>,
@@ -450,8 +460,8 @@ fn run_dive(
     // still warm-starts the other side at one refactorization.
     let mut dive_solve = |bounds: &[(f64, f64)], lp_work: &mut LpWork| -> Result<LpResult, LpError> {
         let sol = match link.as_mut() {
-            Some(basis) => solve_lp_take(lp_model, bounds, basis)?,
-            None => solve_lp_ext(lp_model, bounds, None)?,
+            Some(basis) => lp.solve_take(bounds, basis)?,
+            None => lp.solve(bounds, None)?,
         };
         lp_work.add(&sol.stats);
         if let (Some(slot), Some(next)) = (link.as_mut(), sol.basis) {
@@ -515,11 +525,14 @@ fn run_dive(
 /// from the root basis extended by the new row's slack (dual feasible by
 /// construction, and the root point lies on the face); under `warm_lp:
 /// false` both passes solve every LP cold, so the two configurations run
-/// the same passes and differ only in how each LP starts. Returns the
-/// best incumbent either pass found, with its source, and the record of
-/// what ran.
+/// the same passes and differ only in how each LP starts. The warm pass
+/// solves through `lp`, the face dive through a workspace of its own.
+/// Returns the best incumbent either pass found, with its source, and the
+/// record of what ran.
+#[allow(clippy::too_many_arguments)]
 fn root_dive(
     ctx: &SearchCtx<'_>,
+    lp: &mut LpWorkspace,
     root_bounds: &[(f64, f64)],
     root_x: &[f64],
     root_score: f64,
@@ -527,31 +540,31 @@ fn root_dive(
     lp_solves: &mut usize,
     lp_work: &mut LpWork,
 ) -> Result<(Option<DiveIncumbent>, DiveTelemetry), LpError> {
-    let mut pass = |lp_model: &Model, give_up, link| -> Result<(DiveEnd, DiveWork), LpError> {
+    let mut pass = |lp: &mut LpWorkspace, give_up, link| -> Result<(DiveEnd, DiveWork), LpError> {
         let (lps, pivots) = (*lp_solves, lp_work.pivots);
-        let end = run_dive(ctx, lp_model, root_bounds, root_x, give_up, link, lp_solves, lp_work)?;
+        let end = run_dive(ctx, lp, root_bounds, root_x, give_up, link, lp_solves, lp_work)?;
         Ok((end, DiveWork { lps: *lp_solves - lps, pivots: lp_work.pivots - pivots }))
     };
     // Keeps the better of the passes' incumbents; says whether this one
-    // closes the root gap.
+    // closes the root gap (`None`: the pass found no incumbent).
     let mut best: Option<DiveIncumbent> = None;
     let mut keep = |source, end: DiveEnd| {
-        let DiveEnd::Incumbent(score, vals) = end else { return false };
+        let DiveEnd::Incumbent(score, vals) = end else { return None };
         if best.as_ref().is_none_or(|(_, b, _)| score > *b) {
             best = Some((source, score, vals));
         }
-        closes_root_gap(ctx, root_score, score)
+        Some(closes_root_gap(ctx, root_score, score))
     };
     let link = root_basis.filter(|_| ctx.opts.warm_lp);
-    let (end, work) = pass(ctx.model, Some(root_score), link.cloned())?;
+    let (end, work) = pass(lp, Some(root_score), link.cloned())?;
     let how = match end {
         DiveEnd::GaveUp(z) => WarmDiveEnd::GaveUp {
             bound: ctx.score_to_objective(z),
             root: ctx.score_to_objective(root_score),
         },
         end => match keep(IncumbentSource::WarmDive, end) {
-            true => WarmDiveEnd::ClosedGap,
-            false => WarmDiveEnd::LeftGapOpen,
+            Some(true) => WarmDiveEnd::ClosedGap,
+            _ => WarmDiveEnd::LeftGapOpen,
         },
     };
     let warm = (how, work);
@@ -562,15 +575,17 @@ fn root_dive(
     let mut face_row = ctx.model.objective().clone() * ctx.sgn;
     face_row.constant = 0.0;
     face_model.ge("root_face", face_row, root_score - ctx.prune_gap(root_score));
-    let (end, work) = pass(&face_model, None, link.map(|b| b.with_new_rows(1)))?;
+    let mut face_lp = LpWorkspace::new(&face_model);
+    let (end, work) = pass(&mut face_lp, None, link.map(|b| b.with_new_rows(1)))?;
     let end = match keep(IncumbentSource::FaceDive, end) {
-        true => FaceDiveEnd::ClosedGap,
-        false => FaceDiveEnd::Empty,
+        Some(true) => FaceDiveEnd::ClosedGap,
+        Some(false) => FaceDiveEnd::FellShort,
+        None => FaceDiveEnd::Empty,
     };
     Ok((best, DiveTelemetry { warm, face: Some((end, work)) }))
 }
 
-fn root_phase(ctx: &SearchCtx<'_>) -> Result<RootPhase, LpError> {
+fn root_phase(ctx: &SearchCtx<'_>, lp: &mut LpWorkspace) -> Result<RootPhase, LpError> {
     let model = ctx.model;
     let opts = ctx.opts;
     let trivial = |nodes: usize, lp_solves: usize, lp: LpWork, status: SolveStatus| MipOutcome {
@@ -611,7 +626,7 @@ fn root_phase(ctx: &SearchCtx<'_>) -> Result<RootPhase, LpError> {
 
     // --- Root LP (always cold: there is no prior basis) ---
     lp_solves += 1;
-    let root_solve = solve_lp_ext(model, &root_bounds, None)?;
+    let root_solve = lp.solve(&root_bounds, None)?;
     lp_work.add(&root_solve.stats);
     let root_basis: Option<Arc<Basis>> = root_solve.basis.map(Arc::new);
     let (root_x, root_score) = match root_solve.result {
@@ -651,6 +666,7 @@ fn root_phase(ctx: &SearchCtx<'_>) -> Result<RootPhase, LpError> {
     if opts.dive_limit > 0 && !seeded {
         let (found, telemetry) = root_dive(
             ctx,
+            lp,
             &root_bounds,
             &root_x,
             root_score,
@@ -677,20 +693,26 @@ fn root_phase(ctx: &SearchCtx<'_>) -> Result<RootPhase, LpError> {
 }
 
 /// Solve `model` to proven optimality (subject to limits).
+///
+/// One [`LpWorkspace`] holds the LP of the model the search solves against
+/// — `model`, then the cut-extended model once cuts are active — and every
+/// relaxation of the solve goes through it: the root LP, the root dive's
+/// warm pass, cut rounds, strong branching and tree nodes.
 pub fn solve_with(model: &Model, opts: &SolveOptions) -> Result<MipOutcome, LpError> {
     let ctx = SearchCtx::new(model, opts);
-    let (mut prepared, dive) = match root_phase(&ctx)? {
+    let mut lp = LpWorkspace::new(model);
+    let (mut prepared, dive) = match root_phase(&ctx, &mut lp)? {
         RootPhase::Done(out) => return Ok(out),
         RootPhase::Search(p, dive) => (p, dive),
     };
     let mut aux = SearchAux::new(model.num_vars(), opts);
     if opts.cuts && !root_gap_closed(&ctx, &prepared) {
-        run_cut_loop(&ctx, &mut prepared, &mut aux)?;
+        run_cut_loop(&ctx, &mut lp, &mut prepared, &mut aux)?;
     }
     if opts.cuts && !root_gap_closed(&ctx, &prepared) {
-        reliability_init(&ctx, &mut prepared, &mut aux)?;
+        reliability_init(&ctx, &mut lp, &mut prepared, &mut aux)?;
     }
-    let mut out = tree_search(&ctx, prepared, aux)?;
+    let mut out = tree_search(&ctx, &mut lp, prepared, aux)?;
     out.telemetry.dive = dive;
     Ok(out)
 }
@@ -714,13 +736,13 @@ fn root_gap_closed(ctx: &SearchCtx<'_>, prepared: &Prepared) -> bool {
 /// correctness.
 fn run_cut_loop(
     ctx: &SearchCtx<'_>,
+    lp: &mut LpWorkspace,
     prepared: &mut Prepared,
     aux: &mut SearchAux,
 ) -> Result<(), LpError> {
     let opts = ctx.opts;
     let int_mask: Vec<bool> = ctx.model.vars().iter().map(|v| v.is_integral()).collect();
     let orig_rows = ctx.model.num_constraints();
-    let mut applied_seq = 0usize;
     let mut prev_score = prepared.root_score;
     let mut stalls = 0u32;
     let saved_basis = prepared.root_basis.clone();
@@ -729,8 +751,7 @@ fn run_cut_loop(
         let lp_model = aux.cut_model.as_ref().unwrap_or(ctx.model);
         let warm = if opts.warm_lp { prepared.root_basis.as_deref() } else { None };
         prepared.lp_solves += 1;
-        let tab = solve_lp_tableau(
-            lp_model,
+        let tab = lp.solve_tableau(
             &prepared.root_bounds,
             warm,
             &int_mask,
@@ -743,7 +764,9 @@ fn run_cut_loop(
             // unbounded cut LP here is numerical trouble, not a proof:
             // throw the cuts away and search the original relaxation.
             LpResult::Infeasible | LpResult::Unbounded => {
-                aux.cut_model = None;
+                if aux.cut_model.take().is_some() {
+                    *lp = LpWorkspace::new(ctx.model);
+                }
                 prepared.root_basis = saved_basis;
                 prepared.root_score = saved_score;
                 return Ok(());
@@ -803,12 +826,7 @@ fn run_cut_loop(
         if picked.is_empty() {
             break;
         }
-        let work = aux.cut_model.get_or_insert_with(|| ctx.model.clone());
-        for cut in &picked {
-            cuts::apply_cut(work, cut, applied_seq);
-            applied_seq += 1;
-            aux.counters.applied += 1;
-        }
+        aux.apply_cuts(ctx.model, &picked, lp);
         // Extend the basis over the new rows (new slacks basic) so the
         // next round re-solves warm with the dual simplex.
         prepared.root_basis = prepared
@@ -827,6 +845,7 @@ fn run_cut_loop(
 /// its own.
 fn reliability_init(
     ctx: &SearchCtx<'_>,
+    lp: &mut LpWorkspace,
     prepared: &mut Prepared,
     aux: &mut SearchAux,
 ) -> Result<(), LpError> {
@@ -834,11 +853,10 @@ fn reliability_init(
         return Ok(());
     };
     let opts = ctx.opts;
-    let lp_model = aux.cut_model.as_ref().unwrap_or(ctx.model);
     let warm = if opts.warm_lp { prepared.root_basis.as_deref() } else { None };
     // Re-derive the root vertex (warm: typically zero pivots).
     prepared.lp_solves += 1;
-    let sol = solve_lp_ext(lp_model, &prepared.root_bounds, warm)?;
+    let sol = lp.solve(&prepared.root_bounds, warm)?;
     prepared.lp_work.add(&sol.stats);
     let root_basis = sol.basis.map(Arc::new).or_else(|| prepared.root_basis.clone());
     let (x, root_score) = match sol.result {
@@ -865,7 +883,7 @@ fn reliability_init(
         down[j].1 = down[j].1.min(v.floor());
         prepared.lp_solves += 1;
         aux.counters.strong_branch_lps += 1;
-        let d = solve_lp_ext(lp_model, &down, warm_sb)?;
+        let d = lp.solve(&down, warm_sb)?;
         prepared.lp_work.add(&d.stats);
         match d.result {
             LpResult::Optimal { obj, .. } => {
@@ -886,7 +904,7 @@ fn reliability_init(
         up[j].0 = up[j].0.max(v.floor() + 1.0);
         prepared.lp_solves += 1;
         aux.counters.strong_branch_lps += 1;
-        let u = solve_lp_ext(lp_model, &up, warm_sb)?;
+        let u = lp.solve(&up, warm_sb)?;
         prepared.lp_work.add(&u.stats);
         match u.result {
             LpResult::Optimal { obj, .. } => {
@@ -910,6 +928,7 @@ fn reliability_init(
 /// cut separation at geometrically spaced node counts.
 fn tree_search(
     ctx: &SearchCtx<'_>,
+    lp: &mut LpWorkspace,
     prepared: Prepared,
     mut aux: SearchAux,
 ) -> Result<MipOutcome, LpError> {
@@ -927,7 +946,6 @@ fn tree_search(
 
     // Node-level separation state: root bounds keep node cuts globally
     // valid, `int_mask` drives the tableau scan.
-    let mut cut_model = aux.cut_model.take();
     let sep_root_bounds = opts.cuts.then(|| root_bounds.clone());
     let int_mask: Vec<bool> = if opts.cuts {
         model.vars().iter().map(|v| v.is_integral()).collect()
@@ -935,7 +953,6 @@ fn tree_search(
         Vec::new()
     };
     let orig_rows = model.num_constraints();
-    let mut applied_seq = aux.counters.applied;
     let mut next_sep_at = NODE_SEP_BASE;
     let mut sep_events = 0usize;
 
@@ -973,14 +990,13 @@ fn tree_search(
         lp_solves += 1;
         // The parent's basis, expanded for this node alone: its inverse
         // moves into the solver, statuses and row order stay in `warm`.
-        let lpm = cut_model.as_ref().unwrap_or(model);
         let mut warm = match node.basis.as_deref() {
             Some(stored) => Some(stored.expand()),
             None => root_warm.take(),
         };
         let sol = match warm.as_mut() {
-            Some(basis) => solve_lp_take(lpm, &node.bounds, basis)?,
-            None => solve_lp_ext(lpm, &node.bounds, None)?,
+            Some(basis) => lp.solve_take(&node.bounds, basis)?,
+            None => lp.solve(&node.bounds, None)?,
         };
         lp_work.add(&sol.stats);
         // Children warm-start from this node's optimal basis; if it was
@@ -1020,8 +1036,8 @@ fn tree_search(
             next_sep_at *= 4;
             let warm = child_basis.as_ref();
             lp_solves += 1;
-            let tab = solve_lp_tableau(
-                lpm,
+            let lpm = aux.cut_model.as_ref().unwrap_or(model);
+            let tab = lp.solve_tableau(
                 &node.bounds,
                 warm,
                 &int_mask,
@@ -1043,12 +1059,7 @@ fn tree_search(
                 }
                 let picked = aux.pool.select(tx, cuts::ACTIVATION_BUDGET, &mut aux.counters);
                 if !picked.is_empty() {
-                    let work = cut_model.get_or_insert_with(|| model.clone());
-                    for cut in &picked {
-                        cuts::apply_cut(work, cut, applied_seq);
-                        applied_seq += 1;
-                        aux.counters.applied += 1;
-                    }
+                    aux.apply_cuts(model, &picked, lp);
                     // Keep this subtree warm across the new rows; stale
                     // bases elsewhere in the stack fall back cold.
                     child_basis = child_basis.map(|b| b.with_new_rows(picked.len()));
@@ -1474,7 +1485,8 @@ mod tests {
         // max 3a + 3b, 3a + 2b <= 3: root 4 (a = 1/3, b = 1), optimum 3.
         // At a 25 % gap the face row admits 3 (4 − 1), but closing the gap
         // takes 3.2 (4 ≤ s + 0.25·s): the face dive's 3 is no proof, yet
-        // it is the best point found and the tree starts from it.
+        // it is the best point found and the tree starts from it. The
+        // record says the dive fell short, not that it found nothing.
         let mut m = Model::new();
         let (a, b) = (m.binary("a"), m.binary("b"));
         m.le("cap", LinExpr::term(a, 3.0) + LinExpr::term(b, 2.0), 3.0);
@@ -1483,7 +1495,9 @@ mod tests {
         let out = solve_with(&m, &opts).unwrap();
         let dive = dive_of(&out);
         assert_eq!(dive.warm.0, WarmDiveEnd::GaveUp { bound: 3.0, root: 4.0 });
-        assert_eq!(dive.face.map(|(end, _)| end), Some(FaceDiveEnd::Empty));
+        assert_eq!(dive.face.map(|(end, _)| end), Some(FaceDiveEnd::FellShort));
+        assert!(dive.to_string().contains(", face dive found a point short of the root bound ("), "{dive}");
+        assert!(dive.to_json().contains(",\"face\":{\"end\":\"fell_short\",\"lps\":"), "{}", dive.to_json());
         let first = out.telemetry.incumbents[0];
         assert_eq!((first.source, first.objective), (IncumbentSource::FaceDive, 3.0));
         assert_eq!(out.status, SolveStatus::Optimal);

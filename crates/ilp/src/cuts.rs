@@ -415,7 +415,7 @@ pub(crate) fn separate_covers(
 mod tests {
     use super::*;
     use crate::model::Sense;
-    use crate::simplex::solve_lp_tableau;
+    use crate::simplex::LpWorkspace;
 
     fn int_mask(m: &Model) -> Vec<bool> {
         m.vars().iter().map(|v| v.is_integral()).collect()
@@ -435,7 +435,7 @@ mod tests {
         m.set_objective(LinExpr::term(x, 1.0), Sense::Maximize);
         let bounds = bounds_of(&m);
         let mask = int_mask(&m);
-        let tab = solve_lp_tableau(&m, &bounds, None, &mask, 1e-6, 8).unwrap();
+        let tab = LpWorkspace::new(&m).solve_tableau(&bounds, None, &mask, 1e-6, 8).unwrap();
         let cuts = separate_gomory(&m, &tab, &bounds, &mask);
         assert!(!cuts.is_empty(), "expected a Gomory cut at x=0.5");
         // The cut must be satisfied by every integer point (x = 0) and
@@ -464,7 +464,7 @@ mod tests {
         let bounds = bounds_of(&m);
         let mask = int_mask(&m);
         // LP optimum puts 5/9 on each... solve to get the exact vertex.
-        let tab = solve_lp_tableau(&m, &bounds, None, &mask, 1e-6, 8).unwrap();
+        let tab = LpWorkspace::new(&m).solve_tableau(&bounds, None, &mask, 1e-6, 8).unwrap();
         let x: Vec<f64> = match &tab.result {
             crate::LpResult::Optimal { x, .. } => x.clone(),
             other => panic!("unexpected LP result {other:?}"),

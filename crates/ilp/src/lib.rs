@@ -55,4 +55,6 @@ pub use model::{
 };
 pub use lpwrite::write_lp;
 pub use presolve::{presolve, Presolved};
-pub use simplex::{solve_lp, solve_lp_ext, solve_lp_warm, Basis, LpError, LpResult, LpSolve, LpStats};
+pub use simplex::{
+    solve_lp, solve_lp_ext, solve_lp_warm, Basis, LpError, LpResult, LpSolve, LpStats, LpWorkspace,
+};

@@ -30,7 +30,10 @@
 //!   case). Such a basis stays *dual-feasible* after bound tightening, so
 //!   a bounded-variable dual simplex re-optimizes it in a handful of
 //!   pivots; any structural or numerical trouble falls back to the cold
-//!   two-phase solve, so warm starting never changes what is solvable.
+//!   two-phase solve, so warm starting never changes what is solvable;
+//! - the equilibrated matrix depends on the model alone, so an
+//!   [`LpWorkspace`] builds it once and solves every relaxation of the
+//!   model through it, reusing one set of per-LP buffers.
 
 // Indexed `for i in 0..m` loops mirror the textbook simplex notation and
 // often index several arrays in lockstep; iterator chains obscure that.
@@ -203,7 +206,8 @@ impl StoredBasis {
         StoredBasis { stat, rows, row_start, neg_zero, cols, vals }
     }
 
-    /// The dense snapshot this was built from, owned, for [`solve_lp_take`].
+    /// The dense snapshot this was built from, owned, for
+    /// [`LpWorkspace::solve_take`].
     pub(crate) fn expand(&self) -> Basis {
         let mut binv = Vec::new();
         if let Some(m) = self.row_start.len().checked_sub(1) {
@@ -289,107 +293,275 @@ pub fn solve_lp_warm(
 }
 
 /// Solve the LP relaxation, optionally warm-starting from `warm`, and
-/// return the result together with the optimal basis and work counters.
-///
-/// With `warm = Some(basis)` the solver installs the basis (reusing the
-/// snapshot's captured inverse when present, else one refactorization),
-/// verifies dual feasibility, and runs the bounded-variable dual simplex.
-/// Any structural mismatch (stale shape,
-/// wrong basic count), dual infeasibility, or numerical breakdown falls
-/// back to the cold two-phase solve — warm starting can change how the
-/// optimum is reached, never whether it is found.
+/// return the result together with the optimal basis and work counters:
+/// [`LpWorkspace::solve`] on a workspace built for this one LP.
 pub fn solve_lp_ext(
     model: &Model,
     bounds: &[(f64, f64)],
     warm: Option<&Basis>,
 ) -> Result<LpSolve, LpError> {
-    solve_lp_from(model, bounds, warm, None)
+    LpWorkspace::new(model).solve(bounds, warm)
 }
 
-/// [`solve_lp_ext`] for a snapshot this solve is the last to need whole:
-/// the captured inverse is moved out of `warm` into the solver instead of
-/// copied, so no second `B^-1` is alive beside the solver's. Same
-/// arithmetic, same result. What is left in `warm` (statuses and row
-/// order) still warm-starts a later solve, at one refactorization.
-pub(crate) fn solve_lp_take(
-    model: &Model,
-    bounds: &[(f64, f64)],
-    warm: &mut Basis,
-) -> Result<LpSolve, LpError> {
-    let binv = std::mem::take(&mut warm.binv);
-    solve_lp_from(model, bounds, Some(warm), Some(binv))
+/// The LP of one model, built once for every relaxation of it: the
+/// equilibrated matrix, and the buffers each solve borrows and hands back.
+/// A branch-and-bound search solves dozens to thousands of LPs that differ
+/// only in their bounds; through one workspace each of them skips
+/// rebuilding and re-equilibrating the n + m columns and allocates only
+/// its result and its basis snapshot. Every solve is bit for bit the solve
+/// [`solve_lp_ext`] makes on a workspace of its own: a solve starts from
+/// the same state whatever the buffers held before.
+pub struct LpWorkspace {
+    mat: LpMatrix,
+    scratch: Scratch,
 }
 
-/// `moved_inv` is `warm`'s inverse when the caller moved it out
-/// ([`solve_lp_take`]); `None` means "copy the snapshot's own".
-fn solve_lp_from(
-    model: &Model,
-    bounds: &[(f64, f64)],
-    warm: Option<&Basis>,
-    moved_inv: Option<Vec<f64>>,
-) -> Result<LpSolve, LpError> {
-    assert_eq!(bounds.len(), model.num_vars());
-    let mut stats = LpStats::default();
-    if let Some(basis) = warm {
-        let mut sx = Simplex::build(model, bounds);
-        match sx.solve_warm(basis, moved_inv) {
-            Ok(Some(result)) => {
-                stats.pivots += sx.pivots;
-                stats.refactorizations += sx.refactorizations;
-                stats.warm = true;
-                let basis = sx.into_basis_if_optimal(&result);
-                return Ok(LpSolve { result, basis, stats });
-            }
-            // Unusable basis or numerical trouble on the warm path: count
-            // the wasted work and fall through to the cold solve.
-            Ok(None) | Err(_) => {
-                stats.pivots += sx.pivots;
-                stats.refactorizations += sx.refactorizations;
-                stats.fell_back = true;
-            }
-        }
+impl LpWorkspace {
+    /// Equilibrate `model`'s rows and lay out its columns.
+    pub fn new(model: &Model) -> LpWorkspace {
+        LpWorkspace { mat: LpMatrix::new(model), scratch: Scratch::default() }
     }
-    let (result, basis) = run_cold(model, bounds, &mut stats)?;
-    Ok(LpSolve { result, basis, stats })
-}
 
-/// The cold two-phase solve with its Bland's-rule restart, accumulating
-/// work counters and snapshotting the optimal basis.
-fn run_cold(
-    model: &Model,
-    bounds: &[(f64, f64)],
-    stats: &mut LpStats,
-) -> Result<(LpResult, Option<Basis>), LpError> {
-    let (result, sx) = run_cold_sx(model, bounds, stats)?;
-    let basis = sx.into_basis_if_optimal(&result);
-    Ok((result, basis))
-}
+    /// Solve the LP under `bounds` (one pair per structural variable),
+    /// optionally warm-starting from `warm`.
+    ///
+    /// With `warm = Some(basis)` the solver installs the basis (copying the
+    /// snapshot's captured inverse when present, else one refactorization),
+    /// verifies dual feasibility, and runs the bounded-variable dual
+    /// simplex. Any structural mismatch (stale shape, wrong basic count),
+    /// dual infeasibility, or numerical breakdown falls back to the cold
+    /// two-phase solve — warm starting can change how the optimum is
+    /// reached, never whether it is found.
+    pub fn solve(
+        &mut self,
+        bounds: &[(f64, f64)],
+        warm: Option<&Basis>,
+    ) -> Result<LpSolve, LpError> {
+        self.solve_from(bounds, warm, None)
+    }
 
-/// Cold solve returning the solver state itself, so callers can extract
-/// tableau rows from the optimal basis.
-fn run_cold_sx(
-    model: &Model,
-    bounds: &[(f64, f64)],
-    stats: &mut LpStats,
-) -> Result<(LpResult, Simplex), LpError> {
-    let mut sx = Simplex::build(model, bounds);
-    let outcome = match sx.solve() {
-        Err(LpError::Numerical(_)) => {
-            // Numerical breakdown (ill-conditioned basis): restart from the
-            // slack basis under Bland's rule — slower, but immune to the
-            // aggressive pivoting that got us here.
+    /// [`LpWorkspace::solve`] for a snapshot this solve is the last to need
+    /// whole: the captured inverse is moved out of `warm` into the solver
+    /// instead of copied, so no second `B^-1` is alive beside the solver's.
+    /// Same arithmetic, same result. What is left in `warm` (statuses and
+    /// row order) still warm-starts a later solve, at one refactorization.
+    pub(crate) fn solve_take(
+        &mut self,
+        bounds: &[(f64, f64)],
+        warm: &mut Basis,
+    ) -> Result<LpSolve, LpError> {
+        let binv = std::mem::take(&mut warm.binv);
+        self.solve_from(bounds, Some(warm), Some(binv))
+    }
+
+    /// `moved_inv` is `warm`'s inverse when the caller moved it out
+    /// ([`LpWorkspace::solve_take`]); `None` means "copy the snapshot's own".
+    fn solve_from(
+        &mut self,
+        bounds: &[(f64, f64)],
+        warm: Option<&Basis>,
+        moved_inv: Option<Vec<f64>>,
+    ) -> Result<LpSolve, LpError> {
+        let (result, mut sx, stats) = self.relax(bounds, warm, moved_inv)?;
+        let basis = sx.take_basis_if_optimal(&result);
+        self.scratch = sx.into_scratch();
+        Ok(LpSolve { result, basis, stats })
+    }
+
+    /// Solve the LP like [`LpWorkspace::solve`], additionally extracting up
+    /// to `max_rows` fractional tableau rows for Gomory separation when the
+    /// result is optimal. `int_mask[j]` marks structural integer variables;
+    /// fractionality is judged against `int_tol`.
+    pub(crate) fn solve_tableau(
+        &mut self,
+        bounds: &[(f64, f64)],
+        warm: Option<&Basis>,
+        int_mask: &[bool],
+        int_tol: f64,
+        max_rows: usize,
+    ) -> Result<TableauLp, LpError> {
+        let (result, mut sx, stats) = self.relax(bounds, warm, None)?;
+        // The tableau rows read `B^-1`, so they come out before the snapshot
+        // moves the inverse into the basis.
+        let (frac_rows, stat, values) = match &result {
+            LpResult::Optimal { .. } => {
+                (sx.extract_frac_rows(int_mask, int_tol, max_rows), sx.tab_stats(), sx.all_values())
+            }
+            _ => (Vec::new(), Vec::new(), Vec::new()),
+        };
+        let basis = sx.take_basis_if_optimal(&result);
+        self.scratch = sx.into_scratch();
+        Ok(TableauLp { result, basis, stats, frac_rows, stat, values })
+    }
+
+    /// One relaxation: the warm start when one is given and usable, else
+    /// the cold two-phase solve with its Bland's-rule restart. Returns the
+    /// finished solver, for the caller to read and then recycle.
+    fn relax(
+        &mut self,
+        bounds: &[(f64, f64)],
+        warm: Option<&Basis>,
+        moved_inv: Option<Vec<f64>>,
+    ) -> Result<(LpResult, Simplex<'_>, LpStats), LpError> {
+        assert_eq!(bounds.len(), self.mat.n);
+        let mut stats = LpStats::default();
+        let mut sx = Simplex::new(&self.mat, bounds, std::mem::take(&mut self.scratch));
+        if let Some(basis) = warm {
+            let outcome = sx.solve_warm(basis, moved_inv);
             stats.pivots += sx.pivots;
             stats.refactorizations += sx.refactorizations;
-            sx = Simplex::build(model, bounds);
-            sx.force_bland = true;
-            sx.solve()
+            match outcome {
+                Ok(Some(result)) => {
+                    stats.warm = true;
+                    return Ok((result, sx, stats));
+                }
+                // Unusable basis or numerical trouble on the warm path: the
+                // wasted work is counted, the cold solve starts afresh.
+                Ok(None) | Err(_) => {
+                    stats.fell_back = true;
+                    sx = sx.restart(bounds);
+                }
+            }
         }
-        other => other,
-    };
-    let result = outcome?;
-    stats.pivots += sx.pivots;
-    stats.refactorizations += sx.refactorizations;
-    Ok((result, sx))
+        let outcome = match sx.solve() {
+            Err(LpError::Numerical(_)) => {
+                // Numerical breakdown (ill-conditioned basis): restart from the
+                // slack basis under Bland's rule — slower, but immune to the
+                // aggressive pivoting that got us here.
+                stats.pivots += sx.pivots;
+                stats.refactorizations += sx.refactorizations;
+                sx = sx.restart(bounds);
+                sx.force_bland = true;
+                sx.solve()
+            }
+            other => other,
+        };
+        let result = outcome?;
+        stats.pivots += sx.pivots;
+        stats.refactorizations += sx.refactorizations;
+        Ok((result, sx, stats))
+    }
+}
+
+/// A model's LP in the solver's form, independent of bounds: row-equilibrated
+/// structural columns followed by one slack column per row, in one flat
+/// column-major array; the objective in maximization sense; the scaled
+/// right-hand side; each slack's bounds, which encode the row's comparison.
+struct LpMatrix {
+    /// structural count
+    n: usize,
+    /// row count
+    m: usize,
+    /// Column `j`'s `(row, coefficient)` entries, in row order, are
+    /// `entries[start[j]..start[j + 1]]` (`n + m + 1` starts).
+    start: Vec<usize>,
+    entries: Vec<(usize, f64)>,
+    /// phase-2 objective (maximization) over structural and slack columns
+    obj: Vec<f64>,
+    rhs: Vec<f64>,
+    slack_bounds: Vec<(f64, f64)>,
+    /// 1.0 when original sense was Maximize, -1.0 for Minimize
+    sense_sign: f64,
+}
+
+impl LpMatrix {
+    fn new(model: &Model) -> LpMatrix {
+        let n = model.num_vars();
+        let m = model.num_constraints();
+        let sense_sign = match model.sense() {
+            Sense::Maximize => 1.0,
+            Sense::Minimize => -1.0,
+        };
+        let mut obj = vec![0.0f64; n + m];
+        for &(v, c) in &model.objective().terms {
+            obj[v.index()] = sense_sign * c;
+        }
+        // Column starts from the entry counts: every term, plus a slack each.
+        let mut start = vec![0usize; n + m + 1];
+        for con in model.constraints() {
+            for &(v, _) in &con.terms {
+                start[v.index() + 1] += 1;
+            }
+        }
+        start[n + 1..].fill(1);
+        for j in 0..n + m {
+            start[j + 1] += start[j];
+        }
+        let mut entries = vec![(0, 0.0); start[n + m]];
+        let mut next = start.clone();
+        let mut rhs = Vec::with_capacity(m);
+        let mut slack_bounds = Vec::with_capacity(m);
+        for (i, con) in model.constraints().iter().enumerate() {
+            // Row equilibration: divide each row by its largest coefficient
+            // so pivot tolerances are meaningful regardless of the model's
+            // units (compiler models mix 0/1 placements with memory
+            // capacities in the tens of thousands).
+            let scale = row_scale(con);
+            rhs.push(con.rhs / scale);
+            for &(v, c) in &con.terms {
+                entries[next[v.index()]] = (i, c / scale);
+                next[v.index()] += 1;
+            }
+            entries[start[n + i]] = (i, 1.0);
+            slack_bounds.push(match con.cmp {
+                Cmp::Le => (0.0, f64::INFINITY),
+                Cmp::Ge => (f64::NEG_INFINITY, 0.0),
+                Cmp::Eq => (0.0, 0.0),
+            });
+        }
+        LpMatrix { n, m, start, entries, obj, rhs, slack_bounds, sense_sign }
+    }
+}
+
+/// The columns one solve pivots over: the matrix's structural and slack
+/// columns (`j < n + m`), then the phase-1 artificials of a cold solve,
+/// one `(row, ±1)` entry each.
+struct Cols<'a> {
+    mat: &'a LpMatrix,
+    arts: Vec<(usize, f64)>,
+}
+
+impl Cols<'_> {
+    fn len(&self) -> usize {
+        self.mat.n + self.mat.m + self.arts.len()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[(usize, f64)]> {
+        (0..self.len()).map(|j| &self[j])
+    }
+}
+
+impl std::ops::Index<usize> for Cols<'_> {
+    type Output = [(usize, f64)];
+
+    fn index(&self, j: usize) -> &[(usize, f64)] {
+        let mat = self.mat;
+        match mat.start.get(j + 1) {
+            Some(&end) => &mat.entries[mat.start[j]..end],
+            None => std::slice::from_ref(&self.arts[j - mat.n - mat.m]),
+        }
+    }
+}
+
+/// The buffers of one solve, handed from each solve of a workspace to the
+/// next so that a chain of LPs does not reallocate them. Every solve
+/// overwrites what it reads before reading it.
+#[derive(Default)]
+struct Scratch {
+    arts: Vec<(usize, f64)>,
+    lb: Vec<f64>,
+    ub: Vec<f64>,
+    binv: Vec<f64>,
+    basis: Vec<usize>,
+    xb: Vec<f64>,
+    stat: Vec<VStat>,
+    banned: Vec<bool>,
+    cost: Vec<f64>,
+    eta: Vec<(usize, f64)>,
+    y: Vec<f64>,
+    w: Vec<f64>,
+    resid: Vec<f64>,
+    resid_nz: Vec<(usize, f64)>,
 }
 
 /// Status of one variable in an extracted [`TableauLp`].
@@ -430,81 +602,25 @@ pub(crate) struct TableauLp {
     pub values: Vec<f64>,
 }
 
-/// Equilibration divisor of a constraint row — must match `Simplex::build`
+/// Equilibration divisor of a constraint row — must match `LpMatrix::new`
 /// so cut derivation can reconstruct a slack's definition in structural
 /// variables: `s_i = rhs_i/σ_i − Σ (c/σ_i)·x`.
 pub(crate) fn row_scale(con: &crate::model::Constraint) -> f64 {
     con.terms.iter().fold(1.0f64, |acc, &(_, c)| acc.max(c.abs()))
 }
 
-/// Solve the LP like [`solve_lp_ext`], additionally extracting up to
-/// `max_rows` fractional tableau rows for Gomory separation when the
-/// result is optimal. `int_mask[j]` marks structural integer variables;
-/// fractionality is judged against `int_tol`.
-pub(crate) fn solve_lp_tableau(
-    model: &Model,
-    bounds: &[(f64, f64)],
-    warm: Option<&Basis>,
-    int_mask: &[bool],
-    int_tol: f64,
-    max_rows: usize,
-) -> Result<TableauLp, LpError> {
-    assert_eq!(bounds.len(), model.num_vars());
-    let mut stats = LpStats::default();
-    if let Some(basis) = warm {
-        let mut sx = Simplex::build(model, bounds);
-        match sx.solve_warm(basis, None) {
-            Ok(Some(result)) => {
-                stats.pivots += sx.pivots;
-                stats.refactorizations += sx.refactorizations;
-                stats.warm = true;
-                return Ok(finish_tableau(result, sx, stats, int_mask, int_tol, max_rows));
-            }
-            Ok(None) | Err(_) => {
-                stats.pivots += sx.pivots;
-                stats.refactorizations += sx.refactorizations;
-                stats.fell_back = true;
-            }
-        }
-    }
-    let (result, sx) = run_cold_sx(model, bounds, &mut stats)?;
-    Ok(finish_tableau(result, sx, stats, int_mask, int_tol, max_rows))
-}
-
-fn finish_tableau(
-    result: LpResult,
-    sx: Simplex,
-    stats: LpStats,
-    int_mask: &[bool],
-    int_tol: f64,
-    max_rows: usize,
-) -> TableauLp {
-    // The tableau rows read `B^-1`, so they come out before the snapshot
-    // moves the inverse into the basis.
-    let (frac_rows, stat, values) = match &result {
-        LpResult::Optimal { .. } => {
-            (sx.extract_frac_rows(int_mask, int_tol, max_rows), sx.tab_stats(), sx.all_values())
-        }
-        _ => (Vec::new(), Vec::new(), Vec::new()),
-    };
-    let basis = sx.into_basis_if_optimal(&result);
-    TableauLp { result, basis, stats, frac_rows, stat, values }
-}
-
-struct Simplex {
+/// One solve's state over a borrowed [`LpMatrix`]: bounds, statuses,
+/// basis rows, basic values, `B^-1` and the per-iteration buffers, all
+/// taken from a [`Scratch`] and handed back by [`Simplex::into_scratch`].
+struct Simplex<'a> {
     /// structural count
     n: usize,
     /// row count
     m: usize,
-    /// sparse columns for structural + slack + artificial vars
-    cols: Vec<Vec<(usize, f64)>>,
+    /// structural + slack + artificial columns
+    cols: Cols<'a>,
     lb: Vec<f64>,
     ub: Vec<f64>,
-    /// phase-2 objective (maximization), length grows with artificials
-    obj: Vec<f64>,
-    rhs: Vec<f64>,
-    /// 1.0 when original sense was Maximize, -1.0 for Minimize
-    sense_sign: f64,
     /// dense row-major m*m basis inverse
     binv: Vec<f64>,
     basis: Vec<usize>,
@@ -517,90 +633,79 @@ struct Simplex {
     refactorizations: usize,
     /// Use Bland's rule from the first pivot (robust restart mode).
     force_bland: bool,
+    /// The cold solve's phase-1 and phase-2 objectives over every column.
+    cost: Vec<f64>,
     /// Nonzeros of the scaled pivot row as `(column, value)` pairs, gathered
     /// once per pivot so every row update streams through them.
     eta: Vec<(usize, f64)>,
     /// Reused per-iteration buffers: dual prices `c_B B^-1` (`dual_prices`),
-    /// the entering column `B^-1 A_j` (`ftran`) and the right-hand-side
-    /// residual (`fill_resid`).
+    /// the entering column `B^-1 A_j` (`ftran`), the right-hand-side
+    /// residual (`fill_resid`) and its nonzeros (`refresh_values`).
     y: Vec<f64>,
     w: Vec<f64>,
     resid: Vec<f64>,
+    resid_nz: Vec<(usize, f64)>,
 }
 
-impl Simplex {
-    fn build(model: &Model, bounds: &[(f64, f64)]) -> Simplex {
-        let n = model.num_vars();
-        let m = model.num_constraints();
-        let mut cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n + m];
-        let mut lb = vec![0.0f64; n + m];
-        let mut ub = vec![0.0f64; n + m];
-        let mut obj = vec![0.0f64; n + m];
-        let mut rhs = vec![0.0f64; m];
-
-        let sense_sign = match model.sense() {
-            Sense::Maximize => 1.0,
-            Sense::Minimize => -1.0,
-        };
-        for (j, &(l, u)) in bounds.iter().enumerate() {
-            debug_assert!(l.is_finite(), "structural lower bounds must be finite");
-            lb[j] = l;
-            ub[j] = u;
+impl<'a> Simplex<'a> {
+    /// A solver over `mat` under `bounds`, its buffers taken from
+    /// `scratch`: what `solve` and `solve_warm` read, they set first.
+    fn new(mat: &'a LpMatrix, bounds: &[(f64, f64)], scratch: Scratch) -> Simplex<'a> {
+        let Scratch {
+            mut arts, mut lb, mut ub, binv, basis, xb, stat, banned, cost, eta, y, w, resid, resid_nz,
+        } = scratch;
+        arts.clear();
+        lb.clear();
+        ub.clear();
+        for &(l, u) in bounds.iter().chain(&mat.slack_bounds) {
+            lb.push(l);
+            ub.push(u);
         }
-        for &(v, c) in &model.objective().terms {
-            obj[v.index()] = sense_sign * c;
-        }
-        for (i, con) in model.constraints().iter().enumerate() {
-            // Row equilibration: divide each row by its largest coefficient
-            // so pivot tolerances are meaningful regardless of the model's
-            // units (compiler models mix 0/1 placements with memory
-            // capacities in the tens of thousands).
-            let scale = row_scale(con);
-            rhs[i] = con.rhs / scale;
-            for &(v, c) in &con.terms {
-                cols[v.index()].push((i, c / scale));
-            }
-            let s = n + i;
-            cols[s].push((i, 1.0));
-            match con.cmp {
-                Cmp::Le => {
-                    lb[s] = 0.0;
-                    ub[s] = f64::INFINITY;
-                }
-                Cmp::Ge => {
-                    lb[s] = f64::NEG_INFINITY;
-                    ub[s] = 0.0;
-                }
-                Cmp::Eq => {
-                    lb[s] = 0.0;
-                    ub[s] = 0.0;
-                }
-            }
-        }
-
+        debug_assert!(
+            lb[..mat.n].iter().all(|l| l.is_finite()),
+            "structural lower bounds must be finite"
+        );
         Simplex {
-            n,
-            m,
-            cols,
+            n: mat.n,
+            m: mat.m,
+            cols: Cols { mat, arts },
             lb,
             ub,
-            obj,
-            rhs,
-            sense_sign,
-            binv: Vec::new(),
-            basis: Vec::new(),
-            xb: Vec::new(),
-            stat: Vec::new(),
-            banned: Vec::new(),
+            binv,
+            basis,
+            xb,
+            stat,
+            banned,
             degenerate_run: 0,
             pivots: 0,
             refactorizations: 0,
             force_bland: false,
-            eta: Vec::new(),
-            y: Vec::new(),
-            w: Vec::new(),
-            resid: Vec::new(),
+            cost,
+            eta,
+            y,
+            w,
+            resid,
+            resid_nz,
         }
+    }
+
+    /// Hand the buffers back, for the workspace's next solve.
+    fn into_scratch(self) -> Scratch {
+        let Simplex {
+            cols, lb, ub, binv, basis, xb, stat, banned, cost, eta, y, w, resid, resid_nz, ..
+        } = self;
+        let arts = cols.arts;
+        Scratch { arts, lb, ub, binv, basis, xb, stat, banned, cost, eta, y, w, resid, resid_nz }
+    }
+
+    /// A fresh solver over the same matrix and these buffers.
+    fn restart(self, bounds: &[(f64, f64)]) -> Simplex<'a> {
+        let mat = self.mat();
+        Simplex::new(mat, bounds, self.into_scratch())
+    }
+
+    fn mat(&self) -> &'a LpMatrix {
+        self.cols.mat
     }
 
     /// Initial nonbasic status for a variable given its bounds.
@@ -615,33 +720,27 @@ impl Simplex {
     }
 
     fn solve(&mut self) -> Result<LpResult, LpError> {
+        let mat = self.mat();
         let n = self.n;
         let m = self.m;
         let nv = n + m;
-        self.stat = (0..nv)
-            .map(|j| Self::rest_status(self.lb[j], self.ub[j]))
-            .collect();
-        self.banned = vec![false; nv];
-        self.binv = identity(m);
-        self.basis = (0..m).map(|i| n + i).collect();
-        self.xb = vec![0.0; m];
+        self.stat.clear();
+        self.stat.extend((0..nv).map(|j| Self::rest_status(self.lb[j], self.ub[j])));
+        self.banned.clear();
+        self.banned.resize(nv, false);
+        set_identity(&mut self.binv, m);
+        self.basis.clear();
+        self.basis.extend(n..nv);
+        self.xb.clear();
+        self.xb.resize(m, 0.0);
 
         // Slack basis values: s_i = b_i - A_i * v_N (structural resting values).
-        let mut resid = self.rhs.clone();
-        for j in 0..n {
-            let v = self.var_value(j);
-            if v != 0.0 {
-                for &(r, a) in &self.cols[j] {
-                    resid[r] -= a * v;
-                }
-            }
-        }
+        self.fill_resid(false);
         // Slack starts basic; detect rows whose slack violates its bounds
         // and patch them with artificial variables.
-        let mut artificials: Vec<usize> = Vec::new();
         for i in 0..m {
             let s = n + i;
-            let v = resid[i];
+            let v = self.resid[i];
             if v >= self.lb[s] - FEAS_TOL && v <= self.ub[s] + FEAS_TOL {
                 self.stat[s] = VStat::Basic(i);
                 self.xb[i] = v;
@@ -652,40 +751,39 @@ impl Simplex {
                 let violation = v - beta;
                 let g = if violation >= 0.0 { 1.0 } else { -1.0 };
                 let a = self.cols.len();
-                self.cols.push(vec![(i, g)]);
+                self.cols.arts.push((i, g));
                 // The basis column for this row is now `g`, not the slack's
                 // +1: keep B^-1 consistent (B is diagonal at this point).
                 self.binv[i * m + i] = 1.0 / g;
                 self.lb.push(0.0);
                 self.ub.push(f64::INFINITY);
-                self.obj.push(0.0);
                 self.stat.push(VStat::Basic(i));
                 self.banned.push(false);
                 self.basis[i] = a;
                 self.xb[i] = violation.abs();
-                artificials.push(a);
             }
         }
 
-        if !artificials.is_empty() {
+        let mut cost = std::mem::take(&mut self.cost);
+        if !self.cols.arts.is_empty() {
             // Phase 1: maximize -(sum of artificials).
-            let mut p1 = vec![0.0; self.cols.len()];
-            for &a in &artificials {
-                p1[a] = -1.0;
-            }
-            self.run(&p1)?;
-            let infeas: f64 = artificials.iter().map(|&a| self.var_value(a).max(0.0)).sum();
+            cost.clear();
+            cost.resize(nv, 0.0);
+            cost.resize(self.cols.len(), -1.0);
+            self.run(&cost)?;
+            let infeas: f64 = (nv..self.cols.len()).map(|a| self.var_value(a).max(0.0)).sum();
             if infeas > 1e-6 {
+                self.cost = cost;
                 return Ok(LpResult::Infeasible);
             }
             // Drive artificials out of the basis where possible; ban all of
             // them from phase 2 either way (fix bounds to [0,0]).
-            for &a in &artificials {
+            for a in nv..self.cols.len() {
                 if let VStat::Basic(r) = self.stat[a] {
                     self.pivot_out_artificial(a, r)?;
                 }
             }
-            for &a in &artificials {
+            for a in nv..self.cols.len() {
                 self.banned[a] = true;
                 self.lb[a] = 0.0;
                 self.ub[a] = 0.0;
@@ -698,19 +796,28 @@ impl Simplex {
         }
 
         // Phase 2.
-        let obj = self.obj.clone();
+        cost.clear();
+        cost.extend_from_slice(&mat.obj);
+        cost.resize(self.cols.len(), 0.0);
         self.degenerate_run = 0;
-        match self.run(&obj)? {
-            RunOutcome::Optimal => {
-                let x: Vec<f64> = (0..n).map(|j| self.var_value(j)).collect();
-                let mut obj_val = 0.0;
-                for j in 0..n {
-                    obj_val += self.obj[j] * x[j];
-                }
-                Ok(LpResult::Optimal { x, obj: self.sense_sign * obj_val })
-            }
-            RunOutcome::Unbounded => Ok(LpResult::Unbounded),
+        let outcome = self.run(&cost)?;
+        self.cost = cost;
+        Ok(match outcome {
+            RunOutcome::Optimal => self.optimum(),
+            RunOutcome::Unbounded => LpResult::Unbounded,
+        })
+    }
+
+    /// The structural values at the current (optimal) basis and their
+    /// objective, in the model's own sense.
+    fn optimum(&self) -> LpResult {
+        let mat = self.mat();
+        let x: Vec<f64> = (0..self.n).map(|j| self.var_value(j)).collect();
+        let mut obj_val = 0.0;
+        for j in 0..self.n {
+            obj_val += mat.obj[j] * x[j];
         }
+        LpResult::Optimal { x, obj: mat.sense_sign * obj_val }
     }
 
     fn var_value(&self, j: usize) -> f64 {
@@ -753,37 +860,9 @@ impl Simplex {
         &self.binv[i * self.m..(i + 1) * self.m]
     }
 
-    /// `self.w = B^-1 * A_j`, one entry per row of `B^-1`: each `w[i]` sums
-    /// the column's nonzeros in column order, reading one row slice. Four
-    /// rows share a pass over the column, one accumulator each, so its
-    /// entries are loaded once per four rows. Branch-free like
-    /// `dual_prices`: these inner loops are a few entries long and a
-    /// data-dependent zero test in them mispredicts.
+    /// `self.w = B^-1 * A_j` (see [`binv_times`]).
     fn ftran(&mut self, j: usize) {
-        let col = &self.cols[j];
-        let m = self.m.max(1);
-        self.w.clear();
-        let mut quads = self.binv.chunks_exact(4 * m);
-        for quad in quads.by_ref() {
-            let (r0, rest) = quad.split_at(m);
-            let (r1, rest) = rest.split_at(m);
-            let (r2, r3) = rest.split_at(m);
-            let mut acc = [0.0; 4];
-            for &(r, a) in col {
-                acc[0] += r0[r] * a;
-                acc[1] += r1[r] * a;
-                acc[2] += r2[r] * a;
-                acc[3] += r3[r] * a;
-            }
-            self.w.extend_from_slice(&acc);
-        }
-        self.w.extend(rows(quads.remainder(), m).map(|row| {
-            let mut acc = 0.0;
-            for &(r, a) in col {
-                acc += row[r] * a;
-            }
-            acc
-        }));
+        binv_times(&self.binv, self.m, &self.cols[j], &mut self.w);
     }
 
     /// `self.y = c_B^T B^-1` as one row-axpy per basic row with a nonzero
@@ -823,7 +902,7 @@ impl Simplex {
     /// resting values, plus the basic columns at `x_B` when `with_basic`.
     fn fill_resid(&mut self, with_basic: bool) {
         let mut resid = std::mem::take(&mut self.resid);
-        resid.clone_from(&self.rhs);
+        resid.clone_from(&self.mat().rhs);
         for (j, col) in self.cols.iter().enumerate() {
             if !with_basic && matches!(self.stat[j], VStat::Basic(_)) {
                 continue;
@@ -838,18 +917,17 @@ impl Simplex {
         self.resid = resid;
     }
 
-    /// Recompute basic values from the current nonbasic resting point.
+    /// Recompute basic values from the current nonbasic resting point:
+    /// `x_B = B^-1 · resid` over the residual's nonzeros, gathered once, by
+    /// the kernel `ftran` uses. A skipped term is `v · ±0.0 = ±0.0` (for
+    /// finite `v`), and adding that to an accumulator that started at
+    /// `+0.0` changes no bit of it, so every row's sum is the one over all
+    /// `m` entries.
     fn refresh_values(&mut self) {
         self.fill_resid(false);
-        for (x, row) in self.xb.iter_mut().zip(rows(&self.binv, self.m)) {
-            let mut acc = 0.0;
-            for (&v, &r) in row.iter().zip(&self.resid) {
-                if v != 0.0 {
-                    acc += v * r;
-                }
-            }
-            *x = acc;
-        }
+        self.resid_nz.clear();
+        self.resid_nz.extend(self.resid.iter().copied().enumerate().filter(|&(_, r)| r != 0.0));
+        binv_times(&self.binv, self.m, &self.resid_nz, &mut self.xb);
     }
 
     /// Rebuild `B^-1` from scratch by Gauss-Jordan elimination.
@@ -1065,7 +1143,7 @@ impl Simplex {
     /// `B^-1`, which are moved out of the solver, not copied. `None` unless
     /// `result` is optimal, and when the basis is not representable — a
     /// redundant row left an artificial variable basic.
-    fn into_basis_if_optimal(self, result: &LpResult) -> Option<Basis> {
+    fn take_basis_if_optimal(&mut self, result: &LpResult) -> Option<Basis> {
         let nv = self.n + self.m;
         if !matches!(result, LpResult::Optimal { .. }) || self.basis.iter().any(|&b| b >= nv) {
             return None;
@@ -1080,7 +1158,7 @@ impl Simplex {
             })
             .collect();
         let (rows, binv) = if self.m <= BINV_SNAPSHOT_MAX_ROWS {
-            (self.basis, self.binv)
+            (std::mem::take(&mut self.basis), std::mem::take(&mut self.binv))
         } else {
             (Vec::new(), Vec::new())
         };
@@ -1182,9 +1260,11 @@ impl Simplex {
         // the install is then one O(m²) copy (or a move) plus a residual
         // check. Otherwise basic variables take rows in ascending index
         // order and one refactorization rebuilds B^-1.
-        self.stat = vec![VStat::Free; nv];
-        self.banned = vec![false; nv];
-        self.basis = Vec::with_capacity(m);
+        self.stat.clear();
+        self.stat.resize(nv, VStat::Free);
+        self.banned.clear();
+        self.banned.resize(nv, false);
+        self.basis.clear();
         let inv_len = moved_inv.as_ref().map_or(warm.binv.len(), Vec::len);
         let reuse_inv = warm.rows.len() == m
             && inv_len == m * m
@@ -1196,7 +1276,7 @@ impl Simplex {
                 }
                 self.stat[j] = VStat::Basic(i);
             }
-            self.basis = warm.rows.clone();
+            self.basis.clone_from(&warm.rows);
         }
         for j in 0..nv {
             if matches!(self.stat[j], VStat::Basic(_)) {
@@ -1223,9 +1303,13 @@ impl Simplex {
         if self.basis.len() != m {
             return Ok(None);
         }
-        self.xb = vec![0.0; m];
+        self.xb.clear();
+        self.xb.resize(m, 0.0);
         if reuse_inv {
-            self.binv = moved_inv.unwrap_or_else(|| warm.binv.clone());
+            match moved_inv {
+                Some(inv) => self.binv = inv,
+                None => self.binv.clone_from(&warm.binv),
+            }
             self.refresh_values();
             // A residual means the inverse does not match this model's
             // matrix (foreign or numerically stale snapshot): rebuild.
@@ -1240,8 +1324,8 @@ impl Simplex {
         // optimum satisfies this by construction; a stale or foreign basis
         // may not, and the Infeasible certificate below is only sound when
         // it does.
-        let obj = self.obj.clone();
-        self.dual_prices(&obj);
+        let obj = &self.mat().obj;
+        self.dual_prices(obj);
         for j in 0..nv {
             if matches!(self.stat[j], VStat::Basic(_)) {
                 continue;
@@ -1288,22 +1372,15 @@ impl Simplex {
                 // Primal feasible again: the primal loop certifies
                 // optimality (usually zero pivots — we kept dual
                 // feasibility throughout) and cleans up tolerance drift.
-                return match self.run(&obj)? {
-                    RunOutcome::Optimal => {
-                        let x: Vec<f64> = (0..n).map(|j| self.var_value(j)).collect();
-                        let mut obj_val = 0.0;
-                        for j in 0..n {
-                            obj_val += self.obj[j] * x[j];
-                        }
-                        Ok(Some(LpResult::Optimal { x, obj: self.sense_sign * obj_val }))
-                    }
-                    RunOutcome::Unbounded => Ok(Some(LpResult::Unbounded)),
-                };
+                return Ok(Some(match self.run(obj)? {
+                    RunOutcome::Optimal => self.optimum(),
+                    RunOutcome::Unbounded => LpResult::Unbounded,
+                }));
             };
 
             // Fresh dual prices for this basis, then price only
             // direction-feasible candidates.
-            self.dual_prices(&obj);
+            self.dual_prices(obj);
             // Entering: dual ratio test. alpha_j = (B^-1 A_j)[row]; the
             // candidate must move the leaving variable toward its violated
             // bound without leaving its own resting side, and the minimal
@@ -1398,6 +1475,39 @@ impl Simplex {
 /// where `chunks_exact(0)` would panic).
 fn rows(mat: &[f64], m: usize) -> std::slice::ChunksExact<'_, f64> {
     mat.chunks_exact(m.max(1))
+}
+
+/// `out = B^-1 · v` for a sparse `v` given as `(index, value)` pairs, one
+/// entry per row of the row-major `m`×`m` `binv`: each `out[i]` sums
+/// `binv[i][k] · v_k` over the pairs in their order, from `+0.0`. Four rows
+/// share a pass over the pairs, one accumulator each, so the pairs are
+/// loaded once per four rows. Branch-free like `dual_prices`: these inner
+/// loops are a few entries long and a data-dependent zero test in them
+/// mispredicts.
+fn binv_times(binv: &[f64], m: usize, v: &[(usize, f64)], out: &mut Vec<f64>) {
+    let m = m.max(1);
+    out.clear();
+    let mut quads = binv.chunks_exact(4 * m);
+    for quad in quads.by_ref() {
+        let (r0, rest) = quad.split_at(m);
+        let (r1, rest) = rest.split_at(m);
+        let (r2, r3) = rest.split_at(m);
+        let mut acc = [0.0; 4];
+        for &(k, a) in v {
+            acc[0] += r0[k] * a;
+            acc[1] += r1[k] * a;
+            acc[2] += r2[k] * a;
+            acc[3] += r3[k] * a;
+        }
+        out.extend_from_slice(&acc);
+    }
+    out.extend(rows(quads.remainder(), m).map(|row| {
+        let mut acc = 0.0;
+        for &(k, a) in v {
+            acc += row[k] * a;
+        }
+        acc
+    }));
 }
 
 /// `row *= s`, gathering the nonzero results into `nz` as `(column, value)`.
@@ -1511,11 +1621,18 @@ enum RunOutcome {
 }
 
 fn identity(m: usize) -> Vec<f64> {
-    let mut id = vec![0.0; m * m];
-    for i in 0..m {
-        id[i * m + i] = 1.0;
-    }
+    let mut id = Vec::new();
+    set_identity(&mut id, m);
     id
+}
+
+/// Make `mat` the `m`×`m` identity, in place.
+fn set_identity(mat: &mut Vec<f64>, m: usize) {
+    mat.clear();
+    mat.resize(m * m, 0.0);
+    for i in 0..m {
+        mat[i * m + i] = 1.0;
+    }
 }
 
 #[cfg(test)]
@@ -1918,7 +2035,7 @@ mod warm_tests {
         let mut b = root_bounds.clone();
         b[3] = (1.0, 1.0);
         let copied = solve_lp_ext(&m, &b, Some(&basis)).unwrap();
-        let taken = solve_lp_take(&m, &b, &mut basis).unwrap();
+        let taken = LpWorkspace::new(&m).solve_take(&b, &mut basis).unwrap();
         assert!(taken.stats.warm && !taken.stats.fell_back);
         assert_eq!(taken.stats, copied.stats);
         match (&taken.result, &copied.result) {
@@ -1931,7 +2048,7 @@ mod warm_tests {
         assert!(basis.binv.is_empty(), "the inverse moved out");
         assert_eq!(basis.rows.len(), 3);
 
-        let again = solve_lp_take(&m, &b, &mut basis).unwrap();
+        let again = LpWorkspace::new(&m).solve_take(&b, &mut basis).unwrap();
         assert!(again.stats.warm && !again.stats.fell_back);
         assert_eq!(again.stats.refactorizations, 1, "no inverse left: one rebuild");
         match (&again.result, &copied.result) {
@@ -1948,7 +2065,7 @@ mod warm_tests {
     #[test]
     fn tableau_survives_moving_the_inverse_out() {
         let (m, bounds) = three_rows();
-        let tab = solve_lp_tableau(&m, &bounds, None, &[true; 6], 1e-6, 8).unwrap();
+        let tab = LpWorkspace::new(&m).solve_tableau(&bounds, None, &[true; 6], 1e-6, 8).unwrap();
         assert!(matches!(tab.result, LpResult::Optimal { .. }));
         assert_eq!(tab.stat.len(), 9);
         assert_eq!(tab.values.len(), 9);
@@ -2061,7 +2178,7 @@ mod warm_tests {
                     b[j] = side;
                     let want = solve_lp_ext(&model, &b, Some(&dense)).unwrap();
                     let copied = solve_lp_ext(&model, &b, Some(&stored.expand())).unwrap();
-                    let taken = solve_lp_take(&model, &b, &mut stored.expand()).unwrap();
+                    let taken = LpWorkspace::new(&model).solve_take(&b, &mut stored.expand()).unwrap();
                     assert!(want.stats.warm, "x{j} in {side:?}");
                     warm_pivots += want.stats.pivots;
                     for got in [&copied, &taken] {
@@ -2082,6 +2199,75 @@ mod warm_tests {
             }
         }
         assert!(warm_pivots > 20, "the children must pivot ({warm_pivots} dual pivots)");
+    }
+
+    /// What a solve hands on, as bits: `x` and the objective (or which
+    /// non-optimal result), the work counters, and the next basis —
+    /// statuses, row order and `B^-1`.
+    #[allow(clippy::type_complexity)]
+    fn solve_bits(s: &LpSolve) -> (Option<(Vec<u64>, u64)>, String, LpStats, Option<(Vec<BStat>, Vec<usize>, Vec<u64>)>) {
+        let point = match &s.result {
+            LpResult::Optimal { x, obj } => Some((x.iter().map(|v| v.to_bits()).collect(), obj.to_bits())),
+            _ => None,
+        };
+        let basis = s.basis.as_ref().map(|b| (b.stat.clone(), b.rows.clone(), inv_bits(b)));
+        (point, format!("{:?}", std::mem::discriminant(&s.result)), s.stats, basis)
+    }
+
+    /// One workspace carried through a cold root LP, a dive that fixes a
+    /// variable per LP (chained, each link's inverse moved in), its
+    /// infeasible sides and a dual-infeasible basis that falls back cold
+    /// solves every LP bit for bit as the one-shot `solve_lp_ext`, which
+    /// builds a workspace for that LP alone: nothing a solve leaves in the
+    /// buffers reaches the next one.
+    #[test]
+    fn one_workspace_solves_every_lp_as_a_fresh_one() {
+        let mut rng = StdRng::seed_from_u64(0x0e_1a_b5);
+        let (mut chained, mut infeasible, mut fell_back) = (0, 0, 0);
+        for m in [12, 40] {
+            let (model, root_bounds) = random_lp(&mut rng, m);
+            let mut ws = LpWorkspace::new(&model);
+            let root = ws.solve(&root_bounds, None).unwrap();
+            assert_eq!(solve_bits(&root), solve_bits(&solve_lp_ext(&model, &root_bounds, None).unwrap()), "m={m} root");
+            let LpResult::Optimal { x: mut cur, .. } = root.result else { panic!("{:?}", root.result) };
+            let mut link = root.basis.expect("root basis");
+            let mut bounds = root_bounds.clone();
+            for step in 0..m {
+                let j = rng.gen_range(0..m);
+                let keep = bounds[j];
+                // Half the time the variable's upper bound, which some
+                // rows cannot carry: an infeasible side.
+                bounds[j] = if rng.gen_bool(0.5) { (10.0, 10.0) } else { (cur[j] / 2.0, cur[j] / 2.0) };
+                let want = solve_lp_ext(&model, &bounds, Some(&link)).unwrap();
+                let got = ws.solve_take(&bounds, &mut link).unwrap();
+                assert_eq!(solve_bits(&got), solve_bits(&want), "m={m} step {step}");
+                chained += usize::from(got.stats.warm);
+                match got.result {
+                    LpResult::Optimal { x, .. } => {
+                        cur = x;
+                        link = got.basis.expect("an optimal dive LP leaves a basis");
+                    }
+                    _ => {
+                        infeasible += 1;
+                        bounds[j] = keep;
+                    }
+                }
+            }
+            // Every structural at its lower bound, every slack basic: primal
+            // feasible, but each column is worth raising.
+            let slack_basis = Basis {
+                stat: (0..2 * m).map(|j| if j < m { BStat::AtLower } else { BStat::Basic }).collect(),
+                rows: Vec::new(),
+                binv: Vec::new(),
+            };
+            let got = ws.solve(&bounds, Some(&slack_basis)).unwrap();
+            assert_eq!(solve_bits(&got), solve_bits(&solve_lp_ext(&model, &bounds, Some(&slack_basis)).unwrap()), "m={m} fallback");
+            fell_back += usize::from(got.stats.fell_back);
+            // And the workspace is as good as new after the fallback.
+            let again = ws.solve(&root_bounds, got.basis.as_ref()).unwrap();
+            assert_eq!(solve_bits(&again), solve_bits(&solve_lp_ext(&model, &root_bounds, got.basis.as_ref()).unwrap()), "m={m} after the fallback");
+        }
+        assert!(chained > 10 && infeasible > 3 && fell_back == 2, "{chained} warm LPs, {infeasible} infeasible, {fell_back} fallbacks");
     }
 }
 
@@ -2146,7 +2332,7 @@ mod kernel_tests {
 
     fn ref_refresh_values(sx: &Simplex, binv: &[f64]) -> Vec<f64> {
         let m = sx.m;
-        let mut resid = sx.rhs.clone();
+        let mut resid = sx.mat().rhs.clone();
         for j in 0..sx.cols.len() {
             if matches!(sx.stat[j], VStat::Basic(_)) {
                 continue;
@@ -2221,6 +2407,11 @@ mod kernel_tests {
         Some(inv)
     }
 
+    /// A matrix that lives as long as the test, for a solver to borrow.
+    fn leak(mat: LpMatrix) -> &'static LpMatrix {
+        Box::leak(Box::new(mat))
+    }
+
     /// Seat `basis` (one variable per row) with an identity inverse and
     /// everything else at its lower bound — the state `solve` starts from.
     fn seat(sx: &mut Simplex, basis: Vec<usize>) {
@@ -2237,7 +2428,7 @@ mod kernel_tests {
 
     /// A solver sitting on the slack basis of a seeded random `m`-row,
     /// `m`-column model of the given coefficient density.
-    fn random_simplex(rng: &mut StdRng, m: usize, density: f64) -> Simplex {
+    fn random_simplex(rng: &mut StdRng, m: usize, density: f64) -> Simplex<'static> {
         let mut model = Model::new();
         let xs: Vec<_> = (0..m).map(|j| model.continuous(format!("x{j}"), 0.0, 10.0)).collect();
         for i in 0..m {
@@ -2254,7 +2445,7 @@ mod kernel_tests {
             Sense::Maximize,
         );
         let bounds: Vec<_> = model.vars().iter().map(|v| (v.lb, v.ub)).collect();
-        let mut sx = Simplex::build(&model, &bounds);
+        let mut sx = Simplex::new(leak(LpMatrix::new(&model)), &bounds, Scratch::default());
         seat(&mut sx, (m..2 * m).collect());
         // Some structurals rest at their upper bound, so the residual and
         // the refreshed values are not all zeros.
@@ -2273,7 +2464,7 @@ mod kernel_tests {
         for &m in &[5usize, 40, 200] {
             for &density in &[0.02, 0.1, 0.3] {
                 let mut sx = random_simplex(&mut rng, m, density);
-                let cost = sx.obj.clone();
+                let cost = sx.mat().obj.clone();
                 let mut binv = sx.binv.clone();
                 let mut pivots = 0;
                 let mut attempts = 0;
@@ -2317,7 +2508,7 @@ mod kernel_tests {
 
     /// A solver whose basis matrix is exactly `columns` (sparse, one list
     /// of `(row, value)` per basic column), bypassing row equilibration.
-    fn with_basis_matrix(columns: &[Vec<(usize, f64)>]) -> Simplex {
+    fn with_basis_matrix(columns: &[Vec<(usize, f64)>]) -> Simplex<'static> {
         let m = columns.len();
         let mut model = Model::new();
         for i in 0..m {
@@ -2325,8 +2516,16 @@ mod kernel_tests {
             model.le(format!("r{i}"), LinExpr::from(x), 1.0);
         }
         let bounds: Vec<_> = model.vars().iter().map(|v| (v.lb, v.ub)).collect();
-        let mut sx = Simplex::build(&model, &bounds);
-        sx.cols[..m].clone_from_slice(columns);
+        let mut mat = LpMatrix::new(&model);
+        let mut entries = Vec::new();
+        let mut start = vec![0];
+        for j in 0..2 * m {
+            let slack = &mat.entries[mat.start[j]..mat.start[j + 1]];
+            entries.extend_from_slice(if j < m { &columns[j] } else { slack });
+            start.push(entries.len());
+        }
+        (mat.start, mat.entries) = (start, entries);
+        let mut sx = Simplex::new(leak(mat), &bounds, Scratch::default());
         seat(&mut sx, (0..m).collect());
         sx
     }
@@ -2417,6 +2616,50 @@ mod kernel_tests {
                 assert_eq!(folded_bits(&sx.w), folded_bits(&ref_ftran(&sx, &binv, j)), "m={m} column {j}");
             }
         }
+    }
+
+    /// `refresh_values` sums over the residual's nonzeros only; the
+    /// reference sums over every entry of `B^-1` that is not zero. Equal bit
+    /// for bit, signs of zeros included, on residuals with exact zeros of
+    /// both signs — rows whose right-hand side is `+0.0` or `-0.0` and that
+    /// no column off zero touches — and inverses full of signed zeros and
+    /// subnormals.
+    #[test]
+    fn refresh_over_residual_nonzeros_matches_the_reference_on_signed_zeros() {
+        let mut rng = StdRng::seed_from_u64(0x2e_f2_e5);
+        let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (mut pos_zeros, mut neg_zeros) = (0, 0);
+        for m in [1usize, 3, 8, 40, 120] {
+            let mut model = Model::new();
+            let xs: Vec<_> = (0..m).map(|j| model.continuous(format!("x{j}"), 0.0, 10.0)).collect();
+            for i in 0..m {
+                let mut row = LinExpr::term(xs[i], rng.gen_range(1.0..5.0));
+                for &x in &xs {
+                    if rng.gen_bool(0.05) {
+                        row += LinExpr::term(x, rng.gen_range(-5.0..5.0));
+                    }
+                }
+                let rhs = [0.0, -0.0, rng.gen_range(-20.0..20.0)][rng.gen_range(0..3)];
+                model.le(format!("r{i}"), row, rhs);
+            }
+            model.set_objective(LinExpr::from(xs[0]), Sense::Maximize);
+            let bounds: Vec<_> = model.vars().iter().map(|v| (v.lb, v.ub)).collect();
+            let mut sx = Simplex::new(leak(LpMatrix::new(&model)), &bounds, Scratch::default());
+            seat(&mut sx, (m..2 * m).collect());
+            for j in 0..m {
+                if rng.gen_bool(0.1) {
+                    sx.stat[j] = VStat::AtUpper;
+                }
+            }
+            for trial in 0..4 {
+                sx.binv = (0..m * m).map(|_| awkward(&mut rng)).collect();
+                sx.refresh_values();
+                assert_eq!(bits(&sx.xb), bits(&ref_refresh_values(&sx, &sx.binv)), "m={m} trial {trial}");
+            }
+            pos_zeros += sx.resid.iter().filter(|r| r.to_bits() == 0).count();
+            neg_zeros += sx.resid.iter().filter(|r| r.to_bits() == NEG_ZERO).count();
+        }
+        assert!(pos_zeros > 5 && neg_zeros > 5, "residual zeros: {pos_zeros} +0.0, {neg_zeros} -0.0");
     }
 
     /// The lazy scale check must give the eager fold's verdict (and, when
@@ -2535,7 +2778,8 @@ mod scaling_tests {
         m.le("b", LinExpr::term(x, 2.0) + LinExpr::from(y), 15.0);
         m.set_objective(LinExpr::term(x, 3.0) + LinExpr::term(y, 2.0), Sense::Maximize);
         let bounds: Vec<(f64, f64)> = m.vars().iter().map(|v| (v.lb, v.ub)).collect();
-        let mut sx = Simplex::build(&m, &bounds);
+        let mat = LpMatrix::new(&m);
+        let mut sx = Simplex::new(&mat, &bounds, Scratch::default());
         sx.force_bland = true;
         match sx.solve().unwrap() {
             LpResult::Optimal { obj, .. } => assert!((obj - 25.0).abs() < 1e-6, "obj {obj}"),

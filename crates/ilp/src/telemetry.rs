@@ -106,6 +106,11 @@ pub enum FaceDiveEnd {
     /// It reached an integral point on the face of the root bound, which
     /// closes the root gap: no tree.
     ClosedGap,
+    /// It ended on an integral point that does not close the root gap:
+    /// one at the low edge of the face row's `prune_gap` band, or one that
+    /// snapping to integers lowered. The point is kept as an incumbent if
+    /// it beats the warm pass's, and the tree starts from the better one.
+    FellShort,
     /// It found no integral point there; the tree starts from the warm
     /// pass's incumbent, if any.
     Empty,
@@ -126,7 +131,7 @@ impl DiveTelemetry {
     /// The record as a JSON object, for `p4allc --json-diagnostics`:
     /// `{"warm":{"end":"closed_gap"|"gave_up"|"left_gap_open","lps":k,
     /// "pivots":p[,"bound":z,"root":r]},
-    /// "face":{"end":"closed_gap"|"empty","lps":k,"pivots":p}|null}`.
+    /// "face":{"end":"closed_gap"|"fell_short"|"empty","lps":k,"pivots":p}|null}`.
     pub fn to_json(&self) -> String {
         let (end, w) = &self.warm;
         let (end, bounds) = match end {
@@ -143,6 +148,7 @@ impl DiveTelemetry {
             Some((end, w)) => {
                 let end = match end {
                     FaceDiveEnd::ClosedGap => "closed_gap",
+                    FaceDiveEnd::FellShort => "fell_short",
                     FaceDiveEnd::Empty => "empty",
                 };
                 format!("{{\"end\":\"{end}\",\"lps\":{},\"pivots\":{}}}", w.lps, w.pivots)
@@ -171,6 +177,7 @@ impl fmt::Display for DiveTelemetry {
         let Some((end, w)) = &self.face else { return Ok(()) };
         let what = match end {
             FaceDiveEnd::ClosedGap => "reached the root bound",
+            FaceDiveEnd::FellShort => "found a point short of the root bound",
             FaceDiveEnd::Empty => "found no point on the root face",
         };
         write!(f, ", face dive {what} ({} LPs, {} pivots)", w.lps, w.pivots)
