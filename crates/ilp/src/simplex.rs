@@ -770,7 +770,7 @@ impl<'a> Simplex<'a> {
             cost.clear();
             cost.resize(nv, 0.0);
             cost.resize(self.cols.len(), -1.0);
-            self.run(&cost)?;
+            self.run(&cost, false)?;
             let infeas: f64 = (nv..self.cols.len()).map(|a| self.var_value(a).max(0.0)).sum();
             if infeas > 1e-6 {
                 self.cost = cost;
@@ -800,7 +800,7 @@ impl<'a> Simplex<'a> {
         cost.extend_from_slice(&mat.obj);
         cost.resize(self.cols.len(), 0.0);
         self.degenerate_run = 0;
-        let outcome = self.run(&cost)?;
+        let outcome = self.run(&cost, false)?;
         self.cost = cost;
         Ok(match outcome {
             RunOutcome::Optimal => self.optimum(),
@@ -1019,12 +1019,16 @@ impl<'a> Simplex<'a> {
     }
 
     /// Run the simplex loop for a given (maximization) objective vector.
-    fn run(&mut self, c: &[f64]) -> Result<RunOutcome, LpError> {
+    /// `y_fresh` says `self.y` already holds `c_B·B⁻¹` for the current
+    /// basis and inverse, so the first iteration need not price it again.
+    fn run(&mut self, c: &[f64], y_fresh: bool) -> Result<RunOutcome, LpError> {
         let m = self.m;
         let max_iters = 20_000 + 200 * (self.n + m);
         let mut since_refresh = 0usize;
-        for _iter in 0..max_iters {
-            self.dual_prices(c);
+        for iter in 0..max_iters {
+            if iter > 0 || !y_fresh {
+                self.dual_prices(c);
+            }
             // Pricing.
             let bland = self.force_bland || self.degenerate_run >= DEGENERATE_SWITCH;
             let mut enter: Option<(usize, f64, f64)> = None; // (j, |d|, dir)
@@ -1348,6 +1352,9 @@ impl<'a> Simplex<'a> {
         let max_iters = 20_000 + 200 * nv;
         let mut since_refresh = 0usize;
         let mut degenerate = 0usize;
+        // `y` holds the prices of the basis just checked until the first
+        // pivot changes it.
+        let mut y_fresh = true;
         for _iter in 0..max_iters {
             // Leaving: the basic variable with the largest bound violation.
             // `viol` is signed — positive above the upper bound, negative
@@ -1372,7 +1379,7 @@ impl<'a> Simplex<'a> {
                 // Primal feasible again: the primal loop certifies
                 // optimality (usually zero pivots — we kept dual
                 // feasibility throughout) and cleans up tolerance drift.
-                return Ok(Some(match self.run(obj)? {
+                return Ok(Some(match self.run(obj, y_fresh)? {
                     RunOutcome::Optimal => self.optimum(),
                     RunOutcome::Unbounded => LpResult::Unbounded,
                 }));
@@ -1380,7 +1387,10 @@ impl<'a> Simplex<'a> {
 
             // Fresh dual prices for this basis, then price only
             // direction-feasible candidates.
-            self.dual_prices(obj);
+            if !y_fresh {
+                self.dual_prices(obj);
+            }
+            y_fresh = false;
             // Entering: dual ratio test. alpha_j = (B^-1 A_j)[row]; the
             // candidate must move the leaving variable toward its violated
             // bound without leaving its own resting side, and the minimal

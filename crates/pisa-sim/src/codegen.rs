@@ -9,8 +9,10 @@
 //! the CMS/Bloom/min-fold idioms emitted as straight-line statements the
 //! downstream `rustc -C opt-level=3` can fold, unroll, and register-
 //! allocate with full knowledge of the concrete layout. The source is
-//! compiled by [`crate::native`] into a cdylib and driven through a tiny
-//! C ABI (`p4n_*`).
+//! compiled by [`crate::native`] into a cdylib and driven through one
+//! C entry point, `p4n_run_batch`. The crate holds the program and no
+//! state: registers, tables and undo log are host memory it reads through
+//! raw pointers, so `rustc` is paid only for what varies by program.
 //!
 //! Semantics contract (held to the interpreter by the four-way fuzz
 //! oracle and the golden/contract suites):
@@ -24,27 +26,29 @@
 //!   temporaries in source order; pure leaves fold inline, which is
 //!   unobservable because expression evaluation never writes the PHV.
 //! * Faults carry a 4-word record (code, a, b, c) back across the ABI,
-//!   and a dropped packet leaves no trace. The generated `State` keeps
-//!   its own register undo log and rolls back before returning, except
-//!   where the bytecode's build-time scan proved that no fault can
-//!   follow a register write (`CompiledProgram::undo_log`): then no
-//!   write is logged, since a faulting packet has written nothing.
-//! * Table and action ids reuse the bytecode backend's sorted-by-name
-//!   dense numbering, and the table store is the bytecode engine's own
-//!   `flat_table.rs`, pasted in verbatim: the host forwards one
-//!   pre-resolved install to both engines.
+//!   and a dropped packet leaves no trace. An undo-free program
+//!   (`CompiledProgram::undo_log` is `None`: no fault can follow a
+//!   register write) has no undo log; any other logs each write into a
+//!   host buffer of [`Generated::undo_cap`] records and rolls it back.
+//! * Tables are the bytecode engine's own, read through `#[repr(C)]`
+//!   views; the hash and probe are `table_probe.rs`, pasted verbatim.
+//!   Table and action ids are the bytecode's dense numbering.
 //!
 //! Generation is deterministic: two lowerings of the same `Switch`
 //! produce byte-identical source (asserted by `tests/native_backend.rs`).
-//! The output is dependency-free — `std` only, no external crates — by
-//! design: the build environment has no route to crates.io, so the
-//! generated crate must compile with a bare `rustc` invocation.
+//! The output is `#![no_std]` and dependency-free by design: the build
+//! environment has no route to crates.io, so the generated crate must
+//! compile with a bare `rustc` invocation.
 
 use p4all_lang::ast::BinOp;
 
 use crate::compiled::DefaultAction;
 use crate::interp::{splitmix, CDst, CExpr, CStmt, Switch};
 use crate::name_map::NameMap;
+
+/// The version of the `p4n_*` ABI: printed into every generated crate and
+/// checked by the loader. 3: tables and undo log are host memory.
+pub(crate) const ABI_VERSION: u64 = 3;
 
 /// The lowering product: source text plus the side tables the host needs
 /// to reconstruct exact [`crate::SimError`] values from fault records.
@@ -53,15 +57,23 @@ pub(crate) struct Generated {
     /// Diagnostic strings for dynamic-slot bounds faults, indexed by the
     /// diag id baked into `f_dyn` calls.
     pub diags: Vec<String>,
+    /// Records of the host undo buffer `p4n_run_batch` takes (`UNDO_CAP`
+    /// in the source): the most register writes on any one packet path,
+    /// or `None` for an undo-free program, whose entry point takes no
+    /// buffer.
+    pub undo_cap: Option<usize>,
 }
 
-/// The table store both fast engines share, embedded as source text.
-const FLAT_TABLE: &str = include_str!("flat_table.rs");
+/// The hash, probe and table view both fast engines share, as source text.
+const TABLE_PROBE: &str = include_str!("table_probe.rs");
 
 /// Lower `sw` into a self-contained Rust crate exposing the `p4n_*` ABI.
 pub(crate) fn generate(sw: &Switch) -> Generated {
+    let logged = sw.compiled.undo_log.is_some();
     let mut g = Gen {
         sw,
+        logged,
+        undo: if logged { (", undo: &mut Undo", ", undo") } else { ("", "") },
         src: String::new(),
         indent: 0,
         tmp: 0,
@@ -69,14 +81,19 @@ pub(crate) fn generate(sw: &Switch) -> Generated {
         diag_ids: NameMap::default(),
     };
     g.emit_prelude();
-    g.emit_actions();
-    g.emit_stages();
-    g.emit_abi();
-    Generated { source: g.src, diags: g.diags }
+    let apply_writes = g.emit_actions();
+    let writes = g.emit_stages(apply_writes);
+    let undo_cap = logged.then_some(writes);
+    g.emit_abi(undo_cap);
+    Generated { source: g.src, diags: g.diags, undo_cap }
 }
 
 struct Gen<'a> {
     sw: &'a Switch,
+    /// The program logs its register writes (it is not undo-free), and
+    /// so every printed function takes `undo`: its parameter and argument.
+    logged: bool,
+    undo: (&'static str, &'static str),
     src: String,
     indent: usize,
     /// Per-function temporary counter (reset at each function head).
@@ -135,7 +152,23 @@ impl<'a> Gen<'a> {
         let r = self.sw.registers.len();
 
         self.line("//! Generated by p4all-sim native codegen — do not edit.");
+        self.line("#![no_std]");
         self.line("#![allow(dead_code, unused_variables, unused_mut)]");
+        self.blank();
+        // Without `std` the crate brings its own panic handler. It aborts,
+        // as a panic in a `std` crate's `extern "C"` function does.
+        self.line("extern \"C\" {");
+        self.line("    fn abort() -> !;");
+        self.line("}");
+        self.blank();
+        self.line("#[panic_handler]");
+        self.line("fn panic(_: &core::panic::PanicInfo) -> ! {");
+        self.line("    unsafe { abort() }");
+        self.line("}");
+        self.blank();
+        self.line("/// Named by the prebuilt `core`, which unwinds; nothing here does.");
+        self.line("#[no_mangle]");
+        self.line("pub extern \"C\" fn rust_eh_personality() {}");
         self.blank();
         self.line(&format!("const PHV_LEN: usize = {n};"));
         let masks: Vec<String> =
@@ -143,21 +176,15 @@ impl<'a> Gen<'a> {
         self.line(&format!("static MASKS: [u64; PHV_LEN] = [{}];", masks.join(", ")));
         self.blank();
         self.line("type Phv = [u64; PHV_LEN];");
-        self.line("type Undo = Vec<(u32, u64, u64)>;");
         self.blank();
 
         // Register window: one fixed-length mutable view per instance.
-        if r == 0 {
-            self.line("struct Regs<'a> {");
-            self.line("    _lt: std::marker::PhantomData<&'a ()>,");
-            self.line("}");
-        } else {
-            self.line("struct Regs<'a> {");
-            for (i, reg) in self.sw.registers.iter().enumerate() {
-                self.line(&format!("    r{i}: &'a mut [u64; {}],", reg.cells.len()));
-            }
-            self.line("}");
+        self.line("struct Regs<'a> {");
+        self.line("    _lt: core::marker::PhantomData<&'a ()>,");
+        for (i, reg) in self.sw.registers.iter().enumerate() {
+            self.line(&format!("    r{i}: &'a mut [u64; {}],", reg.cells.len()));
         }
+        self.line("}");
         self.blank();
 
         self.line("struct Fault { code: u64, a: u64, b: u64, c: u64 }");
@@ -181,26 +208,24 @@ impl<'a> Gen<'a> {
         self.line("}");
         self.blank();
 
-        // The table store is not printed but pasted: one implementation,
-        // unit-tested where it lives.
-        self.line("mod flat_table {");
-        self.src.push_str(FLAT_TABLE);
-        self.line("}");
-        self.line("use flat_table::{Entry, Table};");
+        // The probe is not printed but pasted: one implementation, compiled
+        // and unit-tested where it lives.
+        self.src.push_str(TABLE_PROBE);
         self.blank();
-        self.line(&format!("const TABLE_COUNT: usize = {t};"));
-        self.blank();
-        self.line("pub struct State {");
-        self.line("    tables: [Table; TABLE_COUNT],");
-        self.line("    undo: Undo,");
-        self.line("}");
+        self.line(&format!("type Tables = [TableView; {t}];"));
         self.blank();
 
-        self.line("fn rollback(regs: &mut Regs, undo: &mut Undo) {");
-        self.line("    while let Some((r, c, old)) = undo.pop() {");
+        if !self.logged {
+            return;
+        }
+        // The packet's register writes as `[register, cell, old value]`.
+        self.line("struct Undo<'a> { log: &'a mut [[u64; 3]], len: usize }");
+        self.blank();
+        self.line("fn rollback(regs: &mut Regs, undo: &Undo) {");
+        self.line("    for &[r, c, old] in undo.log[..undo.len].iter().rev() {");
         self.line("        match r {");
         for i in 0..r {
-            self.line(&format!("            {i}u32 => regs.r{i}[c as usize] = old,"));
+            self.line(&format!("            {i} => regs.r{i}[c as usize] = old,"));
         }
         self.line("            _ => {}");
         self.line("        }");
@@ -211,32 +236,40 @@ impl<'a> Gen<'a> {
 
     // ------------------------------------------------- actions/stages
 
-    fn emit_actions(&mut self) {
+    /// Print every table action; returns the most register writes any
+    /// one of them can make.
+    fn emit_actions(&mut self) -> usize {
+        let mut writes = 0;
         for (id, name) in self.actions_by_id() {
             let body = self.sw.table_actions[name.as_str()].clone();
             self.tmp = 0;
             self.line(&format!("// table action `{name}`"));
             self.line(&format!(
-                "fn action_{id}(phv: &mut Phv, regs: &mut Regs, undo: &mut Undo) -> Result<(), Fault> {{"
+                "fn action_{id}(phv: &mut Phv, regs: &mut Regs{}) -> Result<(), Fault> {{",
+                self.undo.0
             ));
             self.indent += 1;
-            for s in &body {
-                self.stmt(s);
-            }
+            writes = writes.max(body.iter().map(|s| self.stmt(s)).sum());
             self.line("Ok(())");
             self.indent -= 1;
             self.line("}");
             self.blank();
         }
+        writes
     }
 
-    fn emit_stages(&mut self) {
+    /// Print the stages and `run`; returns the most register writes on
+    /// any one packet path, counting an apply as `apply_writes`, the
+    /// widest table action (an entry may name any of them).
+    fn emit_stages(&mut self, apply_writes: usize) -> usize {
+        let (param, arg) = self.undo;
+        let mut writes = 0;
         let stage_count = self.sw.stages.len();
         for s in 0..stage_count {
             let actions = self.sw.stages[s].clone();
             self.tmp = 0;
             self.line(&format!(
-                "fn stage_{s}(phv: &mut Phv, regs: &mut Regs, tables: &[Table; TABLE_COUNT], undo: &mut Undo) -> Result<(), Fault> {{"
+                "fn stage_{s}(phv: &mut Phv, regs: &mut Regs, tables: &Tables{param}) -> Result<(), Fault> {{"
             ));
             self.indent += 1;
             for a in &actions {
@@ -249,10 +282,9 @@ impl<'a> Gen<'a> {
                 }
                 if let Some((tname, keys)) = &a.table {
                     self.emit_apply(tname, keys);
+                    writes += apply_writes;
                 }
-                for st in &a.body {
-                    self.stmt(st);
-                }
+                writes += a.body.iter().map(|st| self.stmt(st)).sum::<usize>();
                 if guarded {
                     self.indent -= 1;
                     self.line("}");
@@ -264,19 +296,23 @@ impl<'a> Gen<'a> {
             self.blank();
         }
 
-        self.line("fn run(phv: &mut Phv, regs: &mut Regs, tables: &[Table; TABLE_COUNT], undo: &mut Undo) -> Result<(), Fault> {");
+        self.line(&format!(
+            "fn run(phv: &mut Phv, regs: &mut Regs, tables: &Tables{param}) -> Result<(), Fault> {{"
+        ));
         self.indent += 1;
         for s in 0..stage_count {
-            self.line(&format!("stage_{s}(phv, regs, tables, undo)?;"));
+            self.line(&format!("stage_{s}(phv, regs, tables{arg})?;"));
         }
         self.line("Ok(())");
         self.indent -= 1;
         self.line("}");
         self.blank();
+        writes
     }
 
     fn emit_apply(&mut self, tname: &str, keys: &[CExpr]) {
         let tid = self.table_id(tname);
+        let arg = self.undo.1;
         let mut kvals = Vec::with_capacity(keys.len());
         for k in keys {
             kvals.push(self.expr(k));
@@ -287,16 +323,20 @@ impl<'a> Gen<'a> {
             keys.len(),
             kvals.join(", ")
         ));
-        self.line(&format!("if let Some(e) = tables[{tid}].lookup(&{kt}) {{"));
+        // SAFETY (printed code): the host builds `tables` from its live
+        // tables for this call and does not touch them until it returns.
+        self.line(&format!(
+            "if let Some((action, data)) = unsafe {{ tables[{tid}].lookup(&{kt}) }} {{"
+        ));
         self.indent += 1;
-        self.line("for &(s, v) in e.data.iter() {");
-        self.line("    let s = s as usize;");
-        self.line("    phv[s] = v & MASKS[s];");
+        self.line("for pair in data.chunks_exact(2) {");
+        self.line("    let s = pair[0] as usize;");
+        self.line("    phv[s] = pair[1] & MASKS[s];");
         self.line("}");
-        self.line("match e.action {");
+        self.line("match action {");
         self.indent += 1;
         for (id, _) in self.actions_by_id() {
-            self.line(&format!("{id}u32 => action_{id}(phv, regs, undo)?,"));
+            self.line(&format!("{id} => action_{id}(phv, regs{arg})?,"));
         }
         self.line("_ => {}");
         self.indent -= 1;
@@ -307,7 +347,7 @@ impl<'a> Gen<'a> {
             DefaultAction::Run(id) => {
                 let id = *id;
                 self.line("} else {");
-                self.line(&format!("    action_{id}(phv, regs, undo)?;"));
+                self.line(&format!("    action_{id}(phv, regs{arg})?;"));
                 self.line("}");
             }
             DefaultAction::Unknown(_) => {
@@ -320,12 +360,13 @@ impl<'a> Gen<'a> {
 
     // ----------------------------------------------------- statements
 
-    fn stmt(&mut self, s: &CStmt) {
+    /// Print `s`; returns the most register writes on any path through it.
+    fn stmt(&mut self, s: &CStmt) -> usize {
         match s {
             CStmt::Assign { dst, val } => {
                 // Value before destination index, like the interpreter.
                 let v = self.expr(val);
-                self.store(dst, &v);
+                self.store(dst, &v)
             }
             CStmt::Hash { dst, inputs, range, salt } => {
                 let h = self.tmp();
@@ -335,36 +376,35 @@ impl<'a> Gen<'a> {
                     let iv = self.expr(i);
                     self.line(&format!("{h} = splitmix({h} ^ ({iv}));"));
                 }
-                self.store(dst, &format!("({h} % {range}u64)"));
+                self.store(dst, &format!("({h} % {range}u64)"))
             }
             CStmt::If { cond, then_body, else_body } => {
                 let cv = self.expr(cond);
                 self.line(&format!("if ({cv}) != 0 {{"));
                 self.indent += 1;
-                for t in then_body {
-                    self.stmt(t);
-                }
+                let then_writes: usize = then_body.iter().map(|t| self.stmt(t)).sum();
                 self.indent -= 1;
                 if else_body.is_empty() {
                     self.line("}");
-                } else {
-                    self.line("} else {");
-                    self.indent += 1;
-                    for t in else_body {
-                        self.stmt(t);
-                    }
-                    self.indent -= 1;
-                    self.line("}");
+                    return then_writes;
                 }
+                self.line("} else {");
+                self.indent += 1;
+                let else_writes: usize = else_body.iter().map(|t| self.stmt(t)).sum();
+                self.indent -= 1;
+                self.line("}");
+                then_writes.max(else_writes)
             }
         }
     }
 
-    fn store(&mut self, dst: &CDst, val: &str) {
+    /// Print a store; returns the register writes it makes (0 or 1).
+    fn store(&mut self, dst: &CDst, val: &str) -> usize {
         match dst {
             CDst::Slot(s) => {
                 let m = self.sw.masks[*s];
                 self.line(&format!("phv[{s}] = ({val}) & {m:#x};"));
+                0
             }
             CDst::DynSlot { base, count, idx, what } => {
                 let iv = self.expr(idx);
@@ -375,6 +415,7 @@ impl<'a> Gen<'a> {
                     "if {t} >= {count} {{ return Err(f_dyn({d}, {t} as u64, {count})); }}"
                 ));
                 self.line(&format!("phv[{base} + {t}] = ({val}) & MASKS[{base} + {t}];"));
+                0
             }
             CDst::Reg { reg, cell } => {
                 let len = self.sw.registers[*reg].cells.len();
@@ -387,12 +428,12 @@ impl<'a> Gen<'a> {
                 ));
                 // The bytecode's fault-after-write fact is a fact about the
                 // program: where it holds, no fault can follow this write.
-                if self.sw.compiled.undo_log.is_some() {
-                    self.line(&format!(
-                        "undo.push(({reg}u32, {t} as u64, regs.r{reg}[{t}]));"
-                    ));
+                if self.logged {
+                    let old = format!("[{reg}, {t} as u64, regs.r{reg}[{t}]]");
+                    self.line(&format!("undo.log[undo.len] = {old}; undo.len += 1;"));
                 }
                 self.line(&format!("regs.r{reg}[{t}] = ({val}) & {mask:#x};"));
+                1
             }
         }
     }
@@ -474,160 +515,55 @@ impl<'a> Gen<'a> {
 
     // ------------------------------------------------------------ ABI
 
-    fn emit_abi(&mut self) {
-        let r = self.sw.registers.len();
-
-        self.line("#[no_mangle]");
-        self.line("pub extern \"C\" fn p4n_abi_version() -> u64 { 2 }");
-        self.blank();
-
-        self.line("#[no_mangle]");
-        self.line("pub extern \"C\" fn p4n_new() -> *mut State {");
-        self.line("    Box::into_raw(Box::new(State {");
-        let tables: Vec<String> =
-            self.sw.ctables.iter().map(|t| format!("Table::new({})", t.key_words())).collect();
-        self.line(&format!("        tables: [{}],", tables.join(", ")));
-        self.line("        undo: Vec::new(),");
-        self.line("    }))");
-        self.line("}");
-        self.blank();
-
-        self.line("/// # Safety");
-        self.line("/// `state` must be a pointer returned by `p4n_new`, not yet freed.");
-        self.line("#[no_mangle]");
-        self.line("pub unsafe extern \"C\" fn p4n_free(state: *mut State) {");
-        self.line("    drop(Box::from_raw(state));");
-        self.line("}");
-        self.blank();
-
-        self.line("/// # Safety");
-        self.line("/// `key` must point at `key_len` readable u64s and `data` at");
-        self.line("/// `data_len` readable (slot, value) u64 pairs.");
-        self.line("#[no_mangle]");
-        self.line("pub unsafe extern \"C\" fn p4n_install(");
-        self.line("    state: *mut State,");
-        self.line("    table: u64,");
-        self.line("    key: *const u64,");
-        self.line("    key_len: u64,");
-        self.line("    action: u64,");
-        self.line("    data: *const u64,");
-        self.line("    data_len: u64,");
-        self.line(") {");
-        self.line("    let state = &mut *state;");
-        self.line("    let key = std::slice::from_raw_parts(key, key_len as usize);");
-        self.line("    let raw = std::slice::from_raw_parts(data, (data_len as usize) * 2);");
-        self.line("    let data = raw.chunks_exact(2).map(|p| (p[0] as u32, p[1])).collect();");
-        self.line("    if let Some(t) = state.tables.get_mut(table as usize) {");
-        self.line("        t.insert(key, Entry { action: action as u32, data });");
-        self.line("    }");
-        self.line("}");
-        self.blank();
-
-        self.line("/// # Safety");
-        self.line("/// `key` must point at `key_len` readable u64s.");
-        self.line("#[no_mangle]");
-        self.line("pub unsafe extern \"C\" fn p4n_remove(state: *mut State, table: u64, key: *const u64, key_len: u64) {");
-        self.line("    let state = &mut *state;");
-        self.line("    let key = std::slice::from_raw_parts(key, key_len as usize);");
-        self.line("    if let Some(t) = state.tables.get_mut(table as usize) {");
-        self.line("        t.remove(key);");
-        self.line("    }");
-        self.line("}");
-        self.blank();
-
-        self.line("/// # Safety");
-        self.line("/// `state` must be a live pointer from `p4n_new`.");
-        self.line("#[no_mangle]");
-        self.line("pub unsafe extern \"C\" fn p4n_clear_table(state: *mut State, table: u64) {");
-        self.line("    let state = &mut *state;");
-        self.line("    if let Some(t) = state.tables.get_mut(table as usize) {");
-        self.line("        t.clear();");
-        self.line("    }");
-        self.line("}");
-        self.blank();
-
-        self.line("/// Run one packet in place. Returns 0 on success; on a fault the");
-        self.line("/// 4-word record at `fault` is filled and the code returned. All");
-        self.line("/// register writes of a faulting packet are rolled back here.");
-        self.line("///");
-        self.line("/// # Safety");
-        self.line("/// `phv` points at PHV_LEN u64s; `regs` points at one valid cell");
-        self.line("/// pointer per register instance; `fault` at 4 writable u64s.");
-        self.line("#[no_mangle]");
-        self.line("pub unsafe extern \"C\" fn p4n_run_packet(");
-        self.line("    state: *mut State,");
-        self.line("    phv: *mut u64,");
-        self.line("    regs: *const *mut u64,");
-        self.line("    fault: *mut u64,");
-        self.line(") -> u64 {");
-        self.line("    let state = &mut *state;");
-        self.line("    let phv = &mut *(phv as *mut Phv);");
-        if r == 0 {
-            self.line("    let mut r = Regs { _lt: std::marker::PhantomData };");
-        } else {
-            self.line("    let mut r = Regs {");
-            for (i, reg) in self.sw.registers.iter().enumerate() {
-                self.line(&format!(
-                    "        r{i}: &mut *(*regs.add({i}) as *mut [u64; {}]),",
-                    reg.cells.len()
-                ));
-            }
-            self.line("    };");
+    /// Print the entry points; a program that logs takes a host undo
+    /// buffer of `undo_cap` records.
+    fn emit_abi(&mut self, undo_cap: Option<usize>) {
+        if let Some(cap) = undo_cap {
+            self.line(&format!("const UNDO_CAP: usize = {cap};"));
+            self.blank();
         }
-        self.line("    state.undo.clear();");
-        self.line("    let State { tables, undo } = state;");
-        self.line("    match run(phv, &mut r, tables, undo) {");
-        self.line("        Ok(()) => 0,");
-        self.line("        Err(f) => {");
-        self.line("            rollback(&mut r, undo);");
-        self.line("            *fault.add(0) = f.code;");
-        self.line("            *fault.add(1) = f.a;");
-        self.line("            *fault.add(2) = f.b;");
-        self.line("            *fault.add(3) = f.c;");
-        self.line("            f.code");
-        self.line("        }");
-        self.line("    }");
-        self.line("}");
+        self.line("#[no_mangle]");
+        self.line(&format!("pub extern \"C\" fn p4n_abi_version() -> u64 {{ {ABI_VERSION} }}"));
         self.blank();
 
-        self.line("/// Run `n` packets stored back to back (packet-major, PHV_LEN");
-        self.line("/// words each) in place through one FFI call — the batched entry");
-        self.line("/// that amortizes the per-packet call and register-window setup.");
-        self.line("/// Returns `n` when every packet succeeds; on the first fault it");
-        self.line("/// fills the 4-word record, rolls that packet's register writes");
-        self.line("/// back, and returns the packet's index — the caller counts the");
-        self.line("/// drop and resumes at index + 1.");
-        self.line("///");
-        self.line("/// # Safety");
-        self.line("/// `phvs` points at `n * PHV_LEN` u64s; `regs` points at one valid");
-        self.line("/// cell pointer per register instance; `fault` at 4 writable u64s.");
+        // The ABI contract (`native::NativeEngine::run`): `phvs` holds `n`
+        // PHVs back to back, `tables` one view per table, `regs` one cell
+        // pointer per register instance, `undo` UNDO_CAP records, `fault`
+        // 4 words. Returns the first faulting packet's index, or `n`.
         self.line("#[no_mangle]");
         self.line("pub unsafe extern \"C\" fn p4n_run_batch(");
-        self.line("    state: *mut State,");
         self.line("    phvs: *mut u64,");
         self.line("    n: u64,");
+        self.line("    tables: *const TableView,");
         self.line("    regs: *const *mut u64,");
+        if self.logged {
+            self.line("    undo: *mut [u64; 3],");
+        }
         self.line("    fault: *mut u64,");
         self.line(") -> u64 {");
-        self.line("    let state = &mut *state;");
-        if r == 0 {
-            self.line("    let mut r = Regs { _lt: std::marker::PhantomData };");
-        } else {
-            self.line("    let mut r = Regs {");
-            for (i, reg) in self.sw.registers.iter().enumerate() {
-                self.line(&format!(
-                    "        r{i}: &mut *(*regs.add({i}) as *mut [u64; {}]),",
-                    reg.cells.len()
-                ));
-            }
-            self.line("    };");
+        self.line("    let tables = &*(tables as *const Tables);");
+        self.line("    let mut r = Regs {");
+        self.line("        _lt: core::marker::PhantomData,");
+        for (i, reg) in self.sw.registers.iter().enumerate() {
+            self.line(&format!(
+                "        r{i}: &mut *(*regs.add({i}) as *mut [u64; {}]),",
+                reg.cells.len()
+            ));
         }
-        self.line("    let State { tables, undo } = state;");
+        self.line("    };");
+        if self.logged {
+            self.line("    let log = core::slice::from_raw_parts_mut(undo, UNDO_CAP);");
+            self.line("    let mut undo = Undo { log, len: 0 };");
+        }
         self.line("    for i in 0..n as usize {");
         self.line("        let phv = &mut *(phvs.add(i * PHV_LEN) as *mut Phv);");
-        self.line("        undo.clear();");
-        self.line("        if let Err(f) = run(phv, &mut r, tables, undo) {");
-        self.line("            rollback(&mut r, undo);");
+        if self.logged {
+            self.line("        undo.len = 0;");
+            self.line("        if let Err(f) = run(phv, &mut r, tables, &mut undo) {");
+            self.line("            rollback(&mut r, &undo);");
+        } else {
+            self.line("        if let Err(f) = run(phv, &mut r, tables) {");
+        }
         self.line("            *fault.add(0) = f.code;");
         self.line("            *fault.add(1) = f.a;");
         self.line("            *fault.add(2) = f.b;");
@@ -686,24 +622,38 @@ mod tests {
         for s in 0..sw.stage_count() {
             assert!(g.source.contains(&format!("fn stage_{s}(")), "missing stage {s}");
         }
-        for sym in ["p4n_new", "p4n_free", "p4n_install", "p4n_remove", "p4n_clear_table", "p4n_run_packet", "p4n_run_batch", "p4n_abi_version"] {
+        for sym in ["p4n_run_batch", "p4n_abi_version"] {
             assert!(g.source.contains(sym), "missing ABI symbol {sym}");
         }
+        assert!(g.source.contains(&format!("-> u64 {{ {ABI_VERSION} }}")), "ABI version");
+        // The control plane and its state are host memory: no entry point
+        // for them, no state of the crate's own, and nothing allocated.
+        for gone in ["p4n_new", "p4n_free", "p4n_install", "p4n_remove", "p4n_clear_table"] {
+            assert!(!g.source.contains(gone), "control-plane entry {gone} printed");
+        }
+        for gone in ["State", "Vec<", "Box<", "HashMap", "std::"] {
+            assert!(!g.source.contains(gone), "the generated source names {gone}");
+        }
+        // The CMS program is undo-free: its entry point takes no buffer.
+        assert_eq!((sw.compiled.undo_log, g.undo_cap), (None, None));
+        assert!(!g.source.contains("undo"), "undo-free source mentions an undo log");
     }
 
-    /// The generated crate's table store is `flat_table.rs` itself, byte
-    /// for byte — the open-addressed table the bytecode engine runs and
-    /// `flat_table_tests.rs` tests — and no second copy is printed from
-    /// string literals.
+    /// The generated crate probes tables with `table_probe.rs` itself, byte
+    /// for byte — the text `flat_table.rs` includes and compiles for the
+    /// bytecode engine — and prints no hash or table of its own.
     #[test]
     fn generated_tables_use_open_addressing() {
         let sw = build();
         let g = generate(&sw);
-        assert!(g.source.contains(include_str!("flat_table.rs")), "flat_table.rs not embedded");
+        let probe = include_str!("table_probe.rs");
+        assert!(g.source.contains(probe), "table_probe.rs not embedded");
+        assert!(include_str!("flat_table.rs").contains("include!(\"table_probe.rs\")"));
         assert_eq!(g.source.matches("fn table_hash").count(), 1, "one hash");
-        assert_eq!(g.source.matches("impl Table").count(), 1, "one table");
+        assert_eq!(g.source.matches("fn probe").count(), 1, "one probe");
+        assert!(!g.source.contains("impl Table "), "no table store of its own");
         let printer = include_str!("codegen.rs");
-        let quoted = ["self.line(\"impl", " Table"].concat();
-        assert!(!printer.contains(&quoted), "codegen.rs prints a table of its own again");
+        let quoted = ["self.line(\"fn", " probe"].concat();
+        assert!(!printer.contains(&quoted), "codegen.rs prints a probe of its own again");
     }
 }

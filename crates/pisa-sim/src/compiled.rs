@@ -1944,11 +1944,11 @@ fn exec_range<V: PhvView, const UNDO: bool>(
                     keys.push(ov(view, op));
                 }
                 let action = match ctables[site.table as usize].lookup(keys) {
-                    Some(e) => {
-                        for &(slot, val) in &e.data {
-                            view.set(slot as usize, val);
+                    Some((action, data)) => {
+                        for pair in data.chunks_exact(2) {
+                            view.set(pair[0] as usize, pair[1]);
                         }
-                        Some(e.action)
+                        Some(action)
                     }
                     None => match &prog.tables[site.table as usize].default_action {
                         DefaultAction::None => None,
@@ -2383,7 +2383,7 @@ mod tests {
     fn undo_of(sw: &Switch) -> (String, bool) {
         let listing = sw.dump_bytecode();
         let header = listing.lines().next().unwrap().to_string();
-        (header, crate::codegen::generate(sw).source.contains("undo.push"))
+        (header, crate::codegen::generate(sw).source.contains("undo.log[undo.len] = "))
     }
 
     // stage 0: [0..1]   SketchStep c[hash(k) & 63] += 1

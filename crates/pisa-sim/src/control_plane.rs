@@ -8,7 +8,6 @@
 use std::collections::hash_map::Entry as MapEntry;
 use std::sync::Arc;
 
-use crate::flat_table::Entry;
 use crate::interp::{SimError, Switch};
 use crate::state::TableEntry;
 
@@ -64,13 +63,10 @@ impl Switch {
         if full && matches!(mirror, MapEntry::Vacant(_)) {
             return Err(SimError::TableFull(table.to_string()));
         }
-        // Three consumers: the native engine's table (if loaded), the
-        // bytecode engine's, and the interpreter's by-name mirror, which
-        // takes the key itself.
-        if let Some(engine) = &mut self.native {
-            engine.install(tid as u64, mirror.key(), action_id, &dense);
-        }
-        self.ctables[tid].insert(mirror.key(), Entry { action: action_id, data: dense });
+        // Two consumers: the flat table both fast engines read (the native
+        // engine through a view of it), and the interpreter's by-name
+        // mirror, which takes the key itself.
+        self.ctables[tid].insert(mirror.key(), action_id, &dense);
         mirror.insert_entry(TableEntry { action: action_name, data: named });
         Ok(())
     }
@@ -90,9 +86,6 @@ impl Switch {
         let tid = self.table_id(table)?;
         let existed = self.tables[tid].entries.remove(key).is_some();
         self.ctables[tid].remove(key);
-        if let Some(engine) = &self.native {
-            engine.remove(tid as u64, key);
-        }
         Ok(existed)
     }
 
@@ -101,9 +94,6 @@ impl Switch {
         let tid = self.table_id(table)?;
         self.tables[tid].entries.clear();
         self.ctables[tid].clear();
-        if let Some(engine) = &self.native {
-            engine.clear_table(tid as u64);
-        }
         Ok(())
     }
 
@@ -285,32 +275,6 @@ mod tests {
         sw.set_header("key", 3).unwrap();
         sw.run_packet().unwrap();
         assert_eq!(sw.meta("hit").unwrap(), 0);
-    }
-
-    /// The native engine's tables are filled from the bytecode engine's at
-    /// preparation: what was installed before hits, what was installed and
-    /// removed again (a tombstone by then) does not.
-    #[test]
-    fn entries_installed_before_prepare_native_hit() {
-        if !crate::rustc_available() {
-            eprintln!("skipping: rustc not on PATH");
-            return;
-        }
-        let mut sw = build();
-        sw.write_register("values", 0, 5, 777).unwrap();
-        sw.install_entry("cache", vec![42], "on_hit", &[("slot", 5)]).unwrap();
-        sw.install_entry("cache", vec![7], "on_hit", &[]).unwrap();
-        assert!(sw.remove_entry("cache", &[7]).unwrap());
-        sw.set_backend(crate::Backend::Native);
-        sw.prepare_native().unwrap();
-        let mut hit_val = |key: u64| {
-            sw.begin_packet();
-            sw.set_header("key", key).unwrap();
-            sw.run_packet().unwrap();
-            (sw.meta("hit").unwrap(), sw.meta("val").unwrap())
-        };
-        assert_eq!(hit_val(42), (1, 777));
-        assert_eq!(hit_val(7), (0, 0));
     }
 
     #[test]

@@ -1,35 +1,24 @@
 //! Open-addressed exact-match table over flat `u64` keys: the one table
-//! store of both fast engines. `p4all-sim` compiles this file for the
-//! bytecode engine and pastes it verbatim into the generated native
-//! source, so it uses `std` only and names nothing outside itself.
-//! Layout, hash and growth rule: DESIGN.md, "Control plane".
+//! store of both fast engines. The bytecode engine probes it in place; the
+//! generated native code probes the same arrays through a [`TableView`].
+//! The hash, the probe and the view are `table_probe.rs`, included here
+//! and pasted into every generated crate. Layout, hash and growth rule:
+//! DESIGN.md, "Control plane".
 
-/// An installed entry, pre-resolved: dense action id and `(PHV slot,
-/// value)` action-data writes.
-#[derive(Default)]
-pub struct Entry {
-    pub action: u32,
-    pub data: Vec<(u32, u64)>,
+// `TableView::lookup` runs in the generated code; the host only tests it.
+#[allow(dead_code)]
+mod probe {
+    include!("table_probe.rs");
 }
-
-const EMPTY: u8 = 0;
-const FULL: u8 = 1;
-const TOMB: u8 = 2;
-
-/// Multiply-xor over the key words by 2^64/φ. Keys are switch-internal
-/// values, not attacker-chosen, so nothing DoS-resistant is needed.
-#[inline(always)]
-pub fn table_hash(key: &[u64]) -> u64 {
-    let mut h = 0u64;
-    for &w in key {
-        h = (h.rotate_left(5) ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-    h
-}
+pub use probe::TableView;
+use probe::{entry_of, home, probe, EMPTY, FULL, TOMB};
 
 pub struct Table {
     /// Words per key; a key of any other length is never stored.
     key_words: usize,
+    /// Words per slot in `vals`: the head word and the `(slot, value)`
+    /// pairs of the widest entry installed so far.
+    stride: usize,
     /// Power-of-two slot count (0 until the first insert).
     cap: usize,
     /// Full + tombstone slots: at most 7/8 of `cap`, so a probe always
@@ -39,19 +28,21 @@ pub struct Table {
     live: usize,
     ctrl: Vec<u8>,
     keys: Vec<u64>,
-    entries: Vec<Entry>,
+    /// One entry record per slot ([`entry_of`]), `stride` words each.
+    vals: Vec<u64>,
 }
 
 impl Table {
     pub fn new(key_words: usize) -> Table {
         Table {
             key_words,
+            stride: 1,
             cap: 0,
             used: 0,
             live: 0,
             ctrl: Vec::new(),
             keys: Vec::new(),
-            entries: Vec::new(),
+            vals: Vec::new(),
         }
     }
 
@@ -59,72 +50,80 @@ impl Table {
         self.key_words
     }
 
-    /// The top bits of the hash (Fibonacci hashing): its low bits see only
-    /// a key's low bits, so aligned keys would share few home slots.
-    #[inline(always)]
-    fn home(&self, key: &[u64]) -> usize {
-        (table_hash(key) >> (64 - self.cap.trailing_zeros())) as usize
-    }
-
-    /// The slot holding `key`: a hash and a linear probe.
+    /// The slot holding `key`.
     #[inline(always)]
     fn find(&self, key: &[u64]) -> Option<usize> {
-        if self.cap == 0 {
-            return None;
-        }
-        let (mask, kw) = (self.cap - 1, self.key_words);
-        let mut i = self.home(key);
-        loop {
-            match self.ctrl[i] {
-                EMPTY => return None,
-                FULL if self.keys[i * kw..i * kw + kw] == *key => return Some(i),
-                _ => i = (i + 1) & mask,
-            }
-        }
+        probe(&self.ctrl, &self.keys, self.key_words, key)
     }
 
+    /// The action id and `(slot, value)` data words stored under `key`.
     #[inline(always)]
-    pub fn lookup(&self, key: &[u64]) -> Option<&Entry> {
-        self.find(key).map(|i| &self.entries[i])
+    pub fn lookup(&self, key: &[u64]) -> Option<(u32, &[u64])> {
+        let i = self.find(key)?;
+        Some(entry_of(&self.vals[i * self.stride..(i + 1) * self.stride]))
     }
 
-    /// Store `entry` under `key`, replacing any entry already there.
-    pub fn insert(&mut self, key: &[u64], entry: Entry) {
+    /// The table as the generated code reads it, valid until the next
+    /// `&mut` call.
+    pub fn view(&self) -> TableView {
+        TableView {
+            key_words: self.key_words,
+            cap: self.cap,
+            stride: self.stride,
+            ctrl: self.ctrl.as_ptr(),
+            keys: self.keys.as_ptr(),
+            vals: self.vals.as_ptr(),
+        }
+    }
+
+    /// Store `action` with `data` under `key`, replacing any entry already
+    /// there.
+    pub fn insert(&mut self, key: &[u64], action: u32, data: &[(u32, u64)]) {
         if key.len() != self.key_words {
             return;
         }
-        if let Some(i) = self.find(key) {
-            self.entries[i] = entry;
-            return;
+        if 1 + 2 * data.len() > self.stride {
+            self.widen(1 + 2 * data.len());
         }
-        if (self.used + 1) * 8 > self.cap * 7 {
-            self.rehash();
+        let i = match self.find(key) {
+            Some(i) => i,
+            None => {
+                if (self.used + 1) * 8 > self.cap * 7 {
+                    self.rehash();
+                }
+                self.live += 1;
+                self.place(key)
+            }
+        };
+        let rec = &mut self.vals[i * self.stride..(i + 1) * self.stride];
+        rec[0] = u64::from(action) | ((data.len() as u64) << 32);
+        for (pair, &(slot, value)) in rec[1..].chunks_exact_mut(2).zip(data) {
+            pair.copy_from_slice(&[u64::from(slot), value]);
         }
-        self.place(key, entry);
-        self.live += 1;
     }
 
     /// Put a key known to be absent into the first free slot on its
-    /// probe path (a tombstone is reused).
-    fn place(&mut self, key: &[u64], entry: Entry) {
-        let (mask, kw) = (self.cap - 1, self.key_words);
-        let mut i = self.home(key);
+    /// probe path (a tombstone is reused); returns the slot.
+    fn place(&mut self, key: &[u64]) -> usize {
+        let kw = self.key_words;
+        let mut i = home(key, self.cap);
         while self.ctrl[i] == FULL {
-            i = (i + 1) & mask;
+            i = (i + 1) & (self.cap - 1);
         }
         if self.ctrl[i] == EMPTY {
             self.used += 1;
         }
         self.ctrl[i] = FULL;
         self.keys[i * kw..i * kw + kw].copy_from_slice(key);
-        self.entries[i] = entry;
+        i
     }
 
     /// Remove `key`; returns whether it was present.
     pub fn remove(&mut self, key: &[u64]) -> bool {
-        let Some(i) = self.find(key) else { return false };
+        let Some(i) = self.find(key) else {
+            return false;
+        };
         self.ctrl[i] = TOMB;
-        self.entries[i] = Entry::default();
         self.live -= 1;
         true
     }
@@ -132,17 +131,18 @@ impl Table {
     /// Drop every entry; the capacity stays.
     pub fn clear(&mut self) {
         self.ctrl.fill(EMPTY);
-        self.entries.iter_mut().for_each(|e| *e = Entry::default());
         self.used = 0;
         self.live = 0;
     }
 
-    /// Every stored `(key, entry)`, in slot order.
-    pub fn iter(&self) -> impl Iterator<Item = (&[u64], &Entry)> {
-        let kw = self.key_words;
-        (0..self.cap)
-            .filter(move |&i| self.ctrl[i] == FULL)
-            .map(move |i| (&self.keys[i * kw..i * kw + kw], &self.entries[i]))
+    /// Re-lay every record at a wider `stride`.
+    fn widen(&mut self, stride: usize) {
+        let mut vals = vec![0; self.cap * stride];
+        for (new, old) in vals.chunks_exact_mut(stride).zip(self.vals.chunks_exact(self.stride)) {
+            new[..self.stride].copy_from_slice(old);
+        }
+        self.vals = vals;
+        self.stride = stride;
     }
 
     /// Rebuild without tombstones. The capacity doubles only when the
@@ -154,17 +154,16 @@ impl Table {
             c if self.live * 2 > c => c * 2,
             c => c,
         };
-        let kw = self.key_words;
+        let (kw, stride) = (self.key_words, self.stride);
         let ctrl = std::mem::replace(&mut self.ctrl, vec![EMPTY; cap]);
         let keys = std::mem::replace(&mut self.keys, vec![0; cap * kw]);
-        let entries = std::mem::take(&mut self.entries);
-        self.entries.resize_with(cap, Entry::default);
+        let vals = std::mem::replace(&mut self.vals, vec![0; cap * stride]);
         self.cap = cap;
         self.used = 0;
-        for (i, entry) in entries.into_iter().enumerate() {
-            if ctrl[i] == FULL {
-                self.place(&keys[i * kw..i * kw + kw], entry);
-            }
+        for (i, _) in ctrl.iter().enumerate().filter(|&(_, &c)| c == FULL) {
+            let j = self.place(&keys[i * kw..i * kw + kw]);
+            self.vals[j * stride..(j + 1) * stride]
+                .copy_from_slice(&vals[i * stride..(i + 1) * stride]);
         }
     }
 }

@@ -5,16 +5,20 @@ use proptest::prelude::*;
 
 use super::*;
 
-fn entry(action: u32, data: &[(u32, u64)]) -> Entry {
-    Entry { action, data: data.to_vec() }
-}
-
 /// An entry in the model's terms: `(action, data)`.
 type Stored = (u32, Vec<(u32, u64)>);
 
-/// What the table holds for `key`.
+/// What the table holds for `key`, read by the host's probe and by the
+/// view the generated code probes through, which must agree.
 fn seen(t: &Table, key: &[u64]) -> Option<Stored> {
-    t.lookup(key).map(|e| (e.action, e.data.clone()))
+    let stored = |(action, data): (u32, &[u64])| {
+        (action, data.chunks_exact(2).map(|p| (p[0] as u32, p[1])).collect())
+    };
+    let host = t.lookup(key).map(stored);
+    // SAFETY: `t` is borrowed, unchanged, for the view's whole life.
+    let native = unsafe { t.view().lookup(key) }.map(stored);
+    assert_eq!(host, native, "the host and the view disagree on {key:?}");
+    host
 }
 
 /// The structural invariants every public call must leave behind.
@@ -26,7 +30,7 @@ fn check_shape(t: &Table) -> Result<(), String> {
     prop_assert_eq!(t.ctrl.iter().filter(|&&c| c != EMPTY).count(), t.used);
     prop_assert_eq!(t.ctrl.len(), t.cap);
     prop_assert_eq!(t.keys.len(), t.cap * t.key_words);
-    prop_assert_eq!(t.entries.len(), t.cap);
+    prop_assert_eq!(t.vals.len(), t.cap * t.stride);
     Ok(())
 }
 
@@ -66,7 +70,7 @@ proptest! {
                     let action = step as u32;
                     let data: Vec<(u32, u64)> =
                         (0..quirk as u32 % 3).map(|s| (s, n + s as u64)).collect();
-                    t.insert(&key, entry(action, &data));
+                    t.insert(&key, action, &data);
                     if fits {
                         model.insert(key.clone(), (action, data));
                     }
@@ -91,7 +95,9 @@ proptest! {
         for (key, want) in &model {
             prop_assert_eq!(seen(&t, key), Some(want.clone()));
         }
-        let mut stored: Vec<Vec<u64>> = t.iter().map(|(k, _)| k.to_vec()).collect();
+        let kw = t.key_words;
+        let full = (0..t.cap).filter(|&i| t.ctrl[i] == FULL);
+        let mut stored: Vec<Vec<u64>> = full.map(|i| t.keys[i * kw..][..kw].to_vec()).collect();
         let mut expected: Vec<Vec<u64>> = model.keys().cloned().collect();
         stored.sort();
         expected.sort();
@@ -103,27 +109,27 @@ proptest! {
 fn tombstone_is_reused() {
     let mut t = Table::new(1);
     for k in 0..5 {
-        t.insert(&[k], entry(k as u32, &[]));
+        t.insert(&[k], k as u32, &[]);
     }
     let used = t.used;
     assert!(t.remove(&[3]));
     assert!(!t.remove(&[3]));
     assert_eq!((t.used, t.live), (used, 4));
-    t.insert(&[3], entry(9, &[]));
+    t.insert(&[3], 9, &[]);
     assert_eq!((t.used, t.live), (used, 5), "the tombstone's slot is taken again");
-    assert_eq!(t.lookup(&[3]).map(|e| e.action), Some(9));
+    assert_eq!(t.lookup(&[3]).map(|e| e.0), Some(9));
 }
 
 #[test]
 fn overwrite_never_rehashes() {
     let mut t = Table::new(2);
     for k in 0..7 {
-        t.insert(&[k, k], entry(0, &[]));
+        t.insert(&[k, k], 0, &[]);
     }
     assert_eq!((t.cap, t.used), (8, 7), "at the load limit");
-    t.insert(&[6, 6], entry(1, &[(4, 2)]));
+    t.insert(&[6, 6], 1, &[(4, 2)]);
     assert_eq!((t.cap, t.live), (8, 7));
-    assert_eq!(t.lookup(&[6, 6]).map(|e| (e.action, e.data.clone())), Some((1, vec![(4, 2)])));
+    assert_eq!(seen(&t, &[6, 6]), Some((1, vec![(4, 2)])));
 }
 
 /// Keys with trailing zero bits — IPv4 /24 prefixes, shifted ids — spread
@@ -135,13 +141,13 @@ fn aligned_keys_spread_over_the_table() {
     for shift in [8u32, 16, 32] {
         let mut t = Table::new(1);
         for i in 1..=4096u64 {
-            t.insert(&[i << shift], entry(0, &[]));
+            t.insert(&[i << shift], 0, &[]);
         }
         assert_eq!((t.cap, t.live), (8192, 4096));
         let mask = t.cap - 1;
         let distance: usize = (0..t.cap)
             .filter(|&i| t.ctrl[i] == FULL)
-            .map(|i| i.wrapping_sub(t.home(&t.keys[i..i + 1])) & mask)
+            .map(|i| i.wrapping_sub(home(&t.keys[i..i + 1], t.cap)) & mask)
             .sum();
         let mean = distance as f64 / t.live as f64;
         assert!(mean <= 2.0, "keys i << {shift}: mean distance from home {mean:.2}");
@@ -156,16 +162,32 @@ fn churn_at_constant_size_keeps_capacity() {
     const LIVE: u64 = 1000;
     let mut t = Table::new(1);
     for k in 0..LIVE {
-        t.insert(&[k], entry(k as u32, &[]));
+        t.insert(&[k], k as u32, &[]);
     }
     for i in 0..1_000_000u64 {
         assert!(t.remove(&[i]));
-        t.insert(&[i + LIVE], entry((i + LIVE) as u32, &[]));
+        t.insert(&[i + LIVE], (i + LIVE) as u32, &[]);
     }
     assert!(t.cap <= 4096, "capacity {} after churn", t.cap);
     assert_eq!(t.live, LIVE as usize);
     for k in 1_000_000..1_000_000 + LIVE {
-        assert_eq!(t.lookup(&[k]).map(|e| e.action), Some(k as u32), "key {k}");
+        assert_eq!(t.lookup(&[k]).map(|e| e.0), Some(k as u32), "key {k}");
     }
     assert!(t.lookup(&[999_999]).is_none());
+}
+
+/// An install wider than every earlier one re-lays all records at the new
+/// stride; a narrower overwrite keeps the stride and drops the old pairs.
+#[test]
+fn a_wider_entry_widens_every_record() {
+    let mut t = Table::new(1);
+    (0..20).for_each(|k| t.insert(&[k], k as u32, &[(1, k)]));
+    t.insert(&[20], 20, &[(1, 5), (2, 6), (3, 7)]);
+    assert_eq!(t.stride, 7);
+    for k in 0..20 {
+        assert_eq!(seen(&t, &[k]), Some((k as u32, vec![(1, k)])), "key {k}");
+    }
+    assert_eq!(seen(&t, &[20]), Some((20, vec![(1, 5), (2, 6), (3, 7)])));
+    t.insert(&[20], 4, &[]);
+    assert_eq!((t.stride, seen(&t, &[20])), (7, Some((4, vec![]))));
 }

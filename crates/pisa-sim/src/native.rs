@@ -9,14 +9,13 @@
 //! bare `extern "C"` against libc (glibc ≥ 2.34 hosts them in libc
 //! proper), so no external crate is needed on either side of the bridge.
 //!
-//! Register state stays host-owned: [`prepare_native`] caches one cell
-//! pointer per register instance ([`RegState::cells`] never resizes
-//! after build, and the heap buffers are stable across `Switch` moves),
-//! and the generated code mutates those cells directly. Control-plane
-//! reads/writes and snapshots therefore work unchanged under
-//! [`Backend::Native`]. Table entries are forwarded at install time in
-//! the pre-resolved form the bytecode engine stores (`flat_table::Entry`),
-//! under the same dense ids.
+//! All state stays host-owned. [`prepare_native`] caches one cell pointer
+//! per register instance ([`RegState::cells`] never resizes after build,
+//! and the heap buffers are stable across `Switch` moves); the tables are
+//! the bytecode engine's own, passed as `#[repr(C)]` views rebuilt at
+//! every call, so no rehash leaves a pointer stale. Control-plane calls
+//! and snapshots therefore work unchanged under [`Backend::Native`], with
+//! nothing to mirror.
 //!
 //! Failure is typed, never a panic: a missing `rustc` is
 //! [`NativeError::RustcMissing`], a codegen bug that fails to compile is
@@ -38,8 +37,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-use crate::codegen;
+use crate::codegen::{self, ABI_VERSION};
 use crate::compiled::DefaultAction;
+use crate::flat_table::{Table, TableView};
 use crate::interp::{SimError, Switch};
 
 // ------------------------------------------------------------- errors
@@ -101,17 +101,27 @@ extern "C" {
 const RTLD_NOW: c_int = 2;
 
 type VersionFn = unsafe extern "C" fn() -> u64;
-type NewFn = unsafe extern "C" fn() -> *mut c_void;
-type FreeFn = unsafe extern "C" fn(*mut c_void);
-type RunFn = unsafe extern "C" fn(*mut c_void, *mut u64, *const *mut u64, *mut u64) -> u64;
-/// `p4n_run_batch(state, phvs, n, regs, fault) -> first faulting index
-/// (== n on success)`: `n` packets back to back, one FFI call.
-type BatchRunFn =
-    unsafe extern "C" fn(*mut c_void, *mut u64, u64, *const *mut u64, *mut u64) -> u64;
-type InstallFn =
-    unsafe extern "C" fn(*mut c_void, u64, *const u64, u64, u64, *const u64, u64);
-type RemoveFn = unsafe extern "C" fn(*mut c_void, u64, *const u64, u64);
-type ClearFn = unsafe extern "C" fn(*mut c_void, u64);
+/// `p4n_run_batch(phvs, n, tables, regs, fault) -> first faulting index
+/// (== n on success)` of an undo-free program.
+type RunFn =
+    unsafe extern "C" fn(*mut u64, u64, *const TableView, *const *mut u64, *mut u64) -> u64;
+/// `p4n_run_batch(phvs, n, tables, regs, undo, fault)` of a program that
+/// logs its register writes into `undo`, `UNDO_CAP` records.
+type LoggedRunFn = unsafe extern "C" fn(
+    *mut u64,
+    u64,
+    *const TableView,
+    *const *mut u64,
+    *mut [u64; 3],
+    *mut u64,
+) -> u64;
+
+/// The generated entry point, with the undo buffer it takes, if any.
+enum EntryPoint {
+    UndoFree(RunFn),
+    /// The buffer holds the most register writes one packet can make.
+    Logged(LoggedRunFn, Vec<[u64; 3]>),
+}
 
 fn last_dl_error() -> String {
     unsafe {
@@ -134,6 +144,31 @@ unsafe fn resolve(handle: *mut c_void, name: &str) -> Result<*mut c_void, Native
     Ok(sym)
 }
 
+/// Check the ABI version of a loaded crate and resolve its entry point,
+/// with an undo buffer of `undo_cap` records where the program logs.
+///
+/// # Safety
+/// `handle` is a live `dlopen` handle of a crate `codegen` printed.
+unsafe fn link_entry(
+    handle: *mut c_void,
+    undo_cap: Option<usize>,
+) -> Result<EntryPoint, NativeError> {
+    let version = resolve(handle, "p4n_abi_version")?;
+    let got = std::mem::transmute::<*mut c_void, VersionFn>(version)();
+    if got != ABI_VERSION {
+        let msg = format!("ABI version mismatch: got {got}, want {ABI_VERSION}");
+        return Err(NativeError::Load(msg));
+    }
+    let run = resolve(handle, "p4n_run_batch")?;
+    Ok(match undo_cap {
+        None => EntryPoint::UndoFree(std::mem::transmute::<*mut c_void, RunFn>(run)),
+        Some(cap) => EntryPoint::Logged(
+            std::mem::transmute::<*mut c_void, LoggedRunFn>(run),
+            vec![[0; 3]; cap],
+        ),
+    })
+}
+
 // ---------------------------------------------------------- compiling
 
 fn rustc_name() -> std::ffi::OsString {
@@ -153,6 +188,11 @@ pub fn rustc_available() -> bool {
     })
 }
 
+/// The `rustc` arguments of every native build, before `-o <lib> <src>`:
+/// the one list the engine builds with and the warning check compiles with.
+pub const RUSTC_ARGS: &str = "--edition 2021 --crate-name p4all_native --crate-type cdylib \
+    -C opt-level=3 -C codegen-units=1 -C debuginfo=0 -C panic=abort";
+
 /// Write `source` into `dir` and build it as an optimized cdylib with a
 /// bare `rustc` invocation (no cargo, no external crates).
 pub(crate) fn compile_cdylib(dir: &Path, source: &str) -> Result<PathBuf, NativeError> {
@@ -161,21 +201,8 @@ pub(crate) fn compile_cdylib(dir: &Path, source: &str) -> Result<PathBuf, Native
     let lib_path = dir.join("libp4n.so");
     std::fs::write(&src_path, source).map_err(|e| NativeError::Io(e.to_string()))?;
     let out = Command::new(rustc_name())
-        .args([
-            "--edition",
-            "2021",
-            "--crate-name",
-            "p4all_native",
-            "--crate-type",
-            "cdylib",
-            "-C",
-            "opt-level=3",
-            "-C",
-            "codegen-units=1",
-            "-C",
-            "debuginfo=0",
-            "-o",
-        ])
+        .args(RUSTC_ARGS.split_whitespace())
+        .arg("-o")
         .arg(&lib_path)
         .arg(&src_path)
         .output();
@@ -202,20 +229,16 @@ fn scratch_dir() -> PathBuf {
 
 // ------------------------------------------------------------- engine
 
-/// A loaded native pipeline: the dlopen handle, its opaque `State`, the
-/// resolved entry points, and the host-side metadata needed to turn
-/// fault records back into exact [`SimError`] values.
+/// A loaded native pipeline: the dlopen handle, the resolved entry
+/// point, and the host-side metadata needed to turn fault records back
+/// into exact [`SimError`] values.
 pub(crate) struct NativeEngine {
     handle: *mut c_void,
-    state: *mut c_void,
-    run: RunFn,
-    run_batch: BatchRunFn,
-    install_fn: InstallFn,
-    remove_fn: RemoveFn,
-    clear_fn: ClearFn,
-    free_fn: FreeFn,
+    entry: EntryPoint,
     /// One cell pointer per register instance, in register-index order.
     reg_ptrs: Vec<*mut u64>,
+    /// The table views of the current call, refilled at every call.
+    views: Vec<TableView>,
     /// Diagnostic strings for dynamic-slot bounds faults (code 2).
     diags: Vec<String>,
     /// Declared-but-uncompiled default action names by dense table id
@@ -223,42 +246,36 @@ pub(crate) struct NativeEngine {
     unknown_defaults: Vec<Option<String>>,
     /// Scratch crate directory, removed on drop.
     dir: PathBuf,
-    /// Reused buffer for the `(slot, value)` word pairs of one install.
-    pairs: Vec<u64>,
 }
 
 impl NativeEngine {
-    pub(crate) fn install(&mut self, table: u64, key: &[u64], action: u32, data: &[(u32, u64)]) {
-        self.pairs.clear();
-        self.pairs.extend(data.iter().flat_map(|&(slot, val)| [slot as u64, val]));
-        unsafe {
-            (self.install_fn)(
-                self.state,
-                table,
-                key.as_ptr(),
-                key.len() as u64,
-                action as u64,
-                self.pairs.as_ptr(),
-                data.len() as u64,
-            )
-        }
-    }
-
-    pub(crate) fn remove(&self, table: u64, key: &[u64]) {
-        unsafe { (self.remove_fn)(self.state, table, key.as_ptr(), key.len() as u64) }
-    }
-
-    pub(crate) fn clear_table(&self, table: u64) {
-        unsafe { (self.clear_fn)(self.state, table) }
+    /// Run the `n` PHVs stored back to back at `phvs` against `tables`;
+    /// returns the index of the first faulting one (its record in
+    /// `fault`), or `n`.
+    ///
+    /// # Safety
+    /// `phvs` points at `n` PHVs of this program's width, and `tables` are
+    /// the tables of the switch this engine was prepared for.
+    unsafe fn run(
+        &mut self,
+        tables: &[Table],
+        phvs: *mut u64,
+        n: usize,
+        fault: &mut [u64; 4],
+    ) -> usize {
+        self.views.clear();
+        self.views.extend(tables.iter().map(Table::view));
+        let (views, regs, f) = (self.views.as_ptr(), self.reg_ptrs.as_ptr(), fault.as_mut_ptr());
+        (match &mut self.entry {
+            EntryPoint::UndoFree(run) => run(phvs, n as u64, views, regs, f),
+            EntryPoint::Logged(run, undo) => run(phvs, n as u64, views, regs, undo.as_mut_ptr(), f),
+        }) as usize
     }
 }
 
 impl Drop for NativeEngine {
     fn drop(&mut self) {
-        unsafe {
-            (self.free_fn)(self.state);
-            dlclose(self.handle);
-        }
+        unsafe { dlclose(self.handle) };
         let _ = std::fs::remove_dir_all(&self.dir);
     }
 }
@@ -308,80 +325,34 @@ impl Switch {
             return Err(err);
         }
 
-        let mut engine = match unsafe { Self::link_engine(handle) } {
-            Ok((run, run_batch, install_fn, remove_fn, clear_fn, free_fn, new_fn)) => {
-                let state = unsafe { new_fn() };
-                if state.is_null() {
-                    unsafe { dlclose(handle) };
-                    let _ = std::fs::remove_dir_all(&dir);
-                    return Err(NativeError::Load("p4n_new returned null".to_string()));
-                }
-                NativeEngine {
-                    handle,
-                    state,
-                    run,
-                    run_batch,
-                    install_fn,
-                    remove_fn,
-                    clear_fn,
-                    free_fn,
-                    reg_ptrs: Vec::new(),
-                    diags: generated.diags,
-                    unknown_defaults: self
-                        .compiled
-                        .tables
-                        .iter()
-                        .map(|t| match &t.default_action {
-                            DefaultAction::Unknown(name) => Some(name.clone()),
-                            _ => None,
-                        })
-                        .collect(),
-                    dir,
-                    pairs: Vec::new(),
-                }
-            }
+        let entry = match unsafe { link_entry(handle, generated.undo_cap) } {
+            Ok(entry) => entry,
             Err(e) => {
                 unsafe { dlclose(handle) };
                 let _ = std::fs::remove_dir_all(&dir);
                 return Err(e);
             }
         };
-
-        // Mirror entries installed before preparation, straight from the
-        // bytecode engine's tables: same ids, same resolved form. Slot
-        // order is irrelevant: installs commute.
-        for (tid, t) in self.ctables.iter().enumerate() {
-            for (key, entry) in t.iter() {
-                engine.install(tid as u64, key, entry.action, &entry.data);
-            }
-        }
-
-        // Cell pointers are stable: `cells` never resizes after build,
-        // and Vec heap buffers survive moves of the owning `Switch`.
-        engine.reg_ptrs = self.registers.iter_mut().map(|r| r.cells.as_mut_ptr()).collect();
-        self.native = Some(engine);
+        self.native = Some(NativeEngine {
+            handle,
+            entry,
+            // Cell pointers are stable: `cells` never resizes after build,
+            // and Vec heap buffers survive moves of the owning `Switch`.
+            reg_ptrs: self.registers.iter_mut().map(|r| r.cells.as_mut_ptr()).collect(),
+            views: Vec::with_capacity(self.ctables.len()),
+            diags: generated.diags,
+            unknown_defaults: self
+                .compiled
+                .tables
+                .iter()
+                .map(|t| match &t.default_action {
+                    DefaultAction::Unknown(name) => Some(name.clone()),
+                    _ => None,
+                })
+                .collect(),
+            dir,
+        });
         Ok(NativeReport { gen_time, rustc_time, source_bytes })
-    }
-
-    #[allow(clippy::type_complexity)]
-    unsafe fn link_engine(
-        handle: *mut c_void,
-    ) -> Result<(RunFn, BatchRunFn, InstallFn, RemoveFn, ClearFn, FreeFn, NewFn), NativeError>
-    {
-        let version: VersionFn = std::mem::transmute(resolve(handle, "p4n_abi_version")?);
-        let got = version();
-        // v2 added the batched entry point `p4n_run_batch`.
-        if got != 2 {
-            return Err(NativeError::Load(format!("ABI version mismatch: got {got}, want 2")));
-        }
-        let run: RunFn = std::mem::transmute(resolve(handle, "p4n_run_packet")?);
-        let run_batch: BatchRunFn = std::mem::transmute(resolve(handle, "p4n_run_batch")?);
-        let install_fn: InstallFn = std::mem::transmute(resolve(handle, "p4n_install")?);
-        let remove_fn: RemoveFn = std::mem::transmute(resolve(handle, "p4n_remove")?);
-        let clear_fn: ClearFn = std::mem::transmute(resolve(handle, "p4n_clear_table")?);
-        let free_fn: FreeFn = std::mem::transmute(resolve(handle, "p4n_free")?);
-        let new_fn: NewFn = std::mem::transmute(resolve(handle, "p4n_new")?);
-        Ok((run, run_batch, install_fn, remove_fn, clear_fn, free_fn, new_fn))
     }
 
     /// Execute one packet on the native engine, mapping the 4-word fault
@@ -393,14 +364,14 @@ impl Switch {
             self.prepare_native()
                 .map_err(|e| SimError::BadProgram(format!("native backend unavailable: {e}")))?;
         }
-        let phv_ptr = self.cur.slots.as_mut_ptr();
-        let engine = self.native.as_ref().expect("prepared above");
+        let engine = self.native.as_mut().expect("prepared above");
         let mut fault = [0u64; 4];
-        let code = unsafe {
-            (engine.run)(engine.state, phv_ptr, engine.reg_ptrs.as_ptr(), fault.as_mut_ptr())
-        };
-        match code {
-            0 => Ok(()),
+        // SAFETY: `cur` is one PHV of this program's width; the tables are
+        // this switch's.
+        if unsafe { engine.run(&self.ctables, self.cur.slots.as_mut_ptr(), 1, &mut fault) } == 1 {
+            return Ok(());
+        }
+        match fault[0] {
             1 => Err(SimError::DivByZero),
             2 => Err(SimError::IndexOutOfBounds {
                 what: engine.diags.get(fault[1] as usize).cloned().unwrap_or_default(),
@@ -450,7 +421,7 @@ impl Switch {
         if self.native.is_none() && self.prepare_native().is_err() {
             return None;
         }
-        let engine = self.native.as_ref().expect("prepared above");
+        let engine = self.native.as_mut().expect("prepared above");
         let mut buf: Vec<u64> = vec![0; width * stride];
         let mut fault = [0u64; 4];
         let mut dropped = 0u64;
@@ -461,15 +432,12 @@ impl Switch {
             }
             let mut start = 0usize;
             while start < n {
+                // SAFETY: rows `start..n` of `buf` are PHVs of `stride` words;
+                // the tables are this switch's.
                 let ret = unsafe {
-                    (engine.run_batch)(
-                        engine.state,
-                        buf.as_mut_ptr().add(start * stride),
-                        (n - start) as u64,
-                        engine.reg_ptrs.as_ptr(),
-                        fault.as_mut_ptr(),
-                    )
-                } as usize;
+                    let phvs = buf.as_mut_ptr().add(start * stride);
+                    engine.run(&self.ctables, phvs, n - start, &mut fault)
+                };
                 if ret == n - start {
                     break;
                 }

@@ -2,8 +2,8 @@
 //! register reads, writes and clears, `register_instances` and `table_len`
 //! allocate nothing, a removal allocates nothing, and an install allocates
 //! only its action data's two vectors (the interpreter's by-name one and
-//! the fast engines' resolved one) plus the tables' amortised growth: the
-//! interpreter's mirror shares the switch's interned names. A regression
+//! the resolved one the flat table copies) plus the tables' amortised
+//! growth: the interpreter's mirror shares the switch's interned names. A regression
 //! here (an eagerly formatted error, a name turned into a `String` to look
 //! it up or to store it, a cloned key) costs more than the operation
 //! itself, and no functional test would notice it.
@@ -143,8 +143,8 @@ fn install_with_action_data_allocates_its_two_data_vectors() {
     });
     assert_eq!(sw.table_len("cache").unwrap(), N);
     // The `(name, value)` vector of the interpreter's entry and the
-    // `(slot, value)` vector of the bytecode engine's: the field names in
-    // the first are `Arc` clones.
+    // `(slot, value)` vector the flat table copies into its record: the
+    // field names in the first are `Arc` clones.
     assert!(allocs <= 2 * N + GROWTH, "{allocs} allocations in {N} installs with two data");
 
     let allocs = allocs_during(|| {

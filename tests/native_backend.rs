@@ -1,7 +1,8 @@
 //! Codegen-specific tests for the native backend (`Backend::Native`):
 //! deterministic lowering, warning-free generated source, exact
 //! agreement with the reference interpreter on PHV/register/fault
-//! behavior, and control-plane installs reaching a live engine.
+//! behavior, and control-plane changes to the host-owned tables reaching
+//! a live engine.
 //!
 //! Tests that need the in-container `rustc` skip with a logged reason
 //! when it is unavailable; lowering-only tests always run.
@@ -145,9 +146,10 @@ fn generated_source_compiles_warning_free() {
     let src = dir.join("p4n_check.rs");
     let lib = dir.join("libp4n_check.so");
     std::fs::write(&src, &source).unwrap();
+    // The engine's own build, with warnings denied.
     let out = Command::new("rustc")
-        .args(["--edition", "2021", "-D", "warnings", "--crate-name", "p4n_check"])
-        .args(["--crate-type", "cdylib", "-o"])
+        .args(p4all_sim::native::RUSTC_ARGS.split_whitespace())
+        .args(["-D", "warnings", "-o"])
         .arg(&lib)
         .arg(&src)
         .output()
@@ -287,4 +289,148 @@ fn native_reset_replays_identically() {
         let _ = step(&mut native, *pkt);
     }
     assert_eq!(first, native.registers_snapshot(), "reset + replay must reproduce state");
+}
+
+/// Two tables of different key widths, each with action data: the table
+/// views the native engine reads at every call, on a merged-style program.
+const TWO_TABLES: &str = r#"
+    header pkt { bit<32> a; bit<32> b; }
+    struct metadata { bit<8> hit1; bit<8> hit2; bit<32> x; bit<32> y; bit<32> z; }
+    action one() { meta.hit1 = 1; meta.z = meta.x + 1; }
+    action miss1() { meta.hit1 = 0; }
+    table t1 {
+        key = { hdr.a; }
+        actions = { one; miss1; }
+        size = 512;
+        default_action = miss1;
+    }
+    action two() { meta.hit2 = 1; }
+    table t2 {
+        key = { hdr.a; hdr.b; }
+        actions = { two; }
+        size = 512;
+    }
+    control Main() { apply { t1.apply(); t2.apply(); } }
+"#;
+
+/// The native engine reads the bytecode engine's own tables through views
+/// built at every call: entries installed (and removed again) before it
+/// was prepared, installs that rehash and grow a table, removals that
+/// leave tombstones, and a cleared table are all seen at once. After each
+/// step the three engines agree packet by packet.
+#[test]
+fn native_reads_host_tables_through_rehash_remove_and_clear() {
+    if skip_no_rustc("native_reads_host_tables_through_rehash_remove_and_clear") {
+        return;
+    }
+    let c = Compiler::new(presets::paper_eval(1 << 15)).compile(TWO_TABLES).expect("compiles");
+    let program = p4all_lang::parse(TWO_TABLES).expect("parses");
+    let mut sws: Vec<Switch> = [Backend::Interp, Backend::Compiled, Backend::Native]
+        .into_iter()
+        .map(|backend| {
+            let mut sw = Switch::build(&c.concrete, &program).expect("sim builds");
+            sw.set_backend(backend);
+            sw
+        })
+        .collect();
+    for sw in sws.iter_mut() {
+        sw.install_entry("t1", vec![47], "one", &[("x", 3)]).unwrap();
+        sw.install_entry("t1", vec![46], "one", &[]).unwrap();
+        assert!(sw.remove_entry("t1", &[46]).unwrap());
+    }
+    sws[2].prepare_native().expect("native engine prepares");
+
+    let agree = |sws: &mut [Switch], step: &str| {
+        for a in 0..48u64 {
+            let b = a % 3;
+            let mut seen = Vec::new();
+            for sw in sws.iter_mut() {
+                sw.begin_packet();
+                sw.set_header("a", a).unwrap();
+                sw.set_header("b", b).unwrap();
+                sw.run_packet().unwrap();
+                seen.push(sw.phv_snapshot());
+            }
+            assert_eq!(seen[0], seen[1], "{step}: bytecode differs on ({a}, {b})");
+            assert_eq!(seen[0], seen[2], "{step}: native differs on ({a}, {b})");
+        }
+    };
+    agree(&mut sws, "installed before prepare");
+    // 40 entries take `t1` from no slots through four rehashes to 64.
+    for k in 0..40u64 {
+        for sw in sws.iter_mut() {
+            let data: &[(&str, u64)] = if k % 2 == 0 { &[("x", k)] } else { &[("x", k), ("y", 7)] };
+            sw.install_entry("t1", vec![k], "one", data).unwrap();
+            sw.install_entry("t2", vec![k, k % 3], "two", &[("y", k + 100)]).unwrap();
+        }
+        if k % 9 == 0 {
+            agree(&mut sws, &format!("after install {k}"));
+        }
+    }
+    agree(&mut sws, "grown");
+    for k in (0..40u64).step_by(3) {
+        for sw in sws.iter_mut() {
+            assert!(sw.remove_entry("t1", &[k]).unwrap());
+        }
+    }
+    agree(&mut sws, "removed");
+    for sw in sws.iter_mut() {
+        sw.clear_table("t2").unwrap();
+    }
+    agree(&mut sws, "t2 cleared");
+    for sw in sws.iter_mut() {
+        sw.install_entry("t2", vec![5, 2], "two", &[("z", 9)]).unwrap();
+    }
+    agree(&mut sws, "t2 refilled");
+}
+
+/// Two register writes, then a division that reads what they wrote: the
+/// fault can follow both writes, so the program logs them.
+const LOGGED: &str = r#"
+    header pkt { bit<32> key; bit<32> d; }
+    struct metadata { bit<32> i; bit<32> v; bit<32> w; bit<32> q; }
+    register<bit<32>>[16] a;
+    register<bit<32>>[16] b;
+    action index() { meta.i = hash(hdr.key, 16); }
+    action bump_a() { a[meta.i] = a[meta.i] + 1; meta.v = a[meta.i]; }
+    action bump_b() { b[meta.i] = b[meta.i] + 2; meta.w = b[meta.i]; }
+    action divq() { meta.q = (meta.v + meta.w) / hdr.d; }
+    control Main() { apply { index(); bump_a(); bump_b(); divq(); } }
+"#;
+
+/// A program that is not undo-free gets a host undo buffer exactly as long
+/// as the most register writes on one packet path. A packet that makes
+/// all of them and then faults fills it and leaves no trace.
+#[test]
+fn a_faulting_packet_fills_the_undo_buffer_and_rolls_back() {
+    if skip_no_rustc("a_faulting_packet_fills_the_undo_buffer_and_rolls_back") {
+        return;
+    }
+    let c = Compiler::new(presets::paper_eval(1 << 14)).compile(LOGGED).expect("compiles");
+    let program = p4all_lang::parse(LOGGED).expect("parses");
+    let build = |backend| {
+        let mut sw = Switch::build(&c.concrete, &program).expect("sim builds");
+        sw.set_backend(backend);
+        sw
+    };
+    let (mut interp, mut native) = (build(Backend::Interp), build(Backend::Native));
+    let listing = native.dump_bytecode();
+    assert!(listing.starts_with("undo log: kept"), "{listing}");
+    assert!(native.native_source().contains("const UNDO_CAP: usize = 2;"));
+    native.prepare_native().expect("native engine prepares");
+    for (key, d) in [(3, 1), (3, 0), (5, 2), (5, 0), (3, 0)] {
+        let step = |sw: &mut Switch| {
+            sw.begin_packet();
+            sw.set_header("key", key).unwrap();
+            sw.set_header("d", d).unwrap();
+            sw.run_packet()
+        };
+        let before = native.registers_snapshot();
+        let (want, got) = (step(&mut interp), step(&mut native));
+        assert_eq!(want, got, "packet ({key}, {d})");
+        assert_eq!(want.is_err(), d == 0);
+        let after = native.registers_snapshot();
+        assert_eq!(after == before, d == 0, "only the clean packets write");
+        assert_eq!(interp.registers_snapshot(), after);
+    }
 }
