@@ -5,9 +5,9 @@
 //! state. Application runtimes (e.g. [`crate::netcache_rt`]) are built on
 //! these calls.
 
-use std::collections::hash_map::Entry as MapEntry;
 use std::sync::Arc;
 
+use crate::flat_table::Insert;
 use crate::interp::{SimError, Switch};
 use crate::state::TableEntry;
 
@@ -42,12 +42,14 @@ impl Switch {
             .action_ids
             .get_key_value(action)
             .ok_or_else(|| SimError::UnknownAction(action.to_string()))?;
-        let action_name = Arc::clone(action_name);
+        let action = Arc::clone(action_name);
         let mut named = Vec::with_capacity(data.len());
-        let mut dense = Vec::with_capacity(data.len());
+        let dense = &mut self.install_data;
+        dense.clear();
         for &(field, value) in data {
-            let (name, slot) = self
-                .meta_scalar(field)
+            let (name, &slot) = self
+                .meta_scalars
+                .get_key_value(field)
                 .ok_or_else(|| SimError::UnknownField(format!("meta.{field}")))?;
             let limit = self.compiled.data_limit[slot];
             if value >= limit {
@@ -57,17 +59,19 @@ impl Switch {
             named.push((Arc::clone(name), value));
             dense.push((slot as u32, value));
         }
+        // One store, one probe: the flat table both fast engines read (the
+        // native engine through a view of it) holds the resolved record,
+        // and its slot's tag points at the interpreter's by-name entry.
         let t = &mut self.tables[tid];
-        let full = t.is_full();
-        let mirror = t.entries.entry(key);
-        if full && matches!(mirror, MapEntry::Vacant(_)) {
-            return Err(SimError::TableFull(table.to_string()));
+        let size = usize::try_from(t.size).unwrap_or(usize::MAX);
+        let entry = TableEntry { action, data: named };
+        match self.ctables[tid].insert(&key, action_id, dense, t.vacant(), size) {
+            Insert::Replaced(tag) => t.replace(tag, entry),
+            Insert::Placed => {
+                t.insert(entry);
+            }
+            Insert::Refused => return Err(SimError::TableFull(table.to_string())),
         }
-        // Two consumers: the flat table both fast engines read (the native
-        // engine through a view of it), and the interpreter's by-name
-        // mirror, which takes the key itself.
-        self.ctables[tid].insert(mirror.key(), action_id, &dense);
-        mirror.insert_entry(TableEntry { action: action_name, data: named });
         Ok(())
     }
 
@@ -84,22 +88,24 @@ impl Switch {
     /// Remove one entry; returns whether it existed.
     pub fn remove_entry(&mut self, table: &str, key: &[u64]) -> Result<bool, SimError> {
         let tid = self.table_id(table)?;
-        let existed = self.tables[tid].entries.remove(key).is_some();
-        self.ctables[tid].remove(key);
-        Ok(existed)
+        let tag = self.ctables[tid].remove(key);
+        if let Some(tag) = tag {
+            self.tables[tid].remove(tag);
+        }
+        Ok(tag.is_some())
     }
 
     /// Drop every entry of a table.
     pub fn clear_table(&mut self, table: &str) -> Result<(), SimError> {
         let tid = self.table_id(table)?;
-        self.tables[tid].entries.clear();
+        self.tables[tid].clear();
         self.ctables[tid].clear();
         Ok(())
     }
 
     /// Current entry count of a table.
     pub fn table_len(&self, table: &str) -> Result<usize, SimError> {
-        Ok(self.tables[self.table_id(table)?].entries.len())
+        Ok(self.ctables[self.table_id(table)?].len())
     }
 
     /// Read one register cell.
@@ -152,7 +158,8 @@ impl Switch {
 
 #[cfg(test)]
 mod tests {
-    use crate::interp::{SimError, Switch};
+    use crate::flat_table::Insert;
+    use crate::interp::{Backend, SimError, Switch};
     use p4all_core::Compiler;
     use p4all_pisa::presets;
 
@@ -275,6 +282,45 @@ mod tests {
         sw.set_header("key", 3).unwrap();
         sw.run_packet().unwrap();
         assert_eq!(sw.meta("hit").unwrap(), 0);
+    }
+
+    /// Run one packet with `key` on `backend`; returns `(hit, val)`.
+    fn replay(sw: &mut Switch, backend: Backend, key: u64) -> (u64, u64) {
+        sw.set_backend(backend);
+        sw.begin_packet();
+        sw.set_header("key", key).unwrap();
+        sw.run_packet().unwrap();
+        (sw.meta("hit").unwrap(), sw.meta("val").unwrap())
+    }
+
+    /// The interpreter shares the flat table's probe but not its record:
+    /// it reads the action and data *names* of its own entry. So a wrong
+    /// action id or data slot written into the record the fast engines
+    /// run on shows as a divergence on the next packet.
+    #[test]
+    fn a_corrupted_flat_record_diverges_from_the_interpreter() {
+        let mut sw = build();
+        sw.write_register("values", 0, 5, 777).unwrap();
+        sw.install_entry("cache", vec![42], "on_hit", &[("slot", 5)]).unwrap();
+        assert_eq!(replay(&mut sw, Backend::Interp, 42), (1, 777));
+        assert_eq!(replay(&mut sw, Backend::Compiled, 42), (1, 777));
+
+        let tid = sw.table_id("cache").unwrap();
+        let on_hit = sw.compiled.action_ids["on_hit"];
+        let on_miss = sw.compiled.action_ids["on_miss"];
+        let (slot, val) = (sw.meta_scalars["slot"] as u32, sw.meta_scalars["val"] as u32);
+        let corrupt = |sw: &mut Switch, action: u32, data: &[(u32, u64)]| {
+            let done = sw.ctables[tid].insert(&[42], action, data, u32::MAX, usize::MAX);
+            assert_eq!(done, Insert::Replaced(0), "the interpreter's entry is untouched");
+            let interp = replay(sw, Backend::Interp, 42);
+            (interp, replay(sw, Backend::Compiled, 42))
+        };
+        // The wrong action: the interpreter still runs `on_hit`.
+        assert_eq!(corrupt(&mut sw, on_miss, &[(slot, 5)]), ((1, 777), (0, 0)));
+        // The wrong data slot: `meta.slot` stays 0 on the bytecode engine.
+        assert_eq!(corrupt(&mut sw, on_hit, &[(val, 5)]), ((1, 777), (1, 0)));
+        // The record rewritten right agrees again.
+        assert_eq!(corrupt(&mut sw, on_hit, &[(slot, 5)]), ((1, 777), (1, 777)));
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //! store of both fast engines. The bytecode engine probes it in place; the
 //! generated native code probes the same arrays through a [`TableView`].
 //! The hash, the probe and the view are `table_probe.rs`, included here
-//! and pasted into every generated crate. Layout, hash and growth rule:
-//! DESIGN.md, "Control plane".
+//! and pasted into every generated crate. Each slot also carries a
+//! host-only tag, which the view never sees: the control plane's index of
+//! the interpreter's named entry for that key. Layout, hash and growth
+//! rule: DESIGN.md, "Control plane".
 
 // `TableView::lookup` runs in the generated code; the host only tests it.
 #[allow(dead_code)]
@@ -30,6 +32,20 @@ pub struct Table {
     keys: Vec<u64>,
     /// One entry record per slot ([`entry_of`]), `stride` words each.
     vals: Vec<u64>,
+    /// One tag per slot, moved with its key.
+    tags: Vec<u32>,
+}
+
+/// What [`Table::insert`] did with its key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Insert {
+    /// The key was present: its record is rewritten, its tag kept.
+    Replaced(u32),
+    /// The key was absent and is now stored with the given tag.
+    Placed,
+    /// Nothing stored: the key was absent and `limit` entries are live,
+    /// or its arity is wrong.
+    Refused,
 }
 
 impl Table {
@@ -43,11 +59,17 @@ impl Table {
             ctrl: Vec::new(),
             keys: Vec::new(),
             vals: Vec::new(),
+            tags: Vec::new(),
         }
     }
 
     pub fn key_words(&self) -> usize {
         self.key_words
+    }
+
+    /// Live entries.
+    pub fn len(&self) -> usize {
+        self.live
     }
 
     /// The slot holding `key`.
@@ -63,6 +85,12 @@ impl Table {
         Some(entry_of(&self.vals[i * self.stride..(i + 1) * self.stride]))
     }
 
+    /// The tag stored with `key`.
+    #[inline(always)]
+    pub fn tag(&self, key: &[u64]) -> Option<u32> {
+        self.find(key).map(|i| self.tags[i])
+    }
+
     /// The table as the generated code reads it, valid until the next
     /// `&mut` call.
     pub fn view(&self) -> TableView {
@@ -76,30 +104,42 @@ impl Table {
         }
     }
 
-    /// Store `action` with `data` under `key`, replacing any entry already
-    /// there.
-    pub fn insert(&mut self, key: &[u64], action: u32, data: &[(u32, u64)]) {
+    /// Store `action` with `data` under `key` in one probe. A present key
+    /// gets the new record and keeps its tag; an absent one is placed
+    /// with `tag` unless `limit` entries are already live.
+    pub fn insert(
+        &mut self,
+        key: &[u64],
+        action: u32,
+        data: &[(u32, u64)],
+        tag: u32,
+        limit: usize,
+    ) -> Insert {
         if key.len() != self.key_words {
-            return;
+            return Insert::Refused;
         }
-        if 1 + 2 * data.len() > self.stride {
-            self.widen(1 + 2 * data.len());
-        }
-        let i = match self.find(key) {
-            Some(i) => i,
+        let (i, done) = match self.find(key) {
+            Some(i) => (i, Insert::Replaced(self.tags[i])),
+            None if self.live >= limit => return Insert::Refused,
             None => {
                 if (self.used + 1) * 8 > self.cap * 7 {
                     self.rehash();
                 }
                 self.live += 1;
-                self.place(key)
+                let i = self.place(key);
+                self.tags[i] = tag;
+                (i, Insert::Placed)
             }
         };
+        if 1 + 2 * data.len() > self.stride {
+            self.widen(1 + 2 * data.len());
+        }
         let rec = &mut self.vals[i * self.stride..(i + 1) * self.stride];
         rec[0] = u64::from(action) | ((data.len() as u64) << 32);
         for (pair, &(slot, value)) in rec[1..].chunks_exact_mut(2).zip(data) {
             pair.copy_from_slice(&[u64::from(slot), value]);
         }
+        done
     }
 
     /// Put a key known to be absent into the first free slot on its
@@ -118,14 +158,12 @@ impl Table {
         i
     }
 
-    /// Remove `key`; returns whether it was present.
-    pub fn remove(&mut self, key: &[u64]) -> bool {
-        let Some(i) = self.find(key) else {
-            return false;
-        };
+    /// Remove `key`; returns its tag if it was present.
+    pub fn remove(&mut self, key: &[u64]) -> Option<u32> {
+        let i = self.find(key)?;
         self.ctrl[i] = TOMB;
         self.live -= 1;
-        true
+        Some(self.tags[i])
     }
 
     /// Drop every entry; the capacity stays.
@@ -158,12 +196,14 @@ impl Table {
         let ctrl = std::mem::replace(&mut self.ctrl, vec![EMPTY; cap]);
         let keys = std::mem::replace(&mut self.keys, vec![0; cap * kw]);
         let vals = std::mem::replace(&mut self.vals, vec![0; cap * stride]);
+        let tags = std::mem::replace(&mut self.tags, vec![0; cap]);
         self.cap = cap;
         self.used = 0;
         for (i, _) in ctrl.iter().enumerate().filter(|&(_, &c)| c == FULL) {
             let j = self.place(&keys[i * kw..i * kw + kw]);
             self.vals[j * stride..(j + 1) * stride]
                 .copy_from_slice(&vals[i * stride..(i + 1) * stride]);
+            self.tags[j] = tags[i];
         }
     }
 }

@@ -31,6 +31,7 @@ fn check_shape(t: &Table) -> Result<(), String> {
     prop_assert_eq!(t.ctrl.len(), t.cap);
     prop_assert_eq!(t.keys.len(), t.cap * t.key_words);
     prop_assert_eq!(t.vals.len(), t.cap * t.stride);
+    prop_assert_eq!(t.tags.len(), t.cap);
     Ok(())
 }
 
@@ -41,22 +42,30 @@ fn key_of(n: u64, kw: usize) -> Vec<u64> {
     (0..kw as u32).map(|j| (n / base.pow(j)) % base).collect()
 }
 
+/// No live-entry limit.
+const ANY: usize = usize::MAX;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Random insert / overwrite / remove / clear / lookup sequences agree
-    /// with a `HashMap` after every step. 240 distinct keys take the table
-    /// through five doublings; one op in sixteen carries a key of the
-    /// wrong arity, which the table must neither store nor match.
+    /// with a `HashMap` after every step, tags included: an insert
+    /// reports the tag it replaced, and `tag` and `remove` return the one
+    /// the key was placed with, whatever rehashes moved it. 240 distinct
+    /// keys take the table through five doublings; one op in sixteen
+    /// carries a key of the wrong arity, which the table must neither
+    /// store nor match; one case in four caps the live count at 100.
     #[test]
     fn agrees_with_hashmap(
         kw in 1usize..=3,
+        capped in 0u8..4,
         ops in proptest::collection::vec((0u8..20, 0u64..240, 0u8..16), 1..900),
     ) {
+        let limit = if capped == 0 { 100 } else { ANY };
         let mut t = Table::new(kw);
         // The model is std's map: independent of the crate's hasher.
         #[allow(clippy::disallowed_types)]
-        let mut model: std::collections::HashMap<Vec<u64>, Stored> = Default::default();
+        let mut model: std::collections::HashMap<Vec<u64>, (Stored, u32)> = Default::default();
         for (step, &(kind, n, quirk)) in ops.iter().enumerate() {
             let arity = match quirk {
                 15 if n % 2 == 0 => kw + 1,
@@ -70,13 +79,24 @@ proptest! {
                     let action = step as u32;
                     let data: Vec<(u32, u64)> =
                         (0..quirk as u32 % 3).map(|s| (s, n + s as u64)).collect();
-                    t.insert(&key, action, &data);
-                    if fits {
-                        model.insert(key.clone(), (action, data));
-                    }
+                    let tag = 1000 + step as u32;
+                    let room = model.len() < limit;
+                    let want = match model.get_mut(&key) {
+                        Some(stored) => {
+                            stored.0 = (action, data.clone());
+                            Insert::Replaced(stored.1)
+                        }
+                        None if fits && room => {
+                            model.insert(key.clone(), ((action, data.clone()), tag));
+                            Insert::Placed
+                        }
+                        None => Insert::Refused,
+                    };
+                    let got = t.insert(&key, action, &data, tag, limit);
+                    prop_assert_eq!(got, want, "insert {:?} at step {}", key, step);
                 }
                 10..=15 => {
-                    let was = model.remove(&key).is_some();
+                    let was = model.remove(&key).map(|(_, tag)| tag);
                     prop_assert_eq!(t.remove(&key), was, "remove {:?} at step {}", key, step);
                 }
                 16..=18 => {}
@@ -88,12 +108,15 @@ proptest! {
                     }
                 }
             }
-            prop_assert_eq!(seen(&t, &key), model.get(&key).cloned(), "{:?} at step {}", key, step);
-            prop_assert_eq!(t.live, model.len());
+            let want = model.get(&key);
+            prop_assert_eq!(seen(&t, &key), want.map(|w| w.0.clone()), "{:?} at step {}", key, step);
+            prop_assert_eq!(t.tag(&key), want.map(|w| w.1), "tag of {:?} at step {}", key, step);
+            prop_assert_eq!(t.len(), model.len());
             check_shape(&t)?;
         }
-        for (key, want) in &model {
+        for (key, (want, tag)) in &model {
             prop_assert_eq!(seen(&t, key), Some(want.clone()));
+            prop_assert_eq!(t.tag(key), Some(*tag));
         }
         let kw = t.key_words;
         let full = (0..t.cap).filter(|&i| t.ctrl[i] == FULL);
@@ -109,26 +132,27 @@ proptest! {
 fn tombstone_is_reused() {
     let mut t = Table::new(1);
     for k in 0..5 {
-        t.insert(&[k], k as u32, &[]);
+        t.insert(&[k], k as u32, &[], k as u32, ANY);
     }
     let used = t.used;
-    assert!(t.remove(&[3]));
-    assert!(!t.remove(&[3]));
+    assert_eq!(t.remove(&[3]), Some(3));
+    assert_eq!(t.remove(&[3]), None);
     assert_eq!((t.used, t.live), (used, 4));
-    t.insert(&[3], 9, &[]);
+    t.insert(&[3], 9, &[], 7, ANY);
     assert_eq!((t.used, t.live), (used, 5), "the tombstone's slot is taken again");
-    assert_eq!(t.lookup(&[3]).map(|e| e.0), Some(9));
+    assert_eq!((t.lookup(&[3]).map(|e| e.0), t.tag(&[3])), (Some(9), Some(7)));
 }
 
 #[test]
 fn overwrite_never_rehashes() {
     let mut t = Table::new(2);
     for k in 0..7 {
-        t.insert(&[k, k], 0, &[]);
+        t.insert(&[k, k], 0, &[], k as u32, 7);
     }
     assert_eq!((t.cap, t.used), (8, 7), "at the load limit");
-    t.insert(&[6, 6], 1, &[(4, 2)]);
-    assert_eq!((t.cap, t.live), (8, 7));
+    assert_eq!(t.insert(&[7, 7], 1, &[], 7, 7), Insert::Refused, "and at the live limit");
+    assert_eq!(t.insert(&[6, 6], 1, &[(4, 2)], 9, 7), Insert::Replaced(6));
+    assert_eq!((t.cap, t.live, t.stride), (8, 7, 3));
     assert_eq!(seen(&t, &[6, 6]), Some((1, vec![(4, 2)])));
 }
 
@@ -141,7 +165,7 @@ fn aligned_keys_spread_over_the_table() {
     for shift in [8u32, 16, 32] {
         let mut t = Table::new(1);
         for i in 1..=4096u64 {
-            t.insert(&[i << shift], 0, &[]);
+            t.insert(&[i << shift], 0, &[], 0, ANY);
         }
         assert_eq!((t.cap, t.live), (8192, 4096));
         let mask = t.cap - 1;
@@ -162,16 +186,17 @@ fn churn_at_constant_size_keeps_capacity() {
     const LIVE: u64 = 1000;
     let mut t = Table::new(1);
     for k in 0..LIVE {
-        t.insert(&[k], k as u32, &[]);
+        t.insert(&[k], k as u32, &[], k as u32, ANY);
     }
     for i in 0..1_000_000u64 {
-        assert!(t.remove(&[i]));
-        t.insert(&[i + LIVE], (i + LIVE) as u32, &[]);
+        let tag = t.remove(&[i]).expect("the oldest key is present");
+        assert_eq!(t.insert(&[i + LIVE], (i + LIVE) as u32, &[], tag, ANY), Insert::Placed);
     }
     assert!(t.cap <= 4096, "capacity {} after churn", t.cap);
     assert_eq!(t.live, LIVE as usize);
     for k in 1_000_000..1_000_000 + LIVE {
         assert_eq!(t.lookup(&[k]).map(|e| e.0), Some(k as u32), "key {k}");
+        assert_eq!(t.tag(&[k]), Some((k % LIVE) as u32), "key {k}");
     }
     assert!(t.lookup(&[999_999]).is_none());
 }
@@ -181,13 +206,15 @@ fn churn_at_constant_size_keeps_capacity() {
 #[test]
 fn a_wider_entry_widens_every_record() {
     let mut t = Table::new(1);
-    (0..20).for_each(|k| t.insert(&[k], k as u32, &[(1, k)]));
-    t.insert(&[20], 20, &[(1, 5), (2, 6), (3, 7)]);
+    for k in 0..20 {
+        t.insert(&[k], k as u32, &[(1, k)], 0, ANY);
+    }
+    t.insert(&[20], 20, &[(1, 5), (2, 6), (3, 7)], 0, ANY);
     assert_eq!(t.stride, 7);
     for k in 0..20 {
         assert_eq!(seen(&t, &[k]), Some((k as u32, vec![(1, k)])), "key {k}");
     }
     assert_eq!(seen(&t, &[20]), Some((20, vec![(1, 5), (2, 6), (3, 7)])));
-    t.insert(&[20], 4, &[]);
+    t.insert(&[20], 4, &[], 0, ANY);
     assert_eq!((t.stride, seen(&t, &[20])), (7, Some((4, vec![]))));
 }

@@ -152,7 +152,8 @@ pub struct Switch {
     /// The interpreter's tables by dense id: entries keep their action and
     /// field *names*, resolved again on every packet — deliberately naive,
     /// so a wrong install-time resolution in `ctables` shows as a
-    /// divergence from this oracle.
+    /// divergence from this oracle. The key → entry probe is `ctables`'
+    /// own: each slot's tag names the entry here.
     pub(crate) tables: Vec<TableState>,
     /// Compiled bodies of actions invocable from tables.
     pub(crate) table_actions: NameMap<Arc<str>, Vec<CStmt>>,
@@ -161,6 +162,8 @@ pub struct Switch {
     pub(crate) cur: Phv,
     /// The interpreter's table-key buffer, reused across applies.
     table_key: Vec<u64>,
+    /// An install's resolved `(slot, value)` data, reused across installs.
+    pub(crate) install_data: Vec<(u32, u64)>,
     // ---- bytecode backend state ----
     pub(crate) backend: Backend,
     pub(crate) compiled: crate::compiled::CompiledProgram,
@@ -241,6 +244,7 @@ impl Switch {
         let mut sw = Switch {
             cur: Phv::new(masks.clone()),
             table_key: Vec::new(),
+            install_data: Vec::new(),
             header_count: concrete.headers.len(),
             masks,
             header_slots,
@@ -268,11 +272,7 @@ impl Switch {
         by_name.sort_by(|a, b| a.name.cmp(&b.name));
         for t in &by_name {
             sw.table_ids.insert(t.name.clone(), sw.tables.len() as u16);
-            sw.tables.push(TableState {
-                entries: NameMap::default(),
-                default_action: t.default_action.clone(),
-                size: t.size,
-            });
+            sw.tables.push(TableState::new(t.default_action.clone(), t.size));
             sw.ctables.push(crate::flat_table::Table::new(t.keys.len()));
         }
         for t in &concrete.tables {
@@ -657,8 +657,9 @@ impl Switch {
         result
     }
 
-    /// Evaluate `keys` into `kv`, look the entry up by name, write its
-    /// action data, and return the body to run. Errors come in the order
+    /// Evaluate `keys` into `kv`, find the entry through the flat table's
+    /// tag, write its action data by field name, and return the body of
+    /// its action, found by name. Errors come in the order
     /// key evaluation, unknown table, unknown field, unknown action.
     fn match_entry<'b>(
         &mut self,
@@ -671,9 +672,13 @@ impl Switch {
         for k in keys {
             kv.push(self.eval(k)?);
         }
-        let table = &self.tables[self.table_id(tname)?];
-        let (action, data): (&str, &[(Arc<str>, u64)]) = match table.entries.get(kv.as_slice()) {
-            Some(e) => (&e.action, &e.data),
+        let tid = self.table_id(tname)?;
+        let table = &self.tables[tid];
+        let (action, data): (&str, &[(Arc<str>, u64)]) = match self.ctables[tid].tag(kv) {
+            Some(tag) => {
+                let e = table.get(tag);
+                (&e.action, &e.data)
+            }
             None => match &table.default_action {
                 Some(a) => (a, &[]),
                 None => return Ok(None),
@@ -924,11 +929,6 @@ impl Switch {
             .get(table)
             .map(|&id| id as usize)
             .ok_or_else(|| SimError::UnknownTable(table.to_string()))
-    }
-
-    /// The interned name and PHV slot of scalar metadata `field`.
-    pub(crate) fn meta_scalar(&self, field: &str) -> Option<(&Arc<str>, usize)> {
-        self.meta_scalars.get_key_value(field).map(|(name, &slot)| (name, slot))
     }
 }
 

@@ -3,8 +3,6 @@
 
 use std::sync::Arc;
 
-use crate::name_map::NameMap;
-
 /// One register array instance living in one stage.
 #[derive(Debug, Clone)]
 pub struct RegState {
@@ -54,18 +52,81 @@ pub struct TableEntry {
     pub data: Vec<(Arc<str>, u64)>,
 }
 
-/// Runtime state of one exact-match table.
-#[derive(Debug, Clone, Default)]
+/// The interpreter's side of one exact-match table: its named entries.
+/// Which key holds which entry is the flat table's business: each of its
+/// slots carries the tag of the entry here, so membership and key lookup
+/// are one probe that every engine shares.
+#[derive(Debug, Clone)]
 pub struct TableState {
-    pub entries: NameMap<Vec<u64>, TableEntry>,
+    /// Named entries by tag. A removed entry's place links the free list.
+    entries: Vec<Named>,
+    /// First free tag, or [`NO_TAG`].
+    free: u32,
     pub default_action: Option<String>,
     pub size: u64,
 }
 
+#[derive(Debug, Clone)]
+enum Named {
+    Entry(TableEntry),
+    /// Free; holds the next free tag.
+    Free(u32),
+}
+
+const NO_TAG: u32 = u32::MAX;
+
 impl TableState {
-    /// True when no more entries fit.
-    pub fn is_full(&self) -> bool {
-        (self.entries.len() as u64) >= self.size
+    pub(crate) fn new(default_action: Option<String>, size: u64) -> Self {
+        TableState { entries: Vec::new(), free: NO_TAG, default_action, size }
+    }
+
+    /// The tag the next [`TableState::insert`] returns.
+    pub(crate) fn vacant(&self) -> u32 {
+        match self.free {
+            NO_TAG => u32::try_from(self.entries.len()).expect("fewer than 2^32 entries"),
+            tag => tag,
+        }
+    }
+
+    /// Store a new entry under [`TableState::vacant`]'s tag.
+    pub(crate) fn insert(&mut self, entry: TableEntry) -> u32 {
+        let tag = self.vacant();
+        match self.entries.get_mut(tag as usize) {
+            Some(slot) => match std::mem::replace(slot, Named::Entry(entry)) {
+                Named::Free(next) => self.free = next,
+                Named::Entry(_) => unreachable!("free tag {tag} holds an entry"),
+            },
+            None => self.entries.push(Named::Entry(entry)),
+        }
+        tag
+    }
+
+    /// The entry stored under `tag`.
+    pub(crate) fn get(&self, tag: u32) -> &TableEntry {
+        match &self.entries[tag as usize] {
+            Named::Entry(e) => e,
+            Named::Free(_) => panic!("tag {tag} is free"),
+        }
+    }
+
+    /// Replace the entry stored under `tag`.
+    pub(crate) fn replace(&mut self, tag: u32, entry: TableEntry) {
+        match &mut self.entries[tag as usize] {
+            Named::Entry(e) => *e = entry,
+            Named::Free(_) => panic!("tag {tag} is free"),
+        }
+    }
+
+    /// Drop the entry under `tag`; its tag is the next one reused.
+    pub(crate) fn remove(&mut self, tag: u32) {
+        self.entries[tag as usize] = Named::Free(self.free);
+        self.free = tag;
+    }
+
+    /// Drop every entry.
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+        self.free = NO_TAG;
     }
 }
 
@@ -149,10 +210,21 @@ mod tests {
     }
 
     #[test]
-    fn table_capacity() {
-        let mut t = TableState { size: 1, ..Default::default() };
-        assert!(!t.is_full());
-        t.entries.insert(vec![1], TableEntry { action: "a".into(), data: vec![] });
-        assert!(t.is_full());
+    fn freed_tags_are_reused_last_freed_first() {
+        let entry = |a: &str| TableEntry { action: a.into(), data: vec![] };
+        let mut t = TableState::new(None, 4);
+        let tags: Vec<u32> = ["a", "b", "c"].map(|a| t.insert(entry(a))).into();
+        assert_eq!(tags, [0, 1, 2]);
+        t.remove(0);
+        t.remove(2);
+        assert_eq!(t.vacant(), 2);
+        assert_eq!(t.insert(entry("d")), 2);
+        assert_eq!(t.insert(entry("e")), 0);
+        assert_eq!(t.insert(entry("f")), 3);
+        t.replace(1, entry("g"));
+        let actions: Vec<&str> = (0..4).map(|tag| &*t.get(tag).action).collect();
+        assert_eq!(actions, ["e", "g", "d", "f"]);
+        t.clear();
+        assert_eq!(t.vacant(), 0);
     }
 }

@@ -1,12 +1,15 @@
 //! The control plane's allocation budget, counted by a `#[global_allocator]`:
 //! register reads, writes and clears, `register_instances` and `table_len`
 //! allocate nothing, a removal allocates nothing, and an install allocates
-//! only its action data's two vectors (the interpreter's by-name one and
-//! the resolved one the flat table copies) plus the tables' amortised
-//! growth: the interpreter's mirror shares the switch's interned names. A regression
-//! here (an eagerly formatted error, a name turned into a `String` to look
-//! it up or to store it, a cloned key) costs more than the operation
-//! itself, and no functional test would notice it.
+//! only its action data's by-name vector, which the interpreter's entry
+//! keeps, plus the amortised growth of the flat table and of the slab of
+//! named entries its tags point into. The entry shares the switch's
+//! interned names, and the resolved `(slot, value)` data goes into the
+//! flat record through a buffer the switch reuses. An overwrite grows
+//! nothing. A regression here (an eagerly formatted error, a name turned
+//! into a `String` to look it up or to store it, a cloned key, a fresh
+//! buffer per install) costs more than the operation itself, and no
+//! functional test would notice it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -54,9 +57,9 @@ fn allocs_during(f: impl FnOnce()) -> usize {
 
 const N: usize = 4096;
 
-/// Allocations the growth of the interpreter's map and of the flat table
-/// may take over `N` installs: each doubles about a dozen times on the
-/// way to `N` entries, the flat table with three arrays a rebuild.
+/// Allocations the growth of the flat table and of the named entries'
+/// slab may take over `N` installs: each doubles about a dozen times on
+/// the way to `N` entries, the flat table with four arrays a rebuild.
 const GROWTH: usize = 64;
 
 const SRC: &str = r#"
@@ -107,7 +110,7 @@ fn register_ops_and_table_len_allocate_nothing() {
 }
 
 #[test]
-fn install_allocates_only_what_the_interpreter_mirror_keeps() {
+fn install_without_action_data_allocates_only_growth() {
     let mut sw = build();
     // Built outside the count: the key is the caller's allocation, and
     // `install_entry` takes it by value so it need not copy it.
@@ -118,8 +121,7 @@ fn install_allocates_only_what_the_interpreter_mirror_keeps() {
         }
     });
     assert_eq!(sw.table_len("cache").unwrap(), N);
-    // The key moves into the interpreter's map, the action name is an
-    // `Arc` clone: what is left is growth.
+    // The action name is an `Arc` clone: what is left is growth.
     assert!(allocs <= GROWTH, "{allocs} allocations in {N} installs without action data");
 
     let allocs = allocs_during(|| {
@@ -132,7 +134,7 @@ fn install_allocates_only_what_the_interpreter_mirror_keeps() {
 }
 
 #[test]
-fn install_with_action_data_allocates_its_two_data_vectors() {
+fn install_with_action_data_allocates_its_named_data_vector() {
     let mut sw = build();
     let keys: Vec<Vec<u64>> = (0..N as u64).map(|k| vec![k]).collect();
     let allocs = allocs_during(|| {
@@ -142,10 +144,9 @@ fn install_with_action_data_allocates_its_two_data_vectors() {
         }
     });
     assert_eq!(sw.table_len("cache").unwrap(), N);
-    // The `(name, value)` vector of the interpreter's entry and the
-    // `(slot, value)` vector the flat table copies into its record: the
-    // field names in the first are `Arc` clones.
-    assert!(allocs <= 2 * N + GROWTH, "{allocs} allocations in {N} installs with two data");
+    // The `(name, value)` vector of the interpreter's entry, whose field
+    // names are `Arc` clones; the resolved pairs reuse the switch's buffer.
+    assert!(allocs <= N + GROWTH, "{allocs} allocations in {N} installs with two data");
 
     let allocs = allocs_during(|| {
         for k in 0..N as u64 {
@@ -153,4 +154,32 @@ fn install_with_action_data_allocates_its_two_data_vectors() {
         }
     });
     assert_eq!(allocs, 0, "{allocs} allocations in {N} removals of entries with data");
+}
+
+#[test]
+fn overwriting_present_keys_grows_nothing() {
+    let mut sw = build();
+    for k in 0..N as u64 {
+        sw.install_entry("cache", vec![k], "on_hit", &[("slot", k % 64)]).unwrap();
+    }
+    let keys: Vec<Vec<u64>> = (0..N as u64).map(|k| vec![k]).collect();
+    let allocs = allocs_during(|| {
+        for key in keys {
+            sw.install_entry("cache", key, "on_miss", &[]).unwrap();
+        }
+    });
+    assert_eq!(sw.table_len("cache").unwrap(), N);
+    assert_eq!(allocs, 0, "{allocs} allocations in {N} overwrites without action data");
+
+    let keys: Vec<Vec<u64>> = (0..N as u64).map(|k| vec![k]).collect();
+    let allocs = allocs_during(|| {
+        for key in keys {
+            let slot = key[0] % 64;
+            sw.install_entry("cache", key, "on_hit", &[("slot", slot), ("val", 7)]).unwrap();
+        }
+    });
+    assert_eq!(sw.table_len("cache").unwrap(), N);
+    // A wider record re-lays the flat table once; the rest is the named
+    // vector each entry keeps.
+    assert!(allocs <= N + 1, "{allocs} allocations in {N} overwrites with two data");
 }
