@@ -1,8 +1,8 @@
 //! # p4all-bench — shared harness for the evaluation reproduction
 //!
 //! Helpers used by the figure binaries (`fig4`, `fig11`, `fig12`, `fig13`,
-//! `ablation`) and `simbench`/`ilpbench`: app compilation shortcuts, the
-//! NetCache simulation loop, and TSV result emission.
+//! `ablation`): app compilation shortcuts, the NetCache simulation loop, and
+//! TSV result emission. The benchmark, `e2e`, calls none of them.
 
 use std::io::Write as _;
 use std::path::Path;
@@ -10,7 +10,7 @@ use std::path::Path;
 use p4all_core::{Compilation, Compiler};
 use p4all_elastic::apps::netcache::{self, NetCacheOptions};
 use p4all_pisa::TargetSpec;
-use p4all_sim::{NetCacheConfig, NetCacheRuntime, Phv, Switch};
+use p4all_sim::{NetCacheConfig, NetCacheRuntime, Switch};
 use p4all_workloads::Trace;
 
 /// Convert the app's naming bundle into the simulator's runtime config.
@@ -55,31 +55,6 @@ pub fn build_netcache(
         NetCacheRuntime::new(switch, netcache_sim_config(opts, promote_threshold, epoch_packets))
             .map_err(|e| format!("runtime init failed: {e}"))?;
     Ok((rt, c))
-}
-
-/// Compile NetCache and return the bare switch (no control-plane runtime)
-/// plus its key-header name — the setup for raw pipeline throughput work
-/// via [`Switch::run_trace`].
-pub fn build_netcache_switch(
-    opts: &NetCacheOptions,
-    target: &TargetSpec,
-) -> Result<(Switch, String), BenchError> {
-    let src = netcache::source(opts);
-    let c = Compiler::new(target.clone()).compile(&src)?;
-    let program = p4all_lang::parse(&src)?;
-    let switch = Switch::build(&c.concrete, &program)
-        .map_err(|e| format!("simulator build failed: {e}"))?;
-    Ok((switch, netcache::runtime_config(opts).key_header))
-}
-
-/// Pre-build the PHV inputs for a workload trace (replay-ready form for
-/// [`Switch::run_trace`], so trace construction stays out of the timing).
-pub fn phv_trace(sw: &Switch, key_header: &str, trace: &Trace) -> Vec<Phv> {
-    trace
-        .packets
-        .iter()
-        .map(|p| sw.make_packet(&[(key_header, p.key)]).expect("trace packet builds"))
-        .collect()
 }
 
 /// Run a trace through a NetCache runtime; returns the final hit rate.

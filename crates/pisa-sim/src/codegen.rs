@@ -29,7 +29,7 @@
 //!   and a dropped packet leaves no trace. An undo-free program
 //!   (`CompiledProgram::undo_log` is `None`: no fault can follow a
 //!   register write) has no undo log; any other logs each write into a
-//!   host buffer of [`Generated::undo_cap`] records and rolls it back.
+//!   host buffer of `Generated::undo_cap` records and rolls it back.
 //! * Tables are the bytecode engine's own, read through `#[repr(C)]`
 //!   views; the hash and probe are `table_probe.rs`, pasted verbatim.
 //!   Table and action ids are the bytecode's dense numbering.

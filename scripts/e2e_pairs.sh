@@ -13,7 +13,10 @@
 # workload, metric, pair, parent, change; `runs` is `e2e` for the end-to-end
 # rows and attempted/failed, `traced` for the per-layer rows; every run made,
 # none dropped) and ends with `e2e --compare parent.json change.json`, whose
-# exit status it returns (1 regressed, 2 unresolved, 0 ok).
+# exit status it returns (1 regressed, 2 unresolved, 0 ok). Every run's log
+# goes through scripts/check_result_line.sh; a run whose last line lacks a
+# BENCHMARK.json name is reported as it happens, and makes the status 3 when
+# the comparison itself was ok.
 #
 # RUN_SECONDS overrides the run length, for trying the script out only.
 # Needs jq. Writes only under each checkout's .bench_build/ and results/.
@@ -49,12 +52,19 @@ for dir in "$parent" "$change"; do
 done
 
 # One run of one side; a failed check is recorded by the run itself
-# (`failed`), so it does not stop the series.
+# (`failed`), and a malformed result line is counted, so neither stops the
+# series.
+malformed=0
 run() { # side dir workload seed
     echo "# $3 pair $4: $1" >&2
+    local log=$work/$1-$3-$4.log
     (cd "$2" && CARGO_TARGET_DIR=.bench_build ./.bench_build/release/e2e \
         --workload "$3" --seed "$4" --seconds "$seconds" --out "$work/$1.json" \
-        >"$work/$1-$3-$4.log") || echo "# $1 $3 seed $4 exited $?" >&2
+        >"$log") || echo "# $1 $3 seed $4 exited $?" >&2
+    "$root/scripts/check_result_line.sh" both "$log" || {
+        echo "# $1 $3 seed $4: malformed result line in $log" >&2
+        malformed=$((malformed + 1))
+    }
 }
 
 for w in "${workloads[@]}"; do
@@ -92,4 +102,11 @@ jq -r --slurpfile other "$work/change.json" \
 echo "# $(($(wc -l <"$tsv") - 1)) rows in $tsv" >&2
 
 cd "$change"
-CARGO_TARGET_DIR=.bench_build ./.bench_build/release/e2e --compare "$work/parent.json" "$work/change.json"
+status=0
+CARGO_TARGET_DIR=.bench_build ./.bench_build/release/e2e --compare "$work/parent.json" \
+    "$work/change.json" || status=$?
+if [ "$malformed" -gt 0 ]; then
+    echo "# $malformed run(s) ended without a full result line" >&2
+    [ "$status" -ne 0 ] || status=3
+fi
+exit "$status"

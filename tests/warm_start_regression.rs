@@ -1,6 +1,6 @@
 //! Both passes of the root dive, at compile level.
 //!
-//! History: `BENCH_ilp.json` once showed warm-started solving *hurting*
+//! History: the solver benchmark once showed warm-started solving *hurting*
 //! exactly one evaluation app — Precision closed at the root cold (0
 //! branch-and-bound nodes) but explored ~27 nodes and ~8x the LP solves
 //! with `warm_lp` on, a 0.44x "speedup": the basis-chained dive landed on
@@ -171,7 +171,7 @@ fn joint_mid_closes_at_the_root_from_the_face_dive() {
     assert_face_dive_closes_the_joint("joint-3tenant-mid", 2, 34816.0);
 }
 
-/// joint-3tenant-xl, the larger joint of `ilpbench` and `e2e`'s traced run.
+/// joint-3tenant-xl, the larger joint of `tests/search_counts.rs` and `e2e`'s traced run.
 #[test]
 fn joint_xl_closes_at_the_root_from_the_face_dive() {
     assert_face_dive_closes_the_joint("joint-3tenant-xl", 4, 34816.0);
