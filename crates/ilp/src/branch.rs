@@ -35,6 +35,11 @@ const NODE_SEP_BASE: usize = 256;
 const NODE_SEP_EVENTS: usize = 4;
 /// Relative bound improvement below which the root cut loop stops.
 const CUT_TAILOFF: f64 = 1e-7;
+/// Values within this distance of an integer count as integral.
+const INT_TOL: f64 = 1e-6;
+/// A node is pruned when its LP bound cannot beat the incumbent by more
+/// than this amount (or by `rel_gap` of it, whichever is larger).
+const GAP_TOL: f64 = 1e-6;
 
 /// Knobs for [`solve_with`].
 #[derive(Debug, Clone)]
@@ -43,11 +48,6 @@ pub struct SolveOptions {
     pub time_limit: Option<Duration>,
     /// Give up after exploring this many nodes.
     pub node_limit: usize,
-    /// Values within this distance of an integer count as integral.
-    pub int_tol: f64,
-    /// A node is pruned when its LP bound cannot beat the incumbent by
-    /// more than this amount.
-    pub gap_tol: f64,
     /// Relative optimality gap: additionally prune nodes whose bound is
     /// within `rel_gap * |incumbent|` of the incumbent. Zero for exact
     /// proofs; compilers use ~1e-6 (a millionth of the utility).
@@ -86,8 +86,6 @@ impl Default for SolveOptions {
         SolveOptions {
             time_limit: Some(Duration::from_secs(300)),
             node_limit: 200_000,
-            int_tol: 1e-6,
-            gap_tol: 1e-6,
             rel_gap: 0.0,
             dive_limit: 400,
             warm_start: None,
@@ -375,7 +373,7 @@ impl<'a> SearchCtx<'a> {
 
     /// The prune threshold against an incumbent score.
     fn prune_gap(&self, inc_score: f64) -> f64 {
-        self.opts.gap_tol.max(self.opts.rel_gap * inc_score.abs())
+        GAP_TOL.max(self.opts.rel_gap * inc_score.abs())
     }
 }
 
@@ -470,7 +468,7 @@ fn run_dive(
         Ok(sol.result)
     };
     for _ in 0..opts.dive_limit {
-        match ctx.pick_branch_var(&cur, opts.int_tol) {
+        match ctx.pick_branch_var(&cur, INT_TOL) {
             None => {
                 let vals = ctx.snap(&cur);
                 if model.check_feasible(&vals, 1e-5).is_ok() {
@@ -640,7 +638,7 @@ fn root_phase(ctx: &SearchCtx<'_>, lp: &mut LpWorkspace) -> Result<RootPhase, Lp
     };
 
     // Integral already?
-    if ctx.pick_branch_var(&root_x, opts.int_tol).is_none() {
+    if ctx.pick_branch_var(&root_x, INT_TOL).is_none() {
         let vals = ctx.snap(&root_x);
         if model.check_feasible(&vals, 1e-5).is_ok() {
             let obj = model.objective_value(&vals);
@@ -755,7 +753,7 @@ fn run_cut_loop(
             &prepared.root_bounds,
             warm,
             &int_mask,
-            opts.int_tol,
+            INT_TOL,
             cuts::GOMORY_ROWS_PER_ROUND,
         )?;
         prepared.lp_work.add(&tab.stats);
@@ -777,7 +775,7 @@ fn run_cut_loop(
         prepared.root_score = prepared.root_score.min(score);
         // Integral cut-LP optimum: feasible for the original model means
         // the gap is closed and the search below will only confirm it.
-        if ctx.pick_branch_var(&x, opts.int_tol).is_none() {
+        if ctx.pick_branch_var(&x, INT_TOL).is_none() {
             let vals = ctx.snap(&x);
             if ctx.model.check_feasible(&vals, 1e-5).is_ok() {
                 let s = ctx.sgn * ctx.model.objective_value(&vals);
@@ -868,7 +866,7 @@ fn reliability_init(
         .iter()
         .filter_map(|&j| {
             let f = x[j] - x[j].floor();
-            (f > opts.int_tol && f < 1.0 - opts.int_tol)
+            (f > INT_TOL && f < 1.0 - INT_TOL)
                 .then(|| (0.5 - (f - 0.5).abs(), j))
         })
         .collect();
@@ -1041,7 +1039,7 @@ fn tree_search(
                 &node.bounds,
                 warm,
                 &int_mask,
-                opts.int_tol,
+                INT_TOL,
                 cuts::GOMORY_ROWS_PER_ROUND,
             )?;
             lp_work.add(&tab.stats);
@@ -1066,7 +1064,7 @@ fn tree_search(
                 }
             }
         }
-        match aux.pick(ctx, &x, opts.int_tol) {
+        match aux.pick(ctx, &x, INT_TOL) {
             None => {
                 let vals = ctx.snap(&x);
                 if model.check_feasible(&vals, 1e-5).is_ok() {

@@ -27,6 +27,9 @@ use std::time::Duration;
 use crate::branch::{solve_with, SolveOptions, SolveStatus};
 use crate::model::{LinExpr, Model, Sense};
 
+/// Wall-clock limit per feasibility probe.
+const PROBE_TIME_LIMIT: Duration = Duration::from_secs(5);
+
 /// Budget knobs for [`find_iis`].
 #[derive(Debug, Clone)]
 pub struct IisOptions {
@@ -35,8 +38,6 @@ pub struct IisOptions {
     /// Node limit per probe (probes are feasibility checks, not proofs of
     /// optimality, so a few hundred nodes suffice).
     pub probe_node_limit: usize,
-    /// Wall-clock limit per probe.
-    pub probe_time_limit: Option<Duration>,
     /// Warm-start probe LPs from parent bases (see
     /// [`crate::SolveOptions::warm_lp`]), and seed each probe's incumbent
     /// with the last feasible probe's point (probes are zero-objective, so
@@ -51,7 +52,6 @@ impl Default for IisOptions {
         IisOptions {
             max_probes: 192,
             probe_node_limit: 400,
-            probe_time_limit: Some(Duration::from_secs(5)),
             warm_lp: true,
         }
     }
@@ -99,7 +99,7 @@ pub fn find_iis(model: &Model, opts: &IisOptions) -> IisReport {
         // Zero objective: any integral feasible point settles the probe.
         m.set_objective(LinExpr::zero(), Sense::Maximize);
         let solver_opts = SolveOptions {
-            time_limit: opts.probe_time_limit,
+            time_limit: Some(PROBE_TIME_LIMIT),
             node_limit: opts.probe_node_limit,
             dive_limit: 50,
             warm_lp: opts.warm_lp,

@@ -55,6 +55,4 @@ pub use model::{
 };
 pub use lpwrite::write_lp;
 pub use presolve::{presolve, Presolved};
-pub use simplex::{
-    solve_lp, solve_lp_ext, solve_lp_warm, Basis, LpError, LpResult, LpSolve, LpStats, LpWorkspace,
-};
+pub use simplex::{solve_lp, solve_lp_ext, Basis, LpError, LpResult, LpSolve, LpStats, LpWorkspace};

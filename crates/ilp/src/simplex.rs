@@ -281,17 +281,6 @@ pub fn solve_lp(model: &Model, bounds: &[(f64, f64)]) -> Result<LpResult, LpErro
     Ok(solve_lp_ext(model, bounds, None)?.result)
 }
 
-/// Re-solve an LP from a previous optimal [`Basis`] of the same model
-/// under (typically tighter) bounds. Equivalent to
-/// [`solve_lp_ext`]`(model, bounds, Some(basis)).result`.
-pub fn solve_lp_warm(
-    model: &Model,
-    bounds: &[(f64, f64)],
-    basis: &Basis,
-) -> Result<LpResult, LpError> {
-    Ok(solve_lp_ext(model, bounds, Some(basis))?.result)
-}
-
 /// Solve the LP relaxation, optionally warm-starting from `warm`, and
 /// return the result together with the optimal basis and work counters:
 /// [`LpWorkspace::solve`] on a workspace built for this one LP.

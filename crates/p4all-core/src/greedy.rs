@@ -7,8 +7,8 @@
 //! evenly among the registers placed there, taking the minimum across
 //! instances to honour the equal-row-size rule.
 //!
-//! The ILP provably dominates this baseline on utility; the `ablation`
-//! bench quantifies by how much.
+//! The ILP provably dominates this baseline on utility; the ablation
+//! table of `p4all-bench` quantifies by how much.
 
 use std::collections::BTreeMap;
 

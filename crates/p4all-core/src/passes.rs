@@ -225,12 +225,6 @@ impl CompileCtx {
         self.front.insert(key, f.clone());
         Ok(f)
     }
-
-    /// Drop any cached artifacts (mostly useful in tests).
-    pub fn clear_cache(&mut self) {
-        self.front.clear();
-        self.last_incumbent = None;
-    }
 }
 
 fn describe_program(info: &ProgramInfo) -> String {
