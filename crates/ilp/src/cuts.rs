@@ -58,7 +58,7 @@ pub(crate) struct Cut {
 
 impl Cut {
     /// Violation at `x`: positive when the cut is violated.
-    pub fn violation(&self, x: &[f64]) -> f64 {
+    fn violation(&self, x: &[f64]) -> f64 {
         let lhs: f64 = self.terms.iter().map(|&(j, c)| c * x[j]).sum();
         lhs - self.rhs
     }

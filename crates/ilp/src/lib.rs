@@ -36,7 +36,6 @@
 pub mod branch;
 pub mod cuts;
 pub mod iis;
-pub mod lpwrite;
 pub mod model;
 pub mod presolve;
 pub mod simplex;
@@ -53,6 +52,5 @@ pub use model::{
     brute_force, Cmp, Constraint, LinExpr, Model, ModelStats, Sense, Solution, VarId, VarKind,
     Variable,
 };
-pub use lpwrite::write_lp;
 pub use presolve::{presolve, Presolved};
-pub use simplex::{solve_lp, solve_lp_ext, Basis, LpError, LpResult, LpSolve, LpStats, LpWorkspace};
+pub use simplex::{solve_lp, Basis, LpError, LpResult, LpSolve, LpStats, LpWorkspace};

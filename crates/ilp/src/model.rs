@@ -9,7 +9,6 @@
 //! `f64::INFINITY`. Constraints compare a [`LinExpr`] against a constant
 //! with `<=`, `>=`, or `==`.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 
@@ -61,9 +60,9 @@ impl Variable {
 /// A linear expression: `sum(coef * var) + constant`.
 ///
 /// Supports `+`, `-`, scaling by `f64`, and building from `VarId`.
-/// Duplicate variable terms are allowed during construction and merged by
-/// [`LinExpr::normalize`] (called automatically when the expression enters
-/// a model).
+/// Duplicate variable terms are allowed during construction; they are
+/// merged, and zero coefficients dropped, when the expression enters a
+/// model as a constraint or the objective.
 #[derive(Debug, Clone, Default)]
 pub struct LinExpr {
     pub terms: Vec<(VarId, f64)>,
@@ -91,36 +90,34 @@ impl LinExpr {
         self.terms.push((var, coef));
     }
 
-    /// Merge duplicate variables and drop (near-)zero coefficients.
-    pub fn normalize(&mut self) {
-        if self.terms.is_empty() {
-            return;
-        }
+    /// Merge duplicate variables and drop (near-)zero coefficients, in
+    /// place: a stable sort by variable, then each variable's
+    /// coefficients summed in the order they were added.
+    fn normalize(&mut self) {
         self.terms.sort_by_key(|(v, _)| *v);
-        let mut out: Vec<(VarId, f64)> = Vec::with_capacity(self.terms.len());
-        for &(v, c) in &self.terms {
-            match out.last_mut() {
+        let mut len = 0;
+        for i in 0..self.terms.len() {
+            let (v, c) = self.terms[i];
+            match self.terms[..len].last_mut() {
                 Some((lv, lc)) if *lv == v => *lc += c,
-                _ => out.push((v, c)),
+                _ => {
+                    self.terms[len] = (v, c);
+                    len += 1;
+                }
             }
         }
-        out.retain(|&(_, c)| c.abs() > 1e-12);
-        self.terms = out;
+        self.terms.truncate(len);
+        self.terms.retain(|&(_, c)| c.abs() > 1e-12);
     }
 
     /// Evaluate against an assignment vector indexed by variable id.
-    pub fn eval(&self, values: &[f64]) -> f64 {
+    fn eval(&self, values: &[f64]) -> f64 {
         self.constant
             + self
                 .terms
                 .iter()
                 .map(|&(v, c)| c * values[v.0])
                 .sum::<f64>()
-    }
-
-    /// True if the expression contains no variables.
-    pub fn is_constant(&self) -> bool {
-        self.terms.iter().all(|&(_, c)| c.abs() <= 1e-12)
     }
 
     /// Sum an iterator of expressions.
@@ -136,12 +133,6 @@ impl LinExpr {
 impl From<VarId> for LinExpr {
     fn from(v: VarId) -> Self {
         LinExpr::term(v, 1.0)
-    }
-}
-
-impl From<f64> for LinExpr {
-    fn from(c: f64) -> Self {
-        LinExpr::constant(c)
     }
 }
 
@@ -229,7 +220,7 @@ pub struct Constraint {
 
 impl Constraint {
     /// Check satisfaction under an assignment, within `tol`.
-    pub fn satisfied(&self, values: &[f64], tol: f64) -> bool {
+    fn satisfied(&self, values: &[f64], tol: f64) -> bool {
         let lhs: f64 = self.terms.iter().map(|&(v, c)| c * values[v.0]).sum();
         match self.cmp {
             Cmp::Le => lhs <= self.rhs + tol,
@@ -254,7 +245,6 @@ pub struct Model {
     pub(crate) cons: Vec<Constraint>,
     pub(crate) objective: LinExpr,
     pub(crate) sense: Sense,
-    name_index: HashMap<String, VarId>,
 }
 
 /// Size statistics of a model (reported in the Fig. 11 reproduction).
@@ -307,14 +297,8 @@ impl Model {
         assert!(lb.is_finite(), "variable {name}: lower bound must be finite");
         assert!(!ub.is_nan() && ub >= lb, "variable {name}: bad bounds [{lb}, {ub}]");
         let id = VarId(self.vars.len());
-        self.vars.push(Variable { name: name.clone(), kind, lb, ub, branch_priority: 0 });
-        self.name_index.insert(name, id);
+        self.vars.push(Variable { name, kind, lb, ub, branch_priority: 0 });
         id
-    }
-
-    /// Look up a variable by name (diagnostics / tests).
-    pub fn var_by_name(&self, name: &str) -> Option<VarId> {
-        self.name_index.get(name).copied()
     }
 
     /// Variable metadata.
@@ -337,7 +321,7 @@ impl Model {
     /// constraint — stable for the life of the model — so callers can
     /// attach provenance to rows (see `p4all-core`'s ILP generator) and
     /// map IIS members back to their origin.
-    pub fn constrain(
+    fn constrain(
         &mut self,
         name: impl Into<String>,
         mut expr: LinExpr,
@@ -355,17 +339,18 @@ impl Model {
         self.cons.len() - 1
     }
 
-    /// Convenience: `lhs <= rhs`. Returns the row index.
+    /// Add the constraint `lhs <= rhs`. Returns its row index, stable for
+    /// the life of the model.
     pub fn le(&mut self, name: impl Into<String>, lhs: LinExpr, rhs: f64) -> usize {
         self.constrain(name, lhs, Cmp::Le, rhs)
     }
 
-    /// Convenience: `lhs >= rhs`. Returns the row index.
+    /// Add the constraint `lhs >= rhs`. Returns its row index.
     pub fn ge(&mut self, name: impl Into<String>, lhs: LinExpr, rhs: f64) -> usize {
         self.constrain(name, lhs, Cmp::Ge, rhs)
     }
 
-    /// Convenience: `lhs == rhs`. Returns the row index.
+    /// Add the constraint `lhs == rhs`. Returns its row index.
     pub fn eq(&mut self, name: impl Into<String>, lhs: LinExpr, rhs: f64) -> usize {
         self.constrain(name, lhs, Cmp::Eq, rhs)
     }
@@ -588,7 +573,6 @@ mod tests {
         let mut e = LinExpr::term(x, 1.0) - LinExpr::term(x, 1.0);
         e.normalize();
         assert!(e.terms.is_empty());
-        assert!(e.is_constant());
     }
 
     #[test]
@@ -698,13 +682,5 @@ mod tests {
         assert_eq!(s.num_continuous, 1);
         assert_eq!(s.num_constraints, 1);
         assert_eq!(s.num_nonzeros, 2);
-    }
-
-    #[test]
-    fn var_by_name_lookup() {
-        let mut m = Model::new();
-        let a = m.binary("alpha");
-        assert_eq!(m.var_by_name("alpha"), Some(a));
-        assert_eq!(m.var_by_name("beta"), None);
     }
 }

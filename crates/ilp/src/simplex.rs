@@ -25,7 +25,7 @@
 //!   refactorized from scratch when a residual check fails;
 //! - Dantzig pricing with an automatic switch to Bland's rule after a run
 //!   of degenerate pivots guarantees termination;
-//! - [`solve_lp_ext`] accepts an optimal [`Basis`] from a previous solve
+//! - [`LpWorkspace::solve`] accepts an optimal [`Basis`] from a previous solve
 //!   of the same model under different bounds (the branch-and-bound
 //!   case). Such a basis stays *dual-feasible* after bound tightening, so
 //!   a bounded-variable dual simplex re-optimizes it in a handful of
@@ -244,17 +244,7 @@ pub struct LpStats {
     pub fell_back: bool,
 }
 
-impl LpStats {
-    /// Accumulate another solve's counters into this one.
-    pub fn absorb(&mut self, other: &LpStats) {
-        self.pivots += other.pivots;
-        self.refactorizations += other.refactorizations;
-        self.warm |= other.warm;
-        self.fell_back |= other.fell_back;
-    }
-}
-
-/// Full outcome of [`solve_lp_ext`]: the result, the optimal basis (only
+/// Full outcome of [`LpWorkspace::solve`]: the result, the optimal basis (only
 /// for `Optimal` results whose basis is reusable), and work counters.
 #[derive(Debug, Clone)]
 pub struct LpSolve {
@@ -284,7 +274,7 @@ pub fn solve_lp(model: &Model, bounds: &[(f64, f64)]) -> Result<LpResult, LpErro
 /// Solve the LP relaxation, optionally warm-starting from `warm`, and
 /// return the result together with the optimal basis and work counters:
 /// [`LpWorkspace::solve`] on a workspace built for this one LP.
-pub fn solve_lp_ext(
+fn solve_lp_ext(
     model: &Model,
     bounds: &[(f64, f64)],
     warm: Option<&Basis>,
@@ -298,8 +288,8 @@ pub fn solve_lp_ext(
 /// only in their bounds; through one workspace each of them skips
 /// rebuilding and re-equilibrating the n + m columns and allocates only
 /// its result and its basis snapshot. Every solve is bit for bit the solve
-/// [`solve_lp_ext`] makes on a workspace of its own: a solve starts from
-/// the same state whatever the buffers held before.
+/// a fresh workspace makes: a solve starts from the same state whatever
+/// the buffers held before.
 pub struct LpWorkspace {
     mat: LpMatrix,
     scratch: Scratch,

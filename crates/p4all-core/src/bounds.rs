@@ -31,7 +31,7 @@ pub const DEFAULT_MAX_UNROLL: usize = 64;
 /// While probing `sym` at K, every *other* count symbolic is held at one
 /// iteration — the most conservative assumption for nested/parallel loops
 /// (§4.2, "Nested loops").
-pub fn upper_bound(
+fn upper_bound(
     info: &ProgramInfo,
     sym: &str,
     target: &TargetSpec,

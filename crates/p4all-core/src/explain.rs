@@ -9,9 +9,9 @@
 //! 1. run the bounded deletion-filter IIS from `p4all-ilp`
 //!    ([`p4all_ilp::find_iis`]) to shrink the model to a small jointly
 //!    infeasible row core;
-//! 2. map every surviving row back through the [`RowProvenance`] the
-//!    generator attached to it — symbolic values, resource kind
-//!    (S/M/F/L/P), source span;
+//! 2. map every surviving row back through its [`RowProvenance`],
+//!    rendered from the origin the generator recorded for it — symbolic
+//!    values, resource kind (S/M/F/L/P), source span;
 //! 3. aggregate those into one [`Diagnostic`] naming the conflicting
 //!    elastic structures, the exhausted resources, and at least one
 //!    source anchor.
@@ -76,7 +76,7 @@ pub fn explain_infeasible(
         .map(|&i| ExplainedRow {
             row: i,
             name: enc.model.constraints()[i].name.clone(),
-            provenance: enc.provenance_of(i).cloned(),
+            provenance: enc.provenance_of(i),
         })
         .collect();
 

@@ -21,15 +21,22 @@
 //! `assume`s and the `optimize` utility are linearized over the same
 //! variables (products `count * size` of one register array linearize to
 //! total allocated cells).
+//!
+//! Each row's terms are built straight into the vector the model keeps.
+//! Beside it the generator records a small `Copy` origin (row kind, the
+//! group/register/stage/assume indices, the source span); the prose of a
+//! [`RowProvenance`] is rendered from that origin only when asked
+//! ([`Encoding::provenance_of`], which the infeasibility explainer calls).
 
 // Stage-indexed `for s in 0..stages` loops index the placement matrix in
 // lockstep with constraint names; keep the paper notation.
 #![allow(clippy::needless_range_loop)]
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use p4all_ilp::{LinExpr, Model, Sense, VarId};
-use p4all_lang::ast::{BinOp, Expr, Size, UnOp};
+use p4all_lang::ast::{BinOp, Expr, Program, Size, UnOp};
 use p4all_lang::diag::Diagnostic;
 use p4all_lang::span::Span;
 use p4all_pisa::TargetSpec;
@@ -60,19 +67,6 @@ pub enum ResourceKind {
 }
 
 impl ResourceKind {
-    /// The paper's single-letter resource name (`S`/`M`/`F`/`L`/`P`).
-    pub fn letter(self) -> &'static str {
-        match self {
-            ResourceKind::Stages => "S",
-            ResourceKind::Memory => "M",
-            ResourceKind::StatefulAlu => "F",
-            ResourceKind::StatelessAlu => "L",
-            ResourceKind::Phv => "P",
-            ResourceKind::Structural => "-",
-            ResourceKind::Assumption => "A",
-        }
-    }
-
     /// Human-readable resource name for explanations.
     pub fn describe(self) -> &'static str {
         match self {
@@ -92,9 +86,10 @@ impl ResourceKind {
     }
 }
 
-/// Where one ILP constraint row came from. Attached to every row the
-/// generator emits; the infeasibility explainer maps IIS members through
-/// this back to elastic structures and source spans.
+/// Where one ILP constraint row came from, rendered for a row the
+/// generator emitted ([`Encoding::provenance_of`]); the infeasibility
+/// explainer maps IIS members through this back to elastic structures
+/// and source spans.
 #[derive(Debug, Clone)]
 pub struct RowProvenance {
     /// Human-readable origin, e.g. `precedence incr[0] -> set_min[0]`.
@@ -112,45 +107,108 @@ pub struct RowProvenance {
 }
 
 impl RowProvenance {
-    fn new(detail: impl Into<String>, resource: ResourceKind) -> Self {
-        RowProvenance {
-            detail: detail.into(),
-            resource,
-            symbolics: Vec::new(),
-            span: None,
-            tenant: None,
-        }
-    }
-
-    fn syms<I: IntoIterator<Item = String>>(mut self, syms: I) -> Self {
-        self.symbolics.extend(syms);
-        self.symbolics.sort();
-        self.symbolics.dedup();
+    fn new(
+        detail: String,
+        resource: ResourceKind,
+        mut symbolics: Vec<String>,
+        span: Option<Span>,
+    ) -> Self {
+        symbolics.sort();
+        symbolics.dedup();
         // All symbolics from one tenant's namespace: the row belongs to
         // that tenant. Mixed or un-namespaced rows stay tenant-less.
-        let mut tenants = self
-            .symbolics
-            .iter()
-            .map(|s| p4all_lang::tenant_of(s));
-        self.tenant = match tenants.next() {
+        let mut tenants = symbolics.iter().map(|s| p4all_lang::tenant_of(s));
+        let tenant = match tenants.next() {
             Some(Some(first)) if tenants.all(|t| t == Some(first)) => Some(first.to_string()),
             _ => None,
         };
-        self
-    }
-
-    fn at(mut self, span: Span) -> Self {
-        self.span = Some(span);
-        self
+        RowProvenance { detail, resource, symbolics, span, tenant }
     }
 }
 
-/// Record provenance for `row`, growing the table as rows are appended.
-fn tag(prov: &mut Vec<Option<RowProvenance>>, row: usize, p: RowProvenance) {
-    if prov.len() <= row {
-        prov.resize(row + 1, None);
-    }
-    prov[row] = Some(p);
+/// What one generated row encodes, with the indices its provenance is
+/// rendered from. Groups index [`Encoding::groups`], registers
+/// [`Encoding::regs`]; metadata chunks are named by their `d` variable.
+#[derive(Debug, Clone, Copy)]
+enum RowKind {
+    /// #17: inelastic group `g` is placed.
+    PlaceOnce { g: usize },
+    /// #15: elastic group `g` is placed at most once.
+    PlaceAtMostOnce { g: usize },
+    /// #6: `a` runs in a stage strictly before `b`.
+    Precedence { a: usize, b: usize },
+    /// #5: `a` and `b` do not share a stage.
+    Exclusion { a: usize, b: usize },
+    /// Strict symmetry-breaking order of a family with exclusions.
+    StrictOrder { a: usize, b: usize },
+    /// Weak symmetry-breaking order of an independent family.
+    WeakOrder { a: usize, b: usize },
+    /// #7: `a` and `b` of one loop iteration are placed together.
+    Coherent { a: usize, b: usize },
+    /// #14: chunk `d` is live when a group of its iteration is placed.
+    ChunkLive { d: VarId },
+    /// Chunk `d` is live only if some group of its iteration is placed.
+    ChunkUsed { d: VarId },
+    /// #16: chunk `hi` is used only when chunk `lo` is.
+    InOrder { lo: VarId, hi: VarId },
+    /// #13: elastic metadata fits `budget` PHV bits.
+    PhvBudget { budget: f64 },
+    /// #9: register instance `r`'s cells sit in its owner's stage.
+    Colocate { r: usize },
+    /// A fixed-size register instance gets exactly its cells when placed.
+    FixedCells { r: usize },
+    /// Register instance `r` allocates at most its size symbolic.
+    SizeUpper { r: usize },
+    /// Register instance `r` gets all of its size symbolic when placed.
+    SizeLower { r: usize },
+    /// #8: stage `s` fits `bits` of SRAM.
+    StageMemory { s: usize, bits: u64 },
+    /// #11: stage `s` fits `alus` stateful ALUs.
+    StageStateful { s: usize, alus: u32 },
+    /// #12: stage `s` fits `alus` stateless ALUs.
+    StageStateless { s: usize, alus: u32 },
+    /// The `leaf`-th comparison of assume `k`'s conjunction.
+    Assume { k: usize, leaf: usize },
+}
+
+/// A row's kind and the source span it is anchored at.
+#[derive(Debug, Clone, Copy)]
+struct RowOrigin {
+    kind: RowKind,
+    span: Option<Span>,
+}
+
+/// Record the origin of `row`, the row the model just appended.
+fn record(origins: &mut Vec<RowOrigin>, row: usize, kind: RowKind, span: Option<Span>) {
+    debug_assert_eq!(row, origins.len(), "rows are recorded in order");
+    origins.push(RowOrigin { kind, span });
+}
+
+/// A row or variable name, formatted into one allocation: `format!`
+/// sizes its buffer from the literal pieces alone and regrows it for the
+/// labels spliced in.
+macro_rules! name {
+    ($($arg:tt)*) => {{
+        let mut name = String::with_capacity(64);
+        std::fmt::Write::write_fmt(&mut name, format_args!($($arg)*))
+            .expect("formatting into a String cannot fail");
+        name
+    }};
+}
+
+/// An expression over `terms` with no constant.
+fn expr(terms: Vec<(VarId, f64)>) -> LinExpr {
+    LinExpr { terms, constant: 0.0 }
+}
+
+/// `v - Σ rest`. With `v` a group's indicator of stage `s` and `rest`
+/// another group's indicators of the stages before `s`, `<= 0` says the
+/// first group runs after the other.
+fn minus_sum(v: VarId, rest: &[VarId]) -> LinExpr {
+    let mut terms = Vec::with_capacity(rest.len() + 1);
+    terms.push((v, 1.0));
+    terms.extend(rest.iter().map(|&w| (w, -1.0)));
+    expr(terms)
 }
 
 /// One ILP placement group (a dependency-graph node).
@@ -163,8 +221,6 @@ pub struct GroupInfo {
     pub iters: Vec<Iter>,
     pub stateful_alus: u32,
     pub stateless_alus: u32,
-    /// Register instance owned by this group, if any.
-    pub reg_instance: Option<usize>,
 }
 
 /// One register instance requiring memory.
@@ -177,8 +233,6 @@ pub struct RegInstanceInfo {
     pub owner_group: usize,
     /// Elastic cell count (size symbolic) or fixed cells.
     pub cells: Size,
-    /// Max cells that fit a single stage.
-    pub cap: u64,
 }
 
 /// The generated model plus every handle needed to read the solution back.
@@ -196,15 +250,17 @@ pub struct Encoding {
     /// size symbolic -> `V_sz`
     pub sizes: BTreeMap<String, VarId>,
     pub stages: usize,
-    /// Per-row provenance, indexed by constraint row (entries may be `None`
-    /// only if a row was added outside the generator).
-    pub provenance: Vec<Option<RowProvenance>>,
     /// Resource-derived *column* bounds: capacity limits folded directly
     /// into a variable's bounds rather than emitted as rows (e.g. a size
     /// symbolic clamped to what one stage's SRAM can hold). The IIS filter
     /// only sees rows, so the explainer consults this table to attribute
     /// such hidden limits when their symbolics appear in a conflict core.
     pub derived_bounds: Vec<DerivedBound>,
+    /// Origin of each generated row, indexed by constraint row.
+    origins: Vec<RowOrigin>,
+    /// The program encoded: register declarations and assumes, which
+    /// provenance is rendered from.
+    program: Arc<Program>,
 }
 
 /// A capacity limit encoded as a variable bound instead of a row.
@@ -221,13 +277,213 @@ pub struct DerivedBound {
 }
 
 impl Encoding {
-    fn placed(&self, g: usize) -> LinExpr {
-        LinExpr::sum(self.x[g].iter().map(|&v| LinExpr::from(v)))
+    /// Provenance of a constraint row, rendered from the origin the
+    /// generator recorded; `None` for a row added outside the generator.
+    pub fn provenance_of(&self, row: usize) -> Option<RowProvenance> {
+        use ResourceKind::*;
+        let RowOrigin { kind, span } = *self.origins.get(row)?;
+        let label = |g: usize| &self.groups[g].label;
+        let (detail, resource, symbolics) = match kind {
+            RowKind::PlaceOnce { g } => (
+                format!("inelastic `{}` must be placed in some stage", label(g)),
+                Stages,
+                Vec::new(),
+            ),
+            RowKind::PlaceAtMostOnce { g } => (
+                format!("`{}` is placed in at most one stage", label(g)),
+                Stages,
+                self.group_symbolics(|h| h == g),
+            ),
+            RowKind::Precedence { a, b } => (
+                format!(
+                    "`{}` must run in a stage strictly before `{}` (data dependency)",
+                    label(a),
+                    label(b)
+                ),
+                Stages,
+                self.group_symbolics(|h| h == a || h == b),
+            ),
+            RowKind::Exclusion { a, b } => (
+                format!(
+                    "`{}` and `{}` may not share a stage (conflicting accesses)",
+                    label(a),
+                    label(b)
+                ),
+                Stages,
+                self.group_symbolics(|h| h == a || h == b),
+            ),
+            RowKind::StrictOrder { a, b } => (
+                format!(
+                    "iterations `{}` and `{}` are strictly ordered (commutative \
+                     accumulator, symmetry breaking)",
+                    label(a),
+                    label(b)
+                ),
+                Stages,
+                self.group_symbolics(|h| h == a || h == b),
+            ),
+            RowKind::WeakOrder { a, b } => (
+                format!(
+                    "iteration `{}` is placed no earlier than `{}` (symmetry breaking)",
+                    label(b),
+                    label(a)
+                ),
+                Stages,
+                self.group_symbolics(|h| h == a || h == b),
+            ),
+            RowKind::Coherent { a, b } => (
+                format!(
+                    "`{}` and `{}` belong to one loop iteration and are placed together",
+                    label(a),
+                    label(b)
+                ),
+                Structural,
+                self.group_symbolics(|h| h == a),
+            ),
+            RowKind::ChunkLive { d } => {
+                let (v, i) = self.chunk(d);
+                (
+                    format!("iteration {i} of `{v}` needs its metadata chunk live when placed"),
+                    Structural,
+                    vec![v.to_string()],
+                )
+            }
+            RowKind::ChunkUsed { d } => {
+                let (v, i) = self.chunk(d);
+                (
+                    format!("metadata chunk {i} of `{v}` is live only if some iteration is placed"),
+                    Structural,
+                    vec![v.to_string()],
+                )
+            }
+            RowKind::InOrder { lo, hi } => {
+                let ((v, lo), (_, hi)) = (self.chunk(lo), self.chunk(hi));
+                (
+                    format!("iterations of `{v}` are used in order ({lo} before {hi})"),
+                    Structural,
+                    vec![v.to_string()],
+                )
+            }
+            RowKind::PhvBudget { budget } => (
+                format!("elastic metadata must fit the {budget} PHV bits left after fixed fields"),
+                Phv,
+                // The row's terms are exactly the chunks that take PHV bits.
+                self.model.constraints()[row]
+                    .terms
+                    .iter()
+                    .map(|&(dv, _)| self.chunk(dv).0.to_string())
+                    .collect(),
+            ),
+            RowKind::Colocate { r } => (
+                format!(
+                    "memory of `{}` sits in the stage of its action `{}`",
+                    self.register(r),
+                    label(self.regs[r].owner_group)
+                ),
+                Memory,
+                self.register_symbolics(|q| q == r),
+            ),
+            RowKind::FixedCells { r } => {
+                let k = match self.regs[r].cells {
+                    Size::Const(k) => k,
+                    Size::Symbolic(_) => unreachable!("fixed-cell rows are for constant sizes"),
+                };
+                (
+                    format!("`{}` needs exactly {k} cells when placed", self.register(r)),
+                    Memory,
+                    self.register_symbolics(|q| q == r),
+                )
+            }
+            RowKind::SizeUpper { r } => (
+                format!(
+                    "`{}` allocates at most `{}` cells",
+                    self.register(r),
+                    self.size_symbolic(r)
+                ),
+                Memory,
+                self.register_symbolics(|q| q == r),
+            ),
+            RowKind::SizeLower { r } => (
+                format!(
+                    "`{}` gets its full `{}` cells when placed (equal row sizes)",
+                    self.register(r),
+                    self.size_symbolic(r)
+                ),
+                Memory,
+                self.register_symbolics(|q| q == r),
+            ),
+            RowKind::StageMemory { s, bits } => (
+                format!("register memory in stage {s} fits the {bits} bits of per-stage SRAM"),
+                Memory,
+                self.register_symbolics(|_| true),
+            ),
+            RowKind::StageStateful { s, alus } => (
+                format!("stateful work in stage {s} fits the target's {alus} stateful ALUs"),
+                StatefulAlu,
+                self.group_symbolics(|g| self.groups[g].stateful_alus > 0),
+            ),
+            RowKind::StageStateless { s, alus } => (
+                format!("stateless work in stage {s} fits the target's {alus} stateless ALUs"),
+                StatelessAlu,
+                self.group_symbolics(|g| self.groups[g].stateless_alus > 0),
+            ),
+            RowKind::Assume { k, mut leaf } => {
+                let e = conjunct(&self.program.assumes[k].expr, &mut leaf)
+                    .expect("an assume row is a comparison of its assume");
+                let mut syms = Vec::new();
+                collect_symbolics(e, &mut syms);
+                (format!("user assumption `{}`", p4all_lang::print_expr(e)), Assumption, syms)
+            }
+        };
+        Some(RowProvenance::new(detail, resource, symbolics, span))
     }
 
-    /// Provenance of a constraint row, if recorded.
-    pub fn provenance_of(&self, row: usize) -> Option<&RowProvenance> {
-        self.provenance.get(row).and_then(|p| p.as_ref())
+    /// Count symbolics of the iteration tags of the groups `keep` selects.
+    fn group_symbolics(&self, keep: impl Fn(usize) -> bool) -> Vec<String> {
+        let groups = self.groups.iter().enumerate().filter(|&(g, _)| keep(g));
+        groups.flat_map(|(_, grp)| grp.iters.iter().map(|it| it.symbolic.clone())).collect()
+    }
+
+    /// Size symbolic and instance-count symbolic of the register instances
+    /// `keep` selects.
+    fn register_symbolics(&self, keep: impl Fn(usize) -> bool) -> Vec<String> {
+        let mut syms = Vec::new();
+        for (_, reg) in self.regs.iter().enumerate().filter(|&(r, _)| keep(r)) {
+            let Some(decl) = self.program.register(&reg.reg) else { continue };
+            syms.extend(decl.cells.symbolic_name().map(str::to_string));
+            syms.extend(
+                decl.instances.as_ref().and_then(|i| i.symbolic_name()).map(str::to_string),
+            );
+        }
+        syms
+    }
+
+    /// `name[instance]` of register instance `r`.
+    fn register(&self, r: usize) -> String {
+        format!("{}[{}]", self.regs[r].reg, self.regs[r].instance)
+    }
+
+    /// The size symbolic of an elastic register instance.
+    fn size_symbolic(&self, r: usize) -> &str {
+        self.regs[r].cells.symbolic_name().expect("size rows are for symbolic sizes")
+    }
+
+    /// `(count symbolic, iteration)` of a metadata chunk variable.
+    fn chunk(&self, d: VarId) -> (&str, usize) {
+        let ((v, i), _) = self.d.iter().find(|&(_, &dv)| dv == d).expect("a chunk variable");
+        (v, *i)
+    }
+}
+
+/// The `n`-th comparison (counting from 0, left to right) of a conjunction.
+fn conjunct<'e>(e: &'e Expr, n: &mut usize) -> Option<&'e Expr> {
+    match e {
+        Expr::Binary { op: BinOp::And, lhs, rhs } => conjunct(lhs, n).or_else(|| conjunct(rhs, n)),
+        _ if *n == 0 => Some(e),
+        _ => {
+            *n -= 1;
+            None
+        }
     }
 }
 
@@ -260,25 +516,14 @@ pub fn encode(
             iters: first.iters.clone(),
             stateful_alus: hf,
             stateless_alus: hl,
-            reg_instance: None, // filled below
         });
     }
 
-    // Provenance lookups for row tagging: span and symbolics per group.
-    let mut prov: Vec<Option<RowProvenance>> = Vec::new();
+    let mut origins: Vec<RowOrigin> = Vec::new();
     let mut derived: Vec<DerivedBound> = Vec::new();
+    // Source anchor of each group's rows: its first member's loop statement.
     let gspan: Vec<Span> =
         groups.iter().map(|grp| unrolled.instances[grp.members[0]].span).collect();
-    let gsyms: Vec<Vec<String>> = groups
-        .iter()
-        .map(|grp| {
-            let mut v: Vec<String> = grp.iters.iter().map(|it| it.symbolic.clone()).collect();
-            v.sort();
-            v.dedup();
-            v
-        })
-        .collect();
-    let glabel: Vec<String> = groups.iter().map(|grp| grp.label.clone()).collect();
 
     // ---- Iteration symmetry breaking ----
     // Iterations of one elastic loop are interchangeable: any feasible
@@ -295,30 +540,27 @@ pub fn encode(
     let mut weak_pairs: Vec<(usize, usize)> = Vec::new();
     let mut strict_families: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
     {
-        // Constraint family key: (symbolics, iteration space, shape).
-        type FamilyKey = (Vec<String>, Vec<Iter>, String);
+        // Constraint family key: (member bases, iteration prefix, innermost
+        // symbolic).
+        type FamilyKey<'a> = (Vec<&'a str>, &'a [Iter], &'a str);
         let mut families: BTreeMap<FamilyKey, Vec<(usize, usize)>> = BTreeMap::new();
         for (g, grp) in groups.iter().enumerate() {
-            if grp.iters.is_empty() {
-                continue;
-            }
-            let mut bases: Vec<String> =
-                grp.members.iter().map(|&m| unrolled.instances[m].base.clone()).collect();
+            // Inelastic groups (no iteration tag) form no family.
+            let Some((last, prefix)) = grp.iters.split_last() else { continue };
+            let mut bases: Vec<&str> =
+                grp.members.iter().map(|&m| unrolled.instances[m].base.as_str()).collect();
             bases.sort();
-            let mut prefix = grp.iters.clone();
-            // Guarded by the `iters.is_empty()` check above.
-            let Some(last) = prefix.pop() else { continue };
             families
-                .entry((bases, prefix, last.symbolic.clone()))
+                .entry((bases, prefix, last.symbolic.as_str()))
                 .or_default()
                 .push((last.index, g));
         }
         for (fid, mut members) in families.into_values().enumerate() {
             members.sort_unstable();
             let has_exclusion = members.iter().enumerate().any(|(i, &(_, a))| {
-                members[i + 1..].iter().any(|&(_, b)| {
-                    graph.exclusion.contains(&(a.min(b), a.max(b)))
-                })
+                members[i + 1..]
+                    .iter()
+                    .any(|&(_, b)| graph.exclusion.contains(&(a.min(b), a.max(b))))
             });
             for &(_, g) in &members {
                 family_of.insert(g, fid);
@@ -344,31 +586,14 @@ pub fn encode(
     let mut x: Vec<Vec<VarId>> = Vec::with_capacity(groups.len());
     for (g, grp) in groups.iter().enumerate() {
         let vars: Vec<VarId> =
-            (0..stages).map(|s| model.binary(format!("x[{}][{s}]", grp.label))).collect();
-        let placed = LinExpr::sum(vars.iter().map(|&v| LinExpr::from(v)));
+            (0..stages).map(|s| model.binary(name!("x[{}][{s}]", grp.label))).collect();
+        let placed = expr(vars.iter().map(|&v| (v, 1.0)).collect());
         if grp.iters.is_empty() {
-            let row = model.eq(format!("place_once[{g}]"), placed, 1.0); // #17
-            tag(
-                &mut prov,
-                row,
-                RowProvenance::new(
-                    format!("inelastic `{}` must be placed in some stage", grp.label),
-                    ResourceKind::Stages,
-                )
-                .at(gspan[g]),
-            );
+            let row = model.eq(name!("place_once[{g}]"), placed, 1.0); // #17
+            record(&mut origins, row, RowKind::PlaceOnce { g }, Some(gspan[g]));
         } else {
-            let row = model.le(format!("place_at_most_once[{g}]"), placed, 1.0); // #15
-            tag(
-                &mut prov,
-                row,
-                RowProvenance::new(
-                    format!("`{}` is placed in at most one stage", grp.label),
-                    ResourceKind::Stages,
-                )
-                .syms(gsyms[g].iter().cloned())
-                .at(gspan[g]),
-            );
+            let row = model.le(name!("place_at_most_once[{g}]"), placed, 1.0); // #15
+            record(&mut origins, row, RowKind::PlaceAtMostOnce { g }, Some(gspan[g]));
         }
         x.push(vars);
     }
@@ -384,13 +609,17 @@ pub fn encode(
         for &(a, b) in graph.precedence.iter().chain(&strict_pairs) {
             adj[a].push(b);
         }
-        let reachable_avoiding = |from: usize, to: usize, skip: (usize, usize)| -> bool {
-            let mut seen = vec![false; n];
-            let mut stack = vec![from];
+        // Is `to` reachable from `from` without the edge `from -> to`? One
+        // pair of search buffers serves every edge.
+        let (mut seen, mut stack) = (vec![false; n], Vec::new());
+        let mut implied = |from: usize, to: usize| -> bool {
+            seen.fill(false);
+            stack.clear();
+            stack.push(from);
             seen[from] = true;
             while let Some(v) = stack.pop() {
                 for &w in &adj[v] {
-                    if (v, w) == skip || seen[w] {
+                    if (v, w) == (from, to) || seen[w] {
                         continue;
                     }
                     if w == to {
@@ -402,37 +631,12 @@ pub fn encode(
             }
             false
         };
-        graph
-            .precedence
-            .iter()
-            .copied()
-            .filter(|&(a, b)| !reachable_avoiding(a, b, (a, b)))
-            .collect()
+        graph.precedence.iter().copied().filter(|&(a, b)| !implied(a, b)).collect()
     };
     for &(a, b) in &reduced_precedence {
         for s in 0..stages {
-            let mut earlier = LinExpr::zero();
-            for t in 0..s {
-                earlier += LinExpr::from(x[a][t]);
-            }
-            let row = model.le(
-                format!("prec[{a}->{b}][{s}]"),
-                LinExpr::from(x[b][s]) - earlier,
-                0.0,
-            );
-            tag(
-                &mut prov,
-                row,
-                RowProvenance::new(
-                    format!(
-                        "`{}` must run in a stage strictly before `{}` (data dependency)",
-                        glabel[a], glabel[b]
-                    ),
-                    ResourceKind::Stages,
-                )
-                .syms(gsyms[a].iter().chain(&gsyms[b]).cloned())
-                .at(gspan[b]),
-            );
+            let row = model.le(name!("prec[{a}->{b}][{s}]"), minus_sum(x[b][s], &x[a][..s]), 0.0);
+            record(&mut origins, row, RowKind::Precedence { a, b }, Some(gspan[b]));
         }
     }
     for &(a, b) in &graph.exclusion {
@@ -445,206 +649,99 @@ pub fn encode(
         }
         for s in 0..stages {
             let row = model.le(
-                format!("excl[{a}--{b}][{s}]"),
-                LinExpr::from(x[a][s]) + LinExpr::from(x[b][s]),
+                name!("excl[{a}--{b}][{s}]"),
+                expr(vec![(x[a][s], 1.0), (x[b][s], 1.0)]),
                 1.0,
             );
-            tag(
-                &mut prov,
-                row,
-                RowProvenance::new(
-                    format!(
-                        "`{}` and `{}` may not share a stage (conflicting accesses)",
-                        glabel[a], glabel[b]
-                    ),
-                    ResourceKind::Stages,
-                )
-                .syms(gsyms[a].iter().chain(&gsyms[b]).cloned())
-                .at(gspan[b]),
-            );
+            record(&mut origins, row, RowKind::Exclusion { a, b }, Some(gspan[b]));
         }
     }
     // Strict family orderings (commutative accumulators): same per-stage
     // encoding as precedence.
     for &(a, b) in &strict_pairs {
         for s in 0..stages {
-            let mut earlier = LinExpr::zero();
-            for t in 0..s {
-                earlier += LinExpr::from(x[a][t]);
-            }
-            let row = model.le(
-                format!("sym_strict[{a}->{b}][{s}]"),
-                LinExpr::from(x[b][s]) - earlier,
-                0.0,
-            );
-            tag(
-                &mut prov,
-                row,
-                RowProvenance::new(
-                    format!(
-                        "iterations `{}` and `{}` are strictly ordered (commutative \
-                         accumulator, symmetry breaking)",
-                        glabel[a], glabel[b]
-                    ),
-                    ResourceKind::Stages,
-                )
-                .syms(gsyms[a].iter().chain(&gsyms[b]).cloned())
-                .at(gspan[b]),
-            );
+            let row =
+                model.le(name!("sym_strict[{a}->{b}][{s}]"), minus_sum(x[b][s], &x[a][..s]), 0.0);
+            record(&mut origins, row, RowKind::StrictOrder { a, b }, Some(gspan[b]));
         }
     }
     // Weak family orderings: stage index of the later iteration is no
     // smaller, when it is placed at all.
     for &(a, b) in &weak_pairs {
-        let mut diff = LinExpr::zero();
-        let mut placed_b = LinExpr::zero();
+        // stage(b) >= stage(a) - S*(1 - placed(b)): `Σ s*x[b][s] - s*x[a][s]`,
+        // then `- S*x[b][s]`, plus the constant S. Each x[b][s] appears twice,
+        // and the model sums a variable's coefficients in the order pushed.
+        let big = stages as f64;
+        let mut terms = Vec::with_capacity(3 * stages);
         for s in 0..stages {
-            diff += LinExpr::term(x[b][s], s as f64);
-            diff -= LinExpr::term(x[a][s], s as f64);
-            placed_b += LinExpr::from(x[b][s]);
+            terms.push((x[b][s], s as f64));
+            terms.push((x[a][s], -(s as f64)));
         }
-        // stage(b) >= stage(a) - S*(1 - placed(b))
-        let row = model.ge(
-            format!("sym_weak[{a}<={b}]"),
-            diff + (LinExpr::constant(stages as f64) - placed_b * (stages as f64)),
-            0.0,
-        );
-        tag(
-            &mut prov,
-            row,
-            RowProvenance::new(
-                format!(
-                    "iteration `{}` is placed no earlier than `{}` (symmetry breaking)",
-                    glabel[b], glabel[a]
-                ),
-                ResourceKind::Stages,
-            )
-            .syms(gsyms[a].iter().chain(&gsyms[b]).cloned())
-            .at(gspan[b]),
-        );
+        terms.extend(x[b].iter().map(|&v| (v, -big)));
+        let row = model.ge(name!("sym_weak[{a}<={b}]"), LinExpr { terms, constant: big }, 0.0);
+        record(&mut origins, row, RowKind::WeakOrder { a, b }, Some(gspan[b]));
     }
 
     // ---- Iteration coherence (#7) ----
     // Groups with the same full tag exist together.
     {
-        let mut by_tag: BTreeMap<Vec<Iter>, Vec<usize>> = BTreeMap::new();
+        let mut by_tag: BTreeMap<&[Iter], Vec<usize>> = BTreeMap::new();
         for (g, grp) in groups.iter().enumerate() {
             if !grp.iters.is_empty() {
-                by_tag.entry(grp.iters.clone()).or_default().push(g);
+                by_tag.entry(&grp.iters).or_default().push(g);
             }
         }
         for (tag, gs) in &by_tag {
             for w in gs.windows(2) {
                 let (a, b) = (w[0], w[1]);
-                let pa = LinExpr::sum(x[a].iter().map(|&v| LinExpr::from(v)));
-                let pb = LinExpr::sum(x[b].iter().map(|&v| LinExpr::from(v)));
-                let row = model.eq(format!("coherent[{tag:?}][{a}=={b}]"), pa - pb, 0.0);
-                crate::ilpgen::tag(
-                    &mut prov,
-                    row,
-                    RowProvenance::new(
-                        format!(
-                            "`{}` and `{}` belong to one loop iteration and are placed \
-                             together",
-                            glabel[a], glabel[b]
-                        ),
-                        ResourceKind::Structural,
-                    )
-                    .syms(gsyms[a].iter().cloned())
-                    .at(gspan[a]),
-                );
+                let mut terms = Vec::with_capacity(2 * stages);
+                terms.extend(x[a].iter().map(|&v| (v, 1.0)));
+                terms.extend(x[b].iter().map(|&v| (v, -1.0)));
+                let row = model.eq(name!("coherent[{tag:?}][{a}=={b}]"), expr(terms), 0.0);
+                record(&mut origins, row, RowKind::Coherent { a, b }, Some(gspan[a]));
             }
         }
     }
 
     // ---- Metadata chunk indicators d[(v,i)] (#13, #14) and ordering (#16) ----
     let mut d: BTreeMap<(String, usize), VarId> = BTreeMap::new();
-    let mut d_groups: BTreeMap<(String, usize), Vec<usize>> = BTreeMap::new();
+    // `(v, i) -> (d, groups of iteration i of v)`
+    let mut d_groups: BTreeMap<(&str, usize), (VarId, Vec<usize>)> = BTreeMap::new();
     for (g, grp) in groups.iter().enumerate() {
         for it in &grp.iters {
-            let key = (it.symbolic.clone(), it.index);
-            d.entry(key.clone())
-                .or_insert_with(|| model.binary(format!("d[{}][{}]", it.symbolic, it.index)));
-            d_groups.entry(key).or_default().push(g);
+            let (_, members) = d_groups.entry((&it.symbolic, it.index)).or_insert_with(|| {
+                let dv = model.binary(name!("d[{}][{}]", it.symbolic, it.index));
+                d.insert((it.symbolic.clone(), it.index), dv);
+                (dv, Vec::new())
+            });
+            members.push(g);
         }
     }
-    for (key, gs) in &d_groups {
-        let dv = d[key];
-        let mut any = LinExpr::zero();
+    for (&(v, i), &(dv, ref gs)) in &d_groups {
         for &g in gs {
-            let placed = LinExpr::sum(x[g].iter().map(|&v| LinExpr::from(v)));
             // d >= placed(g)  (#14)
-            let row = model.ge(
-                format!("d_lb[{}][{}][{g}]", key.0, key.1),
-                LinExpr::from(dv) - placed.clone(),
-                0.0,
-            );
-            tag(
-                &mut prov,
-                row,
-                RowProvenance::new(
-                    format!(
-                        "iteration {} of `{}` needs its metadata chunk live when placed",
-                        key.1, key.0
-                    ),
-                    ResourceKind::Structural,
-                )
-                .syms([key.0.clone()])
-                .at(gspan[g]),
-            );
-            any += placed;
+            let row = model.ge(name!("d_lb[{v}][{i}][{g}]"), minus_sum(dv, &x[g]), 0.0);
+            record(&mut origins, row, RowKind::ChunkLive { d: dv }, Some(gspan[g]));
         }
         // d <= sum placed: the chunk is live only if some iteration ran.
-        let row =
-            model.le(format!("d_ub[{}][{}]", key.0, key.1), LinExpr::from(dv) - any, 0.0);
-        tag(
-            &mut prov,
-            row,
-            RowProvenance::new(
-                format!(
-                    "metadata chunk {} of `{}` is live only if some iteration is placed",
-                    key.1, key.0
-                ),
-                ResourceKind::Structural,
-            )
-            .syms([key.0.clone()]),
-        );
-    }
-    // In-order iterations (#16): d[v][i+1] <= d[v][i].
-    {
-        let mut per_sym: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-        for (v, i) in d.keys() {
-            per_sym.entry(v.as_str()).or_default().push(*i);
+        let mut terms = Vec::with_capacity(1 + gs.len() * stages);
+        terms.push((dv, 1.0));
+        for &g in gs {
+            terms.extend(x[g].iter().map(|&v| (v, -1.0)));
         }
-        let keys: Vec<(String, Vec<usize>)> = per_sym
-            .into_iter()
-            .map(|(v, mut is)| {
-                is.sort_unstable();
-                (v.to_string(), is)
-            })
-            .collect();
-        for (v, is) in keys {
-            for w in is.windows(2) {
-                let lo = d[&(v.clone(), w[0])];
-                let hi = d[&(v.clone(), w[1])];
-                let row = model.le(
-                    format!("order[{v}][{}<={}]", w[1], w[0]),
-                    LinExpr::from(hi) - LinExpr::from(lo),
-                    0.0,
-                );
-                tag(
-                    &mut prov,
-                    row,
-                    RowProvenance::new(
-                        format!(
-                            "iterations of `{v}` are used in order ({} before {})",
-                            w[0], w[1]
-                        ),
-                        ResourceKind::Structural,
-                    )
-                    .syms([v.clone()]),
-                );
-            }
+        let row = model.le(name!("d_ub[{v}][{i}]"), expr(terms), 0.0);
+        record(&mut origins, row, RowKind::ChunkUsed { d: dv }, None);
+    }
+    // In-order iterations (#16): d[v][i+1] <= d[v][i], over neighbouring
+    // iterations of one symbolic (the map sorts them together).
+    for (((v, lo_i), &lo), ((w, hi_i), &hi)) in d.iter().zip(d.iter().skip(1)) {
+        if v == w {
+            let row = model.le(
+                name!("order[{v}][{hi_i}<={lo_i}]"),
+                expr(vec![(hi, 1.0), (lo, -1.0)]),
+                0.0,
+            );
+            record(&mut origins, row, RowKind::InOrder { lo, hi }, None);
         }
     }
 
@@ -663,30 +760,15 @@ pub fn encode(
                  or scalar metadata",
             ));
         }
-        let elastic_budget = (target_budget - program_fixed) as f64;
-        let mut used = LinExpr::zero();
-        let mut phv_syms: Vec<String> = Vec::new();
-        for ((v, _i), &dv) in &d {
-            let bits = info.meta_chunk_bits(v) as f64;
-            if bits > 0.0 {
-                used += LinExpr::term(dv, bits);
-                phv_syms.push(v.clone());
-            }
-        }
-        if !used.terms.is_empty() {
-            let row = model.le("phv_budget", used, elastic_budget);
-            tag(
-                &mut prov,
-                row,
-                RowProvenance::new(
-                    format!(
-                        "elastic metadata must fit the {elastic_budget} PHV bits left \
-                         after fixed fields"
-                    ),
-                    ResourceKind::Phv,
-                )
-                .syms(phv_syms),
-            );
+        let budget = (target_budget - program_fixed) as f64;
+        let used: Vec<(VarId, f64)> = d
+            .iter()
+            .map(|((v, _), &dv)| (dv, info.meta_chunk_bits(v) as f64))
+            .filter(|&(_, bits)| bits > 0.0)
+            .collect();
+        if !used.is_empty() {
+            let row = model.le("phv_budget", expr(used), budget);
+            record(&mut origins, row, RowKind::PhvBudget { budget }, None);
         }
     }
 
@@ -696,82 +778,53 @@ pub fn encode(
     let mut sizes: BTreeMap<String, VarId> = BTreeMap::new();
     {
         // Owner group of each (reg, instance).
-        let mut owner: BTreeMap<(String, usize), usize> = BTreeMap::new();
+        let mut owner: BTreeMap<(&str, usize), usize> = BTreeMap::new();
         for (g, grp) in groups.iter().enumerate() {
             for &m in &grp.members {
                 if let Some(r) = &unrolled.instances[m].reg {
-                    owner.insert((r.reg.clone(), r.instance), g);
+                    owner.insert((&r.reg, r.instance), g);
                 }
             }
         }
         for ((reg_name, instance), owner_group) in owner {
-            let decl = info.program.register(&reg_name).ok_or_else(|| {
+            let decl = info.program.register(reg_name).ok_or_else(|| {
                 Diagnostic::internal(format!(
                     "unrolled instance references undeclared register `{reg_name}`"
                 ))
             })?;
-            // Symbolics implicated by this register's memory rows: its size
-            // symbolic plus the count symbolic of its instance dimension.
-            let mut reg_syms: Vec<String> = Vec::new();
-            if let Some(sz) = decl.cells.symbolic_name() {
-                reg_syms.push(sz.to_string());
-            }
-            if let Some(cnt) = decl.instances.as_ref().and_then(|i| i.symbolic_name()) {
-                reg_syms.push(cnt.to_string());
-            }
-            let reg_span = decl.span;
+            let span = Some(decl.span);
             let cap = (target.memory_bits / decl.elem_bits as u64).max(1);
-            let ridx = regs.len();
-            groups[owner_group].reg_instance = Some(ridx);
+            let r = regs.len();
             let svars: Vec<VarId> = (0..stages)
-                .map(|s| {
-                    model.integer(format!("c[{reg_name}[{instance}]][{s}]"), 0.0, cap as f64)
-                })
+                .map(|s| model.integer(name!("c[{reg_name}[{instance}]][{s}]"), 0.0, cap as f64))
                 .collect();
             // #9: cells only where the owner sits.
             for s in 0..stages {
                 let row = model.le(
-                    format!("colocate[{reg_name}[{instance}]][{s}]"),
-                    LinExpr::from(svars[s]) - LinExpr::term(x[owner_group][s], cap as f64),
+                    name!("colocate[{reg_name}[{instance}]][{s}]"),
+                    expr(vec![(svars[s], 1.0), (x[owner_group][s], -(cap as f64))]),
                     0.0,
                 );
-                tag(
-                    &mut prov,
-                    row,
-                    RowProvenance::new(
-                        format!(
-                            "memory of `{reg_name}[{instance}]` sits in the stage of its \
-                             action `{}`",
-                            glabel[owner_group]
-                        ),
-                        ResourceKind::Memory,
-                    )
-                    .syms(reg_syms.iter().cloned())
-                    .at(reg_span),
-                );
+                record(&mut origins, row, RowKind::Colocate { r }, span);
             }
-            let total = LinExpr::sum(svars.iter().map(|&v| LinExpr::from(v)));
-            let placed = LinExpr::sum(x[owner_group].iter().map(|&v| LinExpr::from(v)));
+            // `total - k * placed` for the register's cells `total` and its
+            // owner's placement `placed`, plus `extra` between the two.
+            let cells_against_placed = |k: f64, extra: Option<(VarId, f64)>| {
+                let mut terms = Vec::with_capacity(2 * stages + 1);
+                terms.extend(svars.iter().map(|&v| (v, 1.0)));
+                terms.extend(extra);
+                terms.extend(x[owner_group].iter().map(|&v| (v, -k)));
+                terms
+            };
             match &decl.cells {
                 Size::Const(k) => {
                     // Exactly k cells when placed, 0 otherwise.
                     let row = model.eq(
-                        format!("fixed_cells[{reg_name}[{instance}]]"),
-                        total - placed * (*k as f64),
+                        name!("fixed_cells[{reg_name}[{instance}]]"),
+                        expr(cells_against_placed(*k as f64, None)),
                         0.0,
                     );
-                    tag(
-                        &mut prov,
-                        row,
-                        RowProvenance::new(
-                            format!(
-                                "`{reg_name}[{instance}]` needs exactly {k} cells when placed"
-                            ),
-                            ResourceKind::Memory,
-                        )
-                        .syms(reg_syms.iter().cloned())
-                        .at(reg_span),
-                    );
+                    record(&mut origins, row, RowKind::FixedCells { r }, span);
                 }
                 Size::Symbolic(sz) => {
                     let vsz = match sizes.get(sz) {
@@ -793,60 +846,37 @@ pub fn encode(
                                         "one stage's SRAM holds at most {cap} cells of \
                                          `{reg_name}`, capping `{sz}`"
                                     ),
-                                    span: Some(reg_span),
+                                    span,
                                 });
                             }
-                            let v = model.integer(format!("V[{sz}]"), lo, hi);
+                            let v = model.integer(name!("V[{sz}]"), lo, hi);
                             sizes.insert(sz.clone(), v);
                             v
                         }
                     };
                     // total <= V_sz ; total >= V_sz - cap*(1 - placed).
-                    let row = model.le(
-                        format!("size_ub[{reg_name}[{instance}]]"),
-                        total.clone() - LinExpr::from(vsz),
-                        0.0,
-                    );
-                    tag(
-                        &mut prov,
-                        row,
-                        RowProvenance::new(
-                            format!(
-                                "`{reg_name}[{instance}]` allocates at most `{sz}` cells"
-                            ),
-                            ResourceKind::Memory,
-                        )
-                        .syms(reg_syms.iter().cloned())
-                        .at(reg_span),
-                    );
+                    let mut terms = Vec::with_capacity(stages + 1);
+                    terms.extend(svars.iter().map(|&v| (v, 1.0)));
+                    terms.push((vsz, -1.0));
+                    let row = model.le(name!("size_ub[{reg_name}[{instance}]]"), expr(terms), 0.0);
+                    record(&mut origins, row, RowKind::SizeUpper { r }, span);
                     let row = model.ge(
-                        format!("size_lb[{reg_name}[{instance}]]"),
-                        total - LinExpr::from(vsz) - placed * (cap as f64)
-                            + LinExpr::constant(cap as f64),
+                        name!("size_lb[{reg_name}[{instance}]]"),
+                        LinExpr {
+                            terms: cells_against_placed(cap as f64, Some((vsz, -1.0))),
+                            constant: cap as f64,
+                        },
                         0.0,
                     );
-                    tag(
-                        &mut prov,
-                        row,
-                        RowProvenance::new(
-                            format!(
-                                "`{reg_name}[{instance}]` gets its full `{sz}` cells when \
-                                 placed (equal row sizes)"
-                            ),
-                            ResourceKind::Memory,
-                        )
-                        .syms(reg_syms.iter().cloned())
-                        .at(reg_span),
-                    );
+                    record(&mut origins, row, RowKind::SizeLower { r }, span);
                 }
             }
             regs.push(RegInstanceInfo {
-                reg: reg_name,
+                reg: reg_name.to_string(),
                 instance,
                 elem_bits: decl.elem_bits,
                 owner_group,
                 cells: decl.cells.clone(),
-                cap,
             });
             cells.push(svars);
         }
@@ -859,95 +889,33 @@ pub fn encode(
             let mined = info.mined.get(sz).copied().unwrap_or_default();
             let lo = mined.lo.unwrap_or(1).max(1) as f64;
             let hi = mined.hi.unwrap_or(1 << 20) as f64;
-            model.integer(format!("V[{sz}]"), lo, hi)
+            model.integer(name!("V[{sz}]"), lo, hi)
         });
     }
 
     // ---- Per-stage memory (#8) and ALU budgets (#11, #12) ----
-    let mem_syms: Vec<String> = {
-        let mut v: Vec<String> = regs
-            .iter()
-            .flat_map(|r| {
-                let mut s: Vec<String> = Vec::new();
-                if let Size::Symbolic(sz) = &r.cells {
-                    s.push(sz.clone());
-                }
-                if let Some(decl) = info.program.register(&r.reg) {
-                    if let Some(cnt) = decl.instances.as_ref().and_then(|i| i.symbolic_name())
-                    {
-                        s.push(cnt.to_string());
-                    }
-                }
-                s
-            })
-            .collect();
-        v.sort();
-        v.dedup();
-        v
-    };
     for s in 0..stages {
-        let mut mem = LinExpr::zero();
-        for (r, svars) in cells.iter().enumerate() {
-            mem += LinExpr::term(svars[s], regs[r].elem_bits as f64);
+        if !cells.is_empty() {
+            let mem = cells.iter().zip(&regs).map(|(c, r)| (c[s], r.elem_bits as f64));
+            let bits = target.memory_bits;
+            let row = model.le(name!("stage_mem[{s}]"), expr(mem.collect()), bits as f64);
+            record(&mut origins, row, RowKind::StageMemory { s, bits }, None);
         }
-        if !mem.terms.is_empty() {
-            let row = model.le(format!("stage_mem[{s}]"), mem, target.memory_bits as f64);
-            tag(
-                &mut prov,
-                row,
-                RowProvenance::new(
-                    format!(
-                        "register memory in stage {s} fits the {} bits of per-stage SRAM",
-                        target.memory_bits
-                    ),
-                    ResourceKind::Memory,
-                )
-                .syms(mem_syms.iter().cloned()),
-            );
+        let per_group = |alus: fn(&GroupInfo) -> u32| -> Vec<(VarId, f64)> {
+            let used = groups.iter().zip(&x).filter(|(grp, _)| alus(grp) > 0);
+            used.map(|(grp, xs)| (xs[s], alus(grp) as f64)).collect()
+        };
+        let hf = per_group(|grp| grp.stateful_alus);
+        if !hf.is_empty() {
+            let alus = target.stateful_alus;
+            let row = model.le(name!("stage_hf[{s}]"), expr(hf), alus as f64);
+            record(&mut origins, row, RowKind::StageStateful { s, alus }, None);
         }
-        let mut hf = LinExpr::zero();
-        let mut hl = LinExpr::zero();
-        let mut hf_syms: Vec<String> = Vec::new();
-        let mut hl_syms: Vec<String> = Vec::new();
-        for (g, grp) in groups.iter().enumerate() {
-            if grp.stateful_alus > 0 {
-                hf += LinExpr::term(x[g][s], grp.stateful_alus as f64);
-                hf_syms.extend(gsyms[g].iter().cloned());
-            }
-            if grp.stateless_alus > 0 {
-                hl += LinExpr::term(x[g][s], grp.stateless_alus as f64);
-                hl_syms.extend(gsyms[g].iter().cloned());
-            }
-        }
-        if !hf.terms.is_empty() {
-            let row = model.le(format!("stage_hf[{s}]"), hf, target.stateful_alus as f64);
-            tag(
-                &mut prov,
-                row,
-                RowProvenance::new(
-                    format!(
-                        "stateful work in stage {s} fits the target's {} stateful ALUs",
-                        target.stateful_alus
-                    ),
-                    ResourceKind::StatefulAlu,
-                )
-                .syms(hf_syms),
-            );
-        }
-        if !hl.terms.is_empty() {
-            let row = model.le(format!("stage_hl[{s}]"), hl, target.stateless_alus as f64);
-            tag(
-                &mut prov,
-                row,
-                RowProvenance::new(
-                    format!(
-                        "stateless work in stage {s} fits the target's {} stateless ALUs",
-                        target.stateless_alus
-                    ),
-                    ResourceKind::StatelessAlu,
-                )
-                .syms(hl_syms),
-            );
+        let hl = per_group(|grp| grp.stateless_alus);
+        if !hl.is_empty() {
+            let alus = target.stateless_alus;
+            let row = model.le(name!("stage_hl[{s}]"), expr(hl), alus as f64);
+            record(&mut origins, row, RowKind::StageStateless { s, alus }, None);
         }
     }
 
@@ -968,13 +936,14 @@ pub fn encode(
         d,
         sizes,
         stages,
-        provenance: prov,
         derived_bounds: derived,
+        origins,
+        program: Arc::clone(&info.program),
     };
 
     // ---- User assumes ----
     for (k, a) in info.program.assumes.iter().enumerate() {
-        add_assume(&mut enc, info, &a.expr, a.span, &format!("assume{k}"))?;
+        add_assume(&mut enc, info, &a.expr, a.span, &format!("assume{k}"), (k, &mut 0))?;
     }
 
     // ---- Objective ----
@@ -984,16 +953,9 @@ pub fn encode(
             // Default utility: stretch everything — placements first, then
             // total memory (lightly weighted so it never trades a placement
             // for cells).
-            let mut obj = LinExpr::zero();
-            for g in 0..enc.groups.len() {
-                obj += enc.placed(g);
-            }
-            for svars in &enc.cells {
-                for &v in svars {
-                    obj += LinExpr::term(v, 1e-4);
-                }
-            }
-            obj
+            let placements = enc.x.iter().flatten().map(|&v| (v, 1.0));
+            let memory = enc.cells.iter().flatten().map(|&v| (v, 1e-4));
+            expr(placements.chain(memory).collect())
         }
     };
     enc.model.set_objective(objective, Sense::Maximize);
@@ -1008,7 +970,7 @@ pub fn encode(
 /// division by constants, and the product `count * size` when one register
 /// declaration pairs those extents (linearized as total allocated cells of
 /// that register family).
-pub fn linearize(
+fn linearize(
     enc: &Encoding,
     info: &ProgramInfo,
     e: &Expr,
@@ -1021,7 +983,7 @@ pub fn linearize(
                 let mut sum = LinExpr::zero();
                 for ((v, _), &dv) in &enc.d {
                     if v == name {
-                        sum += LinExpr::from(dv);
+                        sum.add_term(dv, 1.0);
                     }
                 }
                 Ok(sum)
@@ -1094,7 +1056,7 @@ fn product_cells(
     for (r, svars) in enc.cells.iter().enumerate() {
         if enc.regs[r].reg == decl.name {
             for &v in svars {
-                sum += LinExpr::from(v);
+                sum.add_term(v, 1.0);
             }
         }
     }
@@ -1135,17 +1097,20 @@ fn const_value(e: &Expr) -> Option<f64> {
 
 /// Add an `assume` expression as ILP constraints. Conjunctions split;
 /// comparisons become linear rows. Disjunctions are rejected (non-convex).
+/// `(k, leaf)` is the assume's index and the number of comparisons of it
+/// already added.
 fn add_assume(
     enc: &mut Encoding,
     info: &ProgramInfo,
     e: &Expr,
     span: Span,
     name: &str,
+    (k, leaf): (usize, &mut usize),
 ) -> Result<(), Diagnostic> {
     match e {
         Expr::Binary { op: BinOp::And, lhs, rhs } => {
-            add_assume(enc, info, lhs, span, &format!("{name}.l"))?;
-            add_assume(enc, info, rhs, span, &format!("{name}.r"))
+            add_assume(enc, info, lhs, span, &format!("{name}.l"), (k, &mut *leaf))?;
+            add_assume(enc, info, rhs, span, &format!("{name}.r"), (k, leaf))
         }
         Expr::Binary { op, lhs, rhs }
             if matches!(op, BinOp::Le | BinOp::Lt | BinOp::Ge | BinOp::Gt | BinOp::Eq) =>
@@ -1162,18 +1127,8 @@ fn add_assume(
                 // Guarded by the `matches!` arm pattern above.
                 _ => return Err(Diagnostic::internal("non-comparison op in assume arm")),
             };
-            let mut syms: Vec<String> = Vec::new();
-            collect_symbolics(e, &mut syms);
-            tag(
-                &mut enc.provenance,
-                row,
-                RowProvenance::new(
-                    format!("user assumption `{}`", p4all_lang::print_expr(e)),
-                    ResourceKind::Assumption,
-                )
-                .syms(syms)
-                .at(span),
-            );
+            record(&mut enc.origins, row, RowKind::Assume { k, leaf: *leaf }, Some(span));
+            *leaf += 1;
             Ok(())
         }
         _ => Err(Diagnostic::error_at(

@@ -105,24 +105,10 @@ pub struct ActionInstance {
     pub accumulators: Vec<Slot>,
 }
 
-impl ActionInstance {
-    /// True if the instance sits inside at least one elastic loop.
-    pub fn is_elastic(&self) -> bool {
-        !self.iters.is_empty()
-    }
-}
-
 /// The fully unrolled program at a particular choice of loop bounds.
 #[derive(Debug, Clone, Default)]
 pub struct Unrolled {
     pub instances: Vec<ActionInstance>,
-}
-
-impl Unrolled {
-    /// Instances belonging to a given iteration key.
-    pub fn of_iteration(&self, iters: &[Iter]) -> Vec<&ActionInstance> {
-        self.instances.iter().filter(|a| a.iters == iters).collect()
-    }
 }
 
 /// Unroll the entry control of `info.program`, bounding each elastic loop
@@ -393,7 +379,7 @@ fn eval_index(e: &Expr, env: &BTreeMap<String, usize>, span: Span) -> Result<usi
 }
 
 /// Substitute loop variables with constants in an expression.
-pub fn subst_expr(e: &Expr, env: &BTreeMap<String, usize>) -> Result<Expr, Diagnostic> {
+fn subst_expr(e: &Expr, env: &BTreeMap<String, usize>) -> Result<Expr, Diagnostic> {
     Ok(match e {
         Expr::IndexVar(name) => match env.get(name) {
             Some(&v) => Expr::Int(v as u64),
@@ -427,7 +413,7 @@ pub fn subst_expr(e: &Expr, env: &BTreeMap<String, usize>) -> Result<Expr, Diagn
 }
 
 /// Substitute loop variables in a statement.
-pub fn subst_stmt(s: &Stmt, env: &BTreeMap<String, usize>) -> Result<Stmt, Diagnostic> {
+fn subst_stmt(s: &Stmt, env: &BTreeMap<String, usize>) -> Result<Stmt, Diagnostic> {
     Ok(match s {
         Stmt::Assign { lhs, rhs, span } => Stmt::Assign {
             lhs: subst_lvalue(lhs, env)?,
@@ -746,7 +732,7 @@ mod tests {
         assert_eq!(u.instances.len(), 2);
         assert_eq!(u.instances[0].label, "Main#0");
         assert!(u.instances[1].reads.contains(&Slot::Meta("a".into())));
-        assert!(!u.instances[0].is_elastic());
+        assert!(u.instances[0].iters.is_empty(), "an instance outside any loop is inelastic");
     }
 
     #[test]

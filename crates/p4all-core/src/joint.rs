@@ -162,7 +162,7 @@ impl CompileCtx {
 }
 
 /// Split a joint layout into per-tenant reports (merge order).
-pub fn tenant_reports(joint: &JointSource, layout: &Layout) -> Vec<TenantReport> {
+fn tenant_reports(joint: &JointSource, layout: &Layout) -> Vec<TenantReport> {
     joint
         .tenants
         .iter()

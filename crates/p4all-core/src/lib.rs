@@ -62,7 +62,7 @@ pub use codegen::{loc, print_p4, ConcreteAction, ConcreteProgram, ConcreteRegist
 pub use explain::{explain_infeasible, ExplainedRow, Infeasibility};
 pub use ilpgen::{DerivedBound, ResourceKind, RowProvenance};
 pub use joint::{
-    merge_tenants, tenant_reports, verify_joint, JointCompilation, JointSource, TenantProgram,
+    merge_tenants, verify_joint, JointCompilation, JointSource, TenantProgram,
     TenantReport,
 };
 pub use passes::{CompileCtx, CompileTrace, PassRecord};
@@ -70,4 +70,4 @@ pub use pipeline::{
     evaluate_utility, Compilation, CompileError, CompileOptions, Compiler, SolveStats, Timings,
 };
 pub use solution::{Layout, Placement, RegisterAllocation};
-pub use verify::{assumes_hold, evaluate_predicate, ilp_dominates_greedy, verify_layout};
+pub use verify::{assumes_hold, ilp_dominates_greedy, verify_layout};

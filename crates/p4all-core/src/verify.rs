@@ -21,7 +21,7 @@ use crate::solution::Layout;
 /// comparisons compare the arithmetic results; `&&`/`||`/`!` combine
 /// booleans. `None` when the expression references anything outside the
 /// value map or mixes kinds in an unsupported way.
-pub fn evaluate_predicate(e: &Expr, values: &BTreeMap<String, u64>) -> Option<bool> {
+fn evaluate_predicate(e: &Expr, values: &BTreeMap<String, u64>) -> Option<bool> {
     match e {
         Expr::Unary { op: UnOp::Not, operand } => evaluate_predicate(operand, values).map(|b| !b),
         Expr::Binary { op: BinOp::And, lhs, rhs } => {
